@@ -2,13 +2,15 @@
 
 Unit capacities keep everything combinatorial: a flow is a set of edges, and a
 maximum flow decomposes into value-many edge-disjoint source-to-sink paths
-(constructive Menger). All tie-breaking is by ascending edge id so identical
-inputs always produce identical flows and paths.
+(constructive Menger). Maximum flows come from Dinic's blocking-flow
+algorithm, in which any sink of a sink set ends a search branch, over a
+residual adjacency that each Network builds once (Network._residual_arcs).
+All tie-breaking is by ascending edge id, out-arcs before in-arcs, so
+identical inputs always produce identical flows and paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -76,100 +78,90 @@ class FlowResult:
 
 
 def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
-    """Maximum integral flow from src to the sink set.
+    """Maximum integral flow from src to the sink set, by Dinic's algorithm.
 
-    Multiple sinks are handled through an internal super-sink joined to each
-    sink by |E| parallel edges; the super-node never appears in the result.
+    Each phase levels the residual graph by breadth-first search from src and
+    then adds a blocking flow along level-increasing arcs, by an iterative
+    depth-first search that keeps a current-arc pointer per node. Every sink
+    absorbs flow: a search branch ends at the first sink it reaches, so a sink
+    set needs no super-sink. Arcs are tried in ascending edge id, a node's
+    out-arcs before its in-arcs, so identical inputs give identical flows.
+    With unit capacities this takes O(E * sqrt(E)) time (Even-Tarjan 1975).
+    The residual adjacency is built once per Network and shared by every call.
     """
     sink_set = set(sinks)
     if not sink_set:
         raise InputError("sink set must be nonempty")
     if src in sink_set:
         raise InputError("source cannot be a sink")
+    index, eids, arc_head, arcs = net._residual_arcs
     for v in [src, *sink_set]:
-        if not net.has_node(v):
+        if v not in index:
             raise UnknownNodeError(f"node {v!r} not in network")
 
-    n_real = len(net.edges)
-    tails: list[int] = []
-    heads: list[int] = []
-    eids: list[EdgeId] = []
-    index = {v: i for i, v in enumerate(net.nodes)}
-    for e in sorted(net.edges, key=lambda e: e.eid):
-        tails.append(index[e.tail])
-        heads.append(index[e.head])
-        eids.append(e.eid)
-
-    if len(sink_set) == 1:
-        (t,) = sink_set
-        t_idx = index[t]
-    else:
-        t_idx = len(net.nodes)
-        for v in sorted(sink_set, key=lambda v: index[v]):
-            for _ in range(max(n_real, 1)):
-                tails.append(index[v])
-                heads.append(t_idx)
-
-    n_nodes = len(net.nodes) + (1 if len(sink_set) > 1 else 0)
-    out_adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    in_adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for i in range(len(tails)):
-        out_adj[tails[i]].append(i)
-        in_adj[heads[i]].append(i)
-
-    flow = bytearray(len(tails))
-    s_idx = index[src]
+    n = len(index)
+    is_sink = bytearray(n)
+    for v in sink_set:
+        is_sink[index[v]] = 1
+    s = index[src]
+    residual = bytearray(b"\x01\x00") * len(eids)
     value = 0
 
     while True:
-        parent: list[tuple[int, int] | None] = [None] * n_nodes
-        seen = [False] * n_nodes
-        seen[s_idx] = True
-        queue = deque([s_idx])
-        while queue:
-            u = queue.popleft()
-            if u == t_idx:
-                break
-            for i in out_adj[u]:
-                v = heads[i]
-                if not seen[v] and not flow[i]:
-                    seen[v] = True
-                    parent[v] = (i, 1)
+        level = [-1] * n
+        level[s] = 0
+        sink_level = n  # no sink reached yet
+        queue = [s]
+        for u in queue:
+            if level[u] == sink_level:
+                break  # deeper nodes cannot lie on a shortest augmenting path
+            next_level = level[u] + 1
+            for a in arcs[u]:
+                v = arc_head[a]
+                if residual[a] and level[v] < 0:
+                    level[v] = next_level
+                    if is_sink[v]:
+                        sink_level = next_level
                     queue.append(v)
-            for i in in_adj[u]:
-                v = tails[i]
-                if not seen[v] and flow[i]:
-                    seen[v] = True
-                    parent[v] = (i, 0)
-                    queue.append(v)
-        if not seen[t_idx]:
+        if sink_level == n:
             break
-        v = t_idx
-        while v != s_idx:
-            i, f = parent[v]  # type: ignore[misc]
-            flow[i] = f
-            v = tails[i] if f else heads[i]
-        value += 1
 
-    # Residual reachability from the final (maximum) flow gives the min cut.
-    reach = [False] * n_nodes
-    reach[s_idx] = True
-    queue = deque([s_idx])
-    while queue:
-        u = queue.popleft()
-        for i in out_adj[u]:
-            v = heads[i]
-            if not reach[v] and not flow[i]:
-                reach[v] = True
-                queue.append(v)
-        for i in in_adj[u]:
-            v = tails[i]
-            if not reach[v] and flow[i]:
-                reach[v] = True
-                queue.append(v)
+        ptr = [0] * n
+        path: list[int] = []  # arcs from s to u
+        u = s
+        while True:
+            if is_sink[u]:
+                for a in path:
+                    residual[a] = 0
+                    residual[a ^ 1] = 1
+                value += 1
+                path.clear()
+                u = s
+                continue
+            node_arcs = arcs[u]
+            end = len(node_arcs)
+            i = ptr[u]
+            next_level = level[u] + 1
+            while i < end:
+                a = node_arcs[i]
+                if residual[a] and level[arc_head[a]] == next_level:
+                    break
+                i += 1
+            ptr[u] = i
+            if i < end:
+                path.append(a)
+                u = arc_head[a]
+            elif u == s:
+                break
+            else:
+                level[u] = -1  # dead end for the rest of this phase
+                u = arc_head[path.pop() ^ 1]
+                ptr[u] += 1
 
-    edge_flow = {eids[i]: int(flow[i]) for i in range(n_real)}
-    source_side = frozenset(v for v, i in index.items() if reach[i])
+    # The last search reached no sink, so its levels mark the residual
+    # reachable set: the source side of a minimum cut.
+    edge_flow = dict(zip(eids, residual[1::2]))
+    source_side = frozenset(v for v, lv in zip(net.nodes, level) if lv >= 0)
     return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
 
 

@@ -9,6 +9,7 @@ are invertible, retrying with a larger field when needed.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -289,20 +290,17 @@ def _topological_edge_order(
         lst.sort()
 
     indegree = {v: len(in_support.get(v, [])) for v in nodes}
+    # Always taking the smallest ready label keeps the order deterministic.
     ready = sorted(v for v in nodes if indegree[v] == 0)
     topo_nodes: list[NodeId] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         topo_nodes.append(v)
         for eid in out_support.get(v, []):
             w = net.edge(eid).head
             indegree[w] -= 1
             if indegree[w] == 0:
-                # Insertion keeps the ready list sorted for determinism.
-                lo = 0
-                while lo < len(ready) and ready[lo] < w:
-                    lo += 1
-                ready.insert(lo, w)
+                heapq.heappush(ready, w)
     if len(topo_nodes) != len(nodes):
         raise CyclicSupportError("the coded subgraph contains a directed cycle")
     pos = {v: i for i, v in enumerate(topo_nodes)}

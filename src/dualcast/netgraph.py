@@ -42,6 +42,23 @@ class Demand:
         return self.h0 + self.h1 + self.h2
 
 
+class ResidualArcs(NamedTuple):
+    """A network as integer arrays for the residual graph of a 0/1 flow.
+
+    Nodes are numbered in `nodes` order and edges in ascending id order. Edge
+    i gives arc 2i (tail -> head, residual while unused) and arc 2i+1
+    (head -> tail, residual while used). Each node's arcs list its out-arcs
+    and then its in-arcs, each group in ascending edge id. A Network caches
+    one of these and hands the same lists to every caller, so callers must
+    not modify them.
+    """
+
+    index: dict[NodeId, int]
+    eids: list[EdgeId]
+    arc_head: list[int]
+    arcs: list[list[int]]
+
+
 @dataclass(frozen=True)
 class Network:
     """Finite directed multigraph; all edges have unit capacity (implicit)."""
@@ -91,14 +108,31 @@ class Network:
             inc[e.head].append(e.eid)
         return {v: tuple(ids) for v, ids in inc.items()}
 
+    @cached_property
+    def _residual_arcs(self) -> ResidualArcs:
+        """Integer adjacency for max-flow, shared by every flow on this network."""
+        index = {v: i for i, v in enumerate(self.nodes)}
+        edges = sorted(self.edges, key=lambda e: e.eid)
+        arc_head: list[int] = []
+        out_arcs: list[list[int]] = [[] for _ in self.nodes]
+        in_arcs: list[list[int]] = [[] for _ in self.nodes]
+        for i, e in enumerate(edges):
+            tail, head = index[e.tail], index[e.head]
+            arc_head += (head, tail)
+            out_arcs[tail].append(2 * i)
+            in_arcs[head].append(2 * i + 1)
+        return ResidualArcs(
+            index=index,
+            eids=[e.eid for e in edges],
+            arc_head=arc_head,
+            arcs=[out + inc for out, inc in zip(out_arcs, in_arcs)],
+        )
+
     def edge(self, eid: EdgeId) -> Edge:
         try:
             return self._edge_index[eid]
         except KeyError:
             raise UnknownEdgeError(f"no edge with id {eid}") from None
-
-    def has_node(self, v: NodeId) -> bool:
-        return v in self._out
 
     def next_edge_id(self) -> EdgeId:
         return max((e.eid for e in self.edges), default=-1) + 1

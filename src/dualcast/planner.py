@@ -11,12 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .augment import build_augmented
-from .errors import (
-    InfeasibleDemandError,
-    InfeasibleResidualError,
-    InvariantError,
-    PlanMismatchError,
-)
+from .errors import InfeasibleDemandError, InvariantError, PlanMismatchError
 from .flow import EdgePath, check_path, min_cut_value
 from .nccode import (
     MulticastCode,
@@ -134,14 +129,6 @@ def _run_pipeline(
 
     used = {eid for p in (*x1_routes, *x2_routes) for eid in p.edges}
     residual = remove_edges(net, used)
-    t1, t2 = net.terminals
-    if d.h0 > 0:
-        for sink in (t1, t2):
-            remaining = min_cut_value(residual, net.source, {sink})
-            if remaining < d.h0:
-                raise InfeasibleResidualError(
-                    f"only {remaining} residual paths to {sink!r}, need {d.h0}"
-                )
     rng = random.Random(seed)
     code = build_multicast_code(
         residual, d.h0, rng=rng, field_bits=field_bits, modulus=modulus
@@ -248,6 +235,23 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
                 raise PlanMismatchError("decode matrix has wrong shape")
 
 
+def _check_coding_vectors(net: Network, code: MulticastCode) -> None:
+    """Each stored global vector must be what the local coefficients compute.
+
+    Column j of the global vectors is the code evaluated on the j-th unit
+    message vector.
+    """
+    columns = [
+        apply_code(code, [int(i == j) for i in range(code.h0)], net)
+        for j in range(code.h0)
+    ]
+    for eid in code.support:
+        if tuple(col[eid] for col in columns) != code.global_vectors.get(eid):
+            raise PlanMismatchError(
+                f"coding vector of edge {eid} does not match its local coefficients"
+            )
+
+
 def verify_plan(
     net: Network, plan: TransferPlan, trials: int = 100, seed: int = 0
 ) -> VerificationReport:
@@ -256,7 +260,9 @@ def verify_plan(
     Routing edges copy their path's symbol; coded edges apply the plan's local
     coefficients. T1 must recover (x0, x1) and T2 (x0, x2) exactly on every
     trial. Structural problems raise PlanMismatchError instead of failing
-    trials.
+    trials. So does a stored coding vector that the local coefficients do not
+    produce; that is checked after the trials, so that a code which fails to
+    deliver is reported as failed trials.
     """
     _check_plan_structure(net, plan)
     field = get_field(plan.multicast.field_bits, plan.multicast.modulus)
@@ -292,4 +298,6 @@ def verify_plan(
                     failures.append(
                         TrialFailure(trial, label, f"route {r} delivered a wrong symbol")
                     )
+    if not failures:
+        _check_coding_vectors(net, plan.multicast)
     return VerificationReport(trials=trials, failures=tuple(failures))

@@ -1,13 +1,14 @@
 """Independent brute-force oracles the tests check the real implementations against.
 
-Everything here is deliberately naive: subset enumeration for cuts, DFS
-enumeration for paths, schoolbook polynomial arithmetic for fields. Keep these
-free of any imports from the modules they are used to check (graph containers
-excepted).
+Everything here is deliberately naive: subset enumeration for cuts, one BFS
+per augmenting path for flows, DFS enumeration for paths, schoolbook
+polynomial arithmetic for fields. Keep these free of any imports from the
+modules they are used to check (graph containers excepted).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from dualcast.netgraph import Demand, Network, NodeId, out_edges
@@ -27,6 +28,59 @@ def mincut_enumerate(net: Network, src: NodeId, sinks) -> int:
         if best is None or cap < best:
             best = cap
     return best if best is not None else 0
+
+
+def max_flow_edmonds_karp(net: Network, src: NodeId, sinks) -> int:
+    """Max-flow value by one breadth-first augmenting path at a time.
+
+    Several sinks are joined to a super-sink by |E| parallel edges each.
+    """
+    sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
+    index = {v: i for i, v in enumerate(net.nodes)}
+    tails = [index[e.tail] for e in net.edges]
+    heads = [index[e.head] for e in net.edges]
+    t_idx = len(net.nodes)
+    for v in sink_set:
+        for _ in range(max(len(net.edges), 1)):
+            tails.append(index[v])
+            heads.append(t_idx)
+    n_nodes = t_idx + 1
+    out_adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    in_adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    for i in range(len(tails)):
+        out_adj[tails[i]].append(i)
+        in_adj[heads[i]].append(i)
+
+    flow = bytearray(len(tails))
+    s_idx = index[src]
+    value = 0
+    while True:
+        parent: list[tuple[int, int] | None] = [None] * n_nodes
+        seen = [False] * n_nodes
+        seen[s_idx] = True
+        queue = deque([s_idx])
+        while queue and not seen[t_idx]:
+            u = queue.popleft()
+            for i in out_adj[u]:
+                v = heads[i]
+                if not seen[v] and not flow[i]:
+                    seen[v] = True
+                    parent[v] = (i, 1)
+                    queue.append(v)
+            for i in in_adj[u]:
+                v = tails[i]
+                if not seen[v] and flow[i]:
+                    seen[v] = True
+                    parent[v] = (i, 0)
+                    queue.append(v)
+        if not seen[t_idx]:
+            return value
+        v = t_idx
+        while v != s_idx:
+            i, f = parent[v]  # type: ignore[misc]
+            flow[i] = f
+            v = tails[i] if f else heads[i]
+        value += 1
 
 
 def all_simple_paths(net: Network, src: NodeId, sink: NodeId) -> list[tuple[int, ...]]:

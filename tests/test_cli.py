@@ -187,6 +187,18 @@ class TestCmdVerify:
         assert code == 4
         assert "trial" in out and ("T1" in out or "T2" in out)
 
+    def test_tampered_coding_vector_exits_one_and_names_the_edge(
+        self, plan_file, tmp_path, capsys
+    ):
+        doc = json.loads(plan_file.read_text())
+        eid, vec = next(iter(doc["coding_vectors"].items()))
+        doc["coding_vectors"][eid] = ["0x00"] * len(vec)
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(doc))
+        for trials in ("100", "0"):
+            assert main(["verify", FIG2, str(bad), "--trials", trials]) == 1
+            assert f"edge {eid}" in capsys.readouterr().err
+
     def test_plan_against_wrong_network_exits_one(self, plan_file, tmp_path):
         other = tmp_path / "other.json"
         other.write_text(json.dumps({

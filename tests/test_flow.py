@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from dualcast.errors import InputError, InvariantError
 from dualcast.flow import FlowResult, check_path, decompose_paths, max_flow, min_cut_value
-from dualcast.netgraph import Edge, Network
+from dualcast.netgraph import Edge, Network, add_virtual, remove_edges
 
 from conftest import mknet, parallel_net
-from oracles import edge_disjoint, mincut_enumerate
+from oracles import edge_disjoint, max_flow_edmonds_karp, mincut_enumerate
 from strategies import dag_networks, digraphs
 
 
@@ -76,6 +76,27 @@ class TestFlowStructure:
             terminals=fig2.terminals,
         )
         assert max_flow(shuffled, "1", {"T1"}).value == 3
+
+
+class TestAdjacencyCache:
+    def test_repeated_calls_give_equal_results(self, fig2):
+        for sinks in ({"T1"}, {"T2"}, {"T1", "T2"}, {"T1"}):
+            assert max_flow(fig2, "1", sinks) == max_flow(fig2, "1", sinks)
+
+    def test_derived_networks_see_their_own_edges(self, fig2):
+        assert max_flow(fig2, "1", {"T1"}).value == 3
+        fewer = remove_edges(fig2, [0])  # 1 -> 6, one of T1's three routes
+        assert max_flow(fewer, "1", {"T1"}).value == 2
+        assert max_flow(fewer, "1", {"T1", "T2"}).value == 3
+        more, new_ids = add_virtual(fig2, ["x"], [("1", "x"), ("x", "T1"), ("x", "T1")])
+        res = max_flow(more, "1", {"T1"})
+        assert res.value == 4
+        assert set(res.edge_flow) == {e.eid for e in more.edges}
+        assert res.edge_flow[new_ids[0]] == 1
+        assert max_flow(fig2, "1", {"T1"}).value == 3
+        for net in (fewer, more):
+            for sinks in ({"T1"}, {"T2"}, {"T1", "T2"}):
+                assert max_flow(net, "1", sinks).value == max_flow_edmonds_karp(net, "1", sinks)
 
 
 class TestDecomposePaths:
@@ -151,6 +172,31 @@ def test_duality_holds_on_random_graphs(net):
     )
     assert crossing == res.value
     assert not (set(net.terminals) & res.source_side)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_nodes=30, max_edges=90))
+def test_max_flow_matches_reference_on_larger_graphs(net):
+    src = net.source
+    for sinks in ({net.terminals[0]}, {net.terminals[1]}, set(net.terminals)):
+        res = max_flow(net, src, sinks)
+        assert res.value == max_flow_edmonds_karp(net, src, sinks)
+        assert set(res.edge_flow) == {e.eid for e in net.edges}
+        assert set(res.edge_flow.values()) <= {0, 1}
+        balance = {v: 0 for v in net.nodes}
+        for e in net.edges:
+            balance[e.tail] += res.edge_flow[e.eid]
+            balance[e.head] -= res.edge_flow[e.eid]
+        assert balance[src] == res.value
+        assert all(balance[v] == 0 for v in net.nodes if v != src and v not in sinks)
+        crossing = [
+            e.eid
+            for e in net.edges
+            if e.tail in res.source_side and e.head not in res.source_side
+        ]
+        assert len(crossing) == res.value
+        assert src in res.source_side
+        assert not (sinks & res.source_side)
 
 
 @settings(max_examples=150, deadline=None)
