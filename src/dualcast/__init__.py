@@ -24,7 +24,6 @@ from .netgraph import (
     Edge,
     Network,
     expand_capacities,
-    in_edges,
     out_edges,
     remove_edges,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "expand_capacities",
     "extract_exclusive_green",
     "get_field",
-    "in_edges",
     "max_flow",
     "min_cut_value",
     "out_edges",

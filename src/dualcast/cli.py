@@ -380,7 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     plan = load_plan_file(args.plan)
     report = verify_plan(net, plan, trials=args.trials)
     if report.passed:
-        print(f"OK: {report.trials} trials decoded exactly")
+        print(f"OK: delivery proved; {report.trials} trials decoded exactly")
         return EXIT_OK
     for failure in report.failures[:10]:
         print(f"FAIL trial {failure.trial} at {failure.terminal}: {failure.detail}")

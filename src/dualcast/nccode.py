@@ -126,9 +126,6 @@ class GF:
                 self._log = log
                 return
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -157,16 +154,6 @@ class GF:
             acc ^= self.mul(a, b)
         return acc
 
-    def vec_add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(a ^ b for a, b in zip(u, v))
-
-    def vec_scale(self, c: int, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.mul(c, a) for a in v)
-
-    def mat_mul(self, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-        cols = list(zip(*b)) if b else []
-        return [[self.dot(row, col) for col in cols] for row in a]
-
     def mat_vec(self, a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
         return [self.dot(row, v) for row in a]
 
@@ -189,43 +176,10 @@ class GF:
                     ]
         return [row[n:] for row in work]
 
-    def rank(self, a: Sequence[Sequence[int]]) -> int:
-        rows = [list(r) for r in a]
-        rank = 0
-        n_cols = len(rows[0]) if rows else 0
-        for col in range(n_cols):
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            scale = self.inv(rows[rank][col])
-            rows[rank] = [self.mul(scale, x) for x in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    factor = rows[r][col]
-                    rows[r] = [x ^ self.mul(factor, y) for x, y in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
-
 
 @lru_cache(maxsize=None)
 def get_field(bits: int, modulus: int | None = None) -> GF:
     return GF(bits, modulus)
-
-
-def gf_add(a: int, b: int) -> int:
-    """Field addition (characteristic 2: bitwise XOR, any GF(2^m))."""
-    return a ^ b
-
-
-def gf_mul(a: int, b: int, field: GF | None = None) -> int:
-    """Field multiplication; defaults to GF(2^8) mod 0x11D."""
-    return (field or get_field(8)).mul(a, b)
-
-
-def gf_inv(a: int, field: GF | None = None) -> int:
-    """Multiplicative inverse; defaults to GF(2^8) mod 0x11D."""
-    return (field or get_field(8)).inv(a)
 
 
 # A coded edge's inputs are either coded in-edges of its tail ("edge", eid)
@@ -251,9 +205,6 @@ class MulticastCode:
     @property
     def field(self) -> GF:
         return get_field(self.field_bits, self.modulus)
-
-    def transfer_matrix(self, terminal_inputs: Sequence[EdgeId]) -> list[list[int]]:
-        return [list(self.global_vectors[eid]) for eid in terminal_inputs]
 
 
 def _empty_code(field_bits: int, modulus: int) -> MulticastCode:
@@ -314,7 +265,6 @@ def build_multicast_code(
     *,
     rng: random.Random,
     field_bits: int = 8,
-    modulus: int | None = None,
     attempts_per_field: int = 32,
 ) -> MulticastCode:
     """Construct a random linear multicast code of rate h0 on net.
@@ -325,10 +275,8 @@ def build_multicast_code(
     failures, until both terminals' transfer matrices have rank h0.
     """
     bits = field_bits
-    if modulus is None and bits not in DEFAULT_MODULI:
-        raise InputError(f"no default modulus for GF(2^{bits})")
     if h0 == 0:
-        field = get_field(bits, modulus)
+        field = get_field(bits)
         return _empty_code(field.bits, field.modulus)
 
     t1, t2 = net.terminals
@@ -361,24 +309,17 @@ def build_multicast_code(
             input_keys[eid] = [("edge", j) for j in feeders]
 
     while True:
-        field = get_field(bits, modulus)
+        field = get_field(bits)
         for _ in range(attempts_per_field):
             local: dict[EdgeId, dict[InputKey, int]] = {}
-            global_vectors: dict[EdgeId, tuple[int, ...]] = {}
-            units = [tuple(int(i == j) for j in range(h0)) for i in range(h0)]
             for eid in ordered:
                 keys = input_keys[eid]
                 if len(keys) == 1:
                     # A zero scalar on a single-input edge can never help rank.
-                    coeffs = {keys[0]: rng.randrange(1, field.size)}
+                    local[eid] = {keys[0]: rng.randrange(1, field.size)}
                 else:
-                    coeffs = {key: rng.randrange(field.size) for key in keys}
-                local[eid] = coeffs
-                vec = (0,) * h0
-                for key, c in coeffs.items():
-                    src_vec = units[key[1]] if key[0] == "msg" else global_vectors[key[1]]
-                    vec = field.vec_add(vec, field.vec_scale(c, src_vec))
-                global_vectors[eid] = vec
+                    local[eid] = {key: rng.randrange(field.size) for key in keys}
+            global_vectors = coding_vectors(field, ordered, local, h0)
             m1 = [list(global_vectors[eid]) for eid in inputs_t1]
             m2 = [list(global_vectors[eid]) for eid in inputs_t2]
             d1 = field.mat_inv(m1)
@@ -406,7 +347,39 @@ def build_multicast_code(
             )
         # Escalate by doubling, staying within the GF(2^4)..GF(2^16) ladder.
         bits = min(max(2 * bits, 4), MAX_FIELD_BITS)
-        modulus = None  # past the first ladder step, use the default modulus
+
+
+def _evaluate(
+    field: GF,
+    support: Sequence[EdgeId],
+    local_coeffs: dict[EdgeId, dict[InputKey, int]],
+    x0: Sequence[int],
+) -> dict[EdgeId, int]:
+    """The symbol on every coded edge, in support order, for messages x0."""
+    symbols: dict[EdgeId, int] = {}
+    for eid in support:
+        acc = 0
+        for (kind, ref), c in local_coeffs[eid].items():
+            acc ^= field.mul(c, x0[ref] if kind == "msg" else symbols[ref])
+        symbols[eid] = acc
+    return symbols
+
+
+def coding_vectors(
+    field: GF,
+    support: Sequence[EdgeId],
+    local_coeffs: dict[EdgeId, dict[InputKey, int]],
+    h0: int,
+) -> dict[EdgeId, tuple[int, ...]]:
+    """The global vector of every coded edge, as its local coefficients define it.
+
+    Column j is the code evaluated on the j-th unit message vector.
+    """
+    columns = [
+        _evaluate(field, support, local_coeffs, [int(i == j) for i in range(h0)])
+        for j in range(h0)
+    ]
+    return {eid: tuple(col[eid] for col in columns) for eid in support}
 
 
 def apply_code(
@@ -415,20 +388,11 @@ def apply_code(
     """Forward-evaluate the code: the symbol carried by every coded edge.
 
     Each edge applies its local coefficients to its tail's incoming symbols
-    (messages themselves at the source), so the result doubles as a check that
-    the global vectors are consistent with local combination.
+    (messages themselves at the source).
     """
     if len(x0) != code.h0:
         raise InputError(f"expected {code.h0} message symbols, got {len(x0)}")
-    field = code.field
-    symbols: dict[EdgeId, int] = {}
-    for eid in code.support:
-        acc = 0
-        for key, c in code.local_coeffs[eid].items():
-            value = x0[key[1]] if key[0] == "msg" else symbols[key[1]]
-            acc ^= field.mul(c, value)
-        symbols[eid] = acc
-    return symbols
+    return _evaluate(code.field, code.support, code.local_coeffs, x0)
 
 
 def decode_symbols(

@@ -102,13 +102,6 @@ class Network:
         return {v: tuple(ids) for v, ids in out.items()}
 
     @cached_property
-    def _in(self) -> dict[NodeId, tuple[EdgeId, ...]]:
-        inc: dict[NodeId, list[EdgeId]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            inc[e.head].append(e.eid)
-        return {v: tuple(ids) for v, ids in inc.items()}
-
-    @cached_property
     def _residual_arcs(self) -> ResidualArcs:
         """Integer adjacency for max-flow, shared by every flow on this network."""
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -164,14 +157,6 @@ def out_edges(net: Network, v: NodeId) -> list[EdgeId]:
         raise UnknownNodeError(f"node {v!r} not in network") from None
 
 
-def in_edges(net: Network, v: NodeId) -> list[EdgeId]:
-    """Edge ids entering v, in stable insertion order."""
-    try:
-        return list(net._in[v])
-    except KeyError:
-        raise UnknownNodeError(f"node {v!r} not in network") from None
-
-
 def remove_edges(net: Network, ids: Iterable[EdgeId]) -> Network:
     """New network without the given edges; node set and surviving ids unchanged."""
     drop = set(ids)
@@ -203,13 +188,3 @@ def add_virtual(
     )
     return extended, [e.eid for e in added]
 
-
-def structurally_equal(a: Network, b: Network) -> bool:
-    """Same node labels and same tail/head multiset, ignoring edge ids."""
-    if set(a.nodes) != set(b.nodes):
-        return False
-    if a.source != b.source or a.terminals != b.terminals:
-        return False
-    pairs_a = sorted((e.tail, e.head) for e in a.edges)
-    pairs_b = sorted((e.tail, e.head) for e in b.edges)
-    return pairs_a == pairs_b

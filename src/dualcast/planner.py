@@ -2,7 +2,8 @@
 
 A feasible demand (h0, h1, h2) is served by h1 plain routes to T1, h2 plain
 routes to T2, and a rate-h0 linear multicast code on whatever the routes left
-behind. verify_plan independently simulates a produced plan symbol by symbol.
+behind. verify_plan independently checks a produced plan exactly: its routes,
+its coding vectors and both decode matrices.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ import random
 from dataclasses import dataclass
 
 from .augment import build_augmented
-from .errors import InfeasibleDemandError, InvariantError, PlanMismatchError
+from .errors import InfeasibleDemandError, InputError, InvariantError, PlanMismatchError
 from .flow import EdgePath, check_path, min_cut_value
 from .nccode import (
     MulticastCode,
     apply_code,
     build_multicast_code,
+    coding_vectors,
     decode_symbols,
-    get_field,
 )
 from .netgraph import Demand, EdgeId, Network, remove_edges
 from .recolor import SymmetricPassResult, symmetric_pass
@@ -96,28 +97,21 @@ def _project_routes(result, virtual_ids) -> tuple[EdgePath, ...]:
     )
 
 
-def _assert_plan_invariants(net: Network, plan: TransferPlan) -> None:
-    t1, t2 = net.terminals
-    seen: set[EdgeId] = set()
-    for path, sink in [(p, t1) for p in plan.x1_routes] + [
-        (p, t2) for p in plan.x2_routes
-    ]:
-        check_path(net, path, net.source, sink)
-        for eid in path.edges:
-            if eid in seen:
-                raise InvariantError("route families share an edge")
-            seen.add(eid)
-    if seen & set(plan.multicast.support):
-        raise InvariantError("multicast support overlaps a routing edge")
-    if len(plan.x1_routes) != plan.demand.h1 or len(plan.x2_routes) != plan.demand.h2:
-        raise InvariantError("route counts do not match the demand")
-    if plan.multicast.h0 != plan.demand.h0:
-        raise InvariantError("code rate does not match the demand")
+def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> TransferPlan:
+    """Build a verified transfer plan, or raise if the demand is infeasible.
+
+    The pipeline: augment, extract h1 then h2 interference-free routes by
+    recoloring, remove them, and put a random linear multicast code of rate h0
+    on the residual. All randomness comes from seed, so identical inputs give
+    identical plans.
+    """
+    return synthesize_with_diagnostics(net, d, seed, field_bits=field_bits)[0]
 
 
-def _run_pipeline(
-    net: Network, d: Demand, seed: int, field_bits: int, modulus: int | None
+def synthesize_with_diagnostics(
+    net: Network, d: Demand, seed: int, *, field_bits: int = 8
 ) -> tuple[TransferPlan, SymmetricPassResult]:
+    """synthesize, but also return the recoloring pass results for auditing."""
     report = check_feasibility(net, d)
     if not report.feasible:
         raise InfeasibleDemandError(report)
@@ -130,35 +124,15 @@ def _run_pipeline(
     used = {eid for p in (*x1_routes, *x2_routes) for eid in p.edges}
     residual = remove_edges(net, used)
     rng = random.Random(seed)
-    code = build_multicast_code(
-        residual, d.h0, rng=rng, field_bits=field_bits, modulus=modulus
-    )
+    code = build_multicast_code(residual, d.h0, rng=rng, field_bits=field_bits)
     plan = TransferPlan(
         demand=d, seed=seed, x1_routes=x1_routes, x2_routes=x2_routes, multicast=code
     )
-    _assert_plan_invariants(net, plan)
+    try:
+        _check_plan_structure(net, plan)
+    except PlanMismatchError as exc:
+        raise InvariantError(f"synthesized plan is malformed: {exc}") from exc
     return plan, passes
-
-
-def synthesize(
-    net: Network, d: Demand, seed: int, *, field_bits: int = 8, modulus: int | None = None
-) -> TransferPlan:
-    """Build a verified transfer plan, or raise if the demand is infeasible.
-
-    The pipeline: augment, extract h1 then h2 interference-free routes by
-    recoloring, remove them, and put a random linear multicast code of rate h0
-    on the residual. All randomness comes from seed, so identical inputs give
-    identical plans.
-    """
-    plan, _ = _run_pipeline(net, d, seed, field_bits, modulus)
-    return plan
-
-
-def synthesize_with_diagnostics(
-    net: Network, d: Demand, seed: int, *, field_bits: int = 8, modulus: int | None = None
-) -> tuple[TransferPlan, SymmetricPassResult]:
-    """synthesize, but also return the recoloring pass results for auditing."""
-    return _run_pipeline(net, d, seed, field_bits, modulus)
 
 
 @dataclass(frozen=True)
@@ -235,37 +209,46 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
                 raise PlanMismatchError("decode matrix has wrong shape")
 
 
-def _check_coding_vectors(net: Network, code: MulticastCode) -> None:
-    """Each stored global vector must be what the local coefficients compute.
-
-    Column j of the global vectors is the code evaluated on the j-th unit
-    message vector.
-    """
-    columns = [
-        apply_code(code, [int(i == j) for i in range(code.h0)], net)
-        for j in range(code.h0)
-    ]
+def _check_coding_vectors(code: MulticastCode) -> None:
+    """Each stored global vector must be what the local coefficients compute."""
+    vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
     for eid in code.support:
-        if tuple(col[eid] for col in columns) != code.global_vectors.get(eid):
+        if vectors[eid] != code.global_vectors.get(eid):
             raise PlanMismatchError(
                 f"coding vector of edge {eid} does not match its local coefficients"
             )
 
 
+def _check_decoders(code: MulticastCode) -> None:
+    """Each decode matrix must invert its terminal's transfer matrix: applied
+    to the j-th column of the global vectors it must give back e_j."""
+    for j in range(code.h0):
+        unit = [int(i == j) for i in range(code.h0)]
+        column = {eid: vec[j] for eid, vec in code.global_vectors.items()}
+        for terminal in (1, 2):
+            if decode_symbols(code, terminal, column) != unit:
+                raise PlanMismatchError(
+                    f"decode matrix of T{terminal} does not invert its transfer matrix"
+                )
+
+
 def verify_plan(
     net: Network, plan: TransferPlan, trials: int = 100, seed: int = 0
 ) -> VerificationReport:
-    """Simulate random message tuples through the plan and check both decoders.
+    """Check a plan exactly and simulate random message tuples through it.
 
     Routing edges copy their path's symbol; coded edges apply the plan's local
     coefficients. T1 must recover (x0, x1) and T2 (x0, x2) exactly on every
     trial. Structural problems raise PlanMismatchError instead of failing
-    trials. So does a stored coding vector that the local coefficients do not
-    produce; that is checked after the trials, so that a code which fails to
-    deliver is reported as failed trials.
+    trials. When no trial fails, the global vectors and decode matrices are
+    checked exactly, and a mismatch raises PlanMismatchError. Routes copy
+    symbols and coding and decoding are linear, so a plan that passes
+    delivers every message tuple; the trials are a smoke test on top.
     """
+    if trials < 0:
+        raise InputError(f"trials must be nonnegative, got {trials}")
     _check_plan_structure(net, plan)
-    field = get_field(plan.multicast.field_bits, plan.multicast.modulus)
+    field = plan.multicast.field
     rng = random.Random(seed)
     d = plan.demand
     failures: list[TrialFailure] = []
@@ -299,5 +282,6 @@ def verify_plan(
                         TrialFailure(trial, label, f"route {r} delivered a wrong symbol")
                     )
     if not failures:
-        _check_coding_vectors(net, plan.multicast)
+        _check_coding_vectors(plan.multicast)
+        _check_decoders(plan.multicast)
     return VerificationReport(trials=trials, failures=tuple(failures))

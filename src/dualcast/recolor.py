@@ -62,9 +62,6 @@ class ColoringState:
                 acc.setdefault(eid, set()).add(RED)
         return {eid: frozenset(colors) for eid, colors in acc.items()}
 
-    def colors_of(self, eid: EdgeId) -> frozenset[str]:
-        return self.edge_colors.get(eid, frozenset())
-
     def red_source_degree(self) -> int:
         """Number of source out-edges currently carrying red."""
         colors = self.edge_colors
@@ -147,15 +144,15 @@ def run_to_fixpoint(
 
     After every step the number of red source out-edges must stay equal to the
     red path count (each red path owns exactly one source out-edge). budget
-    caps the number of steps; exceeding it raises NonterminationError, which
-    signals a bug rather than a legitimate outcome.
+    caps the number of steps, by default edges x green paths x red paths;
+    exceeding it raises NonterminationError, which signals a bug rather than a
+    legitimate outcome.
     """
     expected_red = len(state.red_paths)
     if state.red_source_degree() != expected_red:
         raise InvariantError("initial red source degree does not match red path count")
     if budget is None:
-        universe = {eid for p in (*state.green_paths, *state.red_paths) for eid in p.edges}
-        budget = max(1, len(universe)) * max(1, len(state.green_paths)) * max(
+        budget = max(1, len(state.net.edges)) * max(1, len(state.green_paths)) * max(
             1, len(state.red_paths)
         )
     steps: list[TraceStep] = []
@@ -198,11 +195,7 @@ def exclusively_green(state: ColoringState) -> list[EdgePath]:
 
 
 def extract_exclusive_green(
-    state: ColoringState,
-    d: Demand | None = None,
-    *,
-    gate: NodeId = "__T1P",
-    count: int | None = None,
+    state: ColoringState, *, gate: NodeId, count: int
 ) -> list[EdgePath]:
     """Return the routing paths: `count` exclusively green paths through `gate`.
 
@@ -212,10 +205,6 @@ def extract_exclusive_green(
     an exclusively green path avoiding the gate, means the construction's
     guarantees were broken and is reported as a theorem violation.
     """
-    if count is None:
-        if d is None:
-            raise InvariantError("either a demand or an explicit count is required")
-        count = d.h1
     exclusive = exclusively_green(state)
     if len(exclusive) < count:
         raise TheoremViolationError(
@@ -293,8 +282,7 @@ def single_pass(
     initial = ColoringState(
         net=net, source=s, green_paths=tuple(greens), red_paths=tuple(reds)
     )
-    budget = max(1, len(net.edges)) * max(1, n_green) * max(1, n_red)
-    state, trace = run_to_fixpoint(initial, budget=budget)
+    state, trace = run_to_fixpoint(initial)
     full_routes = extract_exclusive_green(state, gate=gate, count=n_routes)
     routes = tuple(_truncate_at(net, p, gate) for p in full_routes)
     return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)

@@ -175,3 +175,45 @@ def max_disjoint_path_count(net: Network, src: NodeId, sink: NodeId) -> int:
             if edge_disjoint(combo):
                 return size
     return 0
+
+
+def in_edges(net: Network, v: NodeId) -> list[int]:
+    """Edge ids entering v, by scanning every edge."""
+    return [e.eid for e in net.edges if e.head == v]
+
+
+def structurally_equal(a: Network, b: Network) -> bool:
+    """Same node labels and same tail/head multiset, ignoring edge ids."""
+    if set(a.nodes) != set(b.nodes):
+        return False
+    if a.source != b.source or a.terminals != b.terminals:
+        return False
+    pairs_a = sorted((e.tail, e.head) for e in a.edges)
+    pairs_b = sorted((e.tail, e.head) for e in b.edges)
+    return pairs_a == pairs_b
+
+
+def gf_rank(field, a) -> int:
+    """Rank of a matrix over `field` by row reduction; the reference for mat_inv."""
+    rows = [list(r) for r in a]
+    rank = 0
+    n_cols = len(rows[0]) if rows else 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(scale, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x ^ field.mul(factor, y) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def gf_mat_mul(field, a, b) -> list[list[int]]:
+    """Matrix product over `field`."""
+    cols = list(zip(*b)) if b else []
+    return [[field.dot(row, col) for col in cols] for row in a]

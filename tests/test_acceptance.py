@@ -23,7 +23,7 @@ from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
 from dualcast.recolor import exclusively_green, replay_trace
 
-from oracles import routing_only_exists
+from oracles import gf_rank, routing_only_exists
 
 N_GRAPHS = 500
 SWEEP_SEED = 0x5EED
@@ -98,7 +98,8 @@ def _audit_residual(data: SweepData, tag, net: Network, d: Demand, plan) -> None
     if d.h0:
         f = plan.multicast.field
         for inputs in (plan.multicast.inputs_t1, plan.multicast.inputs_t2):
-            if f.rank(plan.multicast.transfer_matrix(inputs)) != d.h0:
+            transfer = [plan.multicast.global_vectors[eid] for eid in inputs]
+            if gf_rank(f, transfer) != d.h0:
                 data.rank_failures.append(tag)
 
 

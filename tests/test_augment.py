@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from dualcast.augment import build_augmented, check_lemma
 from dualcast.errors import InputError
-from dualcast.netgraph import Demand, Edge, Network, in_edges, out_edges
+from dualcast.netgraph import Demand, Edge, Network, out_edges
 
 from conftest import mknet, parallel_net
-from oracles import mincut_enumerate
+from oracles import in_edges, mincut_enumerate
 from strategies import dag_networks, demands, feasible_instances
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -17,10 +18,11 @@ from dualcast.cli import (
 )
 from dualcast.errors import InputError
 from dualcast.fixtures import fig2_path
-from dualcast.netgraph import Demand, structurally_equal
+from dualcast.netgraph import Demand
 from dualcast.planner import synthesize
 
 from conftest import mknet
+from oracles import structurally_equal
 
 FIG2 = str(fig2_path())
 
@@ -148,6 +150,19 @@ class TestCmdSynthesize:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize(
+        "field_bits, digest",
+        [
+            ("8", "a476e0cb25032d0b98e0897b4fe4281575a30f1e8ab6ebbea009aec15cc729f0"),
+            ("16", "22c001719041bab817a83feff1412f527f50c05c205916ea7d71e3b850668de1"),
+        ],
+    )
+    def test_fig2_plan_bytes_are_pinned(self, tmp_path, field_bits, digest):
+        out = tmp_path / "plan.json"
+        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
+                     "--seed", "7", "--field-bits", field_bits, "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_infeasible_demand_exits_two(self, capsys):
         assert main(["synthesize", FIG2, "--h0", "3", "--h1", "1", "--h2", "1"]) == 2
         assert "infeasible" in capsys.readouterr().err
@@ -198,6 +213,26 @@ class TestCmdVerify:
         for trials in ("100", "0"):
             assert main(["verify", FIG2, str(bad), "--trials", trials]) == 1
             assert f"edge {eid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", ["matrix", "inputs"])
+    def test_wrong_decoder_exits_one_without_trials_and_four_with(
+        self, plan_file, tmp_path, capsys, tamper
+    ):
+        doc = json.loads(plan_file.read_text())
+        t1 = doc["decode"]["t1"]
+        if tamper == "matrix":
+            t1["matrix"][0][0] = f"0x{int(t1['matrix'][0][0], 16) ^ 1:02X}"
+        else:
+            t1["inputs"].reverse()
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", FIG2, str(bad), "--trials", "0"]) == 1
+        assert "T1" in capsys.readouterr().err
+        assert main(["verify", FIG2, str(bad), "--trials", "100"]) == 4
+
+    def test_negative_trials_exit_one(self, plan_file, capsys):
+        assert main(["verify", FIG2, str(plan_file), "--trials", "-5"]) == 1
+        assert "trials" in capsys.readouterr().err
 
     def test_plan_against_wrong_network_exits_one(self, plan_file, tmp_path):
         other = tmp_path / "other.json"

@@ -21,13 +21,10 @@ from dualcast.nccode import (
     build_multicast_code,
     decode_symbols,
     get_field,
-    gf_add,
-    gf_inv,
-    gf_mul,
 )
 
 from conftest import mknet, parallel_net
-from oracles import gf_mul_reference, is_irreducible_reference
+from oracles import gf_mat_mul, gf_mul_reference, gf_rank, is_irreducible_reference
 
 GF256 = get_field(8)
 
@@ -35,24 +32,24 @@ GF256 = get_field(8)
 class TestFieldBasics:
     @given(st.integers(0, 255))
     def test_adding_an_element_to_itself_vanishes(self, x):
-        assert gf_add(x, x) == 0
+        assert x ^ x == 0
 
     @given(st.integers(0, 255))
     def test_one_is_the_multiplicative_identity(self, x):
-        assert gf_mul(1, x) == x
+        assert GF256.mul(1, x) == x
 
     def test_documented_product_with_default_modulus(self):
         # 0x02 * 0x80 lifts to x^8, which reduces by one XOR with 0x11D.
-        assert gf_mul(0x02, 0x80) == 0x1D
+        assert GF256.mul(0x02, 0x80) == 0x1D
         assert 0x100 ^ 0x11D == 0x1D
 
     def test_every_nonzero_element_has_an_inverse(self):
         for a in range(1, 256):
-            assert gf_mul(a, gf_inv(a)) == 1
+            assert GF256.mul(a, GF256.inv(a)) == 1
 
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
-            gf_inv(0)
+            GF256.inv(0)
 
     @pytest.mark.parametrize("bits", sorted(DEFAULT_MODULI))
     def test_default_moduli_are_irreducible(self, bits):
@@ -103,15 +100,15 @@ class TestMatrices:
             m = [[rng.randrange(f.size) for _ in range(n)] for _ in range(n)]
             inv = f.mat_inv(m)
             if inv is None:
-                assert f.rank(m) < n
+                assert gf_rank(f, m) < n
                 continue
-            prod = f.mat_mul(inv, m)
+            prod = gf_mat_mul(f, inv, m)
             assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
     def test_singular_matrix_has_no_inverse(self):
         f = GF256
         assert f.mat_inv([[1, 1], [1, 1]]) is None
-        assert f.rank([[1, 1], [1, 1]]) == 1
+        assert gf_rank(f, [[1, 1], [1, 1]]) == 1
 
 
 class TestButterflyExhaustive:
@@ -253,7 +250,7 @@ class TestApplyCode:
             (code.inputs_t1, code.decode_t1),
             (code.inputs_t2, code.decode_t2),
         ):
-            transfer = code.transfer_matrix(inputs)
-            assert f.rank(transfer) == code.h0
-            prod = f.mat_mul([list(r) for r in matrix], transfer)
+            transfer = [code.global_vectors[eid] for eid in inputs]
+            assert gf_rank(f, transfer) == code.h0
+            prod = gf_mat_mul(f, [list(r) for r in matrix], transfer)
             assert prod == [[int(i == j) for j in range(code.h0)] for i in range(code.h0)]

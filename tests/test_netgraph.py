@@ -11,13 +11,12 @@ from dualcast.netgraph import (
     Edge,
     Network,
     expand_capacities,
-    in_edges,
     out_edges,
     remove_edges,
 )
 
 from conftest import mknet
-from oracles import mincut_enumerate
+from oracles import in_edges, mincut_enumerate
 
 labels = st.sampled_from(["a", "b", "c", "d", "e"])
 weighted_lists = st.lists(

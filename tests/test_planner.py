@@ -6,8 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from dualcast.errors import InfeasibleDemandError, PlanMismatchError
+from dualcast import planner
+from dualcast.cli import main
+from dualcast.errors import InfeasibleDemandError, InvariantError, PlanMismatchError
 from dualcast.flow import max_flow
+from dualcast.fixtures import fig2_path
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import (
     check_feasibility,
@@ -77,6 +80,22 @@ class TestSynthesize:
         a = synthesize(fig2, Demand(2, 1, 1), seed=123)
         b = synthesize(fig2, Demand(2, 1, 1), seed=123)
         assert a == b
+
+    def test_malformed_plan_is_an_invariant_error_and_exit_three(
+        self, fig2, monkeypatch, tmp_path
+    ):
+        real = planner.build_multicast_code
+
+        def overlapping(net, h0, **kwargs):
+            code = real(net, h0, **kwargs)
+            return dataclasses.replace(code, support=code.support + (0,))  # edge 0 is routed
+
+        monkeypatch.setattr(planner, "build_multicast_code", overlapping)
+        with pytest.raises(InvariantError, match="overlaps a route"):
+            synthesize(fig2, Demand(2, 1, 1), seed=7)
+        args = ["synthesize", str(fig2_path()), "--h0", "2", "--h1", "1", "--h2", "1",
+                "--seed", "7", "-o", str(tmp_path / "plan.json")]
+        assert main(args) == 3
 
     def test_route_edges_leave_the_residual_to_the_code(self, fig2):
         d = Demand(2, 1, 1)

@@ -56,7 +56,7 @@ class TestCond:
 
     def test_dual_first_edge_satisfies_regardless_of_rest(self, shared_first_edge_state):
         state = shared_first_edge_state
-        assert state.colors_of(0) == frozenset({"green", "red"})
+        assert state.edge_colors.get(0, frozenset()) == frozenset({"green", "red"})
         assert cond(state.green_paths[0], state)
 
     def test_interior_dual_edge_violates(self):
@@ -108,9 +108,9 @@ class TestAlgorithmA:
         assert step.shared_edge == 2
         assert new_state.red_paths[0] == EdgePath((0, 1, 2, 6))
         # The abandoned red prefix lost its color; the green prefix gained red.
-        assert new_state.colors_of(4) == frozenset()
-        assert new_state.colors_of(5) == frozenset()
-        assert new_state.colors_of(0) == frozenset({"green", "red"})
+        assert new_state.edge_colors.get(4, frozenset()) == frozenset()
+        assert new_state.edge_colors.get(5, frozenset()) == frozenset()
+        assert new_state.edge_colors.get(0, frozenset()) == frozenset({"green", "red"})
         assert cond(new_state.green_paths[0], new_state)
         assert new_state.green_paths == state.green_paths
 
