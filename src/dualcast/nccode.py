@@ -382,9 +382,7 @@ def coding_vectors(
     return {eid: tuple(col[eid] for col in columns) for eid in support}
 
 
-def apply_code(
-    code: MulticastCode, x0: Sequence[int], net: Network
-) -> dict[EdgeId, int]:
+def apply_code(code: MulticastCode, x0: Sequence[int]) -> dict[EdgeId, int]:
     """Forward-evaluate the code: the symbol carried by every coded edge.
 
     Each edge applies its local coefficients to its tail's incoming symbols

@@ -2,16 +2,22 @@
 
 Everything here is deliberately naive: subset enumeration for cuts, one BFS
 per augmenting path for flows, DFS enumeration for paths, schoolbook
-polynomial arithmetic for fields. Keep these free of any imports from the
-modules they are used to check (graph containers excepted).
+polynomial arithmetic for fields, one full simulation per trial for plan
+verification. Keep these free of any imports from the modules they are used
+to check (graph containers excepted; the simulation reference builds on the
+code primitives and the structural plan check, which it does not test).
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations
 
+from dualcast.errors import InputError, PlanMismatchError
+from dualcast.nccode import apply_code, coding_vectors, decode_symbols
 from dualcast.netgraph import Demand, Network, NodeId, out_edges
+from dualcast.planner import _check_plan_structure
 
 
 def mincut_enumerate(net: Network, src: NodeId, sinks) -> int:
@@ -217,3 +223,59 @@ def gf_mat_mul(field, a, b) -> list[list[int]]:
     """Matrix product over `field`."""
     cols = list(zip(*b)) if b else []
     return [[field.dot(row, col) for col in cols] for row in a]
+
+
+def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
+    """verify_plan by one end-to-end simulation per trial; the reference for it.
+
+    Each trial copies x1 and x2 along their routes, evaluates the code on x0
+    and decodes at both terminals. Returns the failures as (trial, terminal,
+    detail) tuples. When none failed, the stored global vectors and the decode
+    matrices are checked exactly, raising PlanMismatchError on a mismatch.
+    """
+    if trials < 0:
+        raise InputError(f"trials must be nonnegative, got {trials}")
+    _check_plan_structure(net, plan)
+    code = plan.multicast
+    field = code.field
+    rng = random.Random(seed)
+    d = plan.demand
+    failures: list[tuple[int, str, str]] = []
+    for trial in range(trials):
+        x0 = [rng.randrange(field.size) for _ in range(d.h0)]
+        x1 = [rng.randrange(field.size) for _ in range(d.h1)]
+        x2 = [rng.randrange(field.size) for _ in range(d.h2)]
+        symbols: dict[int, int] = {}
+        for private, routes in ((x1, plan.x1_routes), (x2, plan.x2_routes)):
+            for r, p in enumerate(routes):
+                for eid in p.edges:
+                    symbols[eid] = private[r]
+        symbols.update(apply_code(code, x0))
+        for terminal, label, private, routes in (
+            (1, "T1", x1, plan.x1_routes),
+            (2, "T2", x2, plan.x2_routes),
+        ):
+            if d.h0:
+                got = decode_symbols(code, terminal, symbols)
+                if got != x0:
+                    failures.append((trial, label, f"decoded {got}, expected {x0}"))
+            for r, p in enumerate(routes):
+                if symbols[p.edges[-1]] != private[r]:
+                    failures.append((trial, label, f"route {r} delivered a wrong symbol"))
+    if failures:
+        return tuple(failures)
+    vectors = coding_vectors(field, code.support, code.local_coeffs, code.h0)
+    for eid in code.support:
+        if vectors[eid] != code.global_vectors.get(eid):
+            raise PlanMismatchError(
+                f"coding vector of edge {eid} does not match its local coefficients"
+            )
+    for j in range(code.h0):
+        unit = [int(i == j) for i in range(code.h0)]
+        column = {eid: vec[j] for eid, vec in code.global_vectors.items()}
+        for terminal in (1, 2):
+            if decode_symbols(code, terminal, column) != unit:
+                raise PlanMismatchError(
+                    f"decode matrix of T{terminal} does not invert its transfer matrix"
+                )
+    return ()

@@ -234,6 +234,48 @@ class TestCmdVerify:
         assert main(["verify", FIG2, str(plan_file), "--trials", "-5"]) == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field_bits, site, value, named",
+        [
+            ("8", "decode", "0x1FF", "decode matrix of T1"),
+            ("8", "local", "0x100", "local coefficient 0x100 on edge"),
+            ("16", "decode", "0x10000", "decode matrix of T1"),
+            ("8", "decode", "-0x1", "decode matrix of T1"),
+        ],
+    )
+    def test_element_outside_the_field_exits_one_naming_the_site(
+        self, tmp_path, capsys, field_bits, site, value, named
+    ):
+        path = tmp_path / "plan.json"
+        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
+                     "--seed", "7", "--field-bits", field_bits, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        if site == "decode":
+            doc["decode"]["t1"]["matrix"][0][0] = value
+        else:
+            coeffs = next(iter(doc["local_coeffs"].values()))
+            coeffs[next(iter(coeffs))] = value
+        path.write_text(json.dumps(doc))
+        for trials in ("0", "100"):
+            assert main(["verify", FIG2, str(path), "--trials", trials]) == 1
+            err = capsys.readouterr().err
+            assert named in err and f"GF(2^{field_bits})" in err
+
+    def test_coded_plan_with_zero_shared_rate_exits_one(self, plan_file, capsys):
+        doc = json.loads(plan_file.read_text())
+        doc["demand"]["h0"] = 0
+        plan_file.write_text(json.dumps(doc))
+        for trials in ("0", "100"):
+            assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
+            assert "bad message input" in capsys.readouterr().err
+
+    def test_route_over_an_unknown_edge_exits_one(self, plan_file, capsys):
+        doc = json.loads(plan_file.read_text())
+        doc["x1_routes"] = [[999]]
+        plan_file.write_text(json.dumps(doc))
+        assert main(["verify", FIG2, str(plan_file)]) == 1
+        assert "no edge with id 999" in capsys.readouterr().err
+
     def test_plan_against_wrong_network_exits_one(self, plan_file, tmp_path):
         other = tmp_path / "other.json"
         other.write_text(json.dumps({

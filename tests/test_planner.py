@@ -8,9 +8,14 @@ from hypothesis import given, settings
 
 from dualcast import planner
 from dualcast.cli import main
-from dualcast.errors import InfeasibleDemandError, InvariantError, PlanMismatchError
+from dualcast.errors import (
+    DualcastError,
+    InfeasibleDemandError,
+    InvariantError,
+    PlanMismatchError,
+)
 from dualcast.flow import max_flow
-from dualcast.fixtures import fig2_path
+from dualcast.fixtures import fig2_network, fig2_path, random_feasible_instances
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import (
     check_feasibility,
@@ -20,6 +25,7 @@ from dualcast.planner import (
 )
 
 from conftest import mknet, parallel_net
+from oracles import verify_by_simulation
 from strategies import feasible_instances
 
 
@@ -141,6 +147,103 @@ class TestVerifyPlan:
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
         report = verify_plan(fig2, plan, trials=0)
         assert report.passed and report.trials == 0
+
+
+def _tampered_plans(net, plan, rng):
+    """The plan, then one copy each with a wrong local coefficient, stored
+    global vector, decode-matrix entry and decode input list, at sites and
+    in-field values drawn from rng."""
+    code = plan.multicast
+    if not code.h0:
+        return [plan]
+    size = code.field.size
+
+    def flip(c):
+        return c ^ rng.randrange(1, size)
+
+    eid = rng.choice(code.support)
+    coeffs = dict(code.local_coeffs[eid])
+    key = rng.choice(sorted(coeffs))
+    coeffs[key] = flip(coeffs[key])
+    local = {"local_coeffs": {**code.local_coeffs, eid: coeffs}}
+
+    eid = rng.choice(code.support)
+    vec = list(code.global_vectors[eid])
+    j = rng.randrange(code.h0)
+    vec[j] = flip(vec[j])
+    vectors = {"global_vectors": {**code.global_vectors, eid: tuple(vec)}}
+
+    name = rng.choice(("decode_t1", "decode_t2"))
+    matrix = [list(row) for row in getattr(code, name)]
+    i, j = rng.randrange(code.h0), rng.randrange(code.h0)
+    matrix[i][j] = flip(matrix[i][j])
+    decode = {name: tuple(map(tuple, matrix))}
+
+    name, terminal = rng.choice((("inputs_t1", 0), ("inputs_t2", 1)))
+    entering = [e for e in code.support if net.edge(e).head == net.terminals[terminal]]
+    inputs = list(getattr(code, name))
+    inputs[rng.randrange(code.h0)] = rng.choice(entering)
+    rng.shuffle(inputs)
+    wiring = {name: tuple(inputs)}
+
+    return [plan] + [
+        dataclasses.replace(plan, multicast=dataclasses.replace(code, **change))
+        for change in (local, vectors, decode, wiring)
+    ]
+
+
+class TestVerifyMatchesSimulation:
+    """verify_plan against the per-trial simulation it replaced (oracles)."""
+
+    @staticmethod
+    def _outcome(verify, net, plan, trials):
+        """("failures", the failures as tuples), or (exception type, message)."""
+        try:
+            report = verify(net, plan, trials, 0)
+        except DualcastError as exc:
+            return type(exc), str(exc)
+        if isinstance(report, tuple):
+            return "failures", report
+        return "failures", tuple((f.trial, f.terminal, f.detail) for f in report.failures)
+
+    @pytest.mark.parametrize("field_bits", [1, 8, 16])
+    def test_same_failures_and_errors_as_the_simulation(self, field_bits):
+        rng = random.Random(field_bits)
+        cases = [(fig2_network(), Demand(2, 1, 1))] + random_feasible_instances(
+            seed=77, count=150
+        )
+        seen = set()
+        for i, (net, d) in enumerate(cases):
+            plan = synthesize(net, d, seed=i, field_bits=field_bits)
+            for candidate in _tampered_plans(net, plan, rng):
+                for trials in (0, 1, 3, 100):
+                    want = self._outcome(verify_by_simulation, net, candidate, trials)
+                    got = self._outcome(verify_plan, net, candidate, trials)
+                    assert got == want, (i, trials)
+                    seen.add(want[0] if want[0] != "failures" else bool(want[1]))
+        assert seen == {False, True, PlanMismatchError}
+
+    def test_code_is_evaluated_h0_times_whatever_the_trial_count(self, fig2, monkeypatch):
+        calls = []
+        real = planner.apply_code
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "apply_code", counting)
+        plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
+        broken = _tampered_plans(fig2, plan, random.Random(0))[1]
+        for candidate, passed in ((plan, True), (broken, False)):
+            for trials in (0, 1, 100, 1000):
+                calls.clear()
+                if passed or trials:
+                    report = verify_plan(fig2, candidate, trials=trials)
+                    assert report.passed == passed
+                else:
+                    with pytest.raises(PlanMismatchError):
+                        verify_plan(fig2, candidate, trials=trials)
+                assert len(calls) == plan.demand.h0
 
 
 class TestDiagnostics:
