@@ -38,8 +38,6 @@ from .planner import (
 from .recolor import (
     ColoringState,
     ReroutingTrace,
-    algorithm_a,
-    cond,
     extract_exclusive_green,
     run_to_fixpoint,
     symmetric_pass,
@@ -72,13 +70,11 @@ __all__ = [
     "UnknownEdgeError",
     "UnknownNodeError",
     "VerificationReport",
-    "algorithm_a",
     "apply_code",
     "build_augmented",
     "build_multicast_code",
     "check_feasibility",
     "check_lemma",
-    "cond",
     "decompose_paths",
     "expand_capacities",
     "extract_exclusive_green",

@@ -1,7 +1,7 @@
 """Command-line surface and the JSON formats for networks and transfer plans.
 
 Commands: check (feasibility verdict), synthesize (write a plan), verify
-(simulate a plan against its network), export-dot (render to Graphviz).
+(prove that a plan delivers on its network), export-dot (render to Graphviz).
 Exit codes are a stable contract: 0 ok, 1 input error, 2 infeasible demand,
 3 synthesis failure, 4 verification failure.
 """
@@ -58,20 +58,22 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
     terminals = doc["terminals"]
     if not isinstance(terminals, list) or len(terminals) != 2:
         raise InputError(f"{origin}: terminals must be a pair of labels")
+    if not isinstance(doc["edges"], list):
+        raise InputError(f"{origin}: edges must be a list")
     weighted: list[tuple[str, str, int]] = []
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
             raise InputError(f"{origin}: edge #{i} needs 'from' and 'to'")
         tail, head = entry["from"], entry["to"]
         for label in (tail, head):
-            if label not in node_set:
+            if not isinstance(label, str) or label not in node_set:
                 raise InputError(f"{origin}: edge #{i} references unknown node {label!r}")
         cap = entry.get("cap", 1)
         if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
             raise InputError(f"{origin}: edge #{i} capacity must be a positive integer")
         weighted.append((tail, head, cap))
     for label in (doc["source"], *terminals):
-        if label not in node_set:
+        if not isinstance(label, str) or label not in node_set:
             raise InputError(f"{origin}: {label!r} is not a declared node")
     try:
         return Network(
@@ -133,6 +135,25 @@ def _parse_hex(text: Any, origin: str) -> int:
         raise InputError(f"{origin}: bad hex value {text!r}") from exc
 
 
+# These raise inside plan_from_dict's try, which prefixes the file name.
+def _json_object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _json_int(value: Any, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _edge_ids(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return tuple(_json_int(e, f"{what} entry") for e in value)
+
+
 def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
     code = plan.multicast
     return {
@@ -181,22 +202,22 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         demand = Demand(**doc["demand"])
         bits = doc["field"]["bits"]
         modulus = _parse_hex(doc["field"]["modulus"], origin)
-        x1 = tuple(EdgePath(tuple(int(e) for e in p)) for p in doc["x1_routes"])
-        x2 = tuple(EdgePath(tuple(int(e) for e in p)) for p in doc["x2_routes"])
+        x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
+        x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])
 
-        support = [int(e) for e in doc["support"]]
+        support = list(_edge_ids(doc["support"], "support"))
         local: dict[int, dict[tuple[str, int], int]] = {}
         vectors: dict[int, tuple[int, ...]] = {}
-        for eid_text, coeffs in doc["local_coeffs"].items():
+        for eid_text, coeffs in _json_object(doc["local_coeffs"], "local_coeffs").items():
             eid = int(eid_text)
             parsed: dict[tuple[str, int], int] = {}
-            for key_text, value in coeffs.items():
+            for key_text, value in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
                 kind, _, ref = key_text.partition(":")
                 if kind not in ("edge", "msg") or not ref.lstrip("-").isdigit():
                     raise InputError(f"{origin}: bad coefficient key {key_text!r}")
                 parsed[(kind, int(ref))] = _parse_hex(value, origin)
             local[eid] = parsed
-        for eid_text, vec in doc["coding_vectors"].items():
+        for eid_text, vec in _json_object(doc["coding_vectors"], "coding_vectors").items():
             vectors[int(eid_text)] = tuple(_parse_hex(v, origin) for v in vec)
         if set(vectors) != set(support) or set(local) != set(support):
             raise InputError(f"{origin}: support, coding_vectors and local_coeffs disagree")
@@ -210,8 +231,8 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             support=tuple(support),
             local_coeffs=local,
             global_vectors=vectors,
-            inputs_t1=tuple(int(e) for e in dec["t1"]["inputs"]),
-            inputs_t2=tuple(int(e) for e in dec["t2"]["inputs"]),
+            inputs_t1=_edge_ids(dec["t1"]["inputs"], "decode.t1.inputs"),
+            inputs_t2=_edge_ids(dec["t2"]["inputs"], "decode.t2.inputs"),
             decode_t1=tuple(
                 tuple(_parse_hex(c, origin) for c in row) for row in dec["t1"]["matrix"]
             ),
@@ -222,7 +243,7 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         get_field(bits, modulus)  # validates the field parameters
         return TransferPlan(
             demand=demand,
-            seed=int(doc["seed"]),
+            seed=_json_int(doc["seed"], "seed"),
             x1_routes=x1,
             x2_routes=x2,
             multicast=code,
@@ -441,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--trace", help="also write the rerouting trace as JSON lines")
     p_synth.set_defaults(func=cmd_synthesize)
 
-    p_verify = sub.add_parser("verify", help="simulate a plan against its network")
+    p_verify = sub.add_parser("verify", help="prove that a plan delivers on its network")
     p_verify.add_argument("network", help="network JSON file")
     p_verify.add_argument("plan", help="plan JSON file")
     p_verify.add_argument("--trials", type=int, default=100, help="random message tuples to test")

@@ -84,13 +84,6 @@ class TransferPlan:
         return {eid for p in (*self.x1_routes, *self.x2_routes) for eid in p.edges}
 
 
-def _project_routes(result, virtual_ids) -> tuple[EdgePath, ...]:
-    return tuple(
-        EdgePath(tuple(eid for eid in p.edges if eid not in virtual_ids))
-        for p in result.routes
-    )
-
-
 def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> TransferPlan:
     """Build a verified transfer plan, or raise if the demand is infeasible.
 
@@ -112,8 +105,7 @@ def synthesize_with_diagnostics(
 
     aug = build_augmented(net, d)
     passes = symmetric_pass(aug, d)
-    x1_routes = _project_routes(passes.pass1, passes.pass1.aug.virtual_edge_ids)
-    x2_routes = _project_routes(passes.pass2, passes.pass2.aug.virtual_edge_ids)
+    x1_routes, x2_routes = passes.x1_routes, passes.x2_routes
 
     used = {eid for p in (*x1_routes, *x2_routes) for eid in p.edges}
     residual = remove_edges(net, used)

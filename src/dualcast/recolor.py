@@ -19,12 +19,6 @@ from .errors import InvariantError, NonterminationError, TheoremViolationError
 from .flow import EdgePath, decompose_paths, max_flow
 from .netgraph import Demand, EdgeId, Network, NodeId, out_edges, remove_edges
 
-GREEN = "green"
-RED = "red"
-
-_GREEN_ONLY = frozenset({GREEN})
-_BOTH = frozenset({GREEN, RED})
-
 
 @dataclass(frozen=True)
 class ColoringState:
@@ -52,22 +46,14 @@ class ColoringState:
                     seen.add(eid)
 
     @cached_property
-    def edge_colors(self) -> dict[EdgeId, frozenset[str]]:
-        acc: dict[EdgeId, set[str]] = {}
-        for p in self.green_paths:
-            for eid in p.edges:
-                acc.setdefault(eid, set()).add(GREEN)
-        for p in self.red_paths:
-            for eid in p.edges:
-                acc.setdefault(eid, set()).add(RED)
-        return {eid: frozenset(colors) for eid, colors in acc.items()}
+    def red_edges(self) -> frozenset[EdgeId]:
+        """Edges some red path uses."""
+        return frozenset(eid for p in self.red_paths for eid in p.edges)
 
     def red_source_degree(self) -> int:
         """Number of source out-edges currently carrying red."""
-        colors = self.edge_colors
-        return sum(
-            1 for eid in out_edges(self.net, self.source) if RED in colors.get(eid, ())
-        )
+        red = self.red_edges
+        return sum(1 for eid in out_edges(self.net, self.source) if eid in red)
 
 
 @dataclass(frozen=True)
@@ -83,115 +69,75 @@ class ReroutingTrace:
     steps: tuple[TraceStep, ...]
 
 
-def cond(p: EdgePath, state: ColoringState) -> bool:
-    """True iff every edge of p is green-only, or p's first edge carries both colors."""
-    colors = state.edge_colors
-    if colors.get(p.edges[0]) == _BOTH:
-        return True
-    return all(colors.get(eid) == _GREEN_ONLY for eid in p.edges)
-
-
-def algorithm_a(p_index: int, state: ColoringState) -> tuple[ColoringState, TraceStep | None]:
-    """One rewrite step on green path p_index; (state, None) if p has no dual edge.
-
-    The red path through p's first doubly-colored edge e1 is replaced by p's
-    prefix up to e1 followed by the old red tail after e1. Colors are derived
-    from the path lists, so p's prefix gains red and the abandoned red head
-    loses it automatically.
-    """
-    p = state.green_paths[p_index]
-    colors = state.edge_colors
-    e1 = None
-    e1_pos = -1
-    for i, eid in enumerate(p.edges):
-        if colors.get(eid) == _BOTH:
-            e1 = eid
-            e1_pos = i
-            break
-    if e1 is None:
-        return state, None
-
-    red_index = next(
-        (r for r, rp in enumerate(state.red_paths) if e1 in rp.edges), None
-    )
-    if red_index is None:
-        raise InvariantError(f"edge {e1} is colored red but lies on no red path")
-    rp = state.red_paths[red_index]
-    split = rp.edges.index(e1)
-    prefix = p.edges[: e1_pos + 1]
-    rerouted = EdgePath(prefix + rp.edges[split + 1 :])
-    new_reds = list(state.red_paths)
-    new_reds[red_index] = rerouted
-    new_state = ColoringState(
-        net=state.net,
-        source=state.source,
-        green_paths=state.green_paths,
-        red_paths=tuple(new_reds),
-    )
-    step = TraceStep(
-        green_index=p_index,
-        shared_edge=e1,
-        red_index=red_index,
-        prefix_swapped=EdgePath(prefix),
-    )
-    return new_state, step
-
-
 def run_to_fixpoint(
     state: ColoringState, budget: int | None = None
 ) -> tuple[ColoringState, ReroutingTrace]:
-    """Apply rewrite steps, rescanning green paths in index order, until all satisfy cond.
+    """Apply rewrite steps, rescanning green paths in index order, until none violates.
 
-    After every step the number of red source out-edges must stay equal to the
-    red path count (each red path owns exactly one source out-edge). budget
-    caps the number of steps, by default edges x green paths x red paths;
-    exceeding it raises NonterminationError, which signals a bug rather than a
-    legitimate outcome.
+    A green path violates when its first red edge e1 is not its first edge.
+    The step gives the red path r through e1 the green path's edges up to e1
+    followed by r's old edges after e1; r's old edges before e1 lose red.
+    `red_of` maps each red edge to the index of its red path.
+
+    The state is checked once, on entry: it is a valid ColoringState, each red
+    path uses exactly one source out-edge, and no green path returns to the
+    source (decompose_paths gives node-simple paths). Each step then keeps the
+    red paths valid by construction. The green prefix before e1 carries no
+    red, so it touches no other red path; the old tail after e1 is a suffix
+    of r, so the new path is contiguous and edge-disjoint from the others. Its
+    only source out-edge is the prefix's first: the prefix does not return to
+    the source, and r's one source out-edge is r's first edge, at or before
+    e1. So only the final state is built, and only when a step was taken.
+    The acceptance tests replay every trace step by step through
+    tests/oracles.py, which rechecks all of this.
+
+    budget caps the number of steps, by default edges x green paths x red
+    paths; exceeding it raises NonterminationError, which signals a bug
+    rather than a legitimate outcome.
     """
-    expected_red = len(state.red_paths)
-    if state.red_source_degree() != expected_red:
+    net, s = state.net, state.source
+    greens = state.green_paths
+    reds = [p.edges for p in state.red_paths]
+    if state.red_source_degree() != len(reds):
         raise InvariantError("initial red source degree does not match red path count")
+    source_out = set(out_edges(net, s))
+    if any(eid in source_out for p in greens for eid in p.edges[1:]):
+        raise InvariantError("a green path returns to the source")
     if budget is None:
-        budget = max(1, len(state.net.edges)) * max(1, len(state.green_paths)) * max(
-            1, len(state.red_paths)
-        )
+        budget = max(1, len(net.edges)) * max(1, len(greens)) * max(1, len(reds))
+    red_of = {eid: r for r, edges in enumerate(reds) for eid in edges}
     steps: list[TraceStep] = []
     while True:
-        violating = next(
-            (i for i, p in enumerate(state.green_paths) if not cond(p, state)), None
-        )
-        if violating is None:
+        for g, p in enumerate(greens):
+            pos = next((i for i, eid in enumerate(p.edges) if eid in red_of), 0)
+            if pos:
+                break
+        else:
+            if steps:
+                red_paths = tuple(EdgePath(edges) for edges in reds)
+                state = ColoringState(net=net, source=s, green_paths=greens, red_paths=red_paths)
             return state, ReroutingTrace(tuple(steps))
-        state, step = algorithm_a(violating, state)
-        if step is None:
-            raise InvariantError("path violating cond has no doubly-colored edge")
-        if state.red_source_degree() != expected_red:
-            raise InvariantError("red source degree changed during rerouting")
-        steps.append(step)
+        e1 = p.edges[pos]
+        r = red_of[e1]
+        old = reds[r]
+        split = old.index(e1)
+        prefix = p.edges[: pos + 1]
+        for eid in old[:split]:
+            del red_of[eid]
+        for eid in prefix:
+            red_of[eid] = r
+        reds[r] = prefix + old[split + 1 :]
+        steps.append(TraceStep(g, e1, r, EdgePath(prefix)))
         if len(steps) > budget:
             raise NonterminationError(
                 f"recoloring exceeded its budget of {budget} steps"
             )
 
 
-def replay_trace(initial: ColoringState, trace: ReroutingTrace) -> ColoringState:
-    """Re-apply a recorded trace; raises InvariantError if any step diverges."""
-    state = initial
-    for recorded in trace.steps:
-        state, step = algorithm_a(recorded.green_index, state)
-        if step != recorded:
-            raise InvariantError("trace replay diverged from the recorded step")
-    return state
-
-
 def exclusively_green(state: ColoringState) -> list[EdgePath]:
-    """Green paths all of whose edges carry only green."""
-    colors = state.edge_colors
-    return [
-        p
-        for p in state.green_paths
-        if all(colors.get(eid) == _GREEN_ONLY for eid in p.edges)
-    ]
+    """Green paths none of whose edges carries red."""
+    red = state.red_edges
+    return [p for p in state.green_paths if red.isdisjoint(p.edges)]
 
 
 def extract_exclusive_green(
@@ -228,6 +174,14 @@ class PassResult:
     trace: ReroutingTrace
     routes: tuple[EdgePath, ...]
 
+    @property
+    def real_routes(self) -> tuple[EdgePath, ...]:
+        """The routes over original-graph edge ids (virtual hops dropped)."""
+        virtual = self.aug.virtual_edge_ids
+        return tuple(
+            EdgePath(tuple(eid for eid in p.edges if eid not in virtual)) for p in self.routes
+        )
+
 
 @dataclass(frozen=True)
 class SymmetricPassResult:
@@ -236,11 +190,11 @@ class SymmetricPassResult:
 
     @property
     def x1_routes(self) -> tuple[EdgePath, ...]:
-        return self.pass1.routes
+        return self.pass1.real_routes
 
     @property
     def x2_routes(self) -> tuple[EdgePath, ...]:
-        return self.pass2.routes
+        return self.pass2.real_routes
 
 
 def _truncate_at(net: Network, path: EdgePath, node: NodeId) -> EdgePath:
@@ -289,13 +243,8 @@ def single_pass(
 
 
 def real_route_edges(result: PassResult) -> set[EdgeId]:
-    """Original-graph edge ids used by a pass's routes (virtual hops dropped)."""
-    return {
-        eid
-        for p in result.routes
-        for eid in p.edges
-        if eid not in result.aug.virtual_edge_ids
-    }
+    """Original-graph edge ids used by a pass's routes."""
+    return {eid for p in result.real_routes for eid in p.edges}
 
 
 def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:

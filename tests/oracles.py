@@ -3,9 +3,11 @@
 Everything here is deliberately naive: subset enumeration for cuts, one BFS
 per augmenting path for flows, DFS enumeration for paths, schoolbook
 polynomial arithmetic for fields, one full simulation per trial for plan
-verification. Keep these free of any imports from the modules they are used
-to check (graph containers excepted; the simulation reference builds on the
-code primitives and the structural plan check, which it does not test).
+verification, a color map and a checked snapshot per step for recoloring.
+Keep these free of any imports from the modules they are used to check
+(graph containers excepted; the simulation reference builds on the code
+primitives and the structural plan check, which it does not test, and the
+recoloring reference on recolor's state and trace containers).
 """
 
 from __future__ import annotations
@@ -14,10 +16,17 @@ import random
 from collections import deque
 from itertools import combinations
 
-from dualcast.errors import InputError, PlanMismatchError
+from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
+from dualcast.flow import EdgePath
 from dualcast.nccode import apply_code, coding_vectors, decode_symbols
 from dualcast.netgraph import Demand, Network, NodeId, out_edges
 from dualcast.planner import _check_plan_structure
+from dualcast.recolor import ColoringState, ReroutingTrace, TraceStep
+
+GREEN = "green"
+RED = "red"
+_GREEN_ONLY = frozenset({GREEN})
+_BOTH = frozenset({GREEN, RED})
 
 
 def mincut_enumerate(net: Network, src: NodeId, sinks) -> int:
@@ -279,3 +288,93 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
                     f"decode matrix of T{terminal} does not invert its transfer matrix"
                 )
     return ()
+
+
+def edge_colors(state: ColoringState) -> dict[int, frozenset[str]]:
+    """The colors of every edge some path uses, derived from the path lists."""
+    acc: dict[int, set[str]] = {}
+    for p in state.green_paths:
+        for eid in p.edges:
+            acc.setdefault(eid, set()).add(GREEN)
+    for p in state.red_paths:
+        for eid in p.edges:
+            acc.setdefault(eid, set()).add(RED)
+    return {eid: frozenset(colors) for eid, colors in acc.items()}
+
+
+def cond(p: EdgePath, state: ColoringState) -> bool:
+    """True iff every edge of p is green-only, or p's first edge carries both colors."""
+    colors = edge_colors(state)
+    if colors.get(p.edges[0]) == _BOTH:
+        return True
+    return all(colors.get(eid) == _GREEN_ONLY for eid in p.edges)
+
+
+def algorithm_a(p_index: int, state: ColoringState) -> tuple[ColoringState, TraceStep | None]:
+    """One rewrite step on green path p_index; (state, None) if p has no dual edge.
+
+    The red path through p's first doubly-colored edge e1 is replaced by p's
+    prefix up to e1 followed by the old red tail after e1, and a new, fully
+    validated ColoringState is built from the path lists.
+    """
+    p = state.green_paths[p_index]
+    colors = edge_colors(state)
+    e1_pos = next((i for i, eid in enumerate(p.edges) if colors.get(eid) == _BOTH), None)
+    if e1_pos is None:
+        return state, None
+    e1 = p.edges[e1_pos]
+    red_index = next(r for r, rp in enumerate(state.red_paths) if e1 in rp.edges)
+    rp = state.red_paths[red_index]
+    split = rp.edges.index(e1)
+    prefix = p.edges[: e1_pos + 1]
+    new_reds = list(state.red_paths)
+    new_reds[red_index] = EdgePath(prefix + rp.edges[split + 1 :])
+    new_state = ColoringState(
+        net=state.net,
+        source=state.source,
+        green_paths=state.green_paths,
+        red_paths=tuple(new_reds),
+    )
+    return new_state, TraceStep(p_index, e1, red_index, EdgePath(prefix))
+
+
+def fixpoint_by_steps(
+    state: ColoringState, budget: int | None = None
+) -> tuple[ColoringState, ReroutingTrace]:
+    """run_to_fixpoint by one algorithm_a snapshot per step; the reference for it.
+
+    Rescans the green paths from index 0 after every step and checks the red
+    source degree after every step.
+    """
+    expected_red = len(state.red_paths)
+    if state.red_source_degree() != expected_red:
+        raise InvariantError("initial red source degree does not match red path count")
+    if budget is None:
+        budget = max(1, len(state.net.edges)) * max(1, len(state.green_paths)) * max(
+            1, len(state.red_paths)
+        )
+    steps: list[TraceStep] = []
+    while True:
+        violating = next(
+            (i for i, p in enumerate(state.green_paths) if not cond(p, state)), None
+        )
+        if violating is None:
+            return state, ReroutingTrace(tuple(steps))
+        state, step = algorithm_a(violating, state)
+        if step is None:
+            raise InvariantError("path violating cond has no doubly-colored edge")
+        if state.red_source_degree() != expected_red:
+            raise InvariantError("red source degree changed during rerouting")
+        steps.append(step)
+        if len(steps) > budget:
+            raise NonterminationError(f"recoloring exceeded its budget of {budget} steps")
+
+
+def replay_trace(initial: ColoringState, trace: ReroutingTrace) -> ColoringState:
+    """Re-apply a recorded trace; raises InvariantError if any step diverges."""
+    state = initial
+    for recorded in trace.steps:
+        state, step = algorithm_a(recorded.green_index, state)
+        if step != recorded:
+            raise InvariantError("trace replay diverged from the recorded step")
+    return state

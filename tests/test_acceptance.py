@@ -21,9 +21,9 @@ from dualcast.fixtures import all_demands, random_network
 from dualcast.flow import min_cut_value
 from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
-from dualcast.recolor import exclusively_green, replay_trace
+from dualcast.recolor import exclusively_green
 
-from oracles import gf_rank, routing_only_exists
+from oracles import gf_rank, replay_trace, routing_only_exists
 
 N_GRAPHS = 500
 SWEEP_SEED = 0x5EED

@@ -65,6 +65,10 @@ class TestNetworkFormat:
             (lambda d: d["edges"].append({"from": "s", "to": "t1", "cap": 0}), "positive"),
             (lambda d: d["nodes"].append("__x"), "reserved"),
             (lambda d: d.__setitem__("terminals", ["t1"]), "pair"),
+            (lambda d: d.__setitem__("edges", 5), "edges must be a list"),
+            (lambda d: d.__setitem__("source", ["s"]), "is not a declared node"),
+            (lambda d: d["terminals"].__setitem__(1, {}), "is not a declared node"),
+            (lambda d: d["edges"][0].__setitem__("from", ["s"]), "unknown node"),
         ],
     )
     def test_malformed_documents_are_rejected_with_context(self, mutate, fragment):
@@ -88,6 +92,15 @@ class TestNetworkFormat:
         assert ":2:" in str(exc.value)
 
 
+# s -> t1 twice and s -> t2; demand (1, 1, 0) routes edge 0 and codes edges 1 and 2.
+SMALL_NET = {
+    "nodes": ["s", "t1", "t2"],
+    "edges": [{"from": "s", "to": "t1", "cap": 2}, {"from": "s", "to": "t2"}],
+    "source": "s",
+    "terminals": ["t1", "t2"],
+}
+
+
 class TestPlanFormat:
     def test_plan_round_trips_through_json(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
@@ -102,6 +115,35 @@ class TestPlanFormat:
         with pytest.raises(InputError) as exc:
             plan_from_dict(doc)
         assert "version" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda d: d.__setitem__("support", [1.9, 2]), "support entry must be an integer"),
+            (lambda d: d.__setitem__("support", "12"), "support must be a list"),
+            (lambda d: d.__setitem__("seed", 7.9), "seed must be an integer"),
+            (lambda d: d.__setitem__("x1_routes", [[0.0]]), "x1 route entry must be an integer"),
+            (lambda d: d.__setitem__("x1_routes", [["0"]]), "x1 route entry must be an integer"),
+            (lambda d: d["decode"]["t1"].__setitem__("inputs", [True]), "decode.t1.inputs entry"),
+            (lambda d: d.__setitem__("local_coeffs", {"1": 5}), "local_coeffs['1'] must be an"),
+            (lambda d: d.__setitem__("local_coeffs", []), "local_coeffs must be an object"),
+            (lambda d: d.__setitem__("coding_vectors", []), "coding_vectors must be an object"),
+        ],
+    )
+    def test_mistyped_fields_exit_one_with_an_error_line(self, tmp_path, capsys, mutate, fragment):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(SMALL_NET))
+        plan = tmp_path / "plan.json"
+        assert main(["synthesize", str(net), "--h0", "1", "--h1", "1", "--h2", "0",
+                     "--seed", "7", "-o", str(plan)]) == 0
+        doc = json.loads(plan.read_text())
+        assert (doc["support"], doc["x1_routes"], doc["seed"]) == ([1, 2], [[0]], 7)
+        mutate(doc)
+        plan.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(net), str(plan)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
 
     def test_field_is_documented_in_the_plan(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
@@ -175,13 +217,29 @@ class TestCmdSynthesize:
         assert doc["x1_routes"] == [] and doc["x2_routes"] == []
 
     def test_trace_file_records_rerouting_steps(self, tmp_path):
-        out = tmp_path / "p.json"
+        # Four nodes whose first pass reroutes twice, the second time on an
+        # earlier green path than the first.
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "nodes": ["v0", "v1", "v2", "v3"],
+            "edges": [
+                {"from": "v0", "to": "v1", "cap": 2},
+                {"from": "v0", "to": "v2"},
+                {"from": "v0", "to": "v3"},
+                {"from": "v1", "to": "v2"},
+                {"from": "v1", "to": "v3"},
+                {"from": "v2", "to": "v3"},
+            ],
+            "source": "v0",
+            "terminals": ["v2", "v3"],
+        }))
         trace = tmp_path / "trace.jsonl"
-        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
-                     "--seed", "7", "-o", str(out), "--trace", str(trace)]) == 0
-        lines = [json.loads(l) for l in trace.read_text().splitlines() if l]
-        for entry in lines:
-            assert {"pass", "green_index", "shared_edge", "red_index", "prefix"} <= set(entry)
+        assert main(["synthesize", str(net), "--h0", "0", "--h1", "1", "--h2", "3",
+                     "-o", str(tmp_path / "p.json"), "--trace", str(trace)]) == 0
+        assert trace.read_text().splitlines() == [
+            '{"green_index": 1, "pass": 1, "prefix": [1, 5], "red_index": 0, "shared_edge": 5}',
+            '{"green_index": 0, "pass": 1, "prefix": [0, 4, 6], "red_index": 1, "shared_edge": 6}',
+        ]
 
 
 class TestCmdVerify:

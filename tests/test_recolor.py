@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,22 +11,22 @@ from dualcast.errors import (
     NonterminationError,
     TheoremViolationError,
 )
+from dualcast.fixtures import random_feasible_instances
 from dualcast.flow import EdgePath, decompose_paths, max_flow
 from dualcast.netgraph import Demand, remove_edges
+from dualcast.planner import check_feasibility, synthesize_with_diagnostics
 from dualcast.recolor import (
     ColoringState,
-    algorithm_a,
-    cond,
     exclusively_green,
     extract_exclusive_green,
     real_route_edges,
-    replay_trace,
     run_to_fixpoint,
     single_pass,
     symmetric_pass,
 )
 
 from conftest import mknet, parallel_net
+from oracles import algorithm_a, cond, edge_colors, fixpoint_by_steps, replay_trace
 from strategies import feasible_instances
 
 
@@ -56,7 +58,7 @@ class TestCond:
 
     def test_dual_first_edge_satisfies_regardless_of_rest(self, shared_first_edge_state):
         state = shared_first_edge_state
-        assert state.edge_colors.get(0, frozenset()) == frozenset({"green", "red"})
+        assert edge_colors(state).get(0, frozenset()) == frozenset({"green", "red"})
         assert cond(state.green_paths[0], state)
 
     def test_interior_dual_edge_violates(self):
@@ -108,24 +110,11 @@ class TestAlgorithmA:
         assert step.shared_edge == 2
         assert new_state.red_paths[0] == EdgePath((0, 1, 2, 6))
         # The abandoned red prefix lost its color; the green prefix gained red.
-        assert new_state.edge_colors.get(4, frozenset()) == frozenset()
-        assert new_state.edge_colors.get(5, frozenset()) == frozenset()
-        assert new_state.edge_colors.get(0, frozenset()) == frozenset({"green", "red"})
+        assert edge_colors(new_state).get(4, frozenset()) == frozenset()
+        assert edge_colors(new_state).get(5, frozenset()) == frozenset()
+        assert edge_colors(new_state).get(0, frozenset()) == frozenset({"green", "red"})
         assert cond(new_state.green_paths[0], new_state)
         assert new_state.green_paths == state.green_paths
-
-    def test_missing_red_path_is_invariant_corruption(self):
-        net = mknet(
-            [("s", "a"), ("a", "y"), ("s", "a"), ("a", "t")],
-            source="s",
-            terminals=("y", "t"),
-        )
-        state = make_state(net, greens=[[0, 1]], reds=[[2, 3]])
-        # Forge a state whose color map says edge 0 is dual: impossible via the
-        # public API, so go through algorithm_a with a hand-broken color cache.
-        object.__setattr__(state, "edge_colors", {0: frozenset({"green", "red"})})
-        with pytest.raises(InvariantError):
-            algorithm_a(0, state)
 
 
 class TestRunToFixpoint:
@@ -210,6 +199,106 @@ class TestRunToFixpoint:
         assert len(final.red_paths) == len(state.red_paths)
         assert len(final.green_paths) == len(state.green_paths)
         assert final.green_paths == state.green_paths  # greens never change shape
+
+    @pytest.mark.parametrize(
+        "greens, reds",
+        [
+            ([[0, 1, 2]], [[3]]),  # the green path comes back through a -> s
+            ([[2]], [[0, 1, 3]]),  # the red path does, and owns two source out-edges
+        ],
+    )
+    def test_paths_returning_to_the_source_are_rejected_on_entry(self, greens, reds):
+        net = mknet(
+            [("s", "a"), ("a", "s"), ("s", "y"), ("s", "t")],
+            source="s",
+            terminals=("y", "t"),
+        )
+        with pytest.raises(InvariantError):
+            run_to_fixpoint(make_state(net, greens=greens, reds=reds))
+
+    def test_only_the_final_state_is_built(self, monkeypatch):
+        result = next(
+            r for r in _passes(_layered_instances(random.Random(5), count=1))
+            if len(r.trace.steps) >= 3
+        )
+        built = []
+        validate = ColoringState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            validate(state)
+
+        monkeypatch.setattr(ColoringState, "__post_init__", counting)
+        final, trace = run_to_fixpoint(result.initial)
+        assert len(trace.steps) >= 3
+        assert len(built) == 1 and built[0] is final
+
+
+def _layered_instances(rng, count, width=16, layers=6):
+    """Layered DAGs whose columns cross often, each with its maximal demands.
+
+    The source feeds `width` columns of `layers` nodes; every node also links
+    to two random nodes of the next layer, and every last-layer node to T1,
+    T2 or both. For each shared rate h0 the private rates are as large as the
+    cuts allow. Crossing columns make the recoloring take many steps.
+    """
+    out = []
+    for _ in range(count):
+        pairs = [("s", f"n0_{j}") for j in range(width)]
+        for i in range(layers - 1):
+            for j in range(width):
+                for k in (j, *rng.sample([k for k in range(width) if k != j], 2)):
+                    pairs.append((f"n{i}_{j}", f"n{i + 1}_{k}"))
+        for j in range(width):
+            for t in rng.choice([("t1",), ("t2",), ("t1", "t2")]):
+                pairs.append((f"n{layers - 1}_{j}", t))
+        net = mknet(pairs, source="s", terminals=("t1", "t2"))
+        c1, c2, c12 = check_feasibility(net, Demand(0, 0, 0)).cuts
+        for h0 in range(min(c1, c2) + 1):
+            h1 = c1 - h0
+            out.append((net, Demand(h0, h1, min(c2 - h0, c12 - h0 - h1))))
+    return out
+
+
+def _passes(instances):
+    for seed, (net, d) in enumerate(instances):
+        _, passes = synthesize_with_diagnostics(net, d, seed)
+        yield passes.pass1
+        yield passes.pass2
+
+
+def _outcome(fixpoint, state, budget=None):
+    try:
+        return fixpoint(state, budget)
+    except NonterminationError:
+        return NonterminationError
+
+
+def _matches_reference(result) -> int:
+    """run_to_fixpoint against the reference stepper on one pass; the step count."""
+    expected = fixpoint_by_steps(result.initial)
+    assert run_to_fixpoint(result.initial) == expected == (result.state, result.trace)
+    for budget in (0, 1):
+        got = _outcome(run_to_fixpoint, result.initial, budget)
+        assert got == _outcome(fixpoint_by_steps, result.initial, budget)
+        assert (got is NonterminationError) == (len(expected[1].steps) > budget)
+    return len(expected[1].steps)
+
+
+class TestAgainstReferenceStepper:
+    def test_fixpoints_and_traces_match_on_seeded_instances(self, fig2):
+        instances = [(fig2, Demand(2, 1, 1))]
+        instances += random_feasible_instances(seed=1905, count=150)
+        instances += _layered_instances(random.Random(2009), count=10)
+        steps = [_matches_reference(result) for result in _passes(instances)]
+        assert sum(steps) >= 200
+        assert sum(n >= 2 for n in steps) >= 10  # both budgets trip on these
+
+    @given(feasible_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_fixpoints_and_traces_match_on_random_instances(self, instance):
+        for result in _passes([instance]):
+            _matches_reference(result)
 
 
 class TestExtract:
