@@ -2,7 +2,7 @@
 unit-capacity networks with one source and two terminals whose demanded
 message sets overlap."""
 
-from .augment import AugmentedNetwork, LemmaReport, build_augmented, check_lemma
+from .augment import AugmentedNetwork, build_augmented
 from .errors import (
     CodeConstructionError,
     CyclicSupportError,
@@ -59,7 +59,6 @@ __all__ = [
     "InfeasibleResidualError",
     "InputError",
     "InvariantError",
-    "LemmaReport",
     "MulticastCode",
     "Network",
     "NonterminationError",
@@ -74,7 +73,6 @@ __all__ = [
     "build_augmented",
     "build_multicast_code",
     "check_feasibility",
-    "check_lemma",
     "decompose_paths",
     "expand_capacities",
     "extract_exclusive_green",

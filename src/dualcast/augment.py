@@ -1,4 +1,4 @@
-"""Virtual-terminal augmentation and its min-cut identity checks.
+"""Virtual-terminal augmentation of a network for a demand.
 
 For demand (h0, h1, h2) the network is extended with virtual terminals T1', T2'
 (where each terminal's data is notionally decoded) and collector nodes Y1, Y2.
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .flow import min_cut_value
 from .netgraph import Demand, EdgeId, Network, NodeId, add_virtual
 
 T1P = "__T1P"
@@ -62,76 +61,4 @@ def build_augmented(net: Network, d: Demand) -> AugmentedNetwork:
         y1=Y1,
         y2=Y2,
         virtual_edge_ids=frozenset(new_ids),
-    )
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """The five virtual min-cuts and how they compare to their required values.
-
-    applicable is False when the underlying network fails the basic cut
-    conditions for the demand, in which case the identities are not expected
-    to hold and ok carries no meaning.
-    """
-
-    applicable: bool
-    cut_t1p: int
-    cut_t2p: int
-    cut_pair: int
-    cut_y1: int
-    cut_y2: int
-    failed: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.applicable and not self.failed
-
-
-def base_cuts_hold(net: Network, d: Demand) -> bool:
-    """True iff the three per-demand cut conditions hold on the plain network."""
-    t1, t2 = net.terminals
-    s = net.source
-    return (
-        min_cut_value(net, s, {t1}) >= d.h0 + d.h1
-        and min_cut_value(net, s, {t2}) >= d.h0 + d.h2
-        and min_cut_value(net, s, {t1, t2}) >= d.total
-    )
-
-
-def check_lemma(aug: AugmentedNetwork, d: Demand) -> LemmaReport:
-    """Compute the five virtual min-cuts and flag deviations from their identities.
-
-    Expected: cut to T1' equals h0+h1, to T2' equals h0+h2, to each collector
-    equals h0+h1+h2, and the joint cut to both virtual terminals is at least
-    h0+h1+h2.
-    """
-    s = aug.net.source
-    cut_t1p = min_cut_value(aug.net, s, {aug.t1p})
-    cut_t2p = min_cut_value(aug.net, s, {aug.t2p})
-    cut_pair = min_cut_value(aug.net, s, {aug.t1p, aug.t2p})
-    cut_y1 = min_cut_value(aug.net, s, {aug.y1})
-    cut_y2 = min_cut_value(aug.net, s, {aug.y2})
-
-    applicable = base_cuts_hold(aug.base, d)
-    failed: list[str] = []
-    if applicable:
-        total = d.total
-        if cut_t1p != d.h0 + d.h1:
-            failed.append("cut_t1p")
-        if cut_t2p != d.h0 + d.h2:
-            failed.append("cut_t2p")
-        if cut_pair < total:
-            failed.append("cut_pair")
-        if cut_y1 != total:
-            failed.append("cut_y1")
-        if cut_y2 != total:
-            failed.append("cut_y2")
-    return LemmaReport(
-        applicable=applicable,
-        cut_t1p=cut_t1p,
-        cut_t2p=cut_t2p,
-        cut_pair=cut_pair,
-        cut_y1=cut_y1,
-        cut_y2=cut_y2,
-        failed=tuple(failed),
     )

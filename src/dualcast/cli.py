@@ -126,16 +126,16 @@ def _hex(value: int) -> str:
     return f"0x{value:02X}"
 
 
-def _parse_hex(text: Any, origin: str) -> int:
+# These raise inside plan_from_dict's try, which prefixes the file name.
+def _parse_hex(text: Any) -> int:
     if not isinstance(text, str):
-        raise InputError(f"{origin}: expected a hex string, got {text!r}")
+        raise InputError(f"expected a hex string, got {text!r}")
     try:
         return int(text, 16)
     except ValueError as exc:
-        raise InputError(f"{origin}: bad hex value {text!r}") from exc
+        raise InputError(f"bad hex value {text!r}") from exc
 
 
-# These raise inside plan_from_dict's try, which prefixes the file name.
 def _json_object(value: Any, what: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"{what} must be an object, got {value!r}")
@@ -201,7 +201,7 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
     try:
         demand = Demand(**doc["demand"])
         bits = doc["field"]["bits"]
-        modulus = _parse_hex(doc["field"]["modulus"], origin)
+        modulus = _parse_hex(doc["field"]["modulus"])
         x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
         x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])
 
@@ -214,13 +214,13 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             for key_text, value in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
                 kind, _, ref = key_text.partition(":")
                 if kind not in ("edge", "msg") or not ref.lstrip("-").isdigit():
-                    raise InputError(f"{origin}: bad coefficient key {key_text!r}")
-                parsed[(kind, int(ref))] = _parse_hex(value, origin)
+                    raise InputError(f"bad coefficient key {key_text!r}")
+                parsed[(kind, int(ref))] = _parse_hex(value)
             local[eid] = parsed
         for eid_text, vec in _json_object(doc["coding_vectors"], "coding_vectors").items():
-            vectors[int(eid_text)] = tuple(_parse_hex(v, origin) for v in vec)
+            vectors[int(eid_text)] = tuple(_parse_hex(v) for v in vec)
         if set(vectors) != set(support) or set(local) != set(support):
-            raise InputError(f"{origin}: support, coding_vectors and local_coeffs disagree")
+            raise InputError("support, coding_vectors and local_coeffs disagree")
         _check_support_order(support, local)
 
         dec = doc["decode"]
@@ -234,10 +234,10 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             inputs_t1=_edge_ids(dec["t1"]["inputs"], "decode.t1.inputs"),
             inputs_t2=_edge_ids(dec["t2"]["inputs"], "decode.t2.inputs"),
             decode_t1=tuple(
-                tuple(_parse_hex(c, origin) for c in row) for row in dec["t1"]["matrix"]
+                tuple(_parse_hex(c) for c in row) for row in dec["t1"]["matrix"]
             ),
             decode_t2=tuple(
-                tuple(_parse_hex(c, origin) for c in row) for row in dec["t2"]["matrix"]
+                tuple(_parse_hex(c) for c in row) for row in dec["t2"]["matrix"]
             ),
         )
         get_field(bits, modulus)  # validates the field parameters
@@ -248,6 +248,8 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             x2_routes=x2,
             multicast=code,
         )
+    except InputError as exc:
+        raise InputError(f"{origin}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed plan file ({exc})") from exc
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError, InvariantError, UnknownNodeError
+from .errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
 from .netgraph import EdgeId, Network, NodeId
 
 
@@ -175,62 +175,78 @@ def decompose_paths(
 ) -> list[EdgePath]:
     """Split an integral flow into flow.value edge-disjoint src -> sink paths.
 
-    Flow on directed cycles carries no src -> sink data and is dropped. Paths
-    are node-simple and returned in the deterministic order extraction finds
-    them (smallest available edge id first at every step).
+    An edge carries flow when its edge_flow entry is 1. Flow on directed
+    cycles carries no src -> sink data and is dropped. Paths are node-simple
+    and returned in the deterministic order extraction finds them: at every
+    step the walk takes its node's smallest unused carrying out-edge id.
+    The work runs on the adjacency max_flow uses (Network._residual_arcs):
+    edges are read in ascending id, so each node's carrying out-edges come
+    out sorted, conservation and sink quotas are counted per node index, and
+    the walk follows arc heads. A flow that does not conserve, does not match
+    its value or strands the walk raises InvariantError.
     """
     sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
-    carrying = flow.saturated()
+    index, eids, arc_head, _ = net._residual_arcs
+    for v in [src, *sink_set]:
+        if v not in index:
+            raise UnknownNodeError(f"node {v!r} not in network")
+    flows = list(map(flow.edge_flow.get, eids))
+    if flows.count(1) != list(flow.edge_flow.values()).count(1):
+        raise UnknownEdgeError("flow carries an edge that is not in the network")
 
-    out_by_node: dict[NodeId, list[EdgeId]] = {}
-    inflow: dict[NodeId, int] = {}
-    outflow: dict[NodeId, int] = {}
-    for eid in carrying:
-        e = net.edge(eid)
-        out_by_node.setdefault(e.tail, []).append(eid)
-        outflow[e.tail] = outflow.get(e.tail, 0) + 1
-        inflow[e.head] = inflow.get(e.head, 0) + 1
-    for lst in out_by_node.values():
-        lst.sort(reverse=True)  # consume by popping the smallest id from the end
+    nodes = net.nodes
+    s = index[src]
+    is_sink = bytearray(len(nodes))
+    balance = [0] * len(nodes)  # out-flow minus in-flow
+    out: list[list[int]] = [[] for _ in nodes]  # carrying edges by tail, ascending id
+    for i, f in enumerate(flows):
+        if f == 1:
+            tail = arc_head[2 * i + 1]
+            balance[tail] += 1
+            balance[arc_head[2 * i]] -= 1
+            out[tail].append(i)
 
-    for v in net.nodes:
-        balance = outflow.get(v, 0) - inflow.get(v, 0)
-        if v == src:
-            if balance != flow.value:
-                raise InvariantError(f"source imbalance {balance} != value {flow.value}")
-        elif v in sink_set:
-            if balance > 0:
-                raise InvariantError(f"sink {v!r} emits more flow than it receives")
-        elif balance != 0:
-            raise InvariantError(f"conservation violated at {v!r}")
-
-    quota = {v: inflow.get(v, 0) - outflow.get(v, 0) for v in sink_set}
-    if sum(quota.values()) != flow.value:
+    quota = [0] * len(nodes)  # flow each sink absorbs
+    for v in sink_set:
+        is_sink[index[v]] = 1
+        quota[index[v]] = -balance[index[v]]
+    for v, b in enumerate(balance):
+        if v == s:
+            if b != flow.value:
+                raise InvariantError(f"source imbalance {b} != value {flow.value}")
+        elif is_sink[v]:
+            if b > 0:
+                raise InvariantError(f"sink {nodes[v]!r} emits more flow than it receives")
+        elif b:
+            raise InvariantError(f"conservation violated at {nodes[v]!r}")
+    if sum(quota) != flow.value:
         raise InvariantError("sink absorption does not match flow value")
 
     paths: list[EdgePath] = []
+    used = [0] * len(nodes)  # carrying out-edges each node has consumed
     for _ in range(flow.value):
-        order: list[NodeId] = [src]
-        pos: dict[NodeId, int] = {src: 0}
+        order = [s]
+        pos = {s: 0}
         walk: list[EdgeId] = []
-        u = src
+        u = s
         while True:
-            avail = out_by_node.get(u)
-            if not avail:
-                raise InvariantError(f"walk stuck at {u!r} with no remaining flow edge")
-            eid = avail.pop()
-            v = net.edge(eid).head
-            walk.append(eid)
+            k = used[u]
+            if k == len(out[u]):
+                raise InvariantError(f"walk stuck at {nodes[u]!r} with no remaining flow edge")
+            used[u] = k + 1
+            i = out[u][k]
+            v = arc_head[2 * i]
+            walk.append(eids[i])
             if v in pos:
                 # Pinch off the cycle just closed and resume from its entry node.
                 k = pos[v]
-                walk = walk[:k]
+                del walk[k:]
                 for dropped in order[k + 1 :]:
                     del pos[dropped]
-                order = order[: k + 1]
-                u = order[-1]
+                del order[k + 1 :]
+                u = v
                 continue
-            if quota.get(v, 0) > 0:
+            if quota[v] > 0:
                 quota[v] -= 1
                 paths.append(EdgePath(tuple(walk)))
                 break

@@ -34,7 +34,7 @@ class Demand:
     def __post_init__(self) -> None:
         for name in ("h0", "h1", "h2"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
 
     @property

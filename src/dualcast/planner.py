@@ -2,8 +2,11 @@
 
 A feasible demand (h0, h1, h2) is served by h1 plain routes to T1, h2 plain
 routes to T2, and a rate-h0 linear multicast code on whatever the routes left
-behind. verify_plan independently checks a produced plan exactly: its routes,
-its coding vectors and both decode matrices.
+behind. check_feasibility compares the three min-cuts with the demand.
+Synthesis does not run it up front: the first recoloring pass's two flows
+decide feasibility, and the three cuts are computed only to report a demand
+those flows refuse. verify_plan independently checks a produced plan exactly:
+its routes, its coding vectors and both decode matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +15,13 @@ import random
 from dataclasses import dataclass
 
 from .augment import build_augmented
-from .errors import InfeasibleDemandError, InputError, InvariantError, PlanMismatchError
+from .errors import (
+    InfeasibleDemandError,
+    InputError,
+    InvariantError,
+    PlanMismatchError,
+    TheoremViolationError,
+)
 from .flow import EdgePath, check_path, min_cut_value
 from .nccode import MulticastCode, apply_code, build_multicast_code, decode_symbols
 from .netgraph import Demand, EdgeId, Network, remove_edges
@@ -91,6 +100,21 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     recoloring, remove them, and put a random linear multicast code of rate h0
     on the residual. All randomness comes from seed, so identical inputs give
     identical plans.
+
+    Feasibility is certified by the first recoloring pass, not checked
+    beforehand. On the augmented graph Y1's only in-edges are the h0+h1 edges
+    from T1' (which only T1 feeds) and the h2 edges from T2', so a flow of
+    h0+h1+h2 into Y1 proves the cut conditions to T1 and to the terminal
+    pair, and a flow of h0+h2 into T2' proves the one to T2; when all three
+    hold, both flows reach those values. Either flow falling short raises
+    InfeasibleDemandError with the check_feasibility report. A demand larger
+    than a terminal's in-degree is refused the same way before augmenting,
+    so no virtual bundle is larger than the network.
+
+    Because the augmentation comes first, a network built directly (not by
+    the CLI loader, which rejects such labels) with a node label starting
+    with '__' raises InputError from build_augmented, even when the demand
+    is also infeasible.
     """
     return synthesize_with_diagnostics(net, d, seed, field_bits=field_bits)[0]
 
@@ -99,12 +123,20 @@ def synthesize_with_diagnostics(
     net: Network, d: Demand, seed: int, *, field_bits: int = 8
 ) -> tuple[TransferPlan, SymmetricPassResult]:
     """synthesize, but also return the recoloring pass results for auditing."""
-    report = check_feasibility(net, d)
-    if not report.feasible:
-        raise InfeasibleDemandError(report)
+    t1, t2 = net.terminals
+    heads = [e.head for e in net.edges]
+    if d.h0 + d.h1 > heads.count(t1) or d.h0 + d.h2 > heads.count(t2):
+        raise InfeasibleDemandError(check_feasibility(net, d))
 
     aug = build_augmented(net, d)
-    passes = symmetric_pass(aug, d)
+    try:
+        passes = symmetric_pass(aug, d)
+    except TheoremViolationError:
+        # On an infeasible demand a pass-1 flow falls short before anything else.
+        report = check_feasibility(net, d)
+        if not report.feasible:
+            raise InfeasibleDemandError(report) from None
+        raise
     x1_routes, x2_routes = passes.x1_routes, passes.x2_routes
 
     used = {eid for p in (*x1_routes, *x2_routes) for eid in p.edges}

@@ -3,24 +3,28 @@
 Everything here is deliberately naive: subset enumeration for cuts, one BFS
 per augmenting path for flows, DFS enumeration for paths, schoolbook
 polynomial arithmetic for fields, one full simulation per trial for plan
-verification, a color map and a checked snapshot per step for recoloring.
-Keep these free of any imports from the modules they are used to check
-(graph containers excepted; the simulation reference builds on the code
-primitives and the structural plan check, which it does not test, and the
-recoloring reference on recolor's state and trace containers).
+verification, a color map and a checked snapshot per step for recoloring,
+label lookups for path decomposition, and five separate min-cuts for the
+augmentation identities. Keep these free of any imports from the modules
+they are used to check (graph containers excepted; the simulation reference
+builds on the code primitives and the structural plan check, which it does
+not test, the recoloring reference on recolor's state and trace containers,
+and the identity check on max-flow and the feasibility report).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
+from dualcast.augment import AugmentedNetwork
 from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
-from dualcast.flow import EdgePath
+from dualcast.flow import EdgePath, FlowResult, min_cut_value
 from dualcast.nccode import apply_code, coding_vectors, decode_symbols
 from dualcast.netgraph import Demand, Network, NodeId, out_edges
-from dualcast.planner import _check_plan_structure
+from dualcast.planner import _check_plan_structure, check_feasibility
 from dualcast.recolor import ColoringState, ReroutingTrace, TraceStep
 
 GREEN = "green"
@@ -190,6 +194,75 @@ def max_disjoint_path_count(net: Network, src: NodeId, sink: NodeId) -> int:
             if edge_disjoint(combo):
                 return size
     return 0
+
+
+def decompose_paths_reference(
+    net: Network, flow: FlowResult, src: NodeId, sinks
+) -> list[EdgePath]:
+    """decompose_paths on node labels and net.edge lookups; the reference for it.
+
+    Same contract and error messages: conservation and quotas are checked per
+    label, carrying out-edges are sorted by id per tail, and each walk pops
+    the smallest, pinching off any cycle it closes.
+    """
+    sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
+    carrying = flow.saturated()
+
+    out_by_node: dict[NodeId, list[int]] = {}
+    inflow: dict[NodeId, int] = {}
+    outflow: dict[NodeId, int] = {}
+    for eid in carrying:
+        e = net.edge(eid)
+        out_by_node.setdefault(e.tail, []).append(eid)
+        outflow[e.tail] = outflow.get(e.tail, 0) + 1
+        inflow[e.head] = inflow.get(e.head, 0) + 1
+    for lst in out_by_node.values():
+        lst.sort(reverse=True)  # consume by popping the smallest id from the end
+
+    for v in net.nodes:
+        balance = outflow.get(v, 0) - inflow.get(v, 0)
+        if v == src:
+            if balance != flow.value:
+                raise InvariantError(f"source imbalance {balance} != value {flow.value}")
+        elif v in sink_set:
+            if balance > 0:
+                raise InvariantError(f"sink {v!r} emits more flow than it receives")
+        elif balance != 0:
+            raise InvariantError(f"conservation violated at {v!r}")
+
+    quota = {v: inflow.get(v, 0) - outflow.get(v, 0) for v in sink_set}
+    if sum(quota.values()) != flow.value:
+        raise InvariantError("sink absorption does not match flow value")
+
+    paths: list[EdgePath] = []
+    for _ in range(flow.value):
+        order: list[NodeId] = [src]
+        pos: dict[NodeId, int] = {src: 0}
+        walk: list[int] = []
+        u = src
+        while True:
+            avail = out_by_node.get(u)
+            if not avail:
+                raise InvariantError(f"walk stuck at {u!r} with no remaining flow edge")
+            eid = avail.pop()
+            v = net.edge(eid).head
+            walk.append(eid)
+            if v in pos:
+                k = pos[v]
+                walk = walk[:k]
+                for dropped in order[k + 1 :]:
+                    del pos[dropped]
+                order = order[: k + 1]
+                u = order[-1]
+                continue
+            if quota.get(v, 0) > 0:
+                quota[v] -= 1
+                paths.append(EdgePath(tuple(walk)))
+                break
+            pos[v] = len(order)
+            order.append(v)
+            u = v
+    return paths
 
 
 def in_edges(net: Network, v: NodeId) -> list[int]:
@@ -378,3 +451,64 @@ def replay_trace(initial: ColoringState, trace: ReroutingTrace) -> ColoringState
         if step != recorded:
             raise InvariantError("trace replay diverged from the recorded step")
     return state
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    """The five virtual min-cuts and how they compare to their required values.
+
+    applicable is False when the underlying network fails the basic cut
+    conditions for the demand, in which case the identities are not expected
+    to hold and ok carries no meaning.
+    """
+
+    applicable: bool
+    cut_t1p: int
+    cut_t2p: int
+    cut_pair: int
+    cut_y1: int
+    cut_y2: int
+    failed: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.applicable and not self.failed
+
+
+def check_lemma(aug: AugmentedNetwork, d: Demand) -> LemmaReport:
+    """Compute the five virtual min-cuts and flag deviations from their identities.
+
+    Expected: cut to T1' equals h0+h1, to T2' equals h0+h2, to each collector
+    equals h0+h1+h2, and the joint cut to both virtual terminals is at least
+    h0+h1+h2.
+    """
+    s = aug.net.source
+    cut_t1p = min_cut_value(aug.net, s, {aug.t1p})
+    cut_t2p = min_cut_value(aug.net, s, {aug.t2p})
+    cut_pair = min_cut_value(aug.net, s, {aug.t1p, aug.t2p})
+    cut_y1 = min_cut_value(aug.net, s, {aug.y1})
+    cut_y2 = min_cut_value(aug.net, s, {aug.y2})
+
+    applicable = check_feasibility(aug.base, d).feasible
+    failed: list[str] = []
+    if applicable:
+        total = d.total
+        if cut_t1p != d.h0 + d.h1:
+            failed.append("cut_t1p")
+        if cut_t2p != d.h0 + d.h2:
+            failed.append("cut_t2p")
+        if cut_pair < total:
+            failed.append("cut_pair")
+        if cut_y1 != total:
+            failed.append("cut_y1")
+        if cut_y2 != total:
+            failed.append("cut_y2")
+    return LemmaReport(
+        applicable=applicable,
+        cut_t1p=cut_t1p,
+        cut_t2p=cut_t2p,
+        cut_pair=cut_pair,
+        cut_y1=cut_y1,
+        cut_y2=cut_y2,
+        failed=tuple(failed),
+    )

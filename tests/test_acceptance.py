@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from dualcast.augment import build_augmented, check_lemma
+from dualcast.augment import build_augmented
 from dualcast.cli import dump_plan
 from dualcast.errors import InfeasibleDemandError
 from dualcast.fixtures import all_demands, random_network
@@ -23,7 +23,7 @@ from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
 from dualcast.recolor import exclusively_green
 
-from oracles import gf_rank, replay_trace, routing_only_exists
+from oracles import check_lemma, gf_rank, replay_trace, routing_only_exists
 
 N_GRAPHS = 500
 SWEEP_SEED = 0x5EED

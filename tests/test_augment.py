@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.augment import build_augmented, check_lemma
+from dualcast.augment import build_augmented
 from dualcast.errors import InputError
 from dualcast.netgraph import Demand, Edge, Network, out_edges
 
 from conftest import mknet, parallel_net
-from oracles import in_edges, mincut_enumerate
+from oracles import check_lemma, in_edges, mincut_enumerate
 from strategies import dag_networks, demands, feasible_instances
 
 

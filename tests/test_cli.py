@@ -145,6 +145,35 @@ class TestPlanFormat:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
 
+    def test_boolean_rate_in_the_demand_exits_one(self, plan_file, capsys):
+        doc = json.loads(plan_file.read_text())
+        assert doc["demand"] == {"h0": 2, "h1": 1, "h2": 1}
+        doc["demand"]["h1"] = True
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", FIG2, str(plan_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "h1 must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda d: d["coding_vectors"].__setitem__(next(iter(d["coding_vectors"])), ["zz"]),
+             "bad hex value 'zz'"),
+            (lambda d: d.__setitem__("seed", "7"), "seed must be an integer"),
+            (lambda d: d.__delitem__("decode"), "malformed plan file"),
+        ],
+    )
+    def test_error_names_the_plan_file_once(self, plan_file, capsys, mutate, fragment):
+        doc = json.loads(plan_file.read_text())
+        mutate(doc)
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", FIG2, str(plan_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan_file}: ") and fragment in err
+        assert err.count(str(plan_file)) == 1
+
     def test_field_is_documented_in_the_plan(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
         doc = plan_to_dict(plan)

@@ -4,12 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.errors import InputError, InvariantError
+from dualcast.errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
 from dualcast.flow import FlowResult, check_path, decompose_paths, max_flow, min_cut_value
 from dualcast.netgraph import Edge, Network, add_virtual, remove_edges
 
 from conftest import mknet, parallel_net
-from oracles import edge_disjoint, max_flow_edmonds_karp, mincut_enumerate
+from oracles import (
+    decompose_paths_reference,
+    edge_disjoint,
+    max_flow_edmonds_karp,
+    mincut_enumerate,
+)
 from strategies import dag_networks, digraphs
 
 
@@ -137,6 +142,30 @@ class TestDecomposePaths:
         paths = decompose_paths(net, res, "s", "t1")
         assert [p.edges for p in paths] == [(0, 1)]
 
+    def test_cycle_entered_past_the_source_is_pinched_off(self):
+        # The walk takes a -> b -> a before a -> t1, closes the cycle at a and
+        # resumes from a with only edge 0 kept.
+        net = mknet(
+            [("s", "a"), ("a", "b"), ("b", "a"), ("a", "t1"), ("s", "c"), ("c", "d"),
+             ("d", "c"), ("c", "t1")],
+            source="s",
+            terminals=("t1", "t2"),
+        )
+        res = FlowResult(
+            value=2, edge_flow={eid: 1 for eid in range(8)}, source_side=frozenset({"s"})
+        )
+        paths = decompose_paths(net, res, "s", "t1")
+        assert [p.edges for p in paths] == [(0, 3), (4, 7)]
+        assert paths == decompose_paths_reference(net, res, "s", "t1")
+
+    def test_unknown_edge_or_node_raises(self):
+        net = mknet([("s", "t1")], source="s", terminals=("t1", "t2"))
+        stray = FlowResult(value=1, edge_flow={0: 1, 99: 1}, source_side=frozenset({"s"}))
+        with pytest.raises(UnknownEdgeError):
+            decompose_paths(net, stray, "s", "t1")
+        with pytest.raises(UnknownNodeError):
+            decompose_paths(net, max_flow(net, "s", {"t1"}), "s", "nope")
+
     def test_conservation_violation_raises(self):
         net = mknet([("s", "a"), ("a", "t1"), ("a", "t2")], source="s", terminals=("t1", "t2"))
         bad = FlowResult(value=1, edge_flow={0: 1, 1: 1, 2: 1}, source_side=frozenset())
@@ -213,3 +242,50 @@ def test_decomposition_is_exact_and_disjoint(net):
             assert len(set(nodes)) == len(nodes)  # decomposition emits simple paths
         used = {eid for p in paths for eid in p.edges}
         assert used <= res.saturated()
+
+
+def _decomposition_outcome(fn, net, flow, src, sinks):
+    try:
+        return [p.edges for p in fn(net, flow, src, sinks)]
+    except Exception as exc:  # the reference's exceptions are part of the contract
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.data())
+def test_decomposition_matches_the_label_based_reference(net, data):
+    """Same paths, or the same exception and message, as the reference.
+
+    Covers the network as drawn, with its edges listed in reverse id order,
+    after remove_edges and after add_virtual, single and two-sink flows, and
+    max-flows corrupted by flipping edges and shifting the value.
+    """
+    dropped = data.draw(st.sets(st.sampled_from([e.eid for e in net.edges] or [None])))
+    labels = st.sampled_from(net.nodes + ("x",))
+    pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
+    x_edges = data.draw(st.lists(pairs, max_size=6))
+    variants = [
+        net,
+        Network(nodes=net.nodes, edges=tuple(reversed(net.edges)), source=net.source,
+                terminals=net.terminals),
+        remove_edges(net, dropped - {None}),
+        add_virtual(net, ["x"], x_edges)[0],
+    ]
+    t1, t2 = net.terminals
+    for variant in variants:
+        for sinks in ({t1}, {t2}, {t1, t2}):
+            res = max_flow(variant, variant.source, sinks)
+            flows = [res]
+            for _ in range(2):
+                edge_flow = dict(res.edge_flow)
+                flipped = st.sampled_from(sorted(edge_flow) or [None])
+                for eid in data.draw(st.sets(flipped, max_size=3)) - {None}:
+                    edge_flow[eid] ^= 1
+                value = res.value + data.draw(st.integers(-1, 1))
+                flows.append(FlowResult(value, edge_flow, res.source_side))
+            for flow in flows:
+                want = _decomposition_outcome(
+                    decompose_paths_reference, variant, flow, variant.source, sinks
+                )
+                got = _decomposition_outcome(decompose_paths, variant, flow, variant.source, sinks)
+                assert got == want

@@ -104,6 +104,11 @@ class TestNetworkValidation:
         with pytest.raises(InputError):
             Demand(1, -1, 0)
 
+    @pytest.mark.parametrize("rates", [(True, 0, 0), (2, True, 1), (0, 0, False)])
+    def test_demand_rejects_boolean_rates(self, rates):
+        with pytest.raises(InputError, match="nonnegative integer"):
+            Demand(*rates)
+
 
 class TestOutEdges:
     def test_fig2_source_has_its_four_marked_edges(self, fig2):

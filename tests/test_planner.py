@@ -6,17 +6,19 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from dualcast import planner
+from dualcast import flow, nccode, planner, recolor
 from dualcast.cli import main
 from dualcast.errors import (
+    CyclicSupportError,
     DualcastError,
     InfeasibleDemandError,
+    InputError,
     InvariantError,
     PlanMismatchError,
 )
 from dualcast.flow import max_flow
-from dualcast.fixtures import fig2_network, fig2_path, random_feasible_instances
-from dualcast.netgraph import Demand, remove_edges
+from dualcast.fixtures import all_demands, fig2_network, fig2_path, random_feasible_instances
+from dualcast.netgraph import Demand, Edge, Network, remove_edges
 from dualcast.planner import (
     check_feasibility,
     synthesize,
@@ -109,6 +111,88 @@ class TestSynthesize:
         residual = remove_edges(fig2, plan.route_edges())
         for t in ("T1", "T2"):
             assert max_flow(residual, "1", {t}).value >= d.h0
+
+
+def _small_cyclic_network(rng: random.Random) -> Network:
+    """A random digraph with cycles: 4-8 nodes, 8-16 edges, v0 the source."""
+    n = rng.randint(4, 8)
+    labels = tuple(f"v{i}" for i in range(n))
+    edges = []
+    for eid in range(rng.randint(8, 16)):
+        tail = rng.randrange(n)
+        head = rng.randrange(n - 1)
+        edges.append(Edge(eid, labels[tail], labels[head + (head >= tail)]))
+    return Network(nodes=labels, edges=tuple(edges), source="v0", terminals=labels[-2:])
+
+
+class TestFeasibilityFromPassOne:
+    """Synthesis decides feasibility with pass 1's flows, not a check up front."""
+
+    def test_refuses_exactly_the_infeasible_demands_with_their_report(self, fig2):
+        rng = random.Random(2009)
+        nets = [fig2]
+        nets += [net for net, _ in random_feasible_instances(seed=77, count=12)]
+        nets += [_small_cyclic_network(rng) for _ in range(12)]
+        verdicts = set()
+        for net in nets:
+            for d in all_demands(4):
+                report = check_feasibility(net, d)
+                try:
+                    synthesize(net, d, seed=1)
+                except InfeasibleDemandError as exc:
+                    assert not report.feasible, (net, d)
+                    assert exc.report == report
+                except CyclicSupportError:
+                    assert report.feasible, (net, d)
+                else:
+                    assert report.feasible, (net, d)
+                verdicts.add(report.feasible)
+        assert verdicts == {False, True}
+
+    def _count(self, monkeypatch, name, *modules):
+        """Count calls to `name` made through any of `modules`."""
+        calls = []
+        real = getattr(modules[0], name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_feasible_synthesis_runs_six_flows_and_no_feasibility_check(
+        self, fig2, monkeypatch
+    ):
+        flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
+        checks = self._count(monkeypatch, "check_feasibility", planner)
+        synthesize(fig2, Demand(2, 1, 1), seed=7)
+        assert (len(flows), len(checks)) == (6, 0)
+        # An infeasible demand within the degree bounds: one pass-1 flow falls
+        # short, then the report's three cuts are computed.
+        flows.clear()
+        with pytest.raises(InfeasibleDemandError, match="ineq3"):
+            synthesize(fig2, Demand(1, 2, 2), seed=7)
+        assert (len(flows), len(checks)) == (4, 1)
+
+    def test_demand_beyond_a_terminal_in_degree_is_refused_before_augmenting(
+        self, fig2, monkeypatch
+    ):
+        augmented = self._count(monkeypatch, "build_augmented", planner)
+        d = Demand(10**9, 0, 0)
+        with pytest.raises(InfeasibleDemandError) as exc:
+            synthesize(fig2, d, seed=0)
+        assert exc.value.report == check_feasibility(fig2, d)
+        assert augmented == []
+
+    def test_reserved_label_is_an_input_error_even_when_infeasible(self):
+        net = mknet([("s", "a"), ("a", "t1"), ("a", "t2")], source="s",
+                    terminals=("t1", "t2"), extra_nodes=("__x",))
+        d = Demand(0, 1, 1)  # within both in-degrees, over the joint cut
+        assert not check_feasibility(net, d).feasible
+        with pytest.raises(InputError, match="reserved"):
+            synthesize(net, d, seed=0)
 
 
 class TestVerifyPlan:
