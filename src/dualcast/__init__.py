@@ -8,7 +8,6 @@ from .errors import (
     CyclicSupportError,
     DualcastError,
     InfeasibleDemandError,
-    InfeasibleResidualError,
     InputError,
     InvariantError,
     NonterminationError,
@@ -56,7 +55,6 @@ __all__ = [
     "FlowResult",
     "GF",
     "InfeasibleDemandError",
-    "InfeasibleResidualError",
     "InputError",
     "InvariantError",
     "MulticastCode",

@@ -26,7 +26,8 @@ from .errors import (
 from .flow import EdgePath
 from .nccode import DEFAULT_MODULI, MulticastCode, get_field
 from .netgraph import Demand, Network, expand_capacities
-from .planner import TransferPlan, check_feasibility, synthesize_with_diagnostics, verify_plan
+from .planner import TransferPlan, check_demand_size, check_feasibility, verify_plan
+from .planner import synthesize_with_diagnostics
 from .recolor import ReroutingTrace
 
 PLAN_VERSION = 1
@@ -312,11 +313,13 @@ def export_dot(
 
     With a plan, the x1/x2 route edges get distinct styling and coded edges
     are labelled with their coding vectors. With augment_demand, the virtual
-    nodes and bundles are included as dashed edges.
+    nodes and bundles are included as dashed edges; a demand larger than a
+    terminal's in-degree raises InfeasibleDemandError, as synthesis does.
     """
     target = net
     virtual_ids: frozenset[int] = frozenset()
     if augment_demand is not None:
+        check_demand_size(net, augment_demand)
         aug = build_augmented(net, augment_demand)
         target = aug.net
         virtual_ids = aug.virtual_edge_ids

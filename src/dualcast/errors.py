@@ -37,16 +37,12 @@ class InfeasibleDemandError(DualcastError):
         super().__init__(f"demand is infeasible: {report.describe()}")
 
 
-class InfeasibleResidualError(DualcastError):
-    """Residual graph cannot carry the shared message rate after routing."""
-
-
 class CodeConstructionError(DualcastError):
     """Random code construction could not reach full rank at both terminals."""
 
 
 class CyclicSupportError(DualcastError):
-    """The subgraph selected for coding contains a directed cycle."""
+    """Coding paths to T1 and T2 share edges in opposite orders; names the cycle."""
 
 
 class PlanMismatchError(DualcastError):

@@ -1,10 +1,10 @@
-"""Finite fields GF(2^m) and linear multicast codes on the residual graph.
+"""Finite fields GF(2^m) and linear multicast codes on given path families.
 
 The shared messages are h0 field symbols injected at the source. Every coded
-edge carries a linear combination of its tail's incoming symbols; the global
-vector of an edge expresses its symbol directly in terms of the messages.
-Codes are drawn at random and kept only if both terminals' transfer matrices
-are invertible, retrying with a larger field when needed.
+edge carries a linear combination of the symbols just before it on its paths;
+the global vector of an edge expresses its symbol directly in terms of the
+messages. Codes are drawn at random and kept only if both terminals' transfer
+matrices are invertible, retrying with a larger field when needed.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import (
-    CodeConstructionError,
-    CyclicSupportError,
-    InfeasibleResidualError,
-    InputError,
-    InvariantError,
-)
-from .flow import decompose_paths, max_flow
-from .netgraph import EdgeId, Network, NodeId
+from .errors import CodeConstructionError, CyclicSupportError, InputError
+from .flow import EdgePath
+# Unused here; perfbench/tracer.py wraps nccode.max_flow and nccode.decompose_paths.
+from .flow import decompose_paths, max_flow  # noqa: F401
+from .netgraph import EdgeId
 
 # One irreducible polynomial per field size (top bit included). The degree-8
 # entry is fixed to x^8+x^4+x^3+x^2+1 so serialized plans are reproducible.
@@ -122,7 +118,7 @@ class GF:
                 log = [0] * self.size
                 for i, v in enumerate(exp):
                     log[v] = i
-                self._exp = exp
+                self._exp = exp + exp  # twice over: log a + log b needs no modulo
                 self._log = log
                 return
 
@@ -130,7 +126,7 @@ class GF:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None and self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+            return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -150,8 +146,14 @@ class GF:
 
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
         acc = 0
+        if self._exp is None or self._log is None:
+            for a, b in zip(u, v):
+                acc ^= self._mul_raw(a, b)
+            return acc
+        exp, log = self._exp, self._log  # mul inlined: this is decoding's inner loop
         for a, b in zip(u, v):
-            acc ^= self.mul(a, b)
+            if a and b:
+                acc ^= exp[log[a] + log[b]]
         return acc
 
     def mat_vec(self, a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -182,8 +184,8 @@ def get_field(bits: int, modulus: int | None = None) -> GF:
     return GF(bits, modulus)
 
 
-# A coded edge's inputs are either coded in-edges of its tail ("edge", eid)
-# or, at the source, message indices ("msg", i).
+# A coded edge's inputs are either coded edges just before it on its paths
+# ("edge", eid) or, where a path starts, message indices ("msg", i).
 InputKey = tuple[str, int]
 
 
@@ -207,106 +209,75 @@ class MulticastCode:
         return get_field(self.field_bits, self.modulus)
 
 
-def _empty_code(field_bits: int, modulus: int) -> MulticastCode:
-    return MulticastCode(
-        field_bits=field_bits,
-        modulus=modulus,
-        h0=0,
-        support=(),
-        local_coeffs={},
-        global_vectors={},
-        inputs_t1=(),
-        inputs_t2=(),
-        decode_t1=(),
-        decode_t2=(),
-    )
+def _evaluation_order(feeders: dict[EdgeId, set[EdgeId]]) -> list[EdgeId]:
+    """Coded edges, each after the edges feeding it, the smallest ready id first.
 
-
-def _topological_edge_order(
-    net: Network, support: set[EdgeId]
-) -> tuple[list[EdgeId], dict[NodeId, list[EdgeId]]]:
-    """Order support edges so each comes after every support in-edge of its tail."""
-    in_support: dict[NodeId, list[EdgeId]] = {}
-    out_support: dict[NodeId, list[EdgeId]] = {}
-    nodes: set[NodeId] = set()
-    for eid in support:
-        e = net.edge(eid)
-        in_support.setdefault(e.head, []).append(eid)
-        out_support.setdefault(e.tail, []).append(eid)
-        nodes.add(e.head)
-        nodes.add(e.tail)
-    for lst in in_support.values():
-        lst.sort()
-    for lst in out_support.values():
-        lst.sort()
-
-    indegree = {v: len(in_support.get(v, [])) for v in nodes}
-    # Always taking the smallest ready label keeps the order deterministic.
-    ready = sorted(v for v in nodes if indegree[v] == 0)
-    topo_nodes: list[NodeId] = []
+    One Kahn pass over the feeding relation. Edges left over wait on each
+    other; CyclicSupportError names a cycle among them.
+    """
+    waiting = {eid: len(f) for eid, f in feeders.items()}
+    fed: dict[EdgeId, list[EdgeId]] = {}
+    for eid, f in feeders.items():
+        for j in f:
+            fed.setdefault(j, []).append(eid)
+    ready = [eid for eid, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    order: list[EdgeId] = []
     while ready:
-        v = heapq.heappop(ready)
-        topo_nodes.append(v)
-        for eid in out_support.get(v, []):
-            w = net.edge(eid).head
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                heapq.heappush(ready, w)
-    if len(topo_nodes) != len(nodes):
-        raise CyclicSupportError("the coded subgraph contains a directed cycle")
-    pos = {v: i for i, v in enumerate(topo_nodes)}
-    ordered = sorted(support, key=lambda eid: (pos[net.edge(eid).tail], eid))
-    return ordered, in_support
+        eid = heapq.heappop(ready)
+        order.append(eid)
+        for k in fed.get(eid, ()):
+            waiting[k] -= 1
+            if not waiting[k]:
+                heapq.heappush(ready, k)
+    if len(order) < len(feeders):
+        # Each edge left waits on a feeder left: walk back until one repeats.
+        walk = [min(e for e, n in waiting.items() if n)]
+        while (eid := min(j for j in feeders[walk[-1]] if waiting[j])) not in walk:
+            walk.append(eid)
+        cycle = walk[walk.index(eid) :][::-1]
+        raise CyclicSupportError(f"the coded paths make edges {cycle} feed each other in a cycle")
+    return order
 
 
 def build_multicast_code(
-    net: Network,
-    h0: int,
+    paths_t1: Sequence[EdgePath],
+    paths_t2: Sequence[EdgePath],
     *,
     rng: random.Random,
     field_bits: int = 8,
     attempts_per_field: int = 32,
 ) -> MulticastCode:
-    """Construct a random linear multicast code of rate h0 on net.
+    """Construct a random linear multicast code of rate h0 on two path families.
 
-    The coded support is the union of h0 edge-disjoint paths to each terminal
-    (chosen deterministically); local coefficients are drawn from rng and the
-    draw is repeated, doubling the field size after attempts_per_field
-    failures, until both terminals' transfer matrices have rank h0.
+    paths_t1 and paths_t2 hold h0 edge-disjoint source paths each, to T1 and
+    to T2; their union is the coded support. Each coded edge combines the
+    edges just before it on its paths, or the messages where a path starts
+    (Jaggi et al., IEEE Trans. IT 2005); two paths that share edges in
+    opposite orders make that cyclic and raise CyclicSupportError. Local
+    coefficients are drawn from rng and the draw is repeated, doubling the
+    field size after attempts_per_field failures, until both terminals'
+    transfer matrices have rank h0, as a random draw does w.h.p. in a large
+    enough field (Ho et al., IEEE Trans. IT 2006).
     """
+    h0 = len(paths_t1)
+    if len(paths_t2) != h0:
+        raise InputError(f"need as many paths to T2 as to T1, got {len(paths_t2)} and {h0}")
     bits = field_bits
-    if h0 == 0:
-        field = get_field(bits)
-        return _empty_code(field.bits, field.modulus)
-
-    t1, t2 = net.terminals
-    s = net.source
-    flow1 = max_flow(net, s, {t1})
-    flow2 = max_flow(net, s, {t2})
-    if flow1.value < h0 or flow2.value < h0:
-        raise InfeasibleResidualError(
-            f"residual supports flows {flow1.value}/{flow2.value} to the terminals, need {h0}"
-        )
-    paths1 = decompose_paths(net, flow1, s, t1)[:h0]
-    paths2 = decompose_paths(net, flow2, s, t2)[:h0]
-    support = {eid for p in paths1 for eid in p.edges} | {
-        eid for p in paths2 for eid in p.edges
+    feeders: dict[EdgeId, set[EdgeId]] = {}
+    for p in (*paths_t1, *paths_t2):
+        feeders.setdefault(p.edges[0], set())
+        for prev, eid in zip(p.edges, p.edges[1:]):
+            feeders.setdefault(eid, set()).add(prev)
+    ordered = _evaluation_order(feeders)
+    # Paths start at the source and never return to it: an edge without a
+    # feeder starts a path and combines the messages.
+    messages: list[InputKey] = [("msg", i) for i in range(h0)]
+    input_keys = {
+        eid: [("edge", j) for j in sorted(feeders[eid])] or messages for eid in ordered
     }
-    inputs_t1 = tuple(p.edges[-1] for p in paths1)
-    inputs_t2 = tuple(p.edges[-1] for p in paths2)
-
-    ordered, in_support = _topological_edge_order(net, support)
-
-    input_keys: dict[EdgeId, list[InputKey]] = {}
-    for eid in ordered:
-        tail = net.edge(eid).tail
-        if tail == s:
-            input_keys[eid] = [("msg", i) for i in range(h0)]
-        else:
-            feeders = in_support.get(tail, [])
-            if not feeders:
-                raise InvariantError(f"coded edge {eid} has no inputs at {tail!r}")
-            input_keys[eid] = [("edge", j) for j in feeders]
+    inputs_t1 = tuple(p.edges[-1] for p in paths_t1)
+    inputs_t2 = tuple(p.edges[-1] for p in paths_t2)
 
     while True:
         field = get_field(bits)
@@ -357,10 +328,11 @@ def _evaluate(
 ) -> dict[EdgeId, int]:
     """The symbol on every coded edge, in support order, for messages x0."""
     symbols: dict[EdgeId, int] = {}
+    mul = field.mul
     for eid in support:
         acc = 0
         for (kind, ref), c in local_coeffs[eid].items():
-            acc ^= field.mul(c, x0[ref] if kind == "msg" else symbols[ref])
+            acc ^= mul(c, x0[ref] if kind == "msg" else symbols[ref])
         symbols[eid] = acc
     return symbols
 

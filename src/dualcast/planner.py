@@ -1,9 +1,10 @@
-"""End-to-end synthesis: feasibility decision, route extraction, residual coding.
+"""End-to-end synthesis: feasibility decision, route extraction, coding on paths.
 
 A feasible demand (h0, h1, h2) is served by h1 plain routes to T1, h2 plain
-routes to T2, and a rate-h0 linear multicast code on whatever the routes left
-behind. check_feasibility compares the three min-cuts with the demand.
-Synthesis does not run it up front: the first recoloring pass's two flows
+routes to T2, and a rate-h0 linear multicast code on h0 paths to each
+terminal that the second recoloring pass leaves off the routes.
+check_feasibility compares the three min-cuts with the demand. Synthesis
+does not run it up front: the first recoloring pass's two flows
 decide feasibility, and the three cuts are computed only to report a demand
 those flows refuse. verify_plan independently checks a produced plan exactly:
 its routes, its coding vectors and both decode matrices.
@@ -21,10 +22,13 @@ from .errors import (
     InvariantError,
     PlanMismatchError,
     TheoremViolationError,
+    UnknownEdgeError,
 )
 from .flow import EdgePath, check_path, min_cut_value
-from .nccode import MulticastCode, apply_code, build_multicast_code, decode_symbols
-from .netgraph import Demand, EdgeId, Network, remove_edges
+from .nccode import MulticastCode, apply_code, build_multicast_code
+from .netgraph import Demand, EdgeId, Network, NodeId
+# Unused here; perfbench/tracer.py wraps planner.remove_edges.
+from .netgraph import remove_edges  # noqa: F401
 from .recolor import SymmetricPassResult, symmetric_pass
 
 INEQ_NAMES = ("ineq1", "ineq2", "ineq3")
@@ -79,6 +83,14 @@ def check_feasibility(net: Network, d: Demand) -> FeasibilityReport:
     )
 
 
+def check_demand_size(net: Network, d: Demand) -> None:
+    """Refuse a demand past a terminal's in-degree, so no virtual bundle outgrows |E|."""
+    t1, t2 = net.terminals
+    heads = [e.head for e in net.edges]
+    if d.h0 + d.h1 > heads.count(t1) or d.h0 + d.h2 > heads.count(t2):
+        raise InfeasibleDemandError(check_feasibility(net, d))
+
+
 @dataclass(frozen=True)
 class TransferPlan:
     """A complete transmission scheme over the original network's edge ids."""
@@ -97,9 +109,9 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     """Build a verified transfer plan, or raise if the demand is infeasible.
 
     The pipeline: augment, extract h1 then h2 interference-free routes by
-    recoloring, remove them, and put a random linear multicast code of rate h0
-    on the residual. All randomness comes from seed, so identical inputs give
-    identical plans.
+    recoloring, and put a random linear multicast code of rate h0 on the h0
+    paths to each terminal the second pass holds besides its routes. All
+    randomness comes from seed, so identical inputs give identical plans.
 
     Feasibility is certified by the first recoloring pass, not checked
     beforehand. On the augmented graph Y1's only in-edges are the h0+h1 edges
@@ -110,6 +122,9 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     InfeasibleDemandError with the check_feasibility report. A demand larger
     than a terminal's in-degree is refused the same way before augmenting,
     so no virtual bundle is larger than the network.
+
+    On a cyclic network pass 2's paths to T1 and to T2 can share edges in
+    opposite orders; the feasible demand is then refused (CyclicSupportError).
 
     Because the augmentation comes first, a network built directly (not by
     the CLI loader, which rejects such labels) with a node label starting
@@ -123,11 +138,7 @@ def synthesize_with_diagnostics(
     net: Network, d: Demand, seed: int, *, field_bits: int = 8
 ) -> tuple[TransferPlan, SymmetricPassResult]:
     """synthesize, but also return the recoloring pass results for auditing."""
-    t1, t2 = net.terminals
-    heads = [e.head for e in net.edges]
-    if d.h0 + d.h1 > heads.count(t1) or d.h0 + d.h2 > heads.count(t2):
-        raise InfeasibleDemandError(check_feasibility(net, d))
-
+    check_demand_size(net, d)
     aug = build_augmented(net, d)
     try:
         passes = symmetric_pass(aug, d)
@@ -139,10 +150,8 @@ def synthesize_with_diagnostics(
         raise
     x1_routes, x2_routes = passes.x1_routes, passes.x2_routes
 
-    used = {eid for p in (*x1_routes, *x2_routes) for eid in p.edges}
-    residual = remove_edges(net, used)
     rng = random.Random(seed)
-    code = build_multicast_code(residual, d.h0, rng=rng, field_bits=field_bits)
+    code = build_multicast_code(*passes.coded_paths, rng=rng, field_bits=field_bits)
     plan = TransferPlan(
         demand=d, seed=seed, x1_routes=x1_routes, x2_routes=x2_routes, multicast=code
     )
@@ -189,17 +198,18 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
                     all_route_edges.add(eid)
     except InvariantError as exc:
         raise PlanMismatchError(str(exc)) from exc
-    support = set(code.support)
-    if support - {e.eid for e in net.edges}:
-        raise PlanMismatchError("coded edge is not in the network")
-    if support & all_route_edges:
+    try:
+        coded = [net.edge(eid) for eid in code.support]
+    except UnknownEdgeError:
+        raise PlanMismatchError("coded edge is not in the network") from None
+    if all_route_edges.intersection(code.support):
         raise PlanMismatchError("coded support overlaps a route")
     if code.h0 != plan.demand.h0:
         raise PlanMismatchError("code rate != demand")
     size = code.field.size
-    seen_coded: set[EdgeId] = set()
-    for eid in code.support:
-        e = net.edge(eid)
+    head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
+    for e in coded:
+        eid = e.eid
         keys = code.local_coeffs.get(eid)
         if keys is None:
             raise PlanMismatchError(f"coded edge {eid} has no local coefficients")
@@ -208,7 +218,7 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
                 if e.tail != net.source or not 0 <= ref < code.h0:
                     raise PlanMismatchError(f"bad message input on edge {eid}")
             elif kind == "edge":
-                if ref not in seen_coded or net.edge(ref).head != e.tail:
+                if head_of.get(ref) != e.tail:
                     raise PlanMismatchError(f"bad edge input {ref} on edge {eid}")
             else:
                 raise PlanMismatchError(f"unknown input kind {kind!r}")
@@ -216,15 +226,15 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
                 raise PlanMismatchError(
                     f"local coefficient {c:#x} on edge {eid} is not in GF(2^{code.field_bits})"
                 )
-        seen_coded.add(eid)
+        head_of[eid] = e.head
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
         if len(inputs) != code.h0:
             raise PlanMismatchError("decode input count != rate")
         for eid in inputs:
-            if eid not in support or net.edge(eid).head != term:
+            if head_of.get(eid) != term:
                 raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
     for matrix, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
-        if len(matrix) != code.h0 or any(len(row) != code.h0 for row in matrix):
+        if [len(row) for row in matrix] != [code.h0] * code.h0:
             raise PlanMismatchError("decode matrix has wrong shape")
         if any(not 0 <= c < size for row in matrix for c in row):
             raise PlanMismatchError(
@@ -255,13 +265,14 @@ def verify_plan(
     d = plan.demand
     units = [[int(i == j) for i in range(d.h0)] for j in range(d.h0)]
     columns = [apply_code(code, e) for e in units]
+    field = code.field
+    decoders = {"T1": (code.inputs_t1, code.decode_t1), "T2": (code.inputs_t2, code.decode_t2)}
     transfer = {
-        label: [decode_symbols(code, terminal, col) for col in columns]
-        for terminal, label in ((1, "T1"), (2, "T2"))
+        label: [field.mat_vec(matrix, [col[eid] for eid in inputs]) for col in columns]
+        for label, (inputs, matrix) in decoders.items()
     }
     failures: list[TrialFailure] = []
     if any(m != units for m in transfer.values()):
-        field = code.field
         rows = {label: list(zip(*m)) for label, m in transfer.items()}
         rng = random.Random(seed)
         for trial in range(trials):
@@ -276,7 +287,7 @@ def verify_plan(
                     )
     if not failures:
         for eid in code.support:
-            if tuple(col[eid] for col in columns) != code.global_vectors.get(eid):
+            if tuple([col[eid] for col in columns]) != code.global_vectors.get(eid):
                 raise PlanMismatchError(
                     f"coding vector of edge {eid} does not match its local coefficients"
                 )

@@ -196,6 +196,23 @@ class SymmetricPassResult:
     def x2_routes(self) -> tuple[EdgePath, ...]:
         return self.pass2.real_routes
 
+    @property
+    def coded_paths(self) -> tuple[tuple[EdgePath, ...], tuple[EdgePath, ...]]:
+        """h0 paths to T1 and h0 to T2, over real edges, that avoid every route.
+
+        Pass 2's red paths and its non-route green paths (Y2 is fed only via T2
+        when h1 = 0), cut at their first arrival at the terminal. The x1 routes
+        are gone from pass 2's network; the x2 routes are green and carry no red.
+        """
+        p2 = self.pass2
+        t1, t2 = p2.aug.base.terminals
+        routed = {p.edges[0] for p in p2.routes}
+        greens = [p for p in p2.state.green_paths if p.edges[0] not in routed]
+        return (
+            tuple(_truncate_at(p2.aug.net, p, t1) for p in p2.state.red_paths),
+            tuple(_truncate_at(p2.aug.net, p, t2) for p in greens),
+        )
+
 
 def _truncate_at(net: Network, path: EdgePath, node: NodeId) -> EdgePath:
     for i, eid in enumerate(path.edges):

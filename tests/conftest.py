@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dualcast.fixtures import fig2_network
@@ -53,3 +55,15 @@ def parallel_net(k1: int, k2: int) -> Network:
     """k1 parallel edges source->T1 plus k2 parallel edges source->T2."""
     pairs = [("s", "t1")] * k1 + [("s", "t2")] * k2
     return mknet(pairs, source="s", terminals=("t1", "t2"))
+
+
+def small_cyclic_network(rng: random.Random) -> Network:
+    """A random digraph with cycles: 4-8 nodes, 8-16 edges, v0 the source."""
+    n = rng.randint(4, 8)
+    labels = tuple(f"v{i}" for i in range(n))
+    edges = []
+    for eid in range(rng.randint(8, 16)):
+        tail = rng.randrange(n)
+        head = rng.randrange(n - 1)
+        edges.append(Edge(eid, labels[tail], labels[head + (head >= tail)]))
+    return Network(nodes=labels, edges=tuple(edges), source="v0", terminals=labels[-2:])

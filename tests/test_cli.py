@@ -26,6 +26,24 @@ from oracles import structurally_equal
 
 FIG2 = str(fig2_path())
 
+# Four nodes with cycles through the source and between the terminals: for
+# (2, 0, 0), coding on the union of the residual paths to each terminal and
+# mixing every in-edge there would close a cycle; the path families do not.
+SWAP = {
+    "nodes": ["v0", "v1", "v2", "v3"],
+    "edges": [
+        {"from": "v3", "to": "v0"},
+        {"from": "v1", "to": "v3"},
+        {"from": "v1", "to": "v0"},
+        {"from": "v3", "to": "v2"},
+        {"from": "v2", "to": "v3"},
+        {"from": "v1", "to": "v2"},
+        {"from": "v0", "to": "v1", "cap": 2},
+    ],
+    "source": "v0",
+    "terminals": ["v2", "v3"],
+}
+
 
 @pytest.fixture
 def plan_file(tmp_path):
@@ -224,8 +242,8 @@ class TestCmdSynthesize:
     @pytest.mark.parametrize(
         "field_bits, digest",
         [
-            ("8", "a476e0cb25032d0b98e0897b4fe4281575a30f1e8ab6ebbea009aec15cc729f0"),
-            ("16", "22c001719041bab817a83feff1412f527f50c05c205916ea7d71e3b850668de1"),
+            ("8", "937d229628ef636125ce6731fa8b06abc80b2d39ba55ee4e4a48ed6841b7f5db"),
+            ("16", "3b1679af1336801dc36a8d355fb022f373219e08a8b54fb07a5cb1f44e147efd"),
         ],
     )
     def test_fig2_plan_bytes_are_pinned(self, tmp_path, field_bits, digest):
@@ -244,6 +262,15 @@ class TestCmdSynthesize:
                      "--seed", "1", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["x1_routes"] == [] and doc["x2_routes"] == []
+
+    def test_cyclic_swap_network_synthesizes_and_verifies(self, tmp_path):
+        net = tmp_path / "swap.json"
+        net.write_text(json.dumps(SWAP))
+        plan = tmp_path / "plan.json"
+        assert main(["synthesize", str(net), "--h0", "2", "--h1", "0", "--h2", "0",
+                     "-o", str(plan)]) == 0
+        for trials in ("0", "100"):
+            assert main(["verify", str(net), str(plan), "--trials", trials]) == 0
 
     def test_trace_file_records_rerouting_steps(self, tmp_path):
         # Four nodes whose first pass reroutes twice, the second time on an
@@ -388,6 +415,15 @@ class TestCmdExportDot:
         for label in ("__T1P", "__T2P", "__Y1", "__Y2"):
             assert label in out
         assert out.count("style=dashed") >= 8  # 4 node decls + virtual edges
+
+    def test_augmented_view_refuses_a_demand_past_a_terminal_in_degree(self, capsys):
+        demand = ["--h0", "1000000000", "--h1", "0", "--h2", "0"]
+        assert main(["export-dot", FIG2, "--augmented", *demand]) == 2
+        refused = capsys.readouterr()
+        assert refused.out == ""
+        assert main(["synthesize", FIG2, *demand]) == 2
+        assert refused.err == capsys.readouterr().err  # the synthesis refusal, word for word
+        assert refused.err.startswith("error: demand is infeasible")
 
     def test_plan_styling_marks_routes_and_vectors(self, plan_file, capsys):
         assert main(["export-dot", FIG2, str(plan_file)]) == 0

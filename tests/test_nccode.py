@@ -7,26 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.errors import (
-    CodeConstructionError,
-    CyclicSupportError,
-    InfeasibleResidualError,
-    InputError,
-)
+from dualcast.errors import CodeConstructionError, CyclicSupportError, InputError
+from dualcast.flow import EdgePath
 from dualcast.nccode import (
     DEFAULT_MODULI,
     GF,
-    _topological_edge_order,
     apply_code,
     build_multicast_code,
     decode_symbols,
     get_field,
 )
 
-from conftest import mknet, parallel_net
 from oracles import gf_mat_mul, gf_mul_reference, gf_rank, is_irreducible_reference
 
 GF256 = get_field(8)
+
+# The butterfly fixture's edges: 0=s->a, 1=s->b, 2=a->t1, 3=b->t2, 4=a->m,
+# 5=b->m, 6=m->n, 7=n->t1, 8=n->t2. Two edge-disjoint paths to each terminal,
+# both through the bottleneck m->n.
+BUTTERFLY_T1 = (EdgePath((0, 2)), EdgePath((1, 5, 6, 7)))
+BUTTERFLY_T2 = (EdgePath((1, 3)), EdgePath((0, 4, 6, 8)))
+
+
+def butterfly_code_for(rng, **kwargs):
+    return build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2, rng=rng, **kwargs)
 
 
 class TestFieldBasics:
@@ -135,22 +139,24 @@ class TestButterflyExhaustive:
 
 
 class TestBuildMulticastCode:
-    def test_zero_rate_gives_empty_code(self, butterfly):
-        code = build_multicast_code(butterfly, 0, rng=random.Random(0))
+    def test_zero_rate_gives_empty_code(self):
+        code = build_multicast_code((), (), rng=random.Random(0))
         assert code.support == ()
         assert code.h0 == 0
         assert apply_code(code, []) == {}
 
     def test_disjoint_parallel_routes_code_trivially(self):
-        net = parallel_net(2, 2)
-        code = build_multicast_code(net, 2, rng=random.Random(0))
+        # parallel_net(2, 2): edges 0, 1 go s->t1 and edges 2, 3 go s->t2.
+        paths_t1 = (EdgePath((0,)), EdgePath((1,)))
+        paths_t2 = (EdgePath((2,)), EdgePath((3,)))
+        code = build_multicast_code(paths_t1, paths_t2, rng=random.Random(0))
         x0 = [17, 202]
         symbols = apply_code(code, x0)
         assert decode_symbols(code, 1, symbols) == x0
         assert decode_symbols(code, 2, symbols) == x0
 
-    def test_butterfly_code_decodes_random_messages(self, butterfly):
-        code = build_multicast_code(butterfly, 2, rng=random.Random(42))
+    def test_butterfly_code_decodes_random_messages(self):
+        code = butterfly_code_for(random.Random(42))
         rng = random.Random(7)
         for _ in range(10):
             x0 = [rng.randrange(256) for _ in range(2)]
@@ -159,42 +165,55 @@ class TestBuildMulticastCode:
             assert decode_symbols(code, 2, symbols) == x0
 
     def test_butterfly_support_is_within_the_coded_core(self, butterfly):
-        code = build_multicast_code(butterfly, 2, rng=random.Random(42))
+        code = butterfly_code_for(random.Random(42))
         assert set(code.support) <= {e.eid for e in butterfly.edges}
         assert len(code.inputs_t1) == 2 and len(code.inputs_t2) == 2
         for eid in code.inputs_t1:
             assert butterfly.edge(eid).head == "t1"
 
-    def test_single_draw_success_rate_over_gf256(self, butterfly):
+    def test_each_coded_edge_combines_its_path_predecessors(self):
+        code = butterfly_code_for(random.Random(42))
+        inputs = {eid: set(keys) for eid, keys in code.local_coeffs.items()}
+        messages = {("msg", 0), ("msg", 1)}
+        assert inputs == {
+            0: messages,
+            1: messages,
+            2: {("edge", 0)},
+            3: {("edge", 1)},
+            4: {("edge", 0)},
+            5: {("edge", 1)},
+            6: {("edge", 4), ("edge", 5)},
+            7: {("edge", 6)},
+            8: {("edge", 6)},
+        }
+        assert code.support == (0, 1, 2, 3, 4, 5, 6, 7, 8)  # smallest ready id first
+        assert (code.inputs_t1, code.inputs_t2) == ((2, 7), (3, 8))
+
+    def test_single_draw_success_rate_over_gf256(self):
         successes = 0
         for seed in range(100):
-            code = build_multicast_code(
-                butterfly, 2, rng=random.Random(seed), attempts_per_field=1
-            )
+            code = butterfly_code_for(random.Random(seed), attempts_per_field=1)
             if code.field_bits == 8:
                 successes += 1
         assert successes >= 95
 
-    def test_insufficient_residual_flow_is_reported(self):
-        net = parallel_net(1, 1)
-        with pytest.raises(InfeasibleResidualError):
-            build_multicast_code(net, 2, rng=random.Random(0))
+    def test_families_of_different_sizes_are_rejected(self):
+        with pytest.raises(InputError, match="as many paths"):
+            build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2[:1], rng=random.Random(0))
 
-    def test_construction_is_deterministic_in_the_seed(self, butterfly):
-        a = build_multicast_code(butterfly, 2, rng=random.Random(5))
-        b = build_multicast_code(butterfly, 2, rng=random.Random(5))
-        assert a == b
+    def test_construction_is_deterministic_in_the_seed(self):
+        assert butterfly_code_for(random.Random(5)) == butterfly_code_for(random.Random(5))
 
-    def test_cyclic_support_is_rejected(self):
-        net = mknet(
-            [("s", "a"), ("a", "b"), ("b", "a"), ("b", "t1"), ("a", "t2")],
-            source="s",
-            terminals=("t1", "t2"),
-        )
-        with pytest.raises(CyclicSupportError):
-            _topological_edge_order(net, {1, 2})
+    def test_paths_sharing_edges_in_opposite_orders_name_the_cycle(self):
+        # Edges 0=s->a, 1=s->b, 2=a->b, 3=b->a, 4=a->t1, 5=b->t2: the path to
+        # t1 takes 2 before 3 and the path to t2 takes 3 before 2, so each of
+        # the two edges would combine the other's symbol.
+        to_t1 = (EdgePath((0, 2, 3, 4)),)
+        to_t2 = (EdgePath((1, 3, 2, 5)),)
+        with pytest.raises(CyclicSupportError, match=r"edges \[3, 2\] feed each other in a cycle"):
+            build_multicast_code(to_t1, to_t2, rng=random.Random(0))
 
-    def test_exhausted_retry_ladder_reports_the_ceiling_field(self, butterfly):
+    def test_exhausted_retry_ladder_reports_the_ceiling_field(self):
         class ZeroMixing(random.Random):
             # Minimal legal draws: mixing coefficients all zero, so every
             # attempt yields a singular bottleneck and the ladder runs out.
@@ -202,15 +221,13 @@ class TestBuildMulticastCode:
                 return 0 if stop is None else start
 
         with pytest.raises(CodeConstructionError) as exc:
-            build_multicast_code(
-                butterfly, 2, rng=ZeroMixing(), field_bits=16, attempts_per_field=2
-            )
+            butterfly_code_for(ZeroMixing(), field_bits=16, attempts_per_field=2)
         assert "GF(2^16)" in str(exc.value)
 
 
 @pytest.fixture(scope="module")
-def butterfly_code(butterfly):
-    return build_multicast_code(butterfly, 2, rng=random.Random(42))
+def butterfly_code():
+    return butterfly_code_for(random.Random(42))
 
 
 class TestApplyCode:

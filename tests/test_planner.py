@@ -18,7 +18,7 @@ from dualcast.errors import (
 )
 from dualcast.flow import max_flow
 from dualcast.fixtures import all_demands, fig2_network, fig2_path, random_feasible_instances
-from dualcast.netgraph import Demand, Edge, Network, remove_edges
+from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import (
     check_feasibility,
     synthesize,
@@ -26,7 +26,7 @@ from dualcast.planner import (
     verify_plan,
 )
 
-from conftest import mknet, parallel_net
+from conftest import mknet, parallel_net, small_cyclic_network
 from oracles import verify_by_simulation
 from strategies import feasible_instances
 
@@ -94,8 +94,8 @@ class TestSynthesize:
     ):
         real = planner.build_multicast_code
 
-        def overlapping(net, h0, **kwargs):
-            code = real(net, h0, **kwargs)
+        def overlapping(paths_t1, paths_t2, **kwargs):
+            code = real(paths_t1, paths_t2, **kwargs)
             return dataclasses.replace(code, support=code.support + (0,))  # edge 0 is routed
 
         monkeypatch.setattr(planner, "build_multicast_code", overlapping)
@@ -113,18 +113,6 @@ class TestSynthesize:
             assert max_flow(residual, "1", {t}).value >= d.h0
 
 
-def _small_cyclic_network(rng: random.Random) -> Network:
-    """A random digraph with cycles: 4-8 nodes, 8-16 edges, v0 the source."""
-    n = rng.randint(4, 8)
-    labels = tuple(f"v{i}" for i in range(n))
-    edges = []
-    for eid in range(rng.randint(8, 16)):
-        tail = rng.randrange(n)
-        head = rng.randrange(n - 1)
-        edges.append(Edge(eid, labels[tail], labels[head + (head >= tail)]))
-    return Network(nodes=labels, edges=tuple(edges), source="v0", terminals=labels[-2:])
-
-
 class TestFeasibilityFromPassOne:
     """Synthesis decides feasibility with pass 1's flows, not a check up front."""
 
@@ -132,7 +120,7 @@ class TestFeasibilityFromPassOne:
         rng = random.Random(2009)
         nets = [fig2]
         nets += [net for net, _ in random_feasible_instances(seed=77, count=12)]
-        nets += [_small_cyclic_network(rng) for _ in range(12)]
+        nets += [small_cyclic_network(rng) for _ in range(12)]
         verdicts = set()
         for net in nets:
             for d in all_demands(4):
@@ -162,13 +150,14 @@ class TestFeasibilityFromPassOne:
             monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_feasible_synthesis_runs_six_flows_and_no_feasibility_check(
+    def test_feasible_synthesis_runs_four_flows_and_no_feasibility_check(
         self, fig2, monkeypatch
     ):
+        # Two flows per recoloring pass; the code reuses pass 2's paths.
         flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
         checks = self._count(monkeypatch, "check_feasibility", planner)
         synthesize(fig2, Demand(2, 1, 1), seed=7)
-        assert (len(flows), len(checks)) == (6, 0)
+        assert (len(flows), len(checks)) == (4, 0)
         # An infeasible demand within the degree bounds: one pass-1 flow falls
         # short, then the report's three cuts are computed.
         flows.clear()

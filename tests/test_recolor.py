@@ -12,7 +12,7 @@ from dualcast.errors import (
     TheoremViolationError,
 )
 from dualcast.fixtures import random_feasible_instances
-from dualcast.flow import EdgePath, decompose_paths, max_flow
+from dualcast.flow import EdgePath, check_path, decompose_paths, max_flow
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import check_feasibility, synthesize_with_diagnostics
 from dualcast.recolor import (
@@ -25,7 +25,7 @@ from dualcast.recolor import (
     symmetric_pass,
 )
 
-from conftest import mknet, parallel_net
+from conftest import mknet, parallel_net, small_cyclic_network
 from oracles import algorithm_a, cond, edge_colors, fixpoint_by_steps, replay_trace
 from strategies import feasible_instances
 
@@ -381,3 +381,38 @@ class TestSymmetricPass:
         t1, t2 = net.terminals
         assert max_flow(residual, net.source, {t1}).value >= d.h0
         assert max_flow(residual, net.source, {t2}).value >= d.h0
+
+
+def _assert_coded_paths_avoid_the_routes(net, d):
+    result = symmetric_pass(build_augmented(net, d), d)
+    routed = real_route_edges(result.pass1) | real_route_edges(result.pass2)
+    for family, terminal in zip(result.coded_paths, net.terminals):
+        assert len(family) == d.h0
+        used = [eid for p in family for eid in p.edges]
+        assert len(used) == len(set(used))  # edge-disjoint within the family
+        assert routed.isdisjoint(used)
+        for p in family:
+            check_path(net, p, net.source, terminal)  # real edges only
+            assert terminal not in p.nodes(net)[:-1]  # cut at the first arrival
+
+
+class TestCodedPaths:
+    def test_fig2_paths_stay_in_the_butterfly_core(self, fig2):
+        d = Demand(2, 1, 1)
+        result = symmetric_pass(build_augmented(fig2, d), d)
+        core = {1, 2, 6, 7, 8, 9, 10, 11, 12}
+        for family in result.coded_paths:
+            assert {eid for p in family for eid in p.edges} <= core
+        _assert_coded_paths_avoid_the_routes(fig2, d)
+
+    def test_cyclic_networks(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(40):
+            net = small_cyclic_network(rng)
+            for h0, h1, h2 in ((1, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 1), (2, 1, 1)):
+                d = Demand(h0, h1, h2)
+                if check_feasibility(net, d).feasible:
+                    _assert_coded_paths_avoid_the_routes(net, d)
+                    checked += 1
+        assert checked > 20
