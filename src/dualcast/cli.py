@@ -201,7 +201,7 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         )
     try:
         demand = Demand(**doc["demand"])
-        bits = doc["field"]["bits"]
+        bits = _json_int(doc["field"]["bits"], "field.bits")
         modulus = _parse_hex(doc["field"]["modulus"])
         x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
         x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])

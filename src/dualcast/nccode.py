@@ -43,6 +43,8 @@ DEFAULT_MODULI: dict[int, int] = {
 }
 
 MAX_FIELD_BITS = 16
+# Fields up to this size multiply through log tables; larger ones do without.
+LOG_TABLE_BITS = 12
 
 
 def _poly_mod(a: int, m: int) -> int:
@@ -65,12 +67,27 @@ def _is_irreducible(poly: int) -> bool:
     return True
 
 
+def _window(c: int) -> tuple[int, ...]:
+    """The carry-less products c * k in GF(2)[x] for every k < 16."""
+    c2 = c << 1
+    c3 = c2 ^ c
+    c4 = c << 2
+    c8 = c << 3
+    c12 = c8 ^ c4
+    return (0, c, c2, c3, c4, c4 ^ c, c4 ^ c2, c4 ^ c3,
+            c8, c8 ^ c, c8 ^ c2, c8 ^ c3, c12, c12 ^ c, c12 ^ c2, c12 ^ c3)
+
+
 class GF:
     """Arithmetic in GF(2^bits) modulo a fixed irreducible polynomial.
 
-    Elements are plain ints in [0, 2^bits). Addition is XOR. Multiplication
-    uses log/antilog tables when a primitive generator is found (always, for
-    the default moduli), falling back to shift-and-reduce otherwise.
+    Elements are plain ints in [0, 2^bits). Addition is XOR. Fields of up to
+    12 bits multiply and invert through log/antilog tables. Larger fields keep
+    no table of 2^bits entries: a product takes four bits of one factor at a
+    time from a 16-entry window of multiples of the other, then folds the high
+    half back through two byte tables of (h << bits) mod modulus; an inverse
+    runs the extended Euclidean algorithm over GF(2)[x]. scale and mat_vec
+    build each window once and reuse it along a row or down a column.
     """
 
     def __init__(self, bits: int, modulus: int | None = None):
@@ -85,31 +102,46 @@ class GF:
         self.bits = bits
         self.modulus = modulus
         self.size = 1 << bits
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._build_tables()
+        self._exp: list[int] = []
+        self._log: list[int] | None = None  # None: no log tables
+        self._fold_lo: list[int] = []
+        self._fold_hi: list[int] = []
+        if bits <= LOG_TABLE_BITS:
+            self._build_tables()
+        else:
+            # A window product has at most 2*bits-1 bits, so its high half
+            # h = p >> bits has at most bits-1: one table per byte of h.
+            self._fold_lo = self._fold_table(0, 8)
+            self._fold_hi = self._fold_table(8, bits - 9)
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        res = 0
-        top = self.size
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.modulus
-        return res
+    def _fold_table(self, first: int, count: int) -> list[int]:
+        """(h << (bits + first)) mod modulus for every h < 2^count."""
+        table = [0]
+        for i in range(first, first + count):
+            step = _poly_mod(1 << (self.bits + i), self.modulus)
+            table += [t ^ step for t in table]
+        return table
 
     def _build_tables(self) -> None:
-        if self.bits > 12:
-            return  # keep memory modest; shift-and-reduce is fine here
+        """Log/antilog tables from the first primitive element found.
+
+        The powers of a candidate g are formed by shift-and-add, one product
+        per element; an irreducible modulus always has a primitive element.
+        """
+        top, modulus = self.size, self.modulus
         for g in range(2, self.size) if self.size > 2 else [1]:
             exp = [1] * (self.size - 1)
             x = 1
             ok = True
             for i in range(1, self.size - 1):
-                x = self._mul_raw(x, g)
+                a, b, x = x, g, 0
+                while b:
+                    if b & 1:
+                        x ^= a
+                    b >>= 1
+                    a <<= 1
+                    if a & top:
+                        a ^= modulus
                 if x == 1:
                     ok = False
                     break
@@ -125,31 +157,52 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None and self._log is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
+        w = _window(a)
+        p = w[b & 15] ^ w[b >> 4 & 15] << 4 ^ w[b >> 8 & 15] << 8 ^ w[b >> 12] << 12
+        h = p >> self.bits
+        return p & (self.size - 1) ^ self._fold_lo[h & 255] ^ self._fold_hi[h >> 8]
+
+    def scale(self, c: int, row: Sequence[int]) -> list[int]:
+        """c times every entry of row."""
+        if c == 0:
+            return [0] * len(row)
+        log = self._log
+        if log is not None:
+            exp = self._exp
+            lc = log[c]
+            return [exp[lc + log[x]] if x else 0 for x in row]
+        w = _window(c)  # mul's product and fold, the window built once per row
+        bits, mask = self.bits, self.size - 1
+        lo, hi = self._fold_lo, self._fold_hi
+        out = []
+        for x in row:
+            p = w[x & 15] ^ w[x >> 4 & 15] << 4 ^ w[x >> 8 & 15] << 8 ^ w[x >> 12] << 12
+            h = p >> bits
+            out.append(p & mask ^ lo[h & 255] ^ hi[h >> 8])
+        return out
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self._exp is not None and self._log is not None:
+        if self._log is not None:
             return self._exp[(self.size - 1 - self._log[a]) % (self.size - 1)]
-        result = 1
-        exponent = self.size - 2
-        base = a
-        while exponent:
-            if exponent & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            exponent >>= 1
-        return result
+        # Extended Euclid over GF(2)[x], keeping u = g1*a and v = g2*a mod modulus.
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
+        if self._log is None:
+            return self.mat_vec((u,), v)[0]
         acc = 0
-        if self._exp is None or self._log is None:
-            for a, b in zip(u, v):
-                acc ^= self._mul_raw(a, b)
-            return acc
         exp, log = self._exp, self._log  # mul inlined: this is decoding's inner loop
         for a, b in zip(u, v):
             if a and b:
@@ -157,7 +210,20 @@ class GF:
         return acc
 
     def mat_vec(self, a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-        return [self.dot(row, v) for row in a]
+        if self._log is not None:
+            return [self.dot(row, v) for row in a]
+        # One window per entry of v, shared by every row; each row folds once.
+        windows = [_window(x) for x in v]
+        bits, mask = self.bits, self.size - 1
+        lo, hi = self._fold_lo, self._fold_hi
+        out = []
+        for row in a:
+            p = 0
+            for w, x in zip(windows, row):
+                p ^= w[x & 15] ^ w[x >> 4 & 15] << 4 ^ w[x >> 8 & 15] << 8 ^ w[x >> 12] << 12
+            h = p >> bits
+            out.append(p & mask ^ lo[h & 255] ^ hi[h >> 8])
+        return out
 
     def mat_inv(self, a: Sequence[Sequence[int]]) -> list[list[int]] | None:
         """Gauss-Jordan inverse, or None if the matrix is singular."""
@@ -168,19 +234,25 @@ class GF:
             if pivot is None:
                 return None
             work[col], work[pivot] = work[pivot], work[col]
-            scale = self.inv(work[col][col])
-            work[col] = [self.mul(scale, x) for x in work[col]]
+            work[col] = pivot_row = self.scale(self.inv(work[col][col]), work[col])
             for r in range(n):
                 if r != col and work[r][col]:
-                    factor = work[r][col]
                     work[r] = [
-                        x ^ self.mul(factor, y) for x, y in zip(work[r], work[col])
+                        x ^ y for x, y in zip(work[r], self.scale(work[r][col], pivot_row))
                     ]
         return [row[n:] for row in work]
 
 
-@lru_cache(maxsize=None)
 def get_field(bits: int, modulus: int | None = None) -> GF:
+    """The field GF(2^bits) modulo modulus, DEFAULT_MODULI[bits] if None.
+
+    One object per field, so its tables and irreducibility check are built once.
+    """
+    return _field(bits, DEFAULT_MODULI.get(bits) if modulus is None else modulus)
+
+
+@lru_cache(maxsize=None)
+def _field(bits: int, modulus: int | None) -> GF:
     return GF(bits, modulus)
 
 

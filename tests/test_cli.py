@@ -19,7 +19,7 @@ from dualcast.cli import (
 from dualcast.errors import InputError
 from dualcast.fixtures import fig2_path
 from dualcast.netgraph import Demand
-from dualcast.planner import synthesize
+from dualcast.planner import synthesize, verify_plan
 
 from conftest import mknet
 from oracles import structurally_equal
@@ -45,6 +45,19 @@ SWAP = {
 }
 
 
+
+def _wide_network(width: int = 6, layers: int = 3):
+    """s feeds `width` nodes; each layer node feeds 3 of the next; the last feeds both terminals."""
+    pairs = [("s", f"L0n{i}") for i in range(width)]
+    for k in range(layers - 1):
+        for i in range(width):
+            pairs += [(f"L{k}n{i}", f"L{k + 1}n{(i + step) % width}") for step in (0, 1, 3)]
+    for i in range(width):
+        pairs += [(f"L{layers - 1}n{i}", "t1"), (f"L{layers - 1}n{i}", "t2")]
+    return mknet(pairs, "s", ("t1", "t2"))
+
+
+WIDE = _wide_network()
 @pytest.fixture
 def plan_file(tmp_path):
     path = tmp_path / "plan.json"
@@ -173,6 +186,17 @@ class TestPlanFormat:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "h1 must be a nonnegative integer" in err
 
+    @pytest.mark.parametrize("bits", [True, "8", 8.0, None])
+    def test_non_integer_field_bits_exit_one(self, plan_file, capsys, bits):
+        doc = json.loads(plan_file.read_text())
+        assert doc["field"]["bits"] == 8
+        doc["field"]["bits"] = bits
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", FIG2, str(plan_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"field.bits must be an integer, got {bits!r}" in err
+
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
@@ -251,6 +275,14 @@ class TestCmdSynthesize:
         assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
                      "--seed", "7", "--field-bits", field_bits, "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_wide_gf16_plan_bytes_are_pinned(self):
+        # h0 = 5 in GF(2^16): 5x5 transfer matrices inverted without log tables.
+        plan = synthesize(WIDE, Demand(5, 1, 0), seed=11, field_bits=16)
+        assert (plan.multicast.h0, plan.multicast.field_bits) == (5, 16)
+        assert verify_plan(WIDE, plan, trials=0).passed
+        digest = hashlib.sha256(dump_plan(plan).encode()).hexdigest()
+        assert digest == "6e66e9d302bd1f089936dd28bd67ca827c26a72a72231fa76b2227b5358e6df9"
 
     def test_infeasible_demand_exits_two(self, capsys):
         assert main(["synthesize", FIG2, "--h0", "3", "--h1", "1", "--h2", "1"]) == 2

@@ -21,6 +21,9 @@ from dualcast.nccode import (
 from oracles import gf_mat_mul, gf_mul_reference, gf_rank, is_irreducible_reference
 
 GF256 = get_field(8)
+# Plan files carry their own modulus: one non-default irreducible of degree 16.
+ALT_16 = (16, 0x1002B)
+FIELDS = [(bits, DEFAULT_MODULI[bits]) for bits in range(1, 17)] + [ALT_16]
 
 # The butterfly fixture's edges: 0=s->a, 1=s->b, 2=a->t1, 3=b->t2, 4=a->m,
 # 5=b->m, 6=m->n, 7=n->t1, 8=n->t2. Two edge-disjoint paths to each terminal,
@@ -47,9 +50,11 @@ class TestFieldBasics:
         assert GF256.mul(0x02, 0x80) == 0x1D
         assert 0x100 ^ 0x11D == 0x1D
 
-    def test_every_nonzero_element_has_an_inverse(self):
-        for a in range(1, 256):
-            assert GF256.mul(a, GF256.inv(a)) == 1
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_every_nonzero_element_has_an_inverse(self, bits):
+        f = get_field(bits)
+        for a in range(1, f.size):
+            assert f.mul(a, f.inv(a)) == 1
 
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
@@ -61,14 +66,68 @@ class TestFieldBasics:
         assert poly.bit_length() == bits + 1
         assert is_irreducible_reference(poly)
 
-    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    @pytest.mark.parametrize("bits, modulus", FIELDS)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_multiplication_matches_schoolbook_reference(self, bits, data):
-        field = get_field(bits)
+    def test_multiplication_matches_schoolbook_reference(self, bits, modulus, data):
+        field = get_field(bits, modulus)
         a = data.draw(st.integers(0, field.size - 1))
         b = data.draw(st.integers(0, field.size - 1))
-        assert field.mul(a, b) == gf_mul_reference(a, b, bits, field.modulus)
+        assert field.mul(a, b) == gf_mul_reference(a, b, bits, modulus)
+
+    @pytest.mark.parametrize("bits, modulus", FIELDS)
+    def test_extreme_products_match_schoolbook_reference(self, bits, modulus):
+        # All-ones and top-bit operands give the longest carry-less products.
+        field = get_field(bits, modulus)
+        top = field.size - 1
+        operands = {x & top for x in (0, 1, 2, 3, top, top - 1, top >> 1, (top >> 1) + 1, 0x5555)}
+        for a, b in product(operands, repeat=2):
+            assert field.mul(a, b) == gf_mul_reference(a, b, bits, modulus)
+
+    @pytest.mark.parametrize("bits, modulus", [f for f in FIELDS if f[0] > 12])
+    def test_inverse_in_large_tableless_field(self, bits, modulus):
+        f = get_field(bits, modulus)
+        rng = random.Random(3)
+        samples = [1, 2, f.size - 1, f.size >> 1] + [rng.randrange(1, f.size) for _ in range(500)]
+        for a in samples:
+            b = f.inv(a)
+            assert 0 < b < f.size
+            assert gf_mul_reference(a, b, bits, modulus) == 1
+
+    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (13, 0x201B), (16, 0x1100B), ALT_16])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scale_matches_elementwise_mul(self, bits, modulus, data):
+        f = get_field(bits, modulus)
+        c = data.draw(st.integers(0, f.size - 1))
+        row = data.draw(st.lists(st.integers(0, f.size - 1), max_size=12))
+        assert f.scale(c, row) == [f.mul(c, x) for x in row]
+
+    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (13, 0x201B), (16, 0x1100B), ALT_16])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mat_vec_matches_schoolbook_reference(self, bits, modulus, data):
+        f = get_field(bits, modulus)
+        n = data.draw(st.integers(0, 6))
+        element = st.integers(0, f.size - 1)
+        v = data.draw(st.lists(element, min_size=n, max_size=n))
+        a = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), max_size=6))
+        expected = []
+        for row in a:
+            acc = 0
+            for x, y in zip(row, v):
+                acc ^= gf_mul_reference(x, y, bits, modulus)
+            expected.append(acc)
+        assert f.mat_vec(a, v) == expected
+        assert [f.dot(row, v) for row in a] == expected
+
+    def test_alternative_degree_16_modulus_is_irreducible(self):
+        assert is_irreducible_reference(ALT_16[1]) and ALT_16[1] != DEFAULT_MODULI[16]
+
+    def test_one_field_object_per_field(self):
+        assert get_field(16) is get_field(16, 0x1100B)
+        assert get_field(8) is get_field(8, 0x11D)
+        assert get_field(16, ALT_16[1]) is not get_field(16)
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_field_axioms_sampled(self, a, b, c):
@@ -87,17 +146,11 @@ class TestFieldBasics:
         with pytest.raises(InputError):
             GF(8, modulus=0x1D)  # wrong degree
 
-    def test_inverse_in_large_tableless_field(self):
-        f = get_field(16)
-        rng = random.Random(3)
-        for _ in range(50):
-            a = rng.randrange(1, f.size)
-            assert f.mul(a, f.inv(a)) == 1
-
 
 class TestMatrices:
-    def test_inverse_round_trip(self):
-        f = GF256
+    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (16, 0x1100B), ALT_16])
+    def test_inverse_round_trip(self, bits, modulus):
+        f = get_field(bits, modulus)
         rng = random.Random(1)
         for _ in range(20):
             n = rng.randint(1, 4)
@@ -109,10 +162,17 @@ class TestMatrices:
             prod = gf_mat_mul(f, inv, m)
             assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def test_singular_matrix_has_no_inverse(self):
-        f = GF256
+    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (16, 0x1100B)])
+    def test_singular_matrix_has_no_inverse(self, bits, modulus):
+        f = get_field(bits, modulus)
         assert f.mat_inv([[1, 1], [1, 1]]) is None
         assert gf_rank(f, [[1, 1], [1, 1]]) == 1
+        rng = random.Random(2)
+        rows = [[rng.randrange(f.size) for _ in range(4)] for _ in range(3)]
+        c = rng.randrange(2, f.size)
+        m = rows + [[x ^ f.mul(c, y) for x, y in zip(rows[0], rows[2])]]
+        assert f.mat_inv(m) is None
+        assert gf_rank(f, m) == 3
 
 
 class TestButterflyExhaustive:
