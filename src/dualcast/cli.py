@@ -24,13 +24,13 @@ from .errors import (
     UnknownNodeError,
 )
 from .flow import EdgePath
-from .nccode import DEFAULT_MODULI, MulticastCode, get_field
+from .nccode import DEFAULT_MODULI, MulticastCode, coding_vectors, get_field
 from .netgraph import Demand, Network, expand_capacities
-from .planner import TransferPlan, check_demand_size, check_feasibility, verify_plan
-from .planner import synthesize_with_diagnostics
+from .planner import TransferPlan, check_demand_size, check_feasibility, check_plan
+from .planner import synthesize_with_diagnostics, verify_plan
 from .recolor import ReroutingTrace
 
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -85,25 +85,6 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         )
     except (InputError, UnknownNodeError) as exc:
         raise InputError(f"{origin}: {exc}") from exc
-
-
-def network_to_dict(net: Network) -> dict[str, Any]:
-    grouped: dict[tuple[str, str], int] = {}
-    order: list[tuple[str, str]] = []
-    for e in net.edges:
-        pair = (e.tail, e.head)
-        if pair not in grouped:
-            order.append(pair)
-        grouped[pair] = grouped.get(pair, 0) + 1
-    return {
-        "nodes": list(net.nodes),
-        "edges": [
-            {"from": tail, "to": head, "cap": grouped[(tail, head)]}
-            for tail, head in order
-        ],
-        "source": net.source,
-        "terminals": list(net.terminals),
-    }
 
 
 def load_network_file(path: str | Path) -> Network:
@@ -169,9 +150,6 @@ def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
         "x1_routes": [list(p.edges) for p in plan.x1_routes],
         "x2_routes": [list(p.edges) for p in plan.x2_routes],
         "support": list(code.support),
-        "coding_vectors": {
-            str(eid): [_hex(c) for c in code.global_vectors[eid]] for eid in code.support
-        },
         "local_coeffs": {
             str(eid): {
                 f"{kind}:{ref}": _hex(c) for (kind, ref), c in code.local_coeffs[eid].items()
@@ -192,6 +170,7 @@ def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
 
 
 def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
+    """Parse a plan document's JSON shapes and types; check_plan checks the rest."""
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
     if doc.get("version") != PLAN_VERSION:
@@ -206,32 +185,29 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
         x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])
 
-        support = list(_edge_ids(doc["support"], "support"))
+        support = _edge_ids(doc["support"], "support")
         local: dict[int, dict[tuple[str, int], int]] = {}
-        vectors: dict[int, tuple[int, ...]] = {}
         for eid_text, coeffs in _json_object(doc["local_coeffs"], "local_coeffs").items():
             eid = int(eid_text)
+            if eid in local:
+                raise InputError(f"local_coeffs names edge {eid} twice")
             parsed: dict[tuple[str, int], int] = {}
             for key_text, value in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
                 kind, _, ref = key_text.partition(":")
                 if kind not in ("edge", "msg") or not ref.lstrip("-").isdigit():
                     raise InputError(f"bad coefficient key {key_text!r}")
                 parsed[(kind, int(ref))] = _parse_hex(value)
+            if len(parsed) != len(coeffs):
+                raise InputError(f"local_coeffs[{eid_text!r}] names an input twice")
             local[eid] = parsed
-        for eid_text, vec in _json_object(doc["coding_vectors"], "coding_vectors").items():
-            vectors[int(eid_text)] = tuple(_parse_hex(v) for v in vec)
-        if set(vectors) != set(support) or set(local) != set(support):
-            raise InputError("support, coding_vectors and local_coeffs disagree")
-        _check_support_order(support, local)
 
         dec = doc["decode"]
         code = MulticastCode(
             field_bits=bits,
             modulus=modulus,
             h0=demand.h0,
-            support=tuple(support),
+            support=support,
             local_coeffs=local,
-            global_vectors=vectors,
             inputs_t1=_edge_ids(dec["t1"]["inputs"], "decode.t1.inputs"),
             inputs_t2=_edge_ids(dec["t2"]["inputs"], "decode.t2.inputs"),
             decode_t1=tuple(
@@ -253,16 +229,6 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         raise InputError(f"{origin}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed plan file ({exc})") from exc
-
-
-def _check_support_order(support: list[int], local: dict[int, dict[tuple[str, int], int]]) -> None:
-    """Every coded edge's inputs must precede it in the stored support order."""
-    placed: set[int] = set()
-    for eid in support:
-        deps = {ref for kind, ref in local[eid] if kind == "edge"}
-        if not deps <= placed:
-            raise InputError(f"coded edge {eid} consumes an edge listed after it")
-        placed.add(eid)
 
 
 def dump_plan(plan: TransferPlan) -> str:
@@ -311,10 +277,11 @@ def export_dot(
 ) -> str:
     """Render the network as a DOT digraph.
 
-    With a plan, the x1/x2 route edges get distinct styling and coded edges
-    are labelled with their coding vectors. With augment_demand, the virtual
-    nodes and bundles are included as dashed edges; a demand larger than a
-    terminal's in-degree raises InfeasibleDemandError, as synthesis does.
+    With a plan, which must pass check_plan on net, the x1/x2 route edges get
+    distinct styling and coded edges are labelled with the coding vectors
+    their local coefficients give. With augment_demand, the virtual nodes and
+    bundles are included as dashed edges; a demand larger than a terminal's
+    in-degree raises InfeasibleDemandError, as synthesis does.
     """
     target = net
     virtual_ids: frozenset[int] = frozenset()
@@ -324,9 +291,13 @@ def export_dot(
         target = aug.net
         virtual_ids = aug.virtual_edge_ids
 
+    vectors: dict[int, tuple[int, ...]] = {}
+    if plan:
+        check_plan(net, plan)
+        code = plan.multicast
+        vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
     x1_edges = {eid for p in plan.x1_routes for eid in p.edges} if plan else set()
     x2_edges = {eid for p in plan.x2_routes for eid in p.edges} if plan else set()
-    vectors = plan.multicast.global_vectors if plan else {}
 
     out = ["digraph network {", "  rankdir=LR;"]
     for v in target.nodes:

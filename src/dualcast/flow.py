@@ -73,9 +73,6 @@ class FlowResult:
     edge_flow: dict[EdgeId, int]
     source_side: frozenset[NodeId]
 
-    def saturated(self) -> set[EdgeId]:
-        return {eid for eid, f in self.edge_flow.items() if f == 1}
-
 
 def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
     """Maximum integral flow from src to the sink set, by Dinic's algorithm.

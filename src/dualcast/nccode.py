@@ -263,14 +263,16 @@ InputKey = tuple[str, int]
 
 @dataclass(frozen=True)
 class MulticastCode:
-    """A rate-h0 linear code delivering the same h0 symbols to both terminals."""
+    """A rate-h0 linear code delivering the same h0 symbols to both terminals.
+
+    Its local coefficients define it; coding_vectors derives the global vectors.
+    """
 
     field_bits: int
     modulus: int
     h0: int
     support: tuple[EdgeId, ...]  # coded edges in evaluation order
     local_coeffs: dict[EdgeId, dict[InputKey, int]]
-    global_vectors: dict[EdgeId, tuple[int, ...]]
     inputs_t1: tuple[EdgeId, ...]
     inputs_t2: tuple[EdgeId, ...]
     decode_t1: tuple[tuple[int, ...], ...]
@@ -362,9 +364,9 @@ def build_multicast_code(
                     local[eid] = {keys[0]: rng.randrange(1, field.size)}
                 else:
                     local[eid] = {key: rng.randrange(field.size) for key in keys}
-            global_vectors = coding_vectors(field, ordered, local, h0)
-            m1 = [list(global_vectors[eid]) for eid in inputs_t1]
-            m2 = [list(global_vectors[eid]) for eid in inputs_t2]
+            vectors = coding_vectors(field, ordered, local, h0)
+            m1 = [list(vectors[eid]) for eid in inputs_t1]
+            m2 = [list(vectors[eid]) for eid in inputs_t2]
             d1 = field.mat_inv(m1)
             if d1 is None:
                 continue
@@ -377,7 +379,6 @@ def build_multicast_code(
                 h0=h0,
                 support=tuple(ordered),
                 local_coeffs=local,
-                global_vectors=global_vectors,
                 inputs_t1=inputs_t1,
                 inputs_t2=inputs_t2,
                 decode_t1=tuple(tuple(row) for row in d1),
@@ -435,15 +436,3 @@ def apply_code(code: MulticastCode, x0: Sequence[int]) -> dict[EdgeId, int]:
     if len(x0) != code.h0:
         raise InputError(f"expected {code.h0} message symbols, got {len(x0)}")
     return _evaluate(code.field, code.support, code.local_coeffs, x0)
-
-
-def decode_symbols(
-    code: MulticastCode, terminal: int, symbols: dict[EdgeId, int]
-) -> list[int]:
-    """Recover the h0 messages at terminal 1 or 2 from coded edge symbols."""
-    if terminal not in (1, 2):
-        raise InputError("terminal must be 1 or 2")
-    inputs = code.inputs_t1 if terminal == 1 else code.inputs_t2
-    matrix = code.decode_t1 if terminal == 1 else code.decode_t2
-    received = [symbols[eid] for eid in inputs]
-    return code.field.mat_vec(matrix, received)

@@ -6,8 +6,9 @@ terminal that the second recoloring pass leaves off the routes.
 check_feasibility compares the three min-cuts with the demand. Synthesis
 does not run it up front: the first recoloring pass's two flows
 decide feasibility, and the three cuts are computed only to report a demand
-those flows refuse. verify_plan independently checks a produced plan exactly:
-its routes, its coding vectors and both decode matrices.
+those flows refuse. check_plan is the one semantic check of a plan, run by
+synthesis, verification and the DOT export; verify_plan then proves the
+checked plan delivers by evaluating its code on the unit messages.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class TransferPlan:
     x2_routes: tuple[EdgePath, ...]
     multicast: MulticastCode
 
-    def route_edges(self) -> set[EdgeId]:
-        return {eid for p in (*self.x1_routes, *self.x2_routes) for eid in p.edges}
-
 
 def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> TransferPlan:
     """Build a verified transfer plan, or raise if the demand is infeasible.
@@ -156,7 +154,7 @@ def synthesize_with_diagnostics(
         demand=d, seed=seed, x1_routes=x1_routes, x2_routes=x2_routes, multicast=code
     )
     try:
-        _check_plan_structure(net, plan)
+        check_plan(net, plan)
     except PlanMismatchError as exc:
         raise InvariantError(f"synthesized plan is malformed: {exc}") from exc
     return plan, passes
@@ -179,7 +177,16 @@ class VerificationReport:
         return not self.failures
 
 
-def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
+def check_plan(net: Network, plan: TransferPlan) -> None:
+    """Raise PlanMismatchError unless the plan fits net; the one semantic plan check.
+
+    Routes: the demanded number of source paths to each terminal, disjoint
+    from each other and from the code (a route edge not in net raises
+    UnknownEdgeError). Support: distinct network edges, each after the coded
+    edges feeding it, with local coefficients for exactly those edges. Each
+    terminal decodes h0 coded edges entering it, and every coefficient and
+    decode entry is in the plan's field.
+    """
     t1, t2 = net.terminals
     code = plan.multicast
     all_route_edges: set[EdgeId] = set()
@@ -210,6 +217,8 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
     head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
     for e in coded:
         eid = e.eid
+        if eid in head_of:
+            raise PlanMismatchError(f"coded edge {eid} is listed twice in the support")
         keys = code.local_coeffs.get(eid)
         if keys is None:
             raise PlanMismatchError(f"coded edge {eid} has no local coefficients")
@@ -227,6 +236,8 @@ def _check_plan_structure(net: Network, plan: TransferPlan) -> None:
                     f"local coefficient {c:#x} on edge {eid} is not in GF(2^{code.field_bits})"
                 )
         head_of[eid] = e.head
+    if extra := code.local_coeffs.keys() - head_of:
+        raise PlanMismatchError(f"support and local_coeffs disagree on edge {min(extra)}")
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
         if len(inputs) != code.h0:
             raise PlanMismatchError("decode input count != rate")
@@ -247,20 +258,20 @@ def verify_plan(
 ) -> VerificationReport:
     """Prove that a plan delivers, and report random message tuples it gets wrong.
 
-    Structural problems raise PlanMismatchError instead of failing trials.
-    Routes copy their symbol, and coding and decoding are linear, so terminal
-    t decodes the shared messages x0 to M_t·x0, where column j of M_t is the
-    code run once on the unit message e_j and decoded at t. The code is
-    therefore evaluated h0 times whatever trials is. A trial fails at Tt when
-    M_t·x0 != x0 for its random x0; when both M_t are the identity no trial
-    can fail and none is drawn. When no trial fails, the stored global
-    vectors must equal the computed columns and both M_t must be the
-    identity, or PlanMismatchError is raised; a plan that passes delivers
-    every message tuple.
+    The plan is first checked by check_plan, whose PlanMismatchError is
+    raised rather than reported as failed trials. Routes copy their symbol,
+    and coding and decoding are linear, so terminal t decodes the shared
+    messages x0 to M_t·x0, where column j of M_t is the code run once on the
+    unit message e_j and decoded at t; those h0 runs also give every coded
+    edge's global coding vector. The code is therefore evaluated h0 times
+    whatever trials is. A trial fails at Tt when M_t·x0 != x0 for its random
+    x0; when both M_t are the identity no trial can fail and none is drawn.
+    When no trial fails, both M_t must be the identity, or PlanMismatchError
+    is raised; a plan that passes delivers every message tuple.
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
-    _check_plan_structure(net, plan)
+    check_plan(net, plan)
     code = plan.multicast
     d = plan.demand
     units = [[int(i == j) for i in range(d.h0)] for j in range(d.h0)]
@@ -286,11 +297,6 @@ def verify_plan(
                         TrialFailure(trial, label, f"decoded {got}, expected {x0}")
                     )
     if not failures:
-        for eid in code.support:
-            if tuple([col[eid] for col in columns]) != code.global_vectors.get(eid):
-                raise PlanMismatchError(
-                    f"coding vector of edge {eid} does not match its local coefficients"
-                )
         for j, unit in enumerate(units):
             for label, m in transfer.items():
                 if m[j] != unit:

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from dualcast.fixtures import fig2_network
-from dualcast.netgraph import Edge, Network
+from dualcast.netgraph import Demand, Edge, Network
+from dualcast.planner import check_feasibility
 
 
 def mknet(pairs, source, terminals, extra_nodes=()) -> Network:
@@ -67,3 +68,63 @@ def small_cyclic_network(rng: random.Random) -> Network:
         head = rng.randrange(n - 1)
         edges.append(Edge(eid, labels[tail], labels[head + (head >= tail)]))
     return Network(nodes=labels, edges=tuple(edges), source="v0", terminals=labels[-2:])
+
+
+def random_network(
+    rng: random.Random, max_nodes: int = 8, max_edges: int = 14
+) -> Network:
+    """A random connected DAG with the source first and the terminals last.
+
+    Nodes are v0..v{n-1} in topological order; every node beyond v0 gets a
+    backbone in-edge from an earlier node, then extra forward edges (parallels
+    allowed) are added up to the edge budget.
+    """
+    n = rng.randint(4, max_nodes)
+    labels = [f"v{i}" for i in range(n)]
+    pairs: list[tuple[str, str]] = []
+    for j in range(1, n):
+        pairs.append((labels[rng.randint(0, j - 1)], labels[j]))
+    extra = rng.randint(0, max_edges - (n - 1))
+    for _ in range(extra):
+        i = rng.randint(0, n - 2)
+        j = rng.randint(i + 1, n - 1)
+        pairs.append((labels[i], labels[j]))
+    edges = tuple(Edge(k, tail, head) for k, (tail, head) in enumerate(pairs))
+    return Network(
+        nodes=tuple(labels),
+        edges=edges,
+        source=labels[0],
+        terminals=(labels[n - 2], labels[n - 1]),
+    )
+
+
+def all_demands(max_total: int = 4) -> list[Demand]:
+    """Every demand triple with h0+h1+h2 <= max_total, in lexicographic order."""
+    return [
+        Demand(h0, h1, h2)
+        for h0 in range(max_total + 1)
+        for h1 in range(max_total + 1 - h0)
+        for h2 in range(max_total + 1 - h0 - h1)
+    ]
+
+
+def random_feasible_instances(
+    seed: int, count: int = 50, max_total: int = 4
+) -> list[tuple[Network, Demand]]:
+    """Seeded sample of (network, demand) pairs that pass the feasibility check.
+
+    Demands are drawn nonzero; graphs that cannot support any nonzero demand
+    are skipped, so the result always has exactly `count` entries.
+    """
+    rng = random.Random(seed)
+    demands = [d for d in all_demands(max_total) if d.total > 0]
+    out: list[tuple[Network, Demand]] = []
+    while len(out) < count:
+        net = random_network(rng)
+        candidates = demands[:]
+        rng.shuffle(candidates)
+        for d in candidates:
+            if check_feasibility(net, d).feasible:
+                out.append((net, d))
+                break
+    return out

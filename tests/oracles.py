@@ -7,9 +7,12 @@ verification, a color map and a checked snapshot per step for recoloring,
 label lookups for path decomposition, and five separate min-cuts for the
 augmentation identities. Keep these free of any imports from the modules
 they are used to check (graph containers excepted; the simulation reference
-builds on the code primitives and the structural plan check, which it does
-not test, the recoloring reference on recolor's state and trace containers,
-and the identity check on max-flow and the feasibility report).
+builds on the code primitives and check_plan, which it does not test, the
+recoloring reference on recolor's state and trace containers, and the
+identity check on max-flow and the feasibility report). The small helpers
+that only the oracles and tests need (decoding, a flow's used edges, a
+plan's route edges, a network's JSON document) live here too, not in the
+package.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+from typing import Any
+
 from dualcast.augment import AugmentedNetwork
 from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
 from dualcast.flow import EdgePath, FlowResult, min_cut_value
-from dualcast.nccode import apply_code, coding_vectors, decode_symbols
-from dualcast.netgraph import Demand, Network, NodeId, out_edges
-from dualcast.planner import _check_plan_structure, check_feasibility
+from dualcast.nccode import MulticastCode, apply_code, coding_vectors
+from dualcast.netgraph import Demand, EdgeId, Network, NodeId, out_edges
+from dualcast.planner import TransferPlan, check_feasibility, check_plan
 from dualcast.recolor import ColoringState, ReroutingTrace, TraceStep
 
 GREEN = "green"
@@ -206,7 +211,7 @@ def decompose_paths_reference(
     the smallest, pinching off any cycle it closes.
     """
     sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
-    carrying = flow.saturated()
+    carrying = saturated(flow)
 
     out_by_node: dict[NodeId, list[int]] = {}
     inflow: dict[NodeId, int] = {}
@@ -312,12 +317,12 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
 
     Each trial copies x1 and x2 along their routes, evaluates the code on x0
     and decodes at both terminals. Returns the failures as (trial, terminal,
-    detail) tuples. When none failed, the stored global vectors and the decode
-    matrices are checked exactly, raising PlanMismatchError on a mismatch.
+    detail) tuples. When none failed, the decode matrices are checked exactly
+    against the coding vectors, raising PlanMismatchError on a mismatch.
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
-    _check_plan_structure(net, plan)
+    check_plan(net, plan)
     code = plan.multicast
     field = code.field
     rng = random.Random(seed)
@@ -347,20 +352,50 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
     if failures:
         return tuple(failures)
     vectors = coding_vectors(field, code.support, code.local_coeffs, code.h0)
-    for eid in code.support:
-        if vectors[eid] != code.global_vectors.get(eid):
-            raise PlanMismatchError(
-                f"coding vector of edge {eid} does not match its local coefficients"
-            )
     for j in range(code.h0):
         unit = [int(i == j) for i in range(code.h0)]
-        column = {eid: vec[j] for eid, vec in code.global_vectors.items()}
+        column = {eid: vec[j] for eid, vec in vectors.items()}
         for terminal in (1, 2):
             if decode_symbols(code, terminal, column) != unit:
                 raise PlanMismatchError(
                     f"decode matrix of T{terminal} does not invert its transfer matrix"
                 )
     return ()
+
+
+def decode_symbols(
+    code: MulticastCode, terminal: int, symbols: dict[EdgeId, int]
+) -> list[int]:
+    """Recover the h0 messages at terminal 1 or 2 from coded edge symbols."""
+    if terminal not in (1, 2):
+        raise InputError("terminal must be 1 or 2")
+    inputs = code.inputs_t1 if terminal == 1 else code.inputs_t2
+    matrix = code.decode_t1 if terminal == 1 else code.decode_t2
+    received = [symbols[eid] for eid in inputs]
+    return code.field.mat_vec(matrix, received)
+
+
+def saturated(flow: FlowResult) -> set[EdgeId]:
+    """The edges a flow uses."""
+    return {eid for eid, f in flow.edge_flow.items() if f == 1}
+
+
+def route_edges(plan: TransferPlan) -> set[EdgeId]:
+    """Every edge of a plan's x1 and x2 routes."""
+    return {eid for p in (*plan.x1_routes, *plan.x2_routes) for eid in p.edges}
+
+
+def network_to_dict(net: Network) -> dict[str, Any]:
+    """A network document for the CLI loader, parallel unit edges merged into capacities."""
+    grouped: dict[tuple[str, str], int] = {}
+    for e in net.edges:
+        grouped[(e.tail, e.head)] = grouped.get((e.tail, e.head), 0) + 1
+    return {
+        "nodes": list(net.nodes),
+        "edges": [{"from": tail, "to": head, "cap": cap} for (tail, head), cap in grouped.items()],
+        "source": net.source,
+        "terminals": list(net.terminals),
+    }
 
 
 def edge_colors(state: ColoringState) -> dict[int, frozenset[str]]:

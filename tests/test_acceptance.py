@@ -18,14 +18,14 @@ import pytest
 from dualcast.augment import build_augmented
 from dualcast.cli import dump_plan
 from dualcast.errors import CyclicSupportError, InfeasibleDemandError
-from dualcast.fixtures import all_demands, random_network
 from dualcast.flow import min_cut_value
+from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
 from dualcast.recolor import exclusively_green
 
-from conftest import small_cyclic_network
-from oracles import check_lemma, gf_rank, replay_trace, routing_only_exists
+from conftest import all_demands, random_network, small_cyclic_network
+from oracles import check_lemma, gf_rank, replay_trace, route_edges, routing_only_exists
 
 N_GRAPHS = 500
 SWEEP_SEED = 0x5EED
@@ -98,15 +98,17 @@ def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
 
 def _audit_residual(data: SweepData, tag, net: Network, d: Demand, plan) -> None:
     """Criterion 6 evidence: residual flows to the virtual terminals and ranks."""
-    residual = remove_edges(net, plan.route_edges())
+    residual = remove_edges(net, route_edges(plan))
     aug = build_augmented(residual, d)
     for sink in (aug.t1p, aug.t2p):
         if min_cut_value(aug.net, net.source, {sink}) < d.h0:
             data.residual_shortfalls.append((tag, sink))
     if d.h0:
-        f = plan.multicast.field
-        for inputs in (plan.multicast.inputs_t1, plan.multicast.inputs_t2):
-            transfer = [plan.multicast.global_vectors[eid] for eid in inputs]
+        code = plan.multicast
+        f = code.field
+        vectors = coding_vectors(f, code.support, code.local_coeffs, code.h0)
+        for inputs in (code.inputs_t1, code.inputs_t2):
+            transfer = [vectors[eid] for eid in inputs]
             if gf_rank(f, transfer) != d.h0:
                 data.rank_failures.append(tag)
 
@@ -167,7 +169,7 @@ def test_criterion_1_fixture_reproduction(fig2):
         assert [list(p.edges) for p in plan.x2_routes] == [[3, 5]]  # via 1->7
         butterfly_core = {1, 2, 6, 7, 8, 9, 10, 11, 12}
         assert set(plan.multicast.support) <= butterfly_core
-        assert plan.route_edges().isdisjoint(plan.multicast.support)
+        assert route_edges(plan).isdisjoint(plan.multicast.support)
         outcome = verify_plan(fig2, plan, trials=100)
         assert outcome.passed and outcome.trials == 100
         assert time.perf_counter() - t0 < 1.0

@@ -12,17 +12,17 @@ from dualcast.cli import (
     load_plan_file,
     main,
     network_from_dict,
-    network_to_dict,
     plan_from_dict,
     plan_to_dict,
 )
 from dualcast.errors import InputError
-from dualcast.fixtures import fig2_path
+from dualcast.fixtures import fig2_network, fig2_path
+from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand
 from dualcast.planner import synthesize, verify_plan
 
 from conftest import mknet
-from oracles import structurally_equal
+from oracles import network_to_dict, structurally_equal
 
 FIG2 = str(fig2_path())
 
@@ -58,6 +58,26 @@ def _wide_network(width: int = 6, layers: int = 3):
 
 
 WIDE = _wide_network()
+
+# sha256 of the version-1 files of the three pinned plans, which also stored
+# every coded edge's global coding vector.
+V1_DIGESTS = {
+    "fig2-8": "937d229628ef636125ce6731fa8b06abc80b2d39ba55ee4e4a48ed6841b7f5db",
+    "fig2-16": "3b1679af1336801dc36a8d355fb022f373219e08a8b54fb07a5cb1f44e147efd",
+    "wide-16": "6e66e9d302bd1f089936dd28bd67ca827c26a72a72231fa76b2227b5358e6df9",
+}
+
+
+def _as_version_1(plan) -> str:
+    """The plan file as version 1 wrote it: version 2 plus the computed coding vectors."""
+    code = plan.multicast
+    vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
+    doc = plan_to_dict(plan)
+    doc["version"] = 1
+    doc["coding_vectors"] = {str(eid): [f"0x{c:02X}" for c in v] for eid, v in vectors.items()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture
 def plan_file(tmp_path):
     path = tmp_path / "plan.json"
@@ -139,6 +159,31 @@ class TestPlanFormat:
         again = plan_from_dict(doc)
         assert again == plan
 
+    @pytest.mark.parametrize(
+        "case, net, demand, seed, bits",
+        [
+            ("fig2-8", fig2_network(), Demand(2, 1, 1), 7, 8),
+            ("fig2-16", fig2_network(), Demand(2, 1, 1), 7, 16),
+            ("wide-16", WIDE, Demand(5, 1, 0), 11, 16),
+        ],
+    )
+    def test_version_2_is_version_1_without_coding_vectors(self, case, net, demand, seed, bits):
+        plan = synthesize(net, demand, seed=seed, field_bits=bits)
+        doc = plan_to_dict(plan)
+        assert doc["version"] == 2 and "coding_vectors" not in doc
+        v1 = _as_version_1(plan).encode()
+        assert hashlib.sha256(v1).hexdigest() == V1_DIGESTS[case]
+
+    def test_version_1_file_exits_one_with_an_error_line(self, fig2, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text(_as_version_1(synthesize(fig2, Demand(2, 1, 1), seed=7)))
+        for command in (["verify", FIG2, str(path)], ["export-dot", FIG2, str(path)]):
+            capsys.readouterr()
+            assert main(command) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {path}: unsupported plan version 1 (expected 2)\n"
+
     def test_unknown_version_is_rejected(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
         doc = plan_to_dict(plan)
@@ -158,7 +203,7 @@ class TestPlanFormat:
             (lambda d: d["decode"]["t1"].__setitem__("inputs", [True]), "decode.t1.inputs entry"),
             (lambda d: d.__setitem__("local_coeffs", {"1": 5}), "local_coeffs['1'] must be an"),
             (lambda d: d.__setitem__("local_coeffs", []), "local_coeffs must be an object"),
-            (lambda d: d.__setitem__("coding_vectors", []), "coding_vectors must be an object"),
+            (lambda d: d["local_coeffs"]["1"].__setitem__("msg:0", 5), "hex string, got 5"),
         ],
     )
     def test_mistyped_fields_exit_one_with_an_error_line(self, tmp_path, capsys, mutate, fragment):
@@ -200,8 +245,7 @@ class TestPlanFormat:
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda d: d["coding_vectors"].__setitem__(next(iter(d["coding_vectors"])), ["zz"]),
-             "bad hex value 'zz'"),
+            (lambda d: d["local_coeffs"]["1"].__setitem__("msg:0", "zz"), "bad hex value 'zz'"),
             (lambda d: d.__setitem__("seed", "7"), "seed must be an integer"),
             (lambda d: d.__delitem__("decode"), "malformed plan file"),
         ],
@@ -252,7 +296,7 @@ class TestCmdSynthesize:
         assert doc["x1_routes"] == [[0, 4]]
         assert doc["x2_routes"] == [[3, 5]]
         assert doc["seed"] == 7
-        assert set(map(int, doc["coding_vectors"])) <= {1, 2, 6, 7, 8, 9, 10, 11, 12}
+        assert set(doc["support"]) <= {1, 2, 6, 7, 8, 9, 10, 11, 12}
 
     def test_same_seed_gives_byte_identical_files(self, tmp_path):
         paths = []
@@ -266,8 +310,8 @@ class TestCmdSynthesize:
     @pytest.mark.parametrize(
         "field_bits, digest",
         [
-            ("8", "937d229628ef636125ce6731fa8b06abc80b2d39ba55ee4e4a48ed6841b7f5db"),
-            ("16", "3b1679af1336801dc36a8d355fb022f373219e08a8b54fb07a5cb1f44e147efd"),
+            ("8", "08b3867157948140591f195f01229b14b9f438da8e8beebcfb9a89fb304e8779"),
+            ("16", "651f8f643cafb9773a5d329e93fea522c79138edca85242e81e78eb5fe1bcd87"),
         ],
     )
     def test_fig2_plan_bytes_are_pinned(self, tmp_path, field_bits, digest):
@@ -282,7 +326,7 @@ class TestCmdSynthesize:
         assert (plan.multicast.h0, plan.multicast.field_bits) == (5, 16)
         assert verify_plan(WIDE, plan, trials=0).passed
         digest = hashlib.sha256(dump_plan(plan).encode()).hexdigest()
-        assert digest == "6e66e9d302bd1f089936dd28bd67ca827c26a72a72231fa76b2227b5358e6df9"
+        assert digest == "a21f015634151ee873ef89f9ef0a6a14b341df5553a176f71eec58cd86bb9d93"
 
     def test_infeasible_demand_exits_two(self, capsys):
         assert main(["synthesize", FIG2, "--h0", "3", "--h1", "1", "--h2", "1"]) == 2
@@ -348,17 +392,32 @@ class TestCmdVerify:
         assert code == 4
         assert "trial" in out and ("T1" in out or "T2" in out)
 
-    def test_tampered_coding_vector_exits_one_and_names_the_edge(
-        self, plan_file, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda d: d["support"].append(12), "coded edge 12 is listed twice in the support"),
+            (lambda d: d["local_coeffs"].__setitem__("0", {"msg:0": "0x01"}),
+             "support and local_coeffs disagree on edge 0"),
+            # A second spelling of a key, listed first, would be overwritten unproved.
+            (lambda d: d.__setitem__("local_coeffs", {"01": {"msg:0": "0x00", "msg:1": "0x00"},
+                                                      **d["local_coeffs"]}),
+             "local_coeffs names edge 1 twice"),
+            (lambda d: d["local_coeffs"].__setitem__("1", {"msg:00": "0x00",
+                                                           **d["local_coeffs"]["1"]}),
+             "local_coeffs['1'] names an input twice"),
+        ],
+    )
+    def test_coded_edge_or_input_named_twice_or_unlisted_exits_one(
+        self, plan_file, capsys, mutate, named
     ):
         doc = json.loads(plan_file.read_text())
-        eid, vec = next(iter(doc["coding_vectors"].items()))
-        doc["coding_vectors"][eid] = ["0x00"] * len(vec)
-        bad = tmp_path / "bad_plan.json"
-        bad.write_text(json.dumps(doc))
-        for trials in ("100", "0"):
-            assert main(["verify", FIG2, str(bad), "--trials", trials]) == 1
-            assert f"edge {eid}" in capsys.readouterr().err
+        assert doc["support"][-1] == 12 and sorted(doc["local_coeffs"]["1"]) == ["msg:0", "msg:1"]
+        mutate(doc)
+        plan_file.write_text(json.dumps(doc))
+        for trials in ("0", "100"):
+            assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("tamper", ["matrix", "inputs"])
     def test_wrong_decoder_exits_one_without_trials_and_four_with(
@@ -456,6 +515,41 @@ class TestCmdExportDot:
         assert main(["synthesize", FIG2, *demand]) == 2
         assert refused.err == capsys.readouterr().err  # the synthesis refusal, word for word
         assert refused.err.startswith("error: demand is infeasible")
+
+    @pytest.mark.parametrize(
+        "field_bits, digest",
+        [
+            ("8", "b75776bfa05304878a553dc8a77a961c1c2a2e4fdf075783bcf6261b638ce739"),
+            ("16", "dc7bc7504edfa59b5d38cf4e635531faed632fbc62cf172aaf2a7cf2c1056871"),
+        ],
+    )
+    def test_plan_dot_bytes_are_pinned(self, tmp_path, capsys, field_bits, digest):
+        # The digests of version 1's output, whose labels were the stored vectors.
+        plan = tmp_path / "plan.json"
+        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
+                     "--seed", "7", "--field-bits", field_bits, "-o", str(plan)]) == 0
+        capsys.readouterr()
+        assert main(["export-dot", FIG2, str(plan)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_plan_that_does_not_fit_the_network_exits_one(self, plan_file, tmp_path, capsys):
+        doc = json.loads(plan_file.read_text())
+        doc["x1_routes"] = [[999]]
+        plan_file.write_text(json.dumps(doc))
+        for command in ("verify", "export-dot"):
+            capsys.readouterr()
+            assert main([command, FIG2, str(plan_file)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: no edge with id 999\n"
+        net = tmp_path / "swap.json"
+        net.write_text(json.dumps(SWAP))
+        swap_plan = tmp_path / "swap-plan.json"
+        assert main(["synthesize", str(net), "--h0", "2", "--h1", "0", "--h2", "0",
+                     "-o", str(swap_plan)]) == 0
+        capsys.readouterr()
+        assert main(["export-dot", FIG2, str(swap_plan)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_plan_styling_marks_routes_and_vectors(self, plan_file, capsys):
         assert main(["export-dot", FIG2, str(plan_file)]) == 0

@@ -14,6 +14,7 @@ from oracles import (
     edge_disjoint,
     max_flow_edmonds_karp,
     mincut_enumerate,
+    saturated,
 )
 from strategies import dag_networks, digraphs
 
@@ -241,7 +242,7 @@ def test_decomposition_is_exact_and_disjoint(net):
             nodes = p.nodes(net)
             assert len(set(nodes)) == len(nodes)  # decomposition emits simple paths
         used = {eid for p in paths for eid in p.edges}
-        assert used <= res.saturated()
+        assert used <= saturated(res)
 
 
 def _decomposition_outcome(fn, net, flow, src, sinks):

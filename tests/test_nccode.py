@@ -14,11 +14,17 @@ from dualcast.nccode import (
     GF,
     apply_code,
     build_multicast_code,
-    decode_symbols,
+    coding_vectors,
     get_field,
 )
 
-from oracles import gf_mat_mul, gf_mul_reference, gf_rank, is_irreducible_reference
+from oracles import (
+    decode_symbols,
+    gf_mat_mul,
+    gf_mul_reference,
+    gf_rank,
+    is_irreducible_reference,
+)
 
 GF256 = get_field(8)
 # Plan files carry their own modulus: one non-default irreducible of degree 16.
@@ -297,11 +303,12 @@ class TestApplyCode:
 
     def test_unit_messages_read_out_global_coefficients(self, butterfly, butterfly_code):
         code = butterfly_code
+        vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
         for i in range(2):
             x0 = [int(i == j) for j in range(2)]
             symbols = apply_code(code, x0)
             for eid in code.support:
-                assert symbols[eid] == code.global_vectors[eid][i]
+                assert symbols[eid] == vectors[eid][i]
 
     @given(
         st.lists(st.integers(0, 255), min_size=2, max_size=2),
@@ -323,11 +330,12 @@ class TestApplyCode:
     def test_decode_matrices_invert_the_transfer_matrices(self, butterfly_code):
         code = butterfly_code
         f = code.field
+        vectors = coding_vectors(f, code.support, code.local_coeffs, code.h0)
         for inputs, matrix in (
             (code.inputs_t1, code.decode_t1),
             (code.inputs_t2, code.decode_t2),
         ):
-            transfer = [code.global_vectors[eid] for eid in inputs]
+            transfer = [vectors[eid] for eid in inputs]
             assert gf_rank(f, transfer) == code.h0
             prod = gf_mat_mul(f, [list(r) for r in matrix], transfer)
             assert prod == [[int(i == j) for j in range(code.h0)] for i in range(code.h0)]

@@ -17,7 +17,7 @@ from dualcast.errors import (
     PlanMismatchError,
 )
 from dualcast.flow import max_flow
-from dualcast.fixtures import all_demands, fig2_network, fig2_path, random_feasible_instances
+from dualcast.fixtures import fig2_network, fig2_path
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import (
     check_feasibility,
@@ -26,8 +26,14 @@ from dualcast.planner import (
     verify_plan,
 )
 
-from conftest import mknet, parallel_net, small_cyclic_network
-from oracles import verify_by_simulation
+from conftest import (
+    all_demands,
+    mknet,
+    parallel_net,
+    random_feasible_instances,
+    small_cyclic_network,
+)
+from oracles import route_edges, verify_by_simulation
 from strategies import feasible_instances
 
 
@@ -108,7 +114,7 @@ class TestSynthesize:
     def test_route_edges_leave_the_residual_to_the_code(self, fig2):
         d = Demand(2, 1, 1)
         plan = synthesize(fig2, d, seed=7)
-        residual = remove_edges(fig2, plan.route_edges())
+        residual = remove_edges(fig2, route_edges(plan))
         for t in ("T1", "T2"):
             assert max_flow(residual, "1", {t}).value >= d.h0
 
@@ -223,9 +229,9 @@ class TestVerifyPlan:
 
 
 def _tampered_plans(net, plan, rng):
-    """The plan, then one copy each with a wrong local coefficient, stored
-    global vector, decode-matrix entry and decode input list, at sites and
-    in-field values drawn from rng."""
+    """The plan, then one copy each with a wrong local coefficient,
+    decode-matrix entry and decode input list, at sites and in-field values
+    drawn from rng."""
     code = plan.multicast
     if not code.h0:
         return [plan]
@@ -239,12 +245,6 @@ def _tampered_plans(net, plan, rng):
     key = rng.choice(sorted(coeffs))
     coeffs[key] = flip(coeffs[key])
     local = {"local_coeffs": {**code.local_coeffs, eid: coeffs}}
-
-    eid = rng.choice(code.support)
-    vec = list(code.global_vectors[eid])
-    j = rng.randrange(code.h0)
-    vec[j] = flip(vec[j])
-    vectors = {"global_vectors": {**code.global_vectors, eid: tuple(vec)}}
 
     name = rng.choice(("decode_t1", "decode_t2"))
     matrix = [list(row) for row in getattr(code, name)]
@@ -261,7 +261,7 @@ def _tampered_plans(net, plan, rng):
 
     return [plan] + [
         dataclasses.replace(plan, multicast=dataclasses.replace(code, **change))
-        for change in (local, vectors, decode, wiring)
+        for change in (local, decode, wiring)
     ]
 
 
@@ -332,7 +332,6 @@ class TestDiagnostics:
 
 def test_bundled_fixture_set_synthesizes_and_verifies():
     from dualcast.cli import dump_plan
-    from dualcast.fixtures import random_feasible_instances
 
     instances = random_feasible_instances(seed=1905, count=50)
     assert len(instances) == 50

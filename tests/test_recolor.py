@@ -11,7 +11,6 @@ from dualcast.errors import (
     NonterminationError,
     TheoremViolationError,
 )
-from dualcast.fixtures import random_feasible_instances
 from dualcast.flow import EdgePath, check_path, decompose_paths, max_flow
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import check_feasibility, synthesize_with_diagnostics
@@ -25,7 +24,7 @@ from dualcast.recolor import (
     symmetric_pass,
 )
 
-from conftest import mknet, parallel_net, small_cyclic_network
+from conftest import mknet, parallel_net, random_feasible_instances, small_cyclic_network
 from oracles import algorithm_a, cond, edge_colors, fixpoint_by_steps, replay_trace
 from strategies import feasible_instances
 
