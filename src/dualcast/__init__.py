@@ -23,7 +23,6 @@ from .netgraph import (
     Edge,
     Network,
     expand_capacities,
-    out_edges,
     remove_edges,
 )
 from .planner import (
@@ -77,7 +76,6 @@ __all__ = [
     "get_field",
     "max_flow",
     "min_cut_value",
-    "out_edges",
     "remove_edges",
     "run_to_fixpoint",
     "symmetric_pass",

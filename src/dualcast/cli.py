@@ -31,6 +31,8 @@ from .planner import synthesize_with_diagnostics, verify_plan
 from .recolor import ReroutingTrace
 
 PLAN_VERSION = 2
+PLAN_KEYS = ("version", "demand", "seed", "field", "x1_routes", "x2_routes", "support",
+             "local_coeffs", "decode")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -69,10 +71,7 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         for label in (tail, head):
             if not isinstance(label, str) or label not in node_set:
                 raise InputError(f"{origin}: edge #{i} references unknown node {label!r}")
-        cap = entry.get("cap", 1)
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
-            raise InputError(f"{origin}: edge #{i} capacity must be a positive integer")
-        weighted.append((tail, head, cap))
+        weighted.append((tail, head, entry.get("cap", 1)))
     for label in (doc["source"], *terminals):
         if not isinstance(label, str) or label not in node_set:
             raise InputError(f"{origin}: {label!r} is not a declared node")
@@ -124,6 +123,15 @@ def _json_object(value: Any, what: str) -> dict:
     return value
 
 
+def _known_keys(value: Any, keys: tuple[str, ...], what: str) -> dict:
+    """value as an object with no key outside keys; a missing key fails on lookup."""
+    obj = _json_object(value, what)
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"{what} has unknown key {key!r}")
+    return obj
+
+
 def _json_int(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
@@ -170,7 +178,11 @@ def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
 
 
 def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
-    """Parse a plan document's JSON shapes and types; check_plan checks the rest."""
+    """Parse a plan document's JSON shapes and types; check_plan checks the rest.
+
+    An object key that plan_to_dict does not write is refused, so nothing is
+    carried unproved.
+    """
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
     if doc.get("version") != PLAN_VERSION:
@@ -179,9 +191,13 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             f"(expected {PLAN_VERSION})"
         )
     try:
+        _known_keys(doc, PLAN_KEYS, "plan")
         demand = Demand(**doc["demand"])
-        bits = _json_int(doc["field"]["bits"], "field.bits")
-        modulus = _parse_hex(doc["field"]["modulus"])
+        field = _known_keys(doc["field"], ("name", "bits", "modulus"), "field")
+        bits = _json_int(field["bits"], "field.bits")
+        if field["name"] != f"GF(2^{bits})":
+            raise InputError(f"field.name {field['name']!r} does not match field.bits {bits}")
+        modulus = _parse_hex(field["modulus"])
         x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
         x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])
 
@@ -201,21 +217,18 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
                 raise InputError(f"local_coeffs[{eid_text!r}] names an input twice")
             local[eid] = parsed
 
-        dec = doc["decode"]
+        dec = _known_keys(doc["decode"], ("t1", "t2"), "decode")
+        t1, t2 = (_known_keys(dec[t], ("inputs", "matrix"), f"decode.{t}") for t in ("t1", "t2"))
         code = MulticastCode(
             field_bits=bits,
             modulus=modulus,
             h0=demand.h0,
             support=support,
             local_coeffs=local,
-            inputs_t1=_edge_ids(dec["t1"]["inputs"], "decode.t1.inputs"),
-            inputs_t2=_edge_ids(dec["t2"]["inputs"], "decode.t2.inputs"),
-            decode_t1=tuple(
-                tuple(_parse_hex(c) for c in row) for row in dec["t1"]["matrix"]
-            ),
-            decode_t2=tuple(
-                tuple(_parse_hex(c) for c in row) for row in dec["t2"]["matrix"]
-            ),
+            inputs_t1=_edge_ids(t1["inputs"], "decode.t1.inputs"),
+            inputs_t2=_edge_ids(t2["inputs"], "decode.t2.inputs"),
+            decode_t1=tuple(tuple(_parse_hex(c) for c in row) for row in t1["matrix"]),
+            decode_t2=tuple(tuple(_parse_hex(c) for c in row) for row in t2["matrix"]),
         )
         get_field(bits, modulus)  # validates the field parameters
         return TransferPlan(

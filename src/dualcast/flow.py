@@ -33,18 +33,6 @@ class EdgePath:
     def __bool__(self) -> bool:
         return bool(self.edges)
 
-    def nodes(self, net: Network) -> list[NodeId]:
-        """Node sequence visited by the walk (length = len(self) + 1; empty path -> [])."""
-        if not self.edges:
-            return []
-        seq = [net.edge(self.edges[0]).tail]
-        for eid in self.edges:
-            seq.append(net.edge(eid).head)
-        return seq
-
-    def visits(self, net: Network, v: NodeId) -> bool:
-        return v in self.nodes(net)
-
 
 def check_path(net: Network, path: EdgePath, src: NodeId, sink: NodeId) -> None:
     """Raise InvariantError unless path is a contiguous src -> sink walk of distinct edges."""

@@ -95,13 +95,6 @@ class Network:
         return {e.eid: e for e in self.edges}
 
     @cached_property
-    def _out(self) -> dict[NodeId, tuple[EdgeId, ...]]:
-        out: dict[NodeId, list[EdgeId]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            out[e.tail].append(e.eid)
-        return {v: tuple(ids) for v, ids in out.items()}
-
-    @cached_property
     def _residual_arcs(self) -> ResidualArcs:
         """Integer adjacency for max-flow, shared by every flow on this network."""
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -131,30 +124,20 @@ class Network:
         return max((e.eid for e in self.edges), default=-1) + 1
 
 
-def expand_capacities(
-    weighted_edges: Iterable[tuple[NodeId, NodeId, int]], first_id: EdgeId = 0
-) -> list[Edge]:
+def expand_capacities(weighted_edges: Iterable[tuple[NodeId, NodeId, int]]) -> list[Edge]:
     """Split each weighted edge of capacity c into c parallel unit edges.
 
-    Ids are assigned consecutively starting at first_id, in input order.
+    Ids are assigned consecutively from 0, in input order.
     """
     out: list[Edge] = []
-    eid = first_id
+    eid = 0
     for tail, head, cap in weighted_edges:
-        if not isinstance(cap, int) or cap <= 0:
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
             raise InputError(f"capacity must be a positive integer, got {cap!r} on {tail}->{head}")
         for _ in range(cap):
             out.append(Edge(eid, tail, head))
             eid += 1
     return out
-
-
-def out_edges(net: Network, v: NodeId) -> list[EdgeId]:
-    """Edge ids leaving v, in stable insertion order."""
-    try:
-        return list(net._out[v])
-    except KeyError:
-        raise UnknownNodeError(f"node {v!r} not in network") from None
 
 
 def remove_edges(net: Network, ids: Iterable[EdgeId]) -> Network:

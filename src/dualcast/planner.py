@@ -41,10 +41,6 @@ class CutViolation:
     required: int
     actual: int
 
-    @property
-    def shortfall(self) -> int:
-        return self.required - self.actual
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

@@ -17,43 +17,25 @@ from functools import cached_property
 from .augment import AugmentedNetwork, build_augmented
 from .errors import InvariantError, NonterminationError, TheoremViolationError
 from .flow import EdgePath, decompose_paths, max_flow
-from .netgraph import Demand, EdgeId, Network, NodeId, out_edges, remove_edges
+from .netgraph import Demand, EdgeId, Network, NodeId, remove_edges
 
 
 @dataclass(frozen=True)
 class ColoringState:
-    """Immutable snapshot of both path families; colors derive from the paths."""
+    """Both path families on a network; colors derive from the paths.
+
+    A plain record: every path starts at net.source. run_to_fixpoint checks
+    the state it receives, once, and builds its final state unchecked.
+    """
 
     net: Network
-    source: NodeId
     green_paths: tuple[EdgePath, ...]
     red_paths: tuple[EdgePath, ...]
-
-    def __post_init__(self) -> None:
-        for family in (self.green_paths, self.red_paths):
-            seen: set[EdgeId] = set()
-            for p in family:
-                if not p.edges:
-                    raise InvariantError("empty path in coloring state")
-                if self.net.edge(p.edges[0]).tail != self.source:
-                    raise InvariantError("path does not start at the source")
-                for a, b in zip(p.edges, p.edges[1:]):
-                    if self.net.edge(a).head != self.net.edge(b).tail:
-                        raise InvariantError("path is not contiguous")
-                for eid in p.edges:
-                    if eid in seen:
-                        raise InvariantError("paths within one color share an edge")
-                    seen.add(eid)
 
     @cached_property
     def red_edges(self) -> frozenset[EdgeId]:
         """Edges some red path uses."""
         return frozenset(eid for p in self.red_paths for eid in p.edges)
-
-    def red_source_degree(self) -> int:
-        """Number of source out-edges currently carrying red."""
-        red = self.red_edges
-        return sum(1 for eid in out_edges(self.net, self.source) if eid in red)
 
 
 @dataclass(frozen=True)
@@ -79,30 +61,40 @@ def run_to_fixpoint(
     followed by r's old edges after e1; r's old edges before e1 lose red.
     `red_of` maps each red edge to the index of its red path.
 
-    The state is checked once, on entry: it is a valid ColoringState, each red
-    path uses exactly one source out-edge, and no green path returns to the
-    source (decompose_paths gives node-simple paths). Each step then keeps the
-    red paths valid by construction. The green prefix before e1 carries no
-    red, so it touches no other red path; the old tail after e1 is a suffix
-    of r, so the new path is contiguous and edge-disjoint from the others. Its
-    only source out-edge is the prefix's first: the prefix does not return to
-    the source, and r's one source out-edge is r's first edge, at or before
-    e1. So only the final state is built, and only when a step was taken.
-    The acceptance tests replay every trace step by step through
-    tests/oracles.py, which rechecks all of this.
+    The state is checked once, on entry, in one walk per path: every path is
+    non-empty, starts at the source and is contiguous, only its first edge
+    leaves the source, and paths of one color share no edge (decompose_paths
+    gives node-simple, edge-disjoint paths). Each step then keeps the red
+    paths valid by construction. The green prefix before e1 carries no red,
+    so it touches no other red path; the old tail after e1 is a suffix of r,
+    so the new path is contiguous and edge-disjoint from the others. Its only
+    source out-edge is the prefix's first: the prefix does not return to the
+    source, and r's one source out-edge is r's first edge, at or before e1.
+    So the final state is built from the red path lists without a second
+    check, and only when a step was taken. The acceptance tests replay every
+    trace step by step through tests/oracles.py, which rechecks all of this.
 
     budget caps the number of steps, by default edges x green paths x red
     paths; exceeding it raises NonterminationError, which signals a bug
     rather than a legitimate outcome.
     """
-    net, s = state.net, state.source
+    net, s = state.net, state.net.source
     greens = state.green_paths
+    for family in (greens, state.red_paths):
+        seen: set[EdgeId] = set()
+        for p in family:
+            if not p.edges:
+                raise InvariantError("empty path in coloring state")
+            at = s
+            for i, eid in enumerate(p.edges):
+                e = net.edge(eid)
+                if e.tail != at or (i and at == s):
+                    raise InvariantError(f"edge {eid} does not continue a path from the source")
+                if eid in seen:
+                    raise InvariantError(f"paths of one color share edge {eid}")
+                seen.add(eid)
+                at = e.head
     reds = [p.edges for p in state.red_paths]
-    if state.red_source_degree() != len(reds):
-        raise InvariantError("initial red source degree does not match red path count")
-    source_out = set(out_edges(net, s))
-    if any(eid in source_out for p in greens for eid in p.edges[1:]):
-        raise InvariantError("a green path returns to the source")
     if budget is None:
         budget = max(1, len(net.edges)) * max(1, len(greens)) * max(1, len(reds))
     red_of = {eid: r for r, edges in enumerate(reds) for eid in edges}
@@ -115,7 +107,7 @@ def run_to_fixpoint(
         else:
             if steps:
                 red_paths = tuple(EdgePath(edges) for edges in reds)
-                state = ColoringState(net=net, source=s, green_paths=greens, red_paths=red_paths)
+                state = ColoringState(net=net, green_paths=greens, red_paths=red_paths)
             return state, ReroutingTrace(tuple(steps))
         e1 = p.edges[pos]
         r = red_of[e1]
@@ -134,34 +126,33 @@ def run_to_fixpoint(
             )
 
 
-def exclusively_green(state: ColoringState) -> list[EdgePath]:
-    """Green paths none of whose edges carries red."""
-    red = state.red_edges
-    return [p for p in state.green_paths if red.isdisjoint(p.edges)]
-
-
 def extract_exclusive_green(
     state: ColoringState, *, gate: NodeId, count: int
 ) -> list[EdgePath]:
-    """Return the routing paths: `count` exclusively green paths through `gate`.
+    """Return the routes: the first `count` exclusively green paths, cut at `gate`.
 
-    The fixpoint guarantees at least h1 such paths and that every one of them
-    traverses the gate node; spare capacity in the network can leave more than
-    h1, in which case the first h1 in path order are taken. Fewer than h1, or
-    an exclusively green path avoiding the gate, means the construction's
-    guarantees were broken and is reported as a theorem violation.
+    An exclusively green path uses no red edge. The fixpoint guarantees at
+    least h1 such paths and that every one of them traverses the gate node;
+    spare capacity in the network can leave more than h1, in which case the
+    first h1 in path order are taken. Each is cut right after its first
+    arrival at the gate, so a route ends with the virtual terminal-entry
+    edge. Fewer than h1, or an exclusively green path avoiding the gate,
+    means the construction's guarantees were broken and is reported as a
+    theorem violation.
     """
-    exclusive = exclusively_green(state)
+    red = state.red_edges
+    exclusive = [p for p in state.green_paths if red.isdisjoint(p.edges)]
     if len(exclusive) < count:
         raise TheoremViolationError(
             f"expected at least {count} exclusively green paths, found {len(exclusive)}"
         )
-    for p in exclusive:
-        if not p.visits(state.net, gate):
-            raise TheoremViolationError(
-                f"exclusively green path misses the virtual terminal {gate!r}"
-            )
-    return exclusive[:count]
+    try:
+        routes = [_truncate_at(state.net, p, gate) for p in exclusive]
+    except InvariantError:
+        raise TheoremViolationError(
+            f"exclusively green path misses the virtual terminal {gate!r}"
+        ) from None
+    return routes[:count]
 
 
 @dataclass(frozen=True)
@@ -231,11 +222,7 @@ def single_pass(
     n_red: int,
     n_routes: int,
 ) -> PassResult:
-    """Decompose the two flows, recolor to fixpoint, extract gate-bound routes.
-
-    Routes are truncated right after their arrival at the gate node, so each
-    ends with the virtual terminal-entry edge.
-    """
+    """Decompose the two flows, recolor to fixpoint, extract gate-bound routes."""
     net = aug.net
     s = net.source
     green_flow = max_flow(net, s, {collector})
@@ -250,12 +237,9 @@ def single_pass(
         )
     greens = decompose_paths(net, green_flow, s, collector)
     reds = decompose_paths(net, red_flow, s, red_target)
-    initial = ColoringState(
-        net=net, source=s, green_paths=tuple(greens), red_paths=tuple(reds)
-    )
+    initial = ColoringState(net=net, green_paths=tuple(greens), red_paths=tuple(reds))
     state, trace = run_to_fixpoint(initial)
-    full_routes = extract_exclusive_green(state, gate=gate, count=n_routes)
-    routes = tuple(_truncate_at(net, p, gate) for p in full_routes)
+    routes = tuple(extract_exclusive_green(state, gate=gate, count=n_routes))
     return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)
 
 

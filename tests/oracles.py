@@ -28,7 +28,7 @@ from dualcast.augment import AugmentedNetwork
 from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
 from dualcast.flow import EdgePath, FlowResult, min_cut_value
 from dualcast.nccode import MulticastCode, apply_code, coding_vectors
-from dualcast.netgraph import Demand, EdgeId, Network, NodeId, out_edges
+from dualcast.netgraph import Demand, EdgeId, Network, NodeId
 from dualcast.planner import TransferPlan, check_feasibility, check_plan
 from dualcast.recolor import ColoringState, ReroutingTrace, TraceStep
 
@@ -110,12 +110,13 @@ def max_flow_edmonds_karp(net: Network, src: NodeId, sinks) -> int:
 def all_simple_paths(net: Network, src: NodeId, sink: NodeId) -> list[tuple[int, ...]]:
     """Every node-simple src -> sink path, as edge-id tuples."""
     found: list[tuple[int, ...]] = []
+    out = {v: out_edges(net, v) for v in net.nodes}
 
     def dfs(u: NodeId, visited: set[NodeId], edges: list[int]) -> None:
         if u == sink:
             found.append(tuple(edges))
             return
-        for eid in out_edges(net, u):
+        for eid in out[u]:
             head = net.edge(eid).head
             if head not in visited:
                 edges.append(eid)
@@ -275,6 +276,22 @@ def in_edges(net: Network, v: NodeId) -> list[int]:
     return [e.eid for e in net.edges if e.head == v]
 
 
+def out_edges(net: Network, v: NodeId) -> list[int]:
+    """Edge ids leaving v, by scanning every edge."""
+    return [e.eid for e in net.edges if e.tail == v]
+
+
+def path_nodes(net: Network, path: EdgePath) -> list[NodeId]:
+    """Node sequence a path visits (one more than its edges; empty path -> [])."""
+    if not path.edges:
+        return []
+    return [net.edge(path.edges[0]).tail] + [net.edge(eid).head for eid in path.edges]
+
+
+def visits(net: Network, path: EdgePath, v: NodeId) -> bool:
+    return v in path_nodes(net, path)
+
+
 def structurally_equal(a: Network, b: Network) -> bool:
     """Same node labels and same tail/head multiset, ignoring edge ids."""
     if set(a.nodes) != set(b.nodes):
@@ -410,6 +427,38 @@ def edge_colors(state: ColoringState) -> dict[int, frozenset[str]]:
     return {eid: frozenset(colors) for eid, colors in acc.items()}
 
 
+def check_coloring(state: ColoringState) -> None:
+    """Raise InvariantError unless every path is a contiguous walk from the source
+    and no two paths of one color share an edge."""
+    net = state.net
+    for family in (state.green_paths, state.red_paths):
+        seen: set[int] = set()
+        for p in family:
+            if not p.edges:
+                raise InvariantError("empty path in coloring state")
+            if net.edge(p.edges[0]).tail != net.source:
+                raise InvariantError("path does not start at the source")
+            for a, b in zip(p.edges, p.edges[1:]):
+                if net.edge(a).head != net.edge(b).tail:
+                    raise InvariantError("path is not contiguous")
+            for eid in p.edges:
+                if eid in seen:
+                    raise InvariantError("paths within one color share an edge")
+                seen.add(eid)
+
+
+def red_source_degree(state: ColoringState) -> int:
+    """Number of source out-edges carrying red."""
+    red = state.red_edges
+    return sum(1 for eid in out_edges(state.net, state.net.source) if eid in red)
+
+
+def exclusively_green(state: ColoringState) -> list[EdgePath]:
+    """Green paths none of whose edges carries red."""
+    red = state.red_edges
+    return [p for p in state.green_paths if red.isdisjoint(p.edges)]
+
+
 def cond(p: EdgePath, state: ColoringState) -> bool:
     """True iff every edge of p is green-only, or p's first edge carries both colors."""
     colors = edge_colors(state)
@@ -422,8 +471,8 @@ def algorithm_a(p_index: int, state: ColoringState) -> tuple[ColoringState, Trac
     """One rewrite step on green path p_index; (state, None) if p has no dual edge.
 
     The red path through p's first doubly-colored edge e1 is replaced by p's
-    prefix up to e1 followed by the old red tail after e1, and a new, fully
-    validated ColoringState is built from the path lists.
+    prefix up to e1 followed by the old red tail after e1; the new state,
+    built from the path lists, is checked whole by check_coloring.
     """
     p = state.green_paths[p_index]
     colors = edge_colors(state)
@@ -438,11 +487,9 @@ def algorithm_a(p_index: int, state: ColoringState) -> tuple[ColoringState, Trac
     new_reds = list(state.red_paths)
     new_reds[red_index] = EdgePath(prefix + rp.edges[split + 1 :])
     new_state = ColoringState(
-        net=state.net,
-        source=state.source,
-        green_paths=state.green_paths,
-        red_paths=tuple(new_reds),
+        net=state.net, green_paths=state.green_paths, red_paths=tuple(new_reds)
     )
+    check_coloring(new_state)
     return new_state, TraceStep(p_index, e1, red_index, EdgePath(prefix))
 
 
@@ -451,11 +498,12 @@ def fixpoint_by_steps(
 ) -> tuple[ColoringState, ReroutingTrace]:
     """run_to_fixpoint by one algorithm_a snapshot per step; the reference for it.
 
-    Rescans the green paths from index 0 after every step and checks the red
-    source degree after every step.
+    Rescans the green paths from index 0 after every step, and checks the
+    whole coloring and the red source degree on entry and after every step.
     """
+    check_coloring(state)
     expected_red = len(state.red_paths)
-    if state.red_source_degree() != expected_red:
+    if red_source_degree(state) != expected_red:
         raise InvariantError("initial red source degree does not match red path count")
     if budget is None:
         budget = max(1, len(state.net.edges)) * max(1, len(state.green_paths)) * max(
@@ -471,7 +519,7 @@ def fixpoint_by_steps(
         state, step = algorithm_a(violating, state)
         if step is None:
             raise InvariantError("path violating cond has no doubly-colored edge")
-        if state.red_source_degree() != expected_red:
+        if red_source_degree(state) != expected_red:
             raise InvariantError("red source degree changed during rerouting")
         steps.append(step)
         if len(steps) > budget:

@@ -22,10 +22,18 @@ from dualcast.flow import min_cut_value
 from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
-from dualcast.recolor import exclusively_green
 
 from conftest import all_demands, random_network, small_cyclic_network
-from oracles import check_lemma, gf_rank, replay_trace, route_edges, routing_only_exists
+from oracles import (
+    check_lemma,
+    exclusively_green,
+    gf_rank,
+    red_source_degree,
+    replay_trace,
+    route_edges,
+    routing_only_exists,
+    visits,
+)
 
 N_GRAPHS = 500
 SWEEP_SEED = 0x5EED
@@ -70,13 +78,13 @@ def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
         (passes.pass2, d.h0, d.h2, passes.pass2.aug.t2p),
     )
     for result, expected_red, n_routes, gate in jobs:
-        if result.initial.red_source_degree() != expected_red:
+        if red_source_degree(result.initial) != expected_red:
             data.red_count_violations.append((tag, "initial"))
         # Replay step by step so the invariant is observed after every rewrite.
         for k in range(1, len(result.trace.steps) + 1):
             partial = type(result.trace)(steps=result.trace.steps[:k])
             state = replay_trace(result.initial, partial)
-            if state.red_source_degree() != expected_red:
+            if red_source_degree(state) != expected_red:
                 data.red_count_violations.append((tag, k))
         final = replay_trace(result.initial, result.trace)
         if final != result.state:
@@ -85,7 +93,7 @@ def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
         if len(exclusive) < n_routes or len(result.routes) != n_routes:
             data.route_extraction_faults.append((tag, "count"))
         for p in result.routes:
-            if not p.visits(result.aug.net, gate):
+            if not visits(result.aug.net, p, gate):
                 data.route_extraction_faults.append((tag, "gate"))
         budget = (
             max(1, len(result.aug.net.edges))

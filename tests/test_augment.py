@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from dualcast.augment import build_augmented
 from dualcast.errors import InputError
-from dualcast.netgraph import Demand, Edge, Network, out_edges
+from dualcast.netgraph import Demand, Edge, Network
 
 from conftest import mknet, parallel_net
-from oracles import check_lemma, in_edges, mincut_enumerate
+from oracles import check_lemma, in_edges, mincut_enumerate, out_edges
 from strategies import dag_networks, demands, feasible_instances
 
 

@@ -114,6 +114,7 @@ class TestNetworkFormat:
             (lambda d: d.pop("source"), "missing key"),
             (lambda d: d["edges"].append({"from": "s", "to": "zz"}), "unknown node"),
             (lambda d: d["edges"].append({"from": "s", "to": "t1", "cap": 0}), "positive"),
+            (lambda d: d["edges"].append({"from": "s", "to": "t1", "cap": True}), "positive"),
             (lambda d: d["nodes"].append("__x"), "reserved"),
             (lambda d: d.__setitem__("terminals", ["t1"]), "pair"),
             (lambda d: d.__setitem__("edges", 5), "edges must be a list"),
@@ -259,6 +260,33 @@ class TestPlanFormat:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {plan_file}: ") and fragment in err
         assert err.count(str(plan_file)) == 1
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda d: d["field"].__setitem__("name", "GF(2^4)"),
+             "field.name 'GF(2^4)' does not match field.bits 8"),
+            (lambda d: d["field"].__setitem__("name", 5), "field.name 5 does not match"),
+            (lambda d: d["decode"]["t1"].__setitem__("rank", 2),
+             "decode.t1 has unknown key 'rank'"),
+            (lambda d: d["field"].__setitem__("poly", "0x11D"), "field has unknown key 'poly'"),
+            (lambda d: d["decode"].__setitem__("t3", {}), "decode has unknown key 't3'"),
+        ],
+    )
+    def test_keys_the_format_does_not_prove_are_refused(self, plan_file, capsys, mutate, fragment):
+        doc = json.loads(plan_file.read_text())
+        mutate(doc)
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", FIG2, str(plan_file), "--trials", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan_file}: ") and fragment in err
+
+    def test_version_1_file_edited_to_version_2_is_refused(self, fig2):
+        doc = json.loads(_as_version_1(synthesize(fig2, Demand(2, 1, 1), seed=7)))
+        doc["version"] = 2
+        with pytest.raises(InputError, match="unknown key 'coding_vectors'"):
+            plan_from_dict(doc)
 
     def test_field_is_documented_in_the_plan(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)

@@ -14,6 +14,7 @@ from oracles import (
     edge_disjoint,
     max_flow_edmonds_karp,
     mincut_enumerate,
+    path_nodes,
     saturated,
 )
 from strategies import dag_networks, digraphs
@@ -239,7 +240,7 @@ def test_decomposition_is_exact_and_disjoint(net):
         assert edge_disjoint(p.edges for p in paths)
         for p in paths:
             check_path(net, p, net.source, sink)
-            nodes = p.nodes(net)
+            nodes = path_nodes(net, p)
             assert len(set(nodes)) == len(nodes)  # decomposition emits simple paths
         used = {eid for p in paths for eid in p.edges}
         assert used <= saturated(res)

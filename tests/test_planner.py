@@ -50,7 +50,7 @@ class TestCheckFeasibility:
         by_name = {v.name: v for v in report.violated}
         assert "ineq1" in by_name
         v = by_name["ineq1"]
-        assert (v.required, v.actual, v.shortfall) == (4, 3, 1)
+        assert (v.required, v.actual, v.required - v.actual) == (4, 3, 1)
 
     def test_zero_demand_is_always_feasible(self):
         net = mknet([("a", "b")], source="a", terminals=("b", "c"), extra_nodes=("c",))
@@ -62,7 +62,7 @@ class TestCheckFeasibility:
         report = check_feasibility(fig2, Demand(3, 1, 1))
         assert not report.feasible
         assert len(report.violated) == 3
-        assert all(v.shortfall > 0 for v in report.violated)
+        assert all(v.required - v.actual > 0 for v in report.violated)
 
 
 class TestSynthesize:

@@ -16,7 +16,6 @@ from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import check_feasibility, synthesize_with_diagnostics
 from dualcast.recolor import (
     ColoringState,
-    exclusively_green,
     extract_exclusive_green,
     real_route_edges,
     run_to_fixpoint,
@@ -25,14 +24,24 @@ from dualcast.recolor import (
 )
 
 from conftest import mknet, parallel_net, random_feasible_instances, small_cyclic_network
-from oracles import algorithm_a, cond, edge_colors, fixpoint_by_steps, replay_trace
+from oracles import (
+    algorithm_a,
+    check_coloring,
+    cond,
+    edge_colors,
+    exclusively_green,
+    fixpoint_by_steps,
+    path_nodes,
+    red_source_degree,
+    replay_trace,
+    visits,
+)
 from strategies import feasible_instances
 
 
-def make_state(net, greens, reds, source="s"):
+def make_state(net, greens, reds):
     return ColoringState(
         net=net,
-        source=source,
         green_paths=tuple(EdgePath(tuple(p)) for p in greens),
         red_paths=tuple(EdgePath(tuple(p)) for p in reds),
     )
@@ -148,7 +157,7 @@ class TestRunToFixpoint:
         )
         exclusive = exclusively_green(result.state)
         assert len(exclusive) == 1
-        assert exclusive[0].visits(aug.net, aug.t1p)
+        assert visits(aug.net, exclusive[0], aug.t1p)
         assert exclusive[0].edges[0] == 0  # the outer branch toward T1
         assert len(result.routes) == 1
         red_edges = {eid for p in result.state.red_paths for eid in p.edges}
@@ -178,23 +187,22 @@ class TestRunToFixpoint:
         rflow = max_flow(net, "1", {aug.t2p})
         state = ColoringState(
             net=net,
-            source="1",
             green_paths=tuple(decompose_paths(net, gflow, "1", aug.y1)),
             red_paths=tuple(decompose_paths(net, rflow, "1", aug.t2p)),
         )
         final, trace = run_to_fixpoint(state)
         expected = d.h0 + d.h2
-        assert state.red_source_degree() == expected
+        assert red_source_degree(state) == expected
         for n_steps in range(1, len(trace.steps) + 1):
             partial = replay_trace(
                 state, type(trace)(steps=trace.steps[:n_steps])
             )
-            assert partial.red_source_degree() == expected
+            assert red_source_degree(partial) == expected
             # Rerouting must keep every red path a source -> T2' walk.
             for p in partial.red_paths:
                 assert net.edge(p.edges[0]).tail == "1"
                 assert net.edge(p.edges[-1]).head == aug.t2p
-        assert final.red_source_degree() == expected
+        assert red_source_degree(final) == expected
         assert len(final.red_paths) == len(state.red_paths)
         assert len(final.green_paths) == len(state.green_paths)
         assert final.green_paths == state.green_paths  # greens never change shape
@@ -204,6 +212,10 @@ class TestRunToFixpoint:
         [
             ([[0, 1, 2]], [[3]]),  # the green path comes back through a -> s
             ([[2]], [[0, 1, 3]]),  # the red path does, and owns two source out-edges
+            ([[]], [[3]]),  # an empty path
+            ([[2]], [[1, 3]]),  # the first edge does not leave the source
+            ([[0, 2]], [[3]]),  # a gap: s -> a is followed by s -> y
+            ([[2]], [[3], [3]]),  # two red paths share an edge
         ],
     )
     def test_paths_returning_to_the_source_are_rejected_on_entry(self, greens, reds):
@@ -215,19 +227,28 @@ class TestRunToFixpoint:
         with pytest.raises(InvariantError):
             run_to_fixpoint(make_state(net, greens=greens, reds=reds))
 
+    def test_an_invalid_state_is_refused_only_by_run_to_fixpoint(self):
+        net = mknet([("s", "a"), ("b", "y"), ("s", "t")], source="s", terminals=("y", "t"))
+        state = make_state(net, greens=[[0, 1]], reds=[[2]])  # edges 0 and 1 do not meet
+        assert state.red_edges == {2}
+        with pytest.raises(InvariantError):
+            check_coloring(state)
+        with pytest.raises(InvariantError, match="edge 1 does not continue a path"):
+            run_to_fixpoint(state)
+
     def test_only_the_final_state_is_built(self, monkeypatch):
         result = next(
             r for r in _passes(_layered_instances(random.Random(5), count=1))
             if len(r.trace.steps) >= 3
         )
         built = []
-        validate = ColoringState.__post_init__
+        init = ColoringState.__init__
 
-        def counting(state):
+        def counting(state, *args, **kwargs):
             built.append(state)
-            validate(state)
+            init(state, *args, **kwargs)
 
-        monkeypatch.setattr(ColoringState, "__post_init__", counting)
+        monkeypatch.setattr(ColoringState, "__init__", counting)
         final, trace = run_to_fixpoint(result.initial)
         assert len(trace.steps) >= 3
         assert len(built) == 1 and built[0] is final
@@ -392,7 +413,7 @@ def _assert_coded_paths_avoid_the_routes(net, d):
         assert routed.isdisjoint(used)
         for p in family:
             check_path(net, p, net.source, terminal)  # real edges only
-            assert terminal not in p.nodes(net)[:-1]  # cut at the first arrival
+            assert terminal not in path_nodes(net, p)[:-1]  # cut at the first arrival
 
 
 class TestCodedPaths:
