@@ -4,7 +4,6 @@ message sets overlap."""
 
 from .augment import AugmentedNetwork, build_augmented
 from .errors import (
-    CodeConstructionError,
     CyclicSupportError,
     DualcastError,
     InfeasibleDemandError,
@@ -43,7 +42,6 @@ from .recolor import (
 
 __all__ = [
     "AugmentedNetwork",
-    "CodeConstructionError",
     "ColoringState",
     "CyclicSupportError",
     "Demand",

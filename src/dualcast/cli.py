@@ -30,6 +30,7 @@ from .planner import TransferPlan, check_demand_size, check_feasibility, check_p
 from .planner import synthesize_with_diagnostics, verify_plan
 from .recolor import ReroutingTrace
 
+NETWORK_KEYS = ("nodes", "edges", "source", "terminals")
 PLAN_VERSION = 2
 PLAN_KEYS = ("version", "demand", "seed", "field", "x1_routes", "x2_routes", "support",
              "local_coeffs", "decode")
@@ -48,7 +49,8 @@ EXIT_VERIFY = 4
 def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
-    for key in ("nodes", "edges", "source", "terminals"):
+    _known_keys(doc, NETWORK_KEYS, f"{origin}: network")
+    for key in NETWORK_KEYS:
         if key not in doc:
             raise InputError(f"{origin}: missing key {key!r}")
     nodes = doc["nodes"]
@@ -67,6 +69,7 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
             raise InputError(f"{origin}: edge #{i} needs 'from' and 'to'")
+        _known_keys(entry, ("from", "to", "cap"), f"{origin}: edge #{i}")
         tail, head = entry["from"], entry["to"]
         for label in (tail, head):
             if not isinstance(label, str) or label not in node_set:
@@ -439,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synthesize", help="produce a transfer plan")
     p_synth.add_argument("network", help="network JSON file")
     add_demand_flags(p_synth)
-    p_synth.add_argument("--seed", type=int, default=0, help="random seed (recorded in the plan)")
+    p_synth.add_argument("--seed", type=int, default=0, help="recorded in the plan only")
     p_synth.add_argument(
         "--field-bits",
         type=int,
         default=8,
         choices=sorted(DEFAULT_MODULI),
-        help="initial symbol field GF(2^m)",
+        help="symbol field GF(2^m)",
     )
     p_synth.add_argument("-o", "--output", help="plan file to write (default: stdout)")
     p_synth.add_argument("--trace", help="also write the rerouting trace as JSON lines")

@@ -37,10 +37,6 @@ class InfeasibleDemandError(DualcastError):
         super().__init__(f"demand is infeasible: {report.describe()}")
 
 
-class CodeConstructionError(DualcastError):
-    """Random code construction could not reach full rank at both terminals."""
-
-
 class CyclicSupportError(DualcastError):
     """Coding paths to T1 and T2 share edges in opposite orders; names the cycle."""
 

@@ -24,15 +24,6 @@ class EdgePath:
 
     edges: tuple[EdgeId, ...]
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __bool__(self) -> bool:
-        return bool(self.edges)
-
 
 def check_path(net: Network, path: EdgePath, src: NodeId, sink: NodeId) -> None:
     """Raise InvariantError unless path is a contiguous src -> sink walk of distinct edges."""

@@ -3,19 +3,19 @@
 The shared messages are h0 field symbols injected at the source. Every coded
 edge carries a linear combination of the symbols just before it on its paths;
 the global vector of an edge expresses its symbol directly in terms of the
-messages. Codes are drawn at random and kept only if both terminals' transfer
-matrices are invertible, retrying with a larger field when needed.
+messages. With two terminals a binary code suffices, so the code is built
+deterministically over GF(2), edge by edge, keeping each terminal's vectors
+independent; its 0/1 coefficients are written in the requested GF(2^m).
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import CodeConstructionError, CyclicSupportError, InputError
+from .errors import CyclicSupportError, InputError
 from .flow import EdgePath
 # Unused here; perfbench/tracer.py wraps nccode.max_flow and nccode.decompose_paths.
 from .flow import decompose_paths, max_flow  # noqa: F401
@@ -225,6 +225,7 @@ class GF:
             out.append(p & mask ^ lo[h & 255] ^ hi[h >> 8])
         return out
 
+    # Unused in src/; perfbench/tracer.py wraps GF.mat_inv (CI: python3 -m pytest perfbench).
     def mat_inv(self, a: Sequence[Sequence[int]]) -> list[list[int]] | None:
         """Gauss-Jordan inverse, or None if the matrix is singular."""
         n = len(a)
@@ -318,79 +319,84 @@ def build_multicast_code(
     paths_t1: Sequence[EdgePath],
     paths_t2: Sequence[EdgePath],
     *,
-    rng: random.Random,
-    field_bits: int = 8,
-    attempts_per_field: int = 32,
+    field_bits: int,
 ) -> MulticastCode:
-    """Construct a random linear multicast code of rate h0 on two path families.
+    """A binary linear multicast code of rate h0 on two path families.
 
     paths_t1 and paths_t2 hold h0 edge-disjoint source paths each, to T1 and
     to T2; their union is the coded support. Each coded edge combines the
     edges just before it on its paths, or the messages where a path starts
     (Jaggi et al., IEEE Trans. IT 2005); two paths that share edges in
-    opposite orders make that cyclic and raise CyclicSupportError. Local
-    coefficients are drawn from rng and the draw is repeated, doubling the
-    field size after attempts_per_field failures, until both terminals'
-    transfer matrices have rank h0, as a random draw does w.h.p. in a large
-    enough field (Ho et al., IEEE Trans. IT 2006).
+    opposite orders make that cyclic and raise CyclicSupportError. Two
+    terminals need only GF(2) (Fragouli & Soljanin, IEEE Trans. IT 2006): the
+    0/1 coefficients are written in GF(2^field_bits), which contains GF(2).
+
+    Vectors are h0-bit ints. Each terminal keeps the vector f_l on its path l,
+    first the unit vector e_l, and a dual basis with <d_k, f_l> = [k == l].
+    In evaluation order, an edge takes the first of a, b, a+b (its feeders'
+    vectors) whose parity against the dual of each path it continues is 1:
+    a suits its own path and b its own, so a+b suits both if neither suits
+    the other. The f_l stay a basis, and decode[i][k] is bit i of d_k. An
+    edge used twice by one family, or the first edge of a path that another
+    path feeds, raises InputError.
     """
     h0 = len(paths_t1)
     if len(paths_t2) != h0:
         raise InputError(f"need as many paths to T2 as to T1, got {len(paths_t2)} and {h0}")
-    bits = field_bits
+    field = get_field(field_bits)
+    # Per coded edge, the (terminal, path, input) of each path it continues:
+    # the input is the path's edge before it, or its message where it starts.
+    continues: dict[EdgeId, list[tuple[int, int, InputKey]]] = {}
+    for t, paths in enumerate((paths_t1, paths_t2)):
+        for l, p in enumerate(paths):
+            prev: InputKey = ("msg", l)
+            for eid in p.edges:
+                on = continues.setdefault(eid, [])
+                if on and on[-1][0] == t:
+                    raise InputError(f"edge {eid} is used twice by the paths to T{t + 1}")
+                on.append((t, l, prev))
+                prev = ("edge", eid)
     feeders: dict[EdgeId, set[EdgeId]] = {}
-    for p in (*paths_t1, *paths_t2):
-        feeders.setdefault(p.edges[0], set())
-        for prev, eid in zip(p.edges, p.edges[1:]):
-            feeders.setdefault(eid, set()).add(prev)
+    for eid, on in continues.items():
+        if len({kind for _, _, (kind, _) in on}) > 1:
+            raise InputError(f"edge {eid} starts a path but another path feeds it")
+        feeders[eid] = {ref for _, _, (kind, ref) in on if kind == "edge"}
     ordered = _evaluation_order(feeders)
-    # Paths start at the source and never return to it: an edge without a
-    # feeder starts a path and combines the messages.
-    messages: list[InputKey] = [("msg", i) for i in range(h0)]
-    input_keys = {
-        eid: [("edge", j) for j in sorted(feeders[eid])] or messages for eid in ordered
-    }
-    inputs_t1 = tuple(p.edges[-1] for p in paths_t1)
-    inputs_t2 = tuple(p.edges[-1] for p in paths_t2)
 
-    while True:
-        field = get_field(bits)
-        for _ in range(attempts_per_field):
-            local: dict[EdgeId, dict[InputKey, int]] = {}
-            for eid in ordered:
-                keys = input_keys[eid]
-                if len(keys) == 1:
-                    # A zero scalar on a single-input edge can never help rank.
-                    local[eid] = {keys[0]: rng.randrange(1, field.size)}
-                else:
-                    local[eid] = {key: rng.randrange(field.size) for key in keys}
-            vectors = coding_vectors(field, ordered, local, h0)
-            m1 = [list(vectors[eid]) for eid in inputs_t1]
-            m2 = [list(vectors[eid]) for eid in inputs_t2]
-            d1 = field.mat_inv(m1)
-            if d1 is None:
-                continue
-            d2 = field.mat_inv(m2)
-            if d2 is None:
-                continue
-            return MulticastCode(
-                field_bits=field.bits,
-                modulus=field.modulus,
-                h0=h0,
-                support=tuple(ordered),
-                local_coeffs=local,
-                inputs_t1=inputs_t1,
-                inputs_t2=inputs_t2,
-                decode_t1=tuple(tuple(row) for row in d1),
-                decode_t2=tuple(tuple(row) for row in d2),
-            )
-        if bits >= MAX_FIELD_BITS:
-            raise CodeConstructionError(
-                f"no full-rank code found up to GF(2^{bits}) "
-                f"({attempts_per_field} attempts per field)"
-            )
-        # Escalate by doubling, staying within the GF(2^4)..GF(2^16) ladder.
-        bits = min(max(2 * bits, 4), MAX_FIELD_BITS)
+    vector: dict[InputKey, int] = {("msg", j): 1 << j for j in range(h0)}
+    duals = [[1 << j for j in range(h0)] for _ in range(2)]
+    local: dict[EdgeId, dict[InputKey, int]] = {}
+    for eid in ordered:
+        on = continues[eid]
+        fed = sorted({key for _, _, key in on})
+        a, b = vector[fed[0]], vector[fed[-1]]
+        # Copying a suits the paths a feeds, and so every path when a == b.
+        for coeffs in ((1, 0), (0, 1), (1, 1)):
+            v = a * coeffs[0] ^ b * coeffs[1]
+            if all((duals[t][l] & v).bit_count() & 1 for t, l, _ in on):
+                break
+        for t, l, key in on:
+            if v != vector[key]:
+                dl = duals[t][l]
+                duals[t] = [dk ^ dl if (dk & v).bit_count() & 1 else dk for dk in duals[t]]
+                duals[t][l] = dl
+        vector[("edge", eid)] = v
+        if fed[0][0] == "msg":
+            local[eid] = {("msg", j): v >> j & 1 for j in range(h0)}
+        else:
+            local[eid] = dict(zip(fed, coeffs))
+    d1, d2 = (tuple(tuple(dk >> i & 1 for dk in d) for i in range(h0)) for d in duals)
+    return MulticastCode(
+        field_bits=field.bits,
+        modulus=field.modulus,
+        h0=h0,
+        support=tuple(ordered),
+        local_coeffs=local,
+        inputs_t1=tuple(p.edges[-1] for p in paths_t1),
+        inputs_t2=tuple(p.edges[-1] for p in paths_t2),
+        decode_t1=d1,
+        decode_t2=d2,
+    )
 
 
 def _evaluate(

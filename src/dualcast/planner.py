@@ -103,9 +103,10 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     """Build a verified transfer plan, or raise if the demand is infeasible.
 
     The pipeline: augment, extract h1 then h2 interference-free routes by
-    recoloring, and put a random linear multicast code of rate h0 on the h0
-    paths to each terminal the second pass holds besides its routes. All
-    randomness comes from seed, so identical inputs give identical plans.
+    recoloring, and put a deterministic binary multicast code of rate h0,
+    written in GF(2^field_bits), on the h0 paths to each terminal the second
+    pass holds besides its routes. seed is only recorded in the plan: no
+    coded value depends on it, and identical inputs give identical plans.
 
     Feasibility is certified by the first recoloring pass, not checked
     beforehand. On the augmented graph Y1's only in-edges are the h0+h1 edges
@@ -144,8 +145,7 @@ def synthesize_with_diagnostics(
         raise
     x1_routes, x2_routes = passes.x1_routes, passes.x2_routes
 
-    rng = random.Random(seed)
-    code = build_multicast_code(*passes.coded_paths, rng=rng, field_bits=field_bits)
+    code = build_multicast_code(*passes.coded_paths, field_bits=field_bits)
     plan = TransferPlan(
         demand=d, seed=seed, x1_routes=x1_routes, x2_routes=x2_routes, multicast=code
     )

@@ -44,6 +44,8 @@ CYCLIC_SEED = 2009
 # Feasible demands the cyclic sweep refuses with CyclicSupportError, as
 # measured; coding on every support in-edge of a tail refused 117.
 CYCLIC_REFUSALS = 0
+# The sweeps request these fields in turn; the code is binary in each.
+FIELD_BITS = (1, 8, 16)
 
 
 @contextmanager
@@ -69,6 +71,15 @@ class SweepData:
     budget_trips: list = field(default_factory=list)
     residual_shortfalls: list = field(default_factory=list)
     rank_failures: list = field(default_factory=list)
+    non_binary: list = field(default_factory=list)
+
+
+def _non_binary(plan, field_bits: int) -> bool:
+    """Whether the plan's code leaves GF(2) or the requested field."""
+    code = plan.multicast
+    entries = [c for keys in code.local_coeffs.values() for c in keys.values()]
+    entries += [c for row in code.decode_t1 + code.decode_t2 for c in row]
+    return code.field_bits != field_bits or not set(entries) <= {0, 1}
 
 
 def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
@@ -131,12 +142,13 @@ def sweep() -> SweepData:
             tag = (gi, (d.h0, d.h1, d.h2))
             data.n_instances += 1
             seed = gi * 1000 + di
+            bits = FIELD_BITS[seed % len(FIELD_BITS)]
             expected = check_feasibility(net, d).feasible
 
             t0 = time.perf_counter()
             plan = passes = None
             try:
-                plan, passes = synthesize_with_diagnostics(net, d, seed)
+                plan, passes = synthesize_with_diagnostics(net, d, seed, field_bits=bits)
             except InfeasibleDemandError:
                 pass
             except Exception as exc:  # synthesis must never crash on the sweep
@@ -156,6 +168,8 @@ def sweep() -> SweepData:
             if plan is None:
                 continue
             data.n_feasible += 1
+            if _non_binary(plan, bits):
+                data.non_binary.append(tag)
 
             lemma = check_lemma(passes.pass1.aug, d)
             if not lemma.ok:
@@ -201,6 +215,7 @@ def test_criterion_3_capacity_region_sweep(sweep):
         assert sweep.n_feasible > 1000  # the sweep must actually exercise synthesis
         assert sweep.decision_mismatches == []
         assert sweep.verify_failures == []
+        assert sweep.non_binary == []
         assert sweep.synth_verify_seconds < 60.0
 
 
@@ -229,6 +244,9 @@ def test_criterion_7_byte_identical_plans(fig2):
         first = dump_plan(synthesize(fig2, d, seed=2026)).encode()
         second = dump_plan(synthesize(fig2, d, seed=2026)).encode()
         assert first == second
+        # No coded value depends on the seed: only its own key differs.
+        other = dump_plan(synthesize(fig2, d, seed=2027)).encode()
+        assert other.replace(b'"seed": 2027', b'"seed": 2026') == first
 
 
 @dataclass
@@ -237,6 +255,7 @@ class CyclicSweepData:
     decision_mismatches: list = field(default_factory=list)
     verify_failures: list = field(default_factory=list)
     refusals: list = field(default_factory=list)
+    non_binary: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="module")
@@ -245,12 +264,13 @@ def cyclic_sweep() -> CyclicSweepData:
     data = CyclicSweepData()
     for gi in range(N_CYCLIC_GRAPHS):
         net = small_cyclic_network(rng)
-        for d in DEMANDS:
+        for di, d in enumerate(DEMANDS):
             tag = (gi, (d.h0, d.h1, d.h2))
+            bits = FIELD_BITS[(gi + di) % len(FIELD_BITS)]
             feasible = check_feasibility(net, d).feasible
             data.n_feasible += feasible
             try:
-                plan = synthesize(net, d, seed=gi)
+                plan = synthesize(net, d, seed=gi, field_bits=bits)
             except InfeasibleDemandError:
                 if feasible:
                     data.decision_mismatches.append(tag)
@@ -264,6 +284,8 @@ def cyclic_sweep() -> CyclicSweepData:
                 data.decision_mismatches.append(tag)
             if not verify_plan(net, plan, trials=3, seed=gi).passed:
                 data.verify_failures.append(tag)
+            if _non_binary(plan, bits):
+                data.non_binary.append(tag)
     return data
 
 
@@ -272,4 +294,5 @@ def test_criterion_8_cyclic_networks(cyclic_sweep):
         assert cyclic_sweep.n_feasible > 2000
         assert cyclic_sweep.decision_mismatches == []
         assert cyclic_sweep.verify_failures == []
+        assert cyclic_sweep.non_binary == []
         assert len(cyclic_sweep.refusals) == CYCLIC_REFUSALS, cyclic_sweep.refusals

@@ -62,9 +62,9 @@ WIDE = _wide_network()
 # sha256 of the version-1 files of the three pinned plans, which also stored
 # every coded edge's global coding vector.
 V1_DIGESTS = {
-    "fig2-8": "937d229628ef636125ce6731fa8b06abc80b2d39ba55ee4e4a48ed6841b7f5db",
-    "fig2-16": "3b1679af1336801dc36a8d355fb022f373219e08a8b54fb07a5cb1f44e147efd",
-    "wide-16": "6e66e9d302bd1f089936dd28bd67ca827c26a72a72231fa76b2227b5358e6df9",
+    "fig2-8": "981e743f9e3af5af67deef7b09b7b9546a289c07fe6460a854f2a5108be0b759",
+    "fig2-16": "1c52eb09bfc4889b131a13b86c8f3873927fd7bceec5fe609d0747e602a9e261",
+    "wide-16": "b55f0b4eb4fab69eec48d873e1507bf85d2fcda6a231e85e3470fa2d880496e7",
 }
 
 
@@ -121,6 +121,10 @@ class TestNetworkFormat:
             (lambda d: d.__setitem__("source", ["s"]), "is not a declared node"),
             (lambda d: d["terminals"].__setitem__(1, {}), "is not a declared node"),
             (lambda d: d["edges"][0].__setitem__("from", ["s"]), "unknown node"),
+            # A misspelt key would otherwise read as the default capacity 1.
+            (lambda d: d["edges"][0].__setitem__("capacity", 3),
+             "edge #0 has unknown key 'capacity'"),
+            (lambda d: d.__setitem__("sources", ["s"]), "network has unknown key 'sources'"),
         ],
     )
     def test_malformed_documents_are_rejected_with_context(self, mutate, fragment):
@@ -338,8 +342,8 @@ class TestCmdSynthesize:
     @pytest.mark.parametrize(
         "field_bits, digest",
         [
-            ("8", "08b3867157948140591f195f01229b14b9f438da8e8beebcfb9a89fb304e8779"),
-            ("16", "651f8f643cafb9773a5d329e93fea522c79138edca85242e81e78eb5fe1bcd87"),
+            ("8", "20ad82fbdabb16f6fd0dd405e9f71ba9423b449612d96b27c36a392039ab266b"),
+            ("16", "9685cdd193b1720003d22ad23bf429d3debeba2f503ee79e5e0cf2ac03ea6b0d"),
         ],
     )
     def test_fig2_plan_bytes_are_pinned(self, tmp_path, field_bits, digest):
@@ -349,12 +353,12 @@ class TestCmdSynthesize:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_wide_gf16_plan_bytes_are_pinned(self):
-        # h0 = 5 in GF(2^16): 5x5 transfer matrices inverted without log tables.
+        # h0 = 5, with the binary code written in GF(2^16).
         plan = synthesize(WIDE, Demand(5, 1, 0), seed=11, field_bits=16)
         assert (plan.multicast.h0, plan.multicast.field_bits) == (5, 16)
         assert verify_plan(WIDE, plan, trials=0).passed
         digest = hashlib.sha256(dump_plan(plan).encode()).hexdigest()
-        assert digest == "a21f015634151ee873ef89f9ef0a6a14b341df5553a176f71eec58cd86bb9d93"
+        assert digest == "198ab0779d9deb7617814e39fe24f10bd0e2ca5d2915d2c4c147d71bf325b2f6"
 
     def test_infeasible_demand_exits_two(self, capsys):
         assert main(["synthesize", FIG2, "--h0", "3", "--h1", "1", "--h2", "1"]) == 2
@@ -547,12 +551,13 @@ class TestCmdExportDot:
     @pytest.mark.parametrize(
         "field_bits, digest",
         [
-            ("8", "b75776bfa05304878a553dc8a77a961c1c2a2e4fdf075783bcf6261b638ce739"),
-            ("16", "dc7bc7504edfa59b5d38cf4e635531faed632fbc62cf172aaf2a7cf2c1056871"),
+            ("8", "7fbd56f2afab13c26ea9596d5ee6389ce5bdc0acff6d62163332a3d0227e14b6"),
+            ("16", "7fbd56f2afab13c26ea9596d5ee6389ce5bdc0acff6d62163332a3d0227e14b6"),
         ],
     )
     def test_plan_dot_bytes_are_pinned(self, tmp_path, capsys, field_bits, digest):
-        # The digests of version 1's output, whose labels were the stored vectors.
+        # The digests of version 1's output, whose labels were the stored
+        # vectors; the code is binary, so both fields give the same labels.
         plan = tmp_path / "plan.json"
         assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
                      "--seed", "7", "--field-bits", field_bits, "-o", str(plan)]) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.errors import CodeConstructionError, CyclicSupportError, InputError
+from dualcast.errors import CyclicSupportError, InputError
 from dualcast.flow import EdgePath
 from dualcast.nccode import (
     DEFAULT_MODULI,
@@ -38,8 +38,8 @@ BUTTERFLY_T1 = (EdgePath((0, 2)), EdgePath((1, 5, 6, 7)))
 BUTTERFLY_T2 = (EdgePath((1, 3)), EdgePath((0, 4, 6, 8)))
 
 
-def butterfly_code_for(rng, **kwargs):
-    return build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2, rng=rng, **kwargs)
+def butterfly_code_for(field_bits=8):
+    return build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2, field_bits=field_bits)
 
 
 class TestFieldBasics:
@@ -206,7 +206,7 @@ class TestButterflyExhaustive:
 
 class TestBuildMulticastCode:
     def test_zero_rate_gives_empty_code(self):
-        code = build_multicast_code((), (), rng=random.Random(0))
+        code = build_multicast_code((), (), field_bits=8)
         assert code.support == ()
         assert code.h0 == 0
         assert apply_code(code, []) == {}
@@ -215,14 +215,14 @@ class TestBuildMulticastCode:
         # parallel_net(2, 2): edges 0, 1 go s->t1 and edges 2, 3 go s->t2.
         paths_t1 = (EdgePath((0,)), EdgePath((1,)))
         paths_t2 = (EdgePath((2,)), EdgePath((3,)))
-        code = build_multicast_code(paths_t1, paths_t2, rng=random.Random(0))
+        code = build_multicast_code(paths_t1, paths_t2, field_bits=8)
         x0 = [17, 202]
         symbols = apply_code(code, x0)
         assert decode_symbols(code, 1, symbols) == x0
         assert decode_symbols(code, 2, symbols) == x0
 
     def test_butterfly_code_decodes_random_messages(self):
-        code = butterfly_code_for(random.Random(42))
+        code = butterfly_code_for()
         rng = random.Random(7)
         for _ in range(10):
             x0 = [rng.randrange(256) for _ in range(2)]
@@ -231,14 +231,14 @@ class TestBuildMulticastCode:
             assert decode_symbols(code, 2, symbols) == x0
 
     def test_butterfly_support_is_within_the_coded_core(self, butterfly):
-        code = butterfly_code_for(random.Random(42))
+        code = butterfly_code_for()
         assert set(code.support) <= {e.eid for e in butterfly.edges}
         assert len(code.inputs_t1) == 2 and len(code.inputs_t2) == 2
         for eid in code.inputs_t1:
             assert butterfly.edge(eid).head == "t1"
 
     def test_each_coded_edge_combines_its_path_predecessors(self):
-        code = butterfly_code_for(random.Random(42))
+        code = butterfly_code_for()
         inputs = {eid: set(keys) for eid, keys in code.local_coeffs.items()}
         messages = {("msg", 0), ("msg", 1)}
         assert inputs == {
@@ -254,21 +254,39 @@ class TestBuildMulticastCode:
         }
         assert code.support == (0, 1, 2, 3, 4, 5, 6, 7, 8)  # smallest ready id first
         assert (code.inputs_t1, code.inputs_t2) == ((2, 7), (3, 8))
-
-    def test_single_draw_success_rate_over_gf256(self):
-        successes = 0
-        for seed in range(100):
-            code = butterfly_code_for(random.Random(seed), attempts_per_field=1)
-            if code.field_bits == 8:
-                successes += 1
-        assert successes >= 95
+        # Edge 0 starts T1's path 0 and T2's path 1, so neither unit vector
+        # alone keeps both frontiers independent: it takes e0 + e1.
+        assert code.local_coeffs[0] == {("msg", 0): 1, ("msg", 1): 1}
 
     def test_families_of_different_sizes_are_rejected(self):
         with pytest.raises(InputError, match="as many paths"):
-            build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2[:1], rng=random.Random(0))
+            build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2[:1], field_bits=8)
 
-    def test_construction_is_deterministic_in_the_seed(self):
-        assert butterfly_code_for(random.Random(5)) == butterfly_code_for(random.Random(5))
+    def test_construction_is_deterministic_and_binary_in_every_field(self):
+        assert butterfly_code_for() == butterfly_code_for()
+        gf2 = butterfly_code_for(1)
+        for bits in (1, 8, 16):
+            code = butterfly_code_for(bits)
+            assert code.field_bits == bits
+            assert code.local_coeffs == gf2.local_coeffs
+            assert (code.decode_t1, code.decode_t2) == (gf2.decode_t1, gf2.decode_t2)
+            assert {c for keys in code.local_coeffs.values() for c in keys.values()} <= {0, 1}
+            assert {c for row in code.decode_t1 + code.decode_t2 for c in row} <= {0, 1}
+
+    @pytest.mark.parametrize(
+        "paths_t1, paths_t2, named",
+        [
+            # Both paths to T1 take edge 0.
+            ((EdgePath((0, 2)), EdgePath((0, 4, 6, 7))), BUTTERFLY_T2,
+             "edge 0 is used twice by the paths to T1"),
+            # A path to T2 starts on edge 6, which edge 5 feeds on a path to T1.
+            (BUTTERFLY_T1, (EdgePath((1, 3)), EdgePath((6, 8))),
+             "edge 6 starts a path but another path feeds it"),
+        ],
+    )
+    def test_malformed_families_are_refused(self, paths_t1, paths_t2, named):
+        with pytest.raises(InputError, match=named):
+            build_multicast_code(paths_t1, paths_t2, field_bits=8)
 
     def test_paths_sharing_edges_in_opposite_orders_name_the_cycle(self):
         # Edges 0=s->a, 1=s->b, 2=a->b, 3=b->a, 4=a->t1, 5=b->t2: the path to
@@ -277,23 +295,13 @@ class TestBuildMulticastCode:
         to_t1 = (EdgePath((0, 2, 3, 4)),)
         to_t2 = (EdgePath((1, 3, 2, 5)),)
         with pytest.raises(CyclicSupportError, match=r"edges \[3, 2\] feed each other in a cycle"):
-            build_multicast_code(to_t1, to_t2, rng=random.Random(0))
+            build_multicast_code(to_t1, to_t2, field_bits=8)
 
-    def test_exhausted_retry_ladder_reports_the_ceiling_field(self):
-        class ZeroMixing(random.Random):
-            # Minimal legal draws: mixing coefficients all zero, so every
-            # attempt yields a singular bottleneck and the ladder runs out.
-            def randrange(self, start, stop=None, step=1):
-                return 0 if stop is None else start
-
-        with pytest.raises(CodeConstructionError) as exc:
-            butterfly_code_for(ZeroMixing(), field_bits=16, attempts_per_field=2)
-        assert "GF(2^16)" in str(exc.value)
 
 
 @pytest.fixture(scope="module")
 def butterfly_code():
-    return butterfly_code_for(random.Random(42))
+    return butterfly_code_for()
 
 
 class TestApplyCode:
