@@ -6,7 +6,9 @@ terminal that the second recoloring pass leaves off the routes.
 check_feasibility compares the three min-cuts with the demand. Synthesis
 does not run it up front: the first recoloring pass's two flows
 decide feasibility, and the three cuts are computed only to report a demand
-those flows refuse. check_plan is the one semantic check of a plan, run by
+those flows refuse. Those are a feasible synthesis's only two max-flows: the
+second pass starts from the first pass's coloring on the same augmented
+graph. check_plan is the one semantic check of a plan, run by
 synthesis, verification and the DOT export; verify_plan then proves the
 checked plan delivers by evaluating its code on the unit messages.
 """
@@ -102,10 +104,12 @@ class TransferPlan:
 def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> TransferPlan:
     """Build a verified transfer plan, or raise if the demand is infeasible.
 
-    The pipeline: augment, extract h1 then h2 interference-free routes by
-    recoloring, and put a deterministic binary multicast code of rate h0,
+    The pipeline: augment once, extract h1 then h2 interference-free routes
+    by recoloring, and put a deterministic binary multicast code of rate h0,
     written in GF(2^field_bits), on the h0 paths to each terminal the second
-    pass holds besides its routes. seed is only recorded in the plan: no
+    pass holds besides its routes. The second pass starts from the first
+    pass's final coloring, so the first pass's two max-flows are the only
+    ones a feasible synthesis runs. seed is only recorded in the plan: no
     coded value depends on it, and identical inputs give identical plans.
 
     Feasibility is certified by the first recoloring pass, not checked

@@ -14,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .augment import AugmentedNetwork, build_augmented
+from .augment import AugmentedNetwork
 from .errors import InvariantError, NonterminationError, TheoremViolationError
 from .flow import EdgePath, decompose_paths, max_flow
-from .netgraph import Demand, EdgeId, Network, NodeId, remove_edges
+from .netgraph import Demand, EdgeId, Network, NodeId
+# Unused here; perfbench/tracer.py wraps recolor.build_augmented and recolor.remove_edges.
+from .augment import build_augmented  # noqa: F401
+from .netgraph import remove_edges  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -191,9 +194,9 @@ class SymmetricPassResult:
     def coded_paths(self) -> tuple[tuple[EdgePath, ...], tuple[EdgePath, ...]]:
         """h0 paths to T1 and h0 to T2, over real edges, that avoid every route.
 
-        Pass 2's red paths and its non-route green paths (Y2 is fed only via T2
-        when h1 = 0), cut at their first arrival at the terminal. The x1 routes
-        are gone from pass 2's network; the x2 routes are green and carry no red.
+        Pass 2's red paths and its non-route green paths, cut at their first
+        arrival at the terminal. Pass 2's paths start off the x1 routes and
+        recoloring keeps them there; the x2 routes are green and carry no red.
         """
         p2 = self.pass2
         t1, t2 = p2.aug.base.terminals
@@ -243,21 +246,50 @@ def single_pass(
     return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)
 
 
-def real_route_edges(result: PassResult) -> set[EdgeId]:
-    """Original-graph edge ids used by a pass's routes."""
-    return {eid for p in result.real_routes for eid in p.edges}
+def second_pass(pass1: PassResult, d: Demand) -> PassResult:
+    """Pass 2, started from pass 1's final coloring on the same augmented graph.
+
+    Green: pass 1's h0+h2 final red paths to T2', the i-th extended by the
+    i-th T2'->Y2 edge in ascending id (the bundle has exactly h0+h2). Red:
+    pass 1's h0 non-route green paths entering Y1 from T1', cut at T1'. The
+    routes are green and carry no red, so no path here uses an x1 route
+    edge, and recoloring only hands red paths prefixes of these greens.
+    A count other than h0+h2 or h0 means pass 1 broke its guarantees.
+    """
+    aug = pass1.aug
+    net = aug.net
+    into_y2 = sorted(
+        eid for eid in aug.virtual_edge_ids if net.edge(eid)[1:] == (aug.t2p, aug.y2)
+    )
+    routed = {p.edges[0] for p in pass1.routes}
+    reds = tuple(
+        EdgePath(p.edges[:-1])
+        for p in pass1.state.green_paths
+        if p.edges[0] not in routed and net.edge(p.edges[-1]).tail == aug.t1p
+    )
+    old_reds = pass1.state.red_paths
+    if len(reds) != d.h0 or len(old_reds) != len(into_y2):
+        raise TheoremViolationError(
+            f"pass 1 left {len(reds)} non-route paths through {aug.t1p!r} and "
+            f"{len(old_reds)} red paths, expected {d.h0} and {len(into_y2)}"
+        )
+    greens = tuple(EdgePath(p.edges + (eid,)) for p, eid in zip(old_reds, into_y2))
+    initial = ColoringState(net=net, green_paths=greens, red_paths=reds)
+    state, trace = run_to_fixpoint(initial)
+    routes = tuple(extract_exclusive_green(state, gate=aug.t2p, count=d.h2))
+    return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)
 
 
 def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:
-    """Both recoloring passes, run sequentially.
+    """Both recoloring passes on one augmented graph, with pass 1's two flows.
 
-    The first pass extracts the h1 routes toward T1 on the full augmented
-    graph. The second pass mirrors the roles on a fresh augmentation of the
-    residual: the x1 route edges are removed from the underlying network and
-    the virtual bundles are rebuilt for the remaining demand (h0, 0, h2), so
-    the protected side's gadget is sized by what T1 still has to receive.
-    Rebuilding (rather than reusing the first gadget) is what keeps the
-    mirrored pass's flow counts and gate-forcing argument valid.
+    Pass 1 extracts the h1 routes toward T1 from fresh flows to Y1 and T2'.
+    Pass 2 mirrors the roles, starting from pass 1's final coloring
+    (second_pass): its green paths to Y2 all end T2'->Y2, and its red paths
+    to T1' avoid the x1 routes. The fixpoint leaves at most h0 green paths
+    starting on a red edge, one per red path's source out-edge, so at least
+    h2 are exclusively green; recoloring never changes a green path, so each
+    passes the gate T2'. Both passes share one augmentation and two flows.
     """
     pass1 = single_pass(
         aug,
@@ -268,15 +300,4 @@ def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:
         n_red=d.h0 + d.h2,
         n_routes=d.h1,
     )
-    residual_base = remove_edges(aug.base, real_route_edges(pass1))
-    aug2 = build_augmented(residual_base, Demand(d.h0, 0, d.h2))
-    pass2 = single_pass(
-        aug2,
-        collector=aug2.y2,
-        red_target=aug2.t1p,
-        gate=aug2.t2p,
-        n_green=d.h0 + d.h2,
-        n_red=d.h0,
-        n_routes=d.h2,
-    )
-    return SymmetricPassResult(pass1=pass1, pass2=pass2)
+    return SymmetricPassResult(pass1=pass1, pass2=second_pass(pass1, d))

@@ -58,6 +58,17 @@ def parallel_net(k1: int, k2: int) -> Network:
     return mknet(pairs, source="s", terminals=("t1", "t2"))
 
 
+def wide_network(width: int = 6, layers: int = 3) -> Network:
+    """s feeds `width` nodes; each layer node feeds 3 of the next; the last feeds both terminals."""
+    pairs = [("s", f"L0n{i}") for i in range(width)]
+    for k in range(layers - 1):
+        for i in range(width):
+            pairs += [(f"L{k}n{i}", f"L{k + 1}n{(i + step) % width}") for step in (0, 1, 3)]
+    for i in range(width):
+        pairs += [(f"L{layers - 1}n{i}", "t1"), (f"L{layers - 1}n{i}", "t2")]
+    return mknet(pairs, "s", ("t1", "t2"))
+
+
 def small_cyclic_network(rng: random.Random) -> Network:
     """A random digraph with cycles: 4-8 nodes, 8-16 edges, v0 the source."""
     n = rng.randint(4, 8)

@@ -11,8 +11,8 @@ builds on the code primitives and check_plan, which it does not test, the
 recoloring reference on recolor's state and trace containers, and the
 identity check on max-flow and the feasibility report). The small helpers
 that only the oracles and tests need (decoding, a flow's used edges, a
-plan's route edges, a network's JSON document) live here too, not in the
-package.
+plan's or a pass's route edges, a network's JSON document) live here too,
+not in the package.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dualcast.flow import EdgePath, FlowResult, min_cut_value
 from dualcast.nccode import MulticastCode, apply_code, coding_vectors
 from dualcast.netgraph import Demand, EdgeId, Network, NodeId
 from dualcast.planner import TransferPlan, check_feasibility, check_plan
-from dualcast.recolor import ColoringState, ReroutingTrace, TraceStep
+from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
 
 GREEN = "green"
 RED = "red"
@@ -400,6 +400,11 @@ def saturated(flow: FlowResult) -> set[EdgeId]:
 def route_edges(plan: TransferPlan) -> set[EdgeId]:
     """Every edge of a plan's x1 and x2 routes."""
     return {eid for p in (*plan.x1_routes, *plan.x2_routes) for eid in p.edges}
+
+
+def real_route_edges(result: PassResult) -> set[EdgeId]:
+    """Original-graph edge ids used by a recoloring pass's routes."""
+    return {eid for p in result.real_routes for eid in p.edges}
 
 
 def network_to_dict(net: Network) -> dict[str, Any]:

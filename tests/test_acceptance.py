@@ -8,6 +8,7 @@ field arithmetic leave nothing to tolerances.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
 
-from conftest import all_demands, random_network, small_cyclic_network
+from conftest import all_demands, random_network, small_cyclic_network, wide_network
 from oracles import (
     check_lemma,
     exclusively_green,
@@ -69,6 +70,7 @@ class SweepData:
     red_count_violations: list = field(default_factory=list)
     route_extraction_faults: list = field(default_factory=list)
     budget_trips: list = field(default_factory=list)
+    x1_crossings: list = field(default_factory=list)
     residual_shortfalls: list = field(default_factory=list)
     rank_failures: list = field(default_factory=list)
     non_binary: list = field(default_factory=list)
@@ -80,6 +82,15 @@ def _non_binary(plan, field_bits: int) -> bool:
     entries = [c for keys in code.local_coeffs.values() for c in keys.values()]
     entries += [c for row in code.decode_t1 + code.decode_t2 for c in row]
     return code.field_bits != field_bits or not set(entries) <= {0, 1}
+
+
+def _pass_two_touches_x1(passes, plan) -> bool:
+    """Whether any of pass 2's paths, first or final, uses an edge of an x1 route."""
+    x1 = {eid for p in plan.x1_routes for eid in p.edges}
+    p2 = passes.pass2
+    paths = (*p2.initial.green_paths, *p2.initial.red_paths,
+             *p2.state.green_paths, *p2.state.red_paths)
+    return any(not x1.isdisjoint(p.edges) for p in paths)
 
 
 def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
@@ -175,6 +186,8 @@ def sweep() -> SweepData:
             if not lemma.ok:
                 data.lemma_failures.append((tag, lemma))
             _audit_recoloring(data, tag, passes, d)
+            if _pass_two_touches_x1(passes, plan):
+                data.x1_crossings.append(tag)
             _audit_residual(data, tag, net, d, plan)
     return data
 
@@ -230,6 +243,7 @@ def test_criterion_5_recoloring_invariants(sweep):
         assert sweep.red_count_violations == []
         assert sweep.route_extraction_faults == []
         assert sweep.budget_trips == []
+        assert sweep.x1_crossings == []
 
 
 def test_criterion_6_residual_multicast_guarantee(sweep):
@@ -249,6 +263,21 @@ def test_criterion_7_byte_identical_plans(fig2):
         assert other.replace(b'"seed": 2027', b'"seed": 2026') == first
 
 
+def test_criterion_7_pass_two_order_is_pinned():
+    with criterion(7, "plan bytes where pass 2 follows pass 1's red paths"):
+        # Pass 2's green paths are pass 1's red paths in pass 1's order, so
+        # the two x2 routes come out in this order. Pass 2 built from fresh
+        # flows on a residual network gives the same routes and code the other
+        # way round. So this pin shows the hand-off, which the fig2 and WIDE
+        # (5, 1, 0) pins cannot: their bytes are the same either way.
+        net = wide_network()
+        plan = synthesize(net, Demand(2, 1, 2), seed=11)
+        assert [list(p.edges) for p in plan.x2_routes] == [[4, 18, 36, 51], [3, 15, 33, 49]]
+        assert verify_plan(net, plan, trials=0).passed
+        digest = hashlib.sha256(dump_plan(plan).encode()).hexdigest()
+        assert digest == "557d23d7b74f53e003d261665b094740ce415e27d60d8ddcc7c10798014c37ef"
+
+
 @dataclass
 class CyclicSweepData:
     n_feasible: int = 0
@@ -256,6 +285,7 @@ class CyclicSweepData:
     verify_failures: list = field(default_factory=list)
     refusals: list = field(default_factory=list)
     non_binary: list = field(default_factory=list)
+    x1_crossings: list = field(default_factory=list)
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +300,7 @@ def cyclic_sweep() -> CyclicSweepData:
             feasible = check_feasibility(net, d).feasible
             data.n_feasible += feasible
             try:
-                plan = synthesize(net, d, seed=gi, field_bits=bits)
+                plan, passes = synthesize_with_diagnostics(net, d, seed=gi, field_bits=bits)
             except InfeasibleDemandError:
                 if feasible:
                     data.decision_mismatches.append(tag)
@@ -286,6 +316,8 @@ def cyclic_sweep() -> CyclicSweepData:
                 data.verify_failures.append(tag)
             if _non_binary(plan, bits):
                 data.non_binary.append(tag)
+            if _pass_two_touches_x1(passes, plan):
+                data.x1_crossings.append(tag)
     return data
 
 
@@ -295,4 +327,5 @@ def test_criterion_8_cyclic_networks(cyclic_sweep):
         assert cyclic_sweep.decision_mismatches == []
         assert cyclic_sweep.verify_failures == []
         assert cyclic_sweep.non_binary == []
+        assert cyclic_sweep.x1_crossings == []
         assert len(cyclic_sweep.refusals) == CYCLIC_REFUSALS, cyclic_sweep.refusals

@@ -21,7 +21,7 @@ from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand
 from dualcast.planner import synthesize, verify_plan
 
-from conftest import mknet
+from conftest import wide_network
 from oracles import network_to_dict, structurally_equal
 
 FIG2 = str(fig2_path())
@@ -45,19 +45,7 @@ SWAP = {
 }
 
 
-
-def _wide_network(width: int = 6, layers: int = 3):
-    """s feeds `width` nodes; each layer node feeds 3 of the next; the last feeds both terminals."""
-    pairs = [("s", f"L0n{i}") for i in range(width)]
-    for k in range(layers - 1):
-        for i in range(width):
-            pairs += [(f"L{k}n{i}", f"L{k + 1}n{(i + step) % width}") for step in (0, 1, 3)]
-    for i in range(width):
-        pairs += [(f"L{layers - 1}n{i}", "t1"), (f"L{layers - 1}n{i}", "t2")]
-    return mknet(pairs, "s", ("t1", "t2"))
-
-
-WIDE = _wide_network()
+WIDE = wide_network()
 
 # sha256 of the version-1 files of the three pinned plans, which also stored
 # every coded edge's global coding vector.

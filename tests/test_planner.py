@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from dualcast import flow, nccode, planner, recolor
+from dualcast import augment, flow, nccode, netgraph, planner, recolor
 from dualcast.cli import main
 from dualcast.errors import (
     CyclicSupportError,
@@ -33,7 +33,7 @@ from conftest import (
     random_feasible_instances,
     small_cyclic_network,
 )
-from oracles import route_edges, verify_by_simulation
+from oracles import real_route_edges, route_edges, verify_by_simulation
 from strategies import feasible_instances
 
 
@@ -156,14 +156,18 @@ class TestFeasibilityFromPassOne:
             monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_feasible_synthesis_runs_four_flows_and_no_feasibility_check(
+    def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(
         self, fig2, monkeypatch
     ):
-        # Two flows per recoloring pass; the code reuses pass 2's paths.
+        # Pass 1's two flows; pass 2 starts from pass 1's coloring on the same
+        # augmented graph, and the code reuses pass 2's paths.
         flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
         checks = self._count(monkeypatch, "check_feasibility", planner)
+        augmented = self._count(monkeypatch, "build_augmented", augment, planner, recolor)
+        removed = self._count(monkeypatch, "remove_edges", netgraph, planner, recolor)
         synthesize(fig2, Demand(2, 1, 1), seed=7)
-        assert (len(flows), len(checks)) == (4, 0)
+        assert (len(flows), len(checks)) == (2, 0)
+        assert (len(augmented), len(removed)) == (1, 0)
         # An infeasible demand within the degree bounds: one pass-1 flow falls
         # short, then the report's three cuts are computed.
         flows.clear()
@@ -326,8 +330,13 @@ class TestDiagnostics:
         assert len(passes.x1_routes) == d.h1
         assert len(passes.x2_routes) == d.h2
         assert plan.demand == d
-        # The second pass ran on the first pass's residual base graph.
-        assert 0 not in {e.eid for e in passes.pass2.aug.base.edges}
+        # The second pass ran on the first pass's augmented graph, off the x1 routes.
+        assert passes.pass2.aug is passes.pass1.aug
+        x1_edges = real_route_edges(passes.pass1)
+        assert x1_edges == {0, 4}
+        for state in (passes.pass2.initial, passes.pass2.state):
+            for p in state.green_paths + state.red_paths:
+                assert x1_edges.isdisjoint(p.edges)
 
 
 def test_bundled_fixture_set_synthesizes_and_verifies():

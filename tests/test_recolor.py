@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -11,19 +12,26 @@ from dualcast.errors import (
     NonterminationError,
     TheoremViolationError,
 )
+from dualcast.fixtures import fig2_network
 from dualcast.flow import EdgePath, check_path, decompose_paths, max_flow
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import check_feasibility, synthesize_with_diagnostics
 from dualcast.recolor import (
     ColoringState,
     extract_exclusive_green,
-    real_route_edges,
     run_to_fixpoint,
+    second_pass,
     single_pass,
     symmetric_pass,
 )
 
-from conftest import mknet, parallel_net, random_feasible_instances, small_cyclic_network
+from conftest import (
+    mknet,
+    parallel_net,
+    random_feasible_instances,
+    small_cyclic_network,
+    wide_network,
+)
 from oracles import (
     algorithm_a,
     check_coloring,
@@ -32,6 +40,7 @@ from oracles import (
     exclusively_green,
     fixpoint_by_steps,
     path_nodes,
+    real_route_edges,
     red_source_degree,
     replay_trace,
     visits,
@@ -436,3 +445,70 @@ class TestCodedPaths:
                     _assert_coded_paths_avoid_the_routes(net, d)
                     checked += 1
         assert checked > 20
+
+
+
+def _hand_off_instances():
+    cyclic = small_cyclic_network(random.Random(49))
+    return [
+        pytest.param(fig2_network(), Demand(2, 1, 1), 0, id="fig2"),
+        pytest.param(wide_network(), Demand(5, 1, 0), 0, id="wide"),
+        # Pass 1 reroutes once here, so its final red paths are not its first.
+        pytest.param(cyclic, Demand(1, 1, 2), 1, id="cyclic"),
+    ]
+
+
+class TestHandOff:
+    """Pass 2 starts from pass 1's final coloring on the same augmented graph."""
+
+    @pytest.mark.parametrize("net, d, pass1_steps", _hand_off_instances())
+    def test_pass_two_starts_from_pass_one_final_coloring(self, net, d, pass1_steps):
+        result = symmetric_pass(build_augmented(net, d), d)
+        p1, p2 = result.pass1, result.pass2
+        aug = p1.aug
+        assert p2.aug is aug
+        assert len(p1.trace.steps) == pass1_steps
+        into_y2 = [e.eid for e in aug.net.edges if (e.tail, e.head) == (aug.t2p, aug.y2)]
+        assert len(into_y2) == len(p1.state.red_paths) == d.h0 + d.h2
+        assert p2.initial.green_paths == tuple(
+            EdgePath(p.edges + (eid,)) for p, eid in zip(p1.state.red_paths, into_y2)
+        )
+        routes = {p.edges for p in p1.routes}
+        through_t1p = [
+            p.edges[:-1] for p in p1.state.green_paths
+            if path_nodes(aug.net, p)[-2] == aug.t1p
+        ]
+        assert len(through_t1p) == d.h0 + d.h1
+        assert p2.initial.red_paths == tuple(
+            EdgePath(edges) for edges in through_t1p if edges not in routes
+        )
+        assert len(p2.initial.red_paths) == d.h0
+
+    @pytest.mark.parametrize("broken", ["routes", "red_paths"])
+    def test_a_wrong_count_from_pass_one_is_a_theorem_violation(self, fig2, broken):
+        d = Demand(2, 1, 1)
+        pass1 = symmetric_pass(build_augmented(fig2, d), d).pass1
+        if broken == "routes":
+            # No path counts as a route: three non-route paths through T1', not h0 = 2.
+            pass1 = dataclasses.replace(pass1, routes=())
+        else:
+            # A T2'->Y2 edge is left without a red path to extend.
+            state = dataclasses.replace(pass1.state, red_paths=pass1.state.red_paths[:-1])
+            pass1 = dataclasses.replace(pass1, state=state)
+        with pytest.raises(TheoremViolationError, match="pass 1 left"):
+            second_pass(pass1, d)
+
+    def test_trace_ids_are_edges_of_the_full_augmented_graph(self):
+        # What `export-dot --augmented` draws for the same demand. Pass 2
+        # seldom reroutes; the seventh of these graphs makes both passes do so.
+        instances = _layered_instances(random.Random(1), count=7)
+        steps = [0, 0]
+        for seed, (net, d) in enumerate(instances):
+            _, passes = synthesize_with_diagnostics(net, d, seed)
+            drawn = build_augmented(net, d).net
+            for k, result in enumerate((passes.pass1, passes.pass2)):
+                steps[k] += len(result.trace.steps)
+                for step in result.trace.steps:
+                    for eid in (step.shared_edge, *step.prefix_swapped.edges):
+                        assert drawn.edge(eid) == result.aug.net.edge(eid)
+        assert min(steps) > 0
