@@ -15,7 +15,7 @@ from .errors import (
     UnknownEdgeError,
     UnknownNodeError,
 )
-from .flow import EdgePath, FlowResult, decompose_paths, max_flow, min_cut_value
+from .flow import EdgePath, FlowResult, decompose_paths, max_flow
 from .nccode import GF, MulticastCode, apply_code, build_multicast_code, get_field
 from .netgraph import (
     Demand,
@@ -73,7 +73,6 @@ __all__ = [
     "extract_exclusive_green",
     "get_field",
     "max_flow",
-    "min_cut_value",
     "remove_edges",
     "run_to_fixpoint",
     "symmetric_pass",

@@ -5,8 +5,11 @@ maximum flow decomposes into value-many edge-disjoint source-to-sink paths
 (constructive Menger). Maximum flows come from Dinic's blocking-flow
 algorithm, in which any sink of a sink set ends a search branch, over a
 residual adjacency that each Network builds once (Network._residual_arcs).
-All tie-breaking is by ascending edge id, out-arcs before in-arcs, so
-identical inputs always produce identical flows and paths.
+The same loop can continue from a flow it already found: terminal_cuts gets
+a network's three terminal min-cuts from two Dinic runs, the pair cut
+continuing the flow to T1, and each Network caches them
+(Network._terminal_cuts). All tie-breaking is by ascending edge id, out-arcs
+before in-arcs, so identical inputs always produce identical flows and paths.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
-from .netgraph import EdgeId, Network, NodeId
+from .netgraph import EdgeId, Network, NodeId, ResidualArcs
 
 
 @dataclass(frozen=True)
@@ -56,33 +59,74 @@ class FlowResult:
 def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
     """Maximum integral flow from src to the sink set, by Dinic's algorithm.
 
-    Each phase levels the residual graph by breadth-first search from src and
-    then adds a blocking flow along level-increasing arcs, by an iterative
-    depth-first search that keeps a current-arc pointer per node. Every sink
-    absorbs flow: a search branch ends at the first sink it reaches, so a sink
-    set needs no super-sink. Arcs are tried in ascending edge id, a node's
-    out-arcs before its in-arcs, so identical inputs give identical flows.
-    With unit capacities this takes O(E * sqrt(E)) time (Even-Tarjan 1975).
-    The residual adjacency is built once per Network and shared by every call.
+    A thin wrapper over _augment, run from the zero flow. Every sink absorbs
+    flow, so a sink set needs no super-sink. Arcs are tried in ascending edge
+    id, a node's out-arcs before its in-arcs, so identical inputs give
+    identical flows. The residual adjacency is built once per Network and
+    shared by every call.
     """
     sink_set = set(sinks)
     if not sink_set:
         raise InputError("sink set must be nonempty")
     if src in sink_set:
         raise InputError("source cannot be a sink")
-    index, eids, arc_head, arcs = net._residual_arcs
+    index, eids, _, _ = graph = net._residual_arcs
     for v in [src, *sink_set]:
         if v not in index:
             raise UnknownNodeError(f"node {v!r} not in network")
-
-    n = len(index)
-    is_sink = bytearray(n)
+    is_sink = bytearray(len(index))
     for v in sink_set:
         is_sink[index[v]] = 1
-    s = index[src]
     residual = bytearray(b"\x01\x00") * len(eids)
-    value = 0
+    value, level = _augment(graph, index[src], is_sink, residual)
+    # The last search reached no sink, so its levels mark the residual
+    # reachable set: the source side of a minimum cut.
+    edge_flow = dict(zip(eids, residual[1::2]))
+    source_side = frozenset(v for v, lv in zip(net.nodes, level) if lv >= 0)
+    return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
 
+
+def terminal_cuts(net: Network) -> tuple[int, int, int]:
+    """Min-cut values from the source to T1, to T2 and to the pair, by two Dinic runs.
+
+    The flow to {T1} is continued with T2 added to the sink set: a flow into
+    T1 is also a flow into the pair, and augmenting any feasible flow until no
+    sink is reachable reaches the maximum (Ford-Fulkerson 1956), so the pair
+    cut is the T1 cut plus the added augmentations. The flow to {T2} runs
+    fresh. Network caches the result (Network._terminal_cuts).
+    """
+    index, eids, _, _ = graph = net._residual_arcs
+    s = index[net.source]
+    t1, t2 = (index[t] for t in net.terminals)
+    is_sink = bytearray(len(index))
+    is_sink[t1] = 1
+    residual = bytearray(b"\x01\x00") * len(eids)
+    cut_t1 = _augment(graph, s, is_sink, residual)[0]
+    is_sink[t2] = 1
+    cut_pair = cut_t1 + _augment(graph, s, is_sink, residual)[0]
+    is_sink[t1] = 0
+    cut_t2 = _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(eids))[0]
+    return cut_t1, cut_t2, cut_pair
+
+
+def _augment(
+    graph: ResidualArcs, s: int, is_sink: bytearray, residual: bytearray
+) -> tuple[int, list[int]]:
+    """Augment the flow held in residual until no sink is reachable from s.
+
+    residual holds one byte per arc of graph (1 while the arc is residual)
+    and is updated in place; the flow it starts from may be any feasible flow
+    into the sinks. Returns the value added and the last phase's levels, which
+    are >= 0 exactly on the residual source side. Each phase levels the
+    residual graph by breadth-first search from s and then adds a blocking
+    flow along level-increasing arcs, by an iterative depth-first search that
+    keeps a current-arc pointer per node; a search branch ends at the first
+    sink it reaches. With unit capacities this takes O(E * sqrt(E)) time
+    (Even-Tarjan 1975).
+    """
+    _, _, arc_head, arcs = graph
+    n = len(arcs)
+    value = 0
     while True:
         level = [-1] * n
         level[s] = 0
@@ -133,17 +177,7 @@ def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
                 level[u] = -1  # dead end for the rest of this phase
                 u = arc_head[path.pop() ^ 1]
                 ptr[u] += 1
-
-    # The last search reached no sink, so its levels mark the residual
-    # reachable set: the source side of a minimum cut.
-    edge_flow = dict(zip(eids, residual[1::2]))
-    source_side = frozenset(v for v, lv in zip(net.nodes, level) if lv >= 0)
-    return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
-
-
-def min_cut_value(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> int:
-    """Capacity of a minimum cut separating src from the sinks (= max-flow value)."""
-    return max_flow(net, src, sinks).value
+    return value, level
 
 
 def decompose_paths(

@@ -61,7 +61,13 @@ class ResidualArcs(NamedTuple):
 
 @dataclass(frozen=True)
 class Network:
-    """Finite directed multigraph; all edges have unit capacity (implicit)."""
+    """Finite directed multigraph; all edges have unit capacity (implicit).
+
+    A Network is frozen, so whatever is derived from its fields alone stays
+    true for its lifetime and is computed once, on first use: the edge index,
+    the residual adjacency every flow runs on, and the three terminal
+    min-cuts. dataclasses.replace builds a new Network that derives its own.
+    """
 
     nodes: tuple[NodeId, ...]
     edges: tuple[Edge, ...]
@@ -113,6 +119,13 @@ class Network:
             arc_head=arc_head,
             arcs=[out + inc for out, inc in zip(out_arcs, in_arcs)],
         )
+
+    @cached_property
+    def _terminal_cuts(self) -> tuple[int, int, int]:
+        """Min-cut values from the source to T1, to T2 and to the pair."""
+        from .flow import terminal_cuts  # flow imports this module
+
+        return terminal_cuts(self)
 
     def edge(self, eid: EdgeId) -> Edge:
         try:

@@ -3,14 +3,17 @@
 A feasible demand (h0, h1, h2) is served by h1 plain routes to T1, h2 plain
 routes to T2, and a rate-h0 linear multicast code on h0 paths to each
 terminal that the second recoloring pass leaves off the routes.
-check_feasibility compares the three min-cuts with the demand. Synthesis
-does not run it up front: the first recoloring pass's two flows
-decide feasibility, and the three cuts are computed only to report a demand
-those flows refuse. Those are a feasible synthesis's only two max-flows: the
-second pass starts from the first pass's coloring on the same augmented
-graph. check_plan is the one semantic check of a plan, run by
-synthesis, verification and the DOT export; verify_plan then proves the
-checked plan delivers by evaluating its code on the unit messages.
+check_feasibility compares the three min-cuts with the demand. They come
+from two Dinic runs, the pair cut continuing the flow to T1, and are cached
+on the Network, so one network answers any number of demands after its
+first check. Synthesis does not run the check up front: the first
+recoloring pass's two flows decide feasibility, and the cuts are read only
+to report a demand those flows refuse. Those are a feasible synthesis's
+only two max-flows: the second pass starts from the first pass's coloring
+on the same augmented graph. check_plan is the one semantic check of a
+plan, run by synthesis, verification and the DOT export; verify_plan then
+proves the checked plan delivers by evaluating its code on the unit
+messages.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     TheoremViolationError,
     UnknownEdgeError,
 )
-from .flow import EdgePath, check_path, min_cut_value
+from .flow import EdgePath, check_path
 from .nccode import MulticastCode, apply_code, build_multicast_code
 from .netgraph import Demand, EdgeId, Network, NodeId
 # Unused here; perfbench/tracer.py wraps planner.remove_edges.
@@ -63,14 +66,12 @@ class FeasibilityReport:
 
 
 def check_feasibility(net: Network, d: Demand) -> FeasibilityReport:
-    """Compare the three min-cuts against the rates they must support."""
-    t1, t2 = net.terminals
-    s = net.source
-    cuts = (
-        min_cut_value(net, s, {t1}),
-        min_cut_value(net, s, {t2}),
-        min_cut_value(net, s, {t1, t2}),
-    )
+    """Compare the three min-cuts against the rates they must support.
+
+    The cuts do not depend on the demand: the first check on a Network
+    computes them and caches them on it, so later checks only compare.
+    """
+    cuts = net._terminal_cuts
     required = (d.h0 + d.h1, d.h0 + d.h2, d.total)
     violated = tuple(
         CutViolation(name, req, cut)

@@ -215,34 +215,30 @@ def _truncate_at(net: Network, path: EdgePath, node: NodeId) -> EdgePath:
     raise InvariantError(f"path never reaches {node!r}")
 
 
-def single_pass(
-    aug: AugmentedNetwork,
-    *,
-    collector: NodeId,
-    red_target: NodeId,
-    gate: NodeId,
-    n_green: int,
-    n_red: int,
-    n_routes: int,
-) -> PassResult:
-    """Decompose the two flows, recolor to fixpoint, extract gate-bound routes."""
+def single_pass(aug: AugmentedNetwork, d: Demand) -> PassResult:
+    """Pass 1: decompose fresh flows to Y1 and T2', recolor to fixpoint, cut routes at T1'.
+
+    A flow short of h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
+    TheoremViolationError; synthesis reports it as an infeasible demand.
+    """
     net = aug.net
     s = net.source
-    green_flow = max_flow(net, s, {collector})
-    if green_flow.value != n_green:
+    green_flow = max_flow(net, s, {aug.y1})
+    if green_flow.value != d.total:
         raise TheoremViolationError(
-            f"expected {n_green} edge-disjoint paths to {collector!r}, found {green_flow.value}"
+            f"expected {d.total} edge-disjoint paths to {aug.y1!r}, found {green_flow.value}"
         )
-    red_flow = max_flow(net, s, {red_target})
-    if red_flow.value != n_red:
+    red_flow = max_flow(net, s, {aug.t2p})
+    if red_flow.value != d.h0 + d.h2:
         raise TheoremViolationError(
-            f"expected {n_red} edge-disjoint paths to {red_target!r}, found {red_flow.value}"
+            f"expected {d.h0 + d.h2} edge-disjoint paths to {aug.t2p!r}, "
+            f"found {red_flow.value}"
         )
-    greens = decompose_paths(net, green_flow, s, collector)
-    reds = decompose_paths(net, red_flow, s, red_target)
+    greens = decompose_paths(net, green_flow, s, aug.y1)
+    reds = decompose_paths(net, red_flow, s, aug.t2p)
     initial = ColoringState(net=net, green_paths=tuple(greens), red_paths=tuple(reds))
     state, trace = run_to_fixpoint(initial)
-    routes = tuple(extract_exclusive_green(state, gate=gate, count=n_routes))
+    routes = tuple(extract_exclusive_green(state, gate=aug.t1p, count=d.h1))
     return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)
 
 
@@ -291,13 +287,5 @@ def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:
     h2 are exclusively green; recoloring never changes a green path, so each
     passes the gate T2'. Both passes share one augmentation and two flows.
     """
-    pass1 = single_pass(
-        aug,
-        collector=aug.y1,
-        red_target=aug.t2p,
-        gate=aug.t1p,
-        n_green=d.total,
-        n_red=d.h0 + d.h2,
-        n_routes=d.h1,
-    )
+    pass1 = single_pass(aug, d)
     return SymmetricPassResult(pass1=pass1, pass2=second_pass(pass1, d))

@@ -10,9 +10,9 @@ they are used to check (graph containers excepted; the simulation reference
 builds on the code primitives and check_plan, which it does not test, the
 recoloring reference on recolor's state and trace containers, and the
 identity check on max-flow and the feasibility report). The small helpers
-that only the oracles and tests need (decoding, a flow's used edges, a
-plan's or a pass's route edges, a network's JSON document) live here too,
-not in the package.
+that only the oracles and tests need (decoding, a single min-cut value, a
+flow's used edges, a plan's or a pass's route edges, a network's JSON
+document) live here too, not in the package.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any
 
 from dualcast.augment import AugmentedNetwork
 from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
-from dualcast.flow import EdgePath, FlowResult, min_cut_value
+from dualcast.flow import EdgePath, FlowResult, max_flow
 from dualcast.nccode import MulticastCode, apply_code, coding_vectors
 from dualcast.netgraph import Demand, EdgeId, Network, NodeId
 from dualcast.planner import TransferPlan, check_feasibility, check_plan
@@ -390,6 +390,11 @@ def decode_symbols(
     matrix = code.decode_t1 if terminal == 1 else code.decode_t2
     received = [symbols[eid] for eid in inputs]
     return code.field.mat_vec(matrix, received)
+
+
+def min_cut_value(net: Network, src: NodeId, sinks) -> int:
+    """Capacity of a minimum cut separating src from the sinks: one max_flow run."""
+    return max_flow(net, src, sinks).value
 
 
 def saturated(flow: FlowResult) -> set[EdgeId]:

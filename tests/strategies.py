@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from dualcast.flow import min_cut_value
 from dualcast.netgraph import Demand, Edge, Network
+
+from oracles import min_cut_value
 
 
 @st.composite

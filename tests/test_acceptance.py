@@ -19,7 +19,6 @@ import pytest
 from dualcast.augment import build_augmented
 from dualcast.cli import dump_plan
 from dualcast.errors import CyclicSupportError, InfeasibleDemandError
-from dualcast.flow import min_cut_value
 from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
@@ -29,6 +28,7 @@ from oracles import (
     check_lemma,
     exclusively_green,
     gf_rank,
+    min_cut_value,
     red_source_degree,
     replay_trace,
     route_edges,

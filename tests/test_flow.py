@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcast.errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
-from dualcast.flow import FlowResult, check_path, decompose_paths, max_flow, min_cut_value
+from dualcast.flow import FlowResult, check_path, decompose_paths, max_flow, terminal_cuts
 from dualcast.netgraph import Edge, Network, add_virtual, remove_edges
 
-from conftest import mknet, parallel_net
+from conftest import mknet, parallel_net, random_network, small_cyclic_network
 from oracles import (
     decompose_paths_reference,
     edge_disjoint,
     max_flow_edmonds_karp,
+    min_cut_value,
     mincut_enumerate,
     path_nodes,
     saturated,
@@ -53,6 +56,66 @@ class TestMaxFlowValues:
     def test_empty_sink_set_rejected(self, fig2):
         with pytest.raises(InputError):
             max_flow(fig2, "1", set())
+
+
+def independent_cuts(net: Network) -> tuple[int, int, int]:
+    """The three terminal cuts from three fresh max_flow runs."""
+    t1, t2 = net.terminals
+    return tuple(min_cut_value(net, net.source, sinks) for sinks in ({t1}, {t2}, {t1, t2}))
+
+
+class TestTerminalCuts:
+    """terminal_cuts: two Dinic runs, the pair cut continuing the flow to T1."""
+
+    def test_fig2(self, fig2):
+        assert terminal_cuts(fig2) == independent_cuts(fig2) == (3, 3, 4)
+
+    def test_seeded_dags_and_cyclic_networks(self):
+        rng = random.Random(13)
+        nets = [random_network(rng) for _ in range(150)]
+        nets += [small_cyclic_network(rng) for _ in range(150)]
+        for net in nets:
+            assert terminal_cuts(net) == independent_cuts(net), net
+
+    @pytest.mark.parametrize(
+        "pairs, cuts",
+        [
+            # T1's only in-edge leaves T2, so the flow to T1 passes through T2.
+            ([("s", "a"), ("a", "t2"), ("s", "t2"), ("t2", "t1")], (1, 2, 2)),
+            # The mirror case: T2 is fed only through T1.
+            ([("s", "a"), ("a", "t1"), ("s", "t1"), ("t1", "t2")], (2, 1, 2)),
+            # The pair run must reroute the T1 flow: its one path reaches T2 only
+            # by undoing the T1 flow's use of a->x.
+            (
+                [("s", "a"), ("s", "b"), ("a", "x"), ("b", "x"), ("x", "t1"), ("a", "t2")],
+                (1, 1, 2),
+            ),
+        ],
+    )
+    def test_hand_built(self, pairs, cuts):
+        net = mknet(pairs, "s", ("t1", "t2"))
+        assert terminal_cuts(net) == independent_cuts(net) == cuts
+
+    def test_no_edges(self):
+        net = Network(nodes=("s", "t1", "t2"), edges=(), source="s", terminals=("t1", "t2"))
+        assert terminal_cuts(net) == (0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_terminal_cuts_match_independent_flows_and_enumeration(net):
+    cuts = terminal_cuts(net)
+    assert cuts == independent_cuts(net)
+    t1, t2 = net.terminals
+    assert cuts == tuple(
+        mincut_enumerate(net, net.source, sinks) for sinks in ({t1}, {t2}, {t1, t2})
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(digraphs(max_nodes=30, max_edges=90))
+def test_terminal_cuts_match_independent_flows_on_larger_graphs(net):
+    assert terminal_cuts(net) == independent_cuts(net)
 
 
 class TestFlowStructure:

@@ -64,6 +64,35 @@ class TestCheckFeasibility:
         assert len(report.violated) == 3
         assert all(v.required - v.actual > 0 for v in report.violated)
 
+    def test_a_second_check_on_one_network_runs_no_flow(self, monkeypatch):
+        net = fig2_network()  # a fresh object: its cuts are not cached yet
+        runs = []
+        real = flow._augment
+
+        def counting(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flow, "_augment", counting)
+        first = check_feasibility(net, Demand(2, 1, 1))
+        assert len(runs) == 3  # two Dinic runs, the pair run continuing the T1 run
+        runs.clear()
+        second = check_feasibility(net, Demand(3, 1, 1))
+        assert runs == []
+        assert first.cuts == second.cuts == (3, 3, 4)
+        assert (first.feasible, second.feasible) == (True, False)
+
+    def test_a_replaced_network_computes_its_own_cuts(self):
+        # T1 is fed only through T2.
+        net = mknet([("s", "a"), ("a", "t2"), ("s", "t2"), ("t2", "t1")], "s", ("t1", "t2"))
+        d = Demand(0, 1, 1)
+        assert check_feasibility(net, d).cuts == (1, 2, 2)
+        swapped = dataclasses.replace(net, terminals=("t2", "t1"))
+        assert check_feasibility(swapped, d).cuts == (2, 1, 2)
+        cut_off = dataclasses.replace(net, edges=net.edges[:3])
+        assert check_feasibility(cut_off, d).cuts == (0, 2, 2)
+        assert check_feasibility(net, d).cuts == (1, 2, 2)
+
 
 class TestSynthesize:
     def test_fig2_plan_matches_the_forced_solution(self, fig2):
@@ -156,24 +185,32 @@ class TestFeasibilityFromPassOne:
             monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(
-        self, fig2, monkeypatch
-    ):
+    def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(self, monkeypatch):
         # Pass 1's two flows; pass 2 starts from pass 1's coloring on the same
         # augmented graph, and the code reuses pass 2's paths.
+        net = fig2_network()  # a fresh object: its cuts are not cached yet
         flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
+        runs = self._count(monkeypatch, "_augment", flow)
         checks = self._count(monkeypatch, "check_feasibility", planner)
         augmented = self._count(monkeypatch, "build_augmented", augment, planner, recolor)
         removed = self._count(monkeypatch, "remove_edges", netgraph, planner, recolor)
-        synthesize(fig2, Demand(2, 1, 1), seed=7)
-        assert (len(flows), len(checks)) == (2, 0)
+        synthesize(net, Demand(2, 1, 1), seed=7)
+        assert (len(flows), len(runs), len(checks)) == (2, 2, 0)
         assert (len(augmented), len(removed)) == (1, 0)
         # An infeasible demand within the degree bounds: one pass-1 flow falls
-        # short, then the report's three cuts are computed.
+        # short, then the report's cuts take two Dinic runs outside max_flow,
+        # the pair run continuing the T1 run (three _augment calls).
         flows.clear()
+        runs.clear()
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
-            synthesize(fig2, Demand(1, 2, 2), seed=7)
-        assert (len(flows), len(checks)) == (4, 1)
+            synthesize(net, Demand(1, 2, 2), seed=7)
+        assert (len(flows), len(runs), len(checks)) == (1, 4, 1)
+        # The cuts are cached on the network: the next refusal only compares.
+        flows.clear()
+        runs.clear()
+        with pytest.raises(InfeasibleDemandError, match="ineq3"):
+            synthesize(net, Demand(0, 2, 3), seed=7)
+        assert (len(flows), len(runs), len(checks)) == (1, 1, 2)
 
     def test_demand_beyond_a_terminal_in_degree_is_refused_before_augmenting(
         self, fig2, monkeypatch

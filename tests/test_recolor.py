@@ -155,15 +155,7 @@ class TestRunToFixpoint:
     def test_fig2_pass_one_reaches_the_forced_route(self, fig2):
         d = Demand(2, 1, 1)
         aug = build_augmented(fig2, d)
-        result = single_pass(
-            aug,
-            collector=aug.y1,
-            red_target=aug.t2p,
-            gate=aug.t1p,
-            n_green=4,
-            n_red=3,
-            n_routes=1,
-        )
+        result = single_pass(aug, d)
         exclusive = exclusively_green(result.state)
         assert len(exclusive) == 1
         assert visits(aug.net, exclusive[0], aug.t1p)
@@ -176,15 +168,7 @@ class TestRunToFixpoint:
     def test_replay_reproduces_fixpoint_exactly(self, fig2):
         d = Demand(2, 1, 1)
         aug = build_augmented(fig2, d)
-        result = single_pass(
-            aug,
-            collector=aug.y1,
-            red_target=aug.t2p,
-            gate=aug.t1p,
-            n_green=4,
-            n_red=3,
-            n_routes=1,
-        )
+        result = single_pass(aug, d)
         replayed = replay_trace(result.initial, result.trace)
         assert replayed == result.state
 
@@ -358,15 +342,7 @@ class TestExtract:
         net = mknet(pairs, source="s", terminals=("t1", "t2"))
         d = Demand(1, 1, 1)
         aug = build_augmented(net, d)
-        result = single_pass(
-            aug,
-            collector=aug.y1,
-            red_target=aug.t2p,
-            gate=aug.t1p,
-            n_green=3,
-            n_red=2,
-            n_routes=1,
-        )
+        result = single_pass(aug, d)
         assert len(exclusively_green(result.state)) == 2
         assert len(result.routes) == 1
 
