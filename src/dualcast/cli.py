@@ -2,8 +2,8 @@
 
 Commands: check (feasibility verdict), synthesize (write a plan), verify
 (prove that a plan delivers on its network), export-dot (render to Graphviz).
-Exit codes are a stable contract: 0 ok, 1 input error, 2 infeasible demand,
-3 synthesis failure, 4 verification failure.
+Exit codes are a stable contract: 0 ok, 1 input error (a usage error too),
+2 infeasible demand, 3 synthesis failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .augment import RESERVED_PREFIX, build_augmented
 from .errors import (
@@ -415,8 +415,20 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, an input error, not argparse's 2.
+
+    Exit code 2 means an infeasible demand. Subparsers are built from their
+    parent's class, so they inherit this.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dualcast",
         description=(
             "Decide feasibility of a two-terminal demand with overlapping "

@@ -8,14 +8,19 @@ residual adjacency that each Network builds once (Network._residual_arcs).
 The same loop can continue from a flow it already found: terminal_cuts gets
 a network's three terminal min-cuts from two Dinic runs, the pair cut
 continuing the flow to T1, and each Network caches them
-(Network._terminal_cuts). All tie-breaking is by ascending edge id, out-arcs
-before in-arcs, so identical inputs always produce identical flows and paths.
+(Network._terminal_cuts). edge_disjoint_paths decomposes a maximum flow
+straight from the residual bytes the loop leaves, with the walk behind
+decompose_paths; a network extended by add_virtual runs both on the
+adjacency it inherits from its base. All tie-breaking is by ascending edge
+id, out-arcs before in-arcs, so identical inputs always produce identical
+flows and paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
 from .netgraph import EdgeId, Network, NodeId, ResidualArcs
@@ -65,25 +70,46 @@ def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
     identical flows. The residual adjacency is built once per Network and
     shared by every call.
     """
+    graph = net._residual_arcs
+    s, is_sink = _flow_ends(graph, src, sinks)
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
+    value, level = _augment(graph, s, is_sink, residual)
+    # The last search reached no sink, so its levels mark the residual
+    # reachable set: the source side of a minimum cut.
+    edge_flow = dict(zip(graph.eids, residual[1::2]))
+    source_side = frozenset(v for v, lv in zip(net.nodes, level) if lv >= 0)
+    return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
+
+
+def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> list[EdgePath]:
+    """A maximum set of edge-disjoint src -> sink paths: max_flow, then decompose_paths.
+
+    Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks), but
+    the walk reads the flow straight from Dinic's residual bytes (edge i
+    carries flow while arc 2i+1 is residual) instead of through a FlowResult.
+    """
+    graph = net._residual_arcs
+    s, is_sink = _flow_ends(graph, src, sinks)
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
+    value = _augment(graph, s, is_sink, residual)[0]
+    return _decompose(net, s, is_sink, residual[1::2], value)
+
+
+def _flow_ends(graph: ResidualArcs, src: NodeId, sinks: Iterable[NodeId]) -> tuple[int, bytearray]:
+    """src's node number and a flag per node marking the sinks, for a flow from src."""
     sink_set = set(sinks)
     if not sink_set:
         raise InputError("sink set must be nonempty")
     if src in sink_set:
         raise InputError("source cannot be a sink")
-    index, eids, _, _ = graph = net._residual_arcs
+    index = graph.index
     for v in [src, *sink_set]:
         if v not in index:
             raise UnknownNodeError(f"node {v!r} not in network")
     is_sink = bytearray(len(index))
     for v in sink_set:
         is_sink[index[v]] = 1
-    residual = bytearray(b"\x01\x00") * len(eids)
-    value, level = _augment(graph, index[src], is_sink, residual)
-    # The last search reached no sink, so its levels mark the residual
-    # reachable set: the source side of a minimum cut.
-    edge_flow = dict(zip(eids, residual[1::2]))
-    source_side = frozenset(v for v, lv in zip(net.nodes, level) if lv >= 0)
-    return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
+    return index[src], is_sink
 
 
 def terminal_cuts(net: Network) -> tuple[int, int, int]:
@@ -189,52 +215,62 @@ def decompose_paths(
     cycles carries no src -> sink data and is dropped. Paths are node-simple
     and returned in the deterministic order extraction finds them: at every
     step the walk takes its node's smallest unused carrying out-edge id.
-    The work runs on the adjacency max_flow uses (Network._residual_arcs):
-    edges are read in ascending id, so each node's carrying out-edges come
-    out sorted, conservation and sink quotas are counted per node index, and
-    the walk follows arc heads. A flow that does not conserve, does not match
-    its value or strands the walk raises InvariantError.
+    A flow that names an edge or node the network lacks raises
+    UnknownEdgeError or UnknownNodeError; one that does not conserve, does
+    not match its value or strands the walk raises InvariantError.
     """
     sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
-    index, eids, arc_head, _ = net._residual_arcs
+    index, eids, _, _ = net._residual_arcs
     for v in [src, *sink_set]:
         if v not in index:
             raise UnknownNodeError(f"node {v!r} not in network")
-    flows = list(map(flow.edge_flow.get, eids))
-    if flows.count(1) != list(flow.edge_flow.values()).count(1):
+    carries = [f == 1 for f in map(flow.edge_flow.get, eids)]
+    if carries.count(True) != list(flow.edge_flow.values()).count(1):
         raise UnknownEdgeError("flow carries an edge that is not in the network")
-
-    nodes = net.nodes
-    s = index[src]
-    is_sink = bytearray(len(nodes))
-    balance = [0] * len(nodes)  # out-flow minus in-flow
-    out: list[list[int]] = [[] for _ in nodes]  # carrying edges by tail, ascending id
-    for i, f in enumerate(flows):
-        if f == 1:
-            tail = arc_head[2 * i + 1]
-            balance[tail] += 1
-            balance[arc_head[2 * i]] -= 1
-            out[tail].append(i)
-
-    quota = [0] * len(nodes)  # flow each sink absorbs
+    is_sink = bytearray(len(index))
     for v in sink_set:
         is_sink[index[v]] = 1
-        quota[index[v]] = -balance[index[v]]
+    return _decompose(net, index[src], is_sink, carries, flow.value)
+
+
+def _decompose(
+    net: Network, s: int, is_sink: bytearray, carries: Sequence[int], value: int
+) -> list[EdgePath]:
+    """The walk behind decompose_paths, on the adjacency max_flow uses.
+
+    carries flags each edge, in ascending id order, that carries flow; only
+    those edges are visited, so each node's carrying out-edges come out
+    sorted. Conservation and sink quotas are counted per node number, and the
+    walk follows arc heads.
+    """
+    _, eids, arc_head, _ = net._residual_arcs
+    nodes = net.nodes
+    balance = [0] * len(nodes)  # out-flow minus in-flow
+    out: list[list[int]] = [[] for _ in nodes]  # carrying edges by tail, ascending id
+    for i in compress(range(len(eids)), carries):
+        tail = arc_head[2 * i + 1]
+        balance[tail] += 1
+        balance[arc_head[2 * i]] -= 1
+        out[tail].append(i)
+
+    quota = [0] * len(nodes)  # flow each sink absorbs
+    for v in compress(range(len(nodes)), is_sink):
+        quota[v] = -balance[v]
     for v, b in enumerate(balance):
         if v == s:
-            if b != flow.value:
-                raise InvariantError(f"source imbalance {b} != value {flow.value}")
+            if b != value:
+                raise InvariantError(f"source imbalance {b} != value {value}")
         elif is_sink[v]:
             if b > 0:
                 raise InvariantError(f"sink {nodes[v]!r} emits more flow than it receives")
         elif b:
             raise InvariantError(f"conservation violated at {nodes[v]!r}")
-    if sum(quota) != flow.value:
+    if sum(quota) != value:
         raise InvariantError("sink absorption does not match flow value")
 
     paths: list[EdgePath] = []
     used = [0] * len(nodes)  # carrying out-edges each node has consumed
-    for _ in range(flow.value):
+    for _ in range(value):
         order = [s]
         pos = {s: 0}
         walk: list[EdgeId] = []

@@ -7,6 +7,7 @@ formats becomes c unit-capacity edges with distinct ids.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -49,8 +50,9 @@ class ResidualArcs(NamedTuple):
     i gives arc 2i (tail -> head, residual while unused) and arc 2i+1
     (head -> tail, residual while used). Each node's arcs list its out-arcs
     and then its in-arcs, each group in ascending edge id. A Network caches
-    one of these and hands the same lists to every caller, so callers must
-    not modify them.
+    one of these and hands the same lists to every caller, and a network
+    extended by add_virtual shares the untouched nodes' lists with its base,
+    so callers must not modify them.
     """
 
     index: dict[NodeId, int]
@@ -66,7 +68,12 @@ class Network:
     A Network is frozen, so whatever is derived from its fields alone stays
     true for its lifetime and is computed once, on first use: the edge index,
     the residual adjacency every flow runs on, and the three terminal
-    min-cuts. dataclasses.replace builds a new Network that derives its own.
+    min-cuts. dataclasses.replace builds a new Network that derives its own;
+    a network extended by add_virtual inherits its base's edge index and
+    residual adjacency, and derives only its own cuts. Construction checks
+    the edges with set and element-wise comparisons over their transposed
+    fields, and only on a failure walks them in order to name the first
+    offending edge.
     """
 
     nodes: tuple[NodeId, ...]
@@ -86,15 +93,14 @@ class Network:
         for label in (self.source, t1, t2):
             if label not in node_set:
                 raise UnknownNodeError(f"node {label!r} not in network")
-        seen_ids: set[EdgeId] = set()
-        for e in self.edges:
-            if e.tail == e.head:
-                raise InputError(f"self-loop at {e.tail!r}")
-            if e.tail not in node_set or e.head not in node_set:
-                raise UnknownNodeError(f"edge {e.eid} references unknown node")
-            if e.eid in seen_ids:
-                raise InputError(f"duplicate edge id {e.eid}")
-            seen_ids.add(e.eid)
+        eids, tails, heads = zip(*self.edges) if self.edges else ((), (), ())
+        if (
+            any(map(operator.eq, tails, heads))
+            or not node_set.issuperset(tails)
+            or not node_set.issuperset(heads)
+            or len(set(eids)) != len(eids)
+        ):
+            _raise_first_edge_error(self.edges, node_set)
 
     @cached_property
     def _edge_index(self) -> dict[EdgeId, Edge]:
@@ -134,7 +140,21 @@ class Network:
             raise UnknownEdgeError(f"no edge with id {eid}") from None
 
     def next_edge_id(self) -> EdgeId:
-        return max((e.eid for e in self.edges), default=-1) + 1
+        eids = self._residual_arcs.eids  # ascending
+        return eids[-1] + 1 if eids else 0
+
+
+def _raise_first_edge_error(edges: tuple[Edge, ...], node_set: set[NodeId]) -> None:
+    """Raise for the first edge that is a self-loop, has an unknown end or repeats an id."""
+    seen_ids: set[EdgeId] = set()
+    for e in edges:
+        if e.tail == e.head:
+            raise InputError(f"self-loop at {e.tail!r}")
+        if e.tail not in node_set or e.head not in node_set:
+            raise UnknownNodeError(f"edge {e.eid} references unknown node")
+        if e.eid in seen_ids:
+            raise InputError(f"duplicate edge id {e.eid}")
+        seen_ids.add(e.eid)
 
 
 def expand_capacities(weighted_edges: Iterable[tuple[NodeId, NodeId, int]]) -> list[Edge]:
@@ -170,17 +190,47 @@ def remove_edges(net: Network, ids: Iterable[EdgeId]) -> Network:
 def add_virtual(
     net: Network, new_nodes: Iterable[NodeId], new_edges: Iterable[tuple[NodeId, NodeId]]
 ) -> tuple[Network, list[EdgeId]]:
-    """Extend a network with extra nodes and unit edges; returns the new ids."""
-    eid = net.next_edge_id()
-    added: list[Edge] = []
-    for tail, head in new_edges:
-        added.append(Edge(eid, tail, head))
-        eid += 1
+    """Extend a network with extra nodes and unit edges; returns the new ids.
+
+    The new ids follow every id of net, so the extended network inherits
+    net's edge index and residual adjacency instead of rebuilding them: base
+    edges keep their arc numbers, the new edges' arcs come after them, and
+    only the nodes a new edge touches get a new arc list (base out-arcs, new
+    out-arcs, base in-arcs, new in-arcs). That is exactly the adjacency a
+    fresh build gives, since each group stays in ascending edge id.
+    """
+    index, eids, arc_head, arcs = net._residual_arcs
+    added = tuple(
+        Edge(eid, tail, head) for eid, (tail, head) in enumerate(new_edges, net.next_edge_id())
+    )
     extended = Network(
         nodes=net.nodes + tuple(new_nodes),
-        edges=net.edges + tuple(added),
+        edges=net.edges + added,
         source=net.source,
         terminals=net.terminals,
     )
-    return extended, [e.eid for e in added]
-
+    index = dict(index)
+    for v in extended.nodes[len(net.nodes) :]:
+        index[v] = len(index)
+    arc_head = arc_head.copy()
+    new_out: dict[int, list[int]] = {}
+    new_in: dict[int, list[int]] = {}
+    for i, e in enumerate(added, len(eids)):
+        tail, head = index[e.tail], index[e.head]
+        arc_head += (head, tail)
+        new_out.setdefault(tail, []).append(2 * i)
+        new_in.setdefault(head, []).append(2 * i + 1)
+    arcs = arcs + [[] for _ in range(len(index) - len(arcs))]
+    for v in new_out.keys() | new_in.keys():
+        base = arcs[v]
+        n_out = sum(1 for a in base if not a & 1)  # out-arcs are even and come first
+        arcs[v] = base[:n_out] + new_out.get(v, []) + base[n_out:] + new_in.get(v, [])
+    new_ids = [e.eid for e in added]
+    edge_index = dict(net._edge_index)
+    edge_index.update(zip(new_ids, added))
+    # Seed the cached properties (a frozen dataclass still has a __dict__).
+    vars(extended).update(
+        _edge_index=edge_index,
+        _residual_arcs=ResidualArcs(index, eids + new_ids, arc_head, arcs),
+    )
+    return extended, new_ids

@@ -16,10 +16,12 @@ from functools import cached_property
 
 from .augment import AugmentedNetwork
 from .errors import InvariantError, NonterminationError, TheoremViolationError
-from .flow import EdgePath, decompose_paths, max_flow
+from .flow import EdgePath, edge_disjoint_paths
 from .netgraph import Demand, EdgeId, Network, NodeId
-# Unused here; perfbench/tracer.py wraps recolor.build_augmented and recolor.remove_edges.
+# Unused here; perfbench/tracer.py wraps recolor.build_augmented, recolor.remove_edges,
+# recolor.max_flow and recolor.decompose_paths.
 from .augment import build_augmented  # noqa: F401
+from .flow import decompose_paths, max_flow  # noqa: F401
 from .netgraph import remove_edges  # noqa: F401
 
 
@@ -218,24 +220,24 @@ def _truncate_at(net: Network, path: EdgePath, node: NodeId) -> EdgePath:
 def single_pass(aug: AugmentedNetwork, d: Demand) -> PassResult:
     """Pass 1: decompose fresh flows to Y1 and T2', recolor to fixpoint, cut routes at T1'.
 
-    A flow short of h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
+    Each path family comes from edge_disjoint_paths, which decomposes its
+    Dinic run's residual directly, on the adjacency aug.net inherits from
+    the base network. Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """
     net = aug.net
     s = net.source
-    green_flow = max_flow(net, s, {aug.y1})
-    if green_flow.value != d.total:
+    greens = edge_disjoint_paths(net, s, {aug.y1})
+    if len(greens) != d.total:
         raise TheoremViolationError(
-            f"expected {d.total} edge-disjoint paths to {aug.y1!r}, found {green_flow.value}"
+            f"expected {d.total} edge-disjoint paths to {aug.y1!r}, found {len(greens)}"
         )
-    red_flow = max_flow(net, s, {aug.t2p})
-    if red_flow.value != d.h0 + d.h2:
+    reds = edge_disjoint_paths(net, s, {aug.t2p})
+    if len(reds) != d.h0 + d.h2:
         raise TheoremViolationError(
             f"expected {d.h0 + d.h2} edge-disjoint paths to {aug.t2p!r}, "
-            f"found {red_flow.value}"
+            f"found {len(reds)}"
         )
-    greens = decompose_paths(net, green_flow, s, aug.y1)
-    reds = decompose_paths(net, red_flow, s, aug.t2p)
     initial = ColoringState(net=net, green_paths=tuple(greens), red_paths=tuple(reds))
     state, trace = run_to_fixpoint(initial)
     routes = tuple(extract_exclusive_green(state, gate=aug.t1p, count=d.h1))

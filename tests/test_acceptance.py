@@ -74,6 +74,7 @@ class SweepData:
     residual_shortfalls: list = field(default_factory=list)
     rank_failures: list = field(default_factory=list)
     non_binary: list = field(default_factory=list)
+    plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
 
 
 def _non_binary(plan, field_bits: int) -> bool:
@@ -179,6 +180,7 @@ def sweep() -> SweepData:
             if plan is None:
                 continue
             data.n_feasible += 1
+            data.plan_hash.update(dump_plan(plan).encode())
             if _non_binary(plan, bits):
                 data.non_binary.append(tag)
 
@@ -286,6 +288,7 @@ class CyclicSweepData:
     refusals: list = field(default_factory=list)
     non_binary: list = field(default_factory=list)
     x1_crossings: list = field(default_factory=list)
+    plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +315,7 @@ def cyclic_sweep() -> CyclicSweepData:
                 continue
             if not feasible:
                 data.decision_mismatches.append(tag)
+            data.plan_hash.update(dump_plan(plan).encode())
             if not verify_plan(net, plan, trials=3, seed=gi).passed:
                 data.verify_failures.append(tag)
             if _non_binary(plan, bits):
@@ -329,3 +333,12 @@ def test_criterion_8_cyclic_networks(cyclic_sweep):
         assert cyclic_sweep.non_binary == []
         assert cyclic_sweep.x1_crossings == []
         assert len(cyclic_sweep.refusals) == CYCLIC_REFUSALS, cyclic_sweep.refusals
+
+
+def test_criterion_7_sweep_plan_bytes_are_pinned(sweep, cyclic_sweep):
+    with criterion(7, "plan bytes of every plan both sweeps synthesize"):
+        # One sha256 over the DAG sweep's plan digest and the cyclic sweep's,
+        # each a sha256 over dump_plan of its plans in synthesis order.
+        both = sweep.plan_hash.hexdigest() + cyclic_sweep.plan_hash.hexdigest()
+        digest = hashlib.sha256(both.encode()).hexdigest()
+        assert digest == "6f4cfd204c299200f46c1cdc68b4f68a53e6adb98b2827cc94f8054d94910cda"

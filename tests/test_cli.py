@@ -286,6 +286,29 @@ class TestPlanFormat:
         assert doc["field"] == {"name": "GF(2^8)", "bits": 8, "modulus": "0x11D"}
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", FIG2, "--h1", "1", "--h2", "0"],  # --h0 missing
+            ["check", FIG2, "--h0", "two", "--h1", "1", "--h2", "0"],
+            ["synthesize", FIG2, "--h0", "1", "--h1", "0", "--h2", "0", "--field-bits", "0"],
+        ],
+    )
+    def test_usage_error_exits_one_not_the_infeasible_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synthesize", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestCmdCheck:
     def test_feasible_demand_exits_zero(self, capsys):
         code = main(["check", FIG2, "--h0", "2", "--h1", "1", "--h2", "1"])

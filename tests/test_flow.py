@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcast.augment import build_augmented
 from dualcast.errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
-from dualcast.flow import FlowResult, check_path, decompose_paths, max_flow, terminal_cuts
+from dualcast.flow import (
+    FlowResult,
+    check_path,
+    decompose_paths,
+    edge_disjoint_paths,
+    max_flow,
+    terminal_cuts,
+)
 from dualcast.netgraph import Edge, Network, add_virtual, remove_edges
 
 from conftest import mknet, parallel_net, random_network, small_cyclic_network
@@ -20,7 +28,7 @@ from oracles import (
     path_nodes,
     saturated,
 )
-from strategies import dag_networks, digraphs
+from strategies import dag_networks, demands, digraphs
 
 
 class TestMaxFlowValues:
@@ -354,3 +362,29 @@ def test_decomposition_matches_the_label_based_reference(net, data):
                 )
                 got = _decomposition_outcome(decompose_paths, variant, flow, variant.source, sinks)
                 assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dag_networks(), digraphs()), demands(), st.data())
+def test_edge_disjoint_paths_equal_the_decomposed_max_flow(net, d, data):
+    """The same paths as decompose_paths on max_flow, on the network and its augmentation.
+
+    Sink sets: each terminal, the pair, and one or two nodes drawn at random.
+    """
+    t1, t2 = net.terminals
+    others = st.sampled_from(net.nodes[1:])
+    drawn = data.draw(st.sets(others, min_size=1, max_size=2))
+    aug = build_augmented(net, d)
+    cases = [(net, sinks) for sinks in ({t1}, {t2}, {t1, t2}, drawn)]
+    cases += [(aug.net, {aug.y1}), (aug.net, {aug.t2p}), (aug.net, {aug.y1, aug.y2})]
+    for variant, sinks in cases:
+        src = variant.source
+        want = decompose_paths(variant, max_flow(variant, src, sinks), src, sinks)
+        assert edge_disjoint_paths(variant, src, sinks) == want
+
+
+def test_edge_disjoint_paths_refuse_what_max_flow_refuses(fig2):
+    for sinks, error in (([], InputError), (["1"], InputError), (["nowhere"], UnknownNodeError)):
+        for fn in (max_flow, edge_disjoint_paths):
+            with pytest.raises(error):
+                fn(fig2, "1", sinks)

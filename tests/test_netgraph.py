@@ -1,27 +1,32 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcast.augment import build_augmented
 from dualcast.errors import InputError, UnknownEdgeError, UnknownNodeError
 from dualcast.flow import max_flow
 from dualcast.netgraph import (
     Demand,
     Edge,
     Network,
+    add_virtual,
     expand_capacities,
     remove_edges,
 )
+from dualcast.planner import check_feasibility
 
 from conftest import mknet
 from oracles import in_edges, mincut_enumerate, out_edges
+from strategies import demands, digraphs
 
 labels = st.sampled_from(["a", "b", "c", "d", "e"])
 weighted_lists = st.lists(
     st.tuples(labels, labels, st.integers(1, 4)).filter(lambda t: t[0] != t[1]),
     max_size=8,
 )
+ends = st.sampled_from(["s", "t1", "t2", "x"])  # "x" is not a node of the networks below
 
 
 class TestExpandCapacities:
@@ -95,6 +100,34 @@ class TestNetworkValidation:
                 terminals=("t1", "t2"),
             )
 
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            ((Edge(0, "s", "zzz"), Edge(1, "t1", "t1")), UnknownNodeError, "edge 0 references"),
+            ((Edge(0, "t1", "t1"), Edge(1, "s", "zzz")), InputError, "self-loop at 't1'"),
+            ((Edge(0, "s", "t1"), Edge(0, "s", "t2"), Edge(1, "t2", "t2")), InputError,
+             "duplicate edge id 0"),
+            ((Edge(0, "s", "t1"), Edge(1, "t2", "t2"), Edge(0, "s", "t2")), InputError,
+             "self-loop at 't2'"),
+        ],
+    )
+    def test_first_offending_edge_names_the_error(self, edges, error, message):
+        with pytest.raises(error, match=message) as exc:
+            Network(nodes=("s", "t1", "t2"), edges=edges, source="s", terminals=("t1", "t2"))
+        assert type(exc.value) is error
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), ends, ends)))
+    def test_validation_raises_what_a_per_edge_walk_raises(self, triples):
+        edges = tuple(Edge(*t) for t in triples)
+        want = _first_edge_error_reference(edges, {"s", "t1", "t2"})
+        try:
+            Network(nodes=("s", "t1", "t2"), edges=edges, source="s", terminals=("t1", "t2"))
+        except (InputError, UnknownNodeError) as exc:
+            assert (type(exc), str(exc)) == want
+        else:
+            assert want is None
+
     def test_demand_rejects_negative_rates(self):
         with pytest.raises(InputError):
             Demand(1, -1, 0)
@@ -103,6 +136,20 @@ class TestNetworkValidation:
     def test_demand_rejects_boolean_rates(self, rates):
         with pytest.raises(InputError, match="nonnegative integer"):
             Demand(*rates)
+
+
+def _first_edge_error_reference(edges, node_set):
+    """The error a walk over the edges in order raises first, as (type, message)."""
+    seen = set()
+    for e in edges:
+        if e.tail == e.head:
+            return InputError, f"self-loop at {e.tail!r}"
+        if e.tail not in node_set or e.head not in node_set:
+            return UnknownNodeError, f"edge {e.eid} references unknown node"
+        if e.eid in seen:
+            return InputError, f"duplicate edge id {e.eid}"
+        seen.add(e.eid)
+    return None
 
 
 class TestOutEdges:
@@ -155,3 +202,63 @@ class TestRemoveEdges:
         joint = remove_edges(fig2, ids)
         split = remove_edges(remove_edges(fig2, half), rest)
         assert joint == split
+
+
+def _fresh(net: Network) -> Network:
+    return Network(nodes=net.nodes, edges=net.edges, source=net.source, terminals=net.terminals)
+
+
+def _assert_caches_match_a_fresh_build(net: Network) -> None:
+    fresh = _fresh(net)
+    assert net._residual_arcs == fresh._residual_arcs
+    assert list(net._edge_index.items()) == list(fresh._edge_index.items())
+    assert net.next_edge_id() == fresh.next_edge_id()
+
+
+class TestAddVirtualInheritsCaches:
+    """An extended network's derived caches equal those of a fresh build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), demands(), st.booleans(), st.booleans(), st.data())
+    def test_build_augmented(self, net, d, warm, reverse, data):
+        # Ids need not be listed in order nor be contiguous.
+        dropped = data.draw(st.sets(st.sampled_from([e.eid for e in net.edges] or [0])))
+        net = remove_edges(net, dropped & {e.eid for e in net.edges})
+        if reverse:
+            net = Network(nodes=net.nodes, edges=net.edges[::-1], source=net.source,
+                          terminals=net.terminals)
+        if warm:
+            check_feasibility(net, d)  # caches the base's adjacency and cuts
+        aug = build_augmented(net, d)
+        _assert_caches_match_a_fresh_build(aug.net)
+        assert sorted(aug.virtual_edge_ids) == list(
+            range(net.next_edge_id(), aug.net.next_edge_id())
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), st.booleans(), st.data())
+    def test_new_edges_on_any_base_or_new_node(self, net, warm, data):
+        if warm:
+            net._residual_arcs
+        base_arcs = _fresh(net)._residual_arcs
+        labels = st.sampled_from(net.nodes + ("x", "y"))
+        pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
+        new_edges = data.draw(st.lists(pairs, max_size=8))
+        more, ids = add_virtual(net, ["x", "y"], new_edges)
+        assert ids == list(range(net.next_edge_id(), net.next_edge_id() + len(new_edges)))
+        _assert_caches_match_a_fresh_build(more)
+        # An extension of an extension inherits the inherited caches.
+        labels = st.sampled_from(more.nodes + ("z",))
+        pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
+        again, _ = add_virtual(more, ["z"], data.draw(st.lists(pairs, max_size=4)))
+        _assert_caches_match_a_fresh_build(again)
+        # The base's shared arc lists are left as they were.
+        assert net._residual_arcs == base_arcs
+
+    def test_invalid_new_edge_is_refused_as_in_a_fresh_build(self, fig2):
+        with pytest.raises(UnknownNodeError, match="references unknown node"):
+            add_virtual(fig2, ["x"], [("x", "nowhere")])
+        with pytest.raises(InputError, match="self-loop"):
+            add_virtual(fig2, ["x"], [("x", "x")])
+        with pytest.raises(InputError, match="duplicate node labels"):
+            add_virtual(fig2, ["T1"], [])

@@ -186,8 +186,10 @@ class TestFeasibilityFromPassOne:
         return calls
 
     def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(self, monkeypatch):
-        # Pass 1's two flows; pass 2 starts from pass 1's coloring on the same
-        # augmented graph, and the code reuses pass 2's paths.
+        # Pass 1's two flows, each decomposed straight from its residual
+        # (edge_disjoint_paths), so none goes through max_flow; pass 2 starts
+        # from pass 1's coloring on the same augmented graph, and the code
+        # reuses pass 2's paths.
         net = fig2_network()  # a fresh object: its cuts are not cached yet
         flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
         runs = self._count(monkeypatch, "_augment", flow)
@@ -195,7 +197,7 @@ class TestFeasibilityFromPassOne:
         augmented = self._count(monkeypatch, "build_augmented", augment, planner, recolor)
         removed = self._count(monkeypatch, "remove_edges", netgraph, planner, recolor)
         synthesize(net, Demand(2, 1, 1), seed=7)
-        assert (len(flows), len(runs), len(checks)) == (2, 2, 0)
+        assert (len(flows), len(runs), len(checks)) == (0, 2, 0)
         assert (len(augmented), len(removed)) == (1, 0)
         # An infeasible demand within the degree bounds: one pass-1 flow falls
         # short, then the report's cuts take two Dinic runs outside max_flow,
@@ -204,13 +206,13 @@ class TestFeasibilityFromPassOne:
         runs.clear()
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
             synthesize(net, Demand(1, 2, 2), seed=7)
-        assert (len(flows), len(runs), len(checks)) == (1, 4, 1)
+        assert (len(flows), len(runs), len(checks)) == (0, 4, 1)
         # The cuts are cached on the network: the next refusal only compares.
         flows.clear()
         runs.clear()
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
             synthesize(net, Demand(0, 2, 3), seed=7)
-        assert (len(flows), len(runs), len(checks)) == (1, 1, 2)
+        assert (len(flows), len(runs), len(checks)) == (0, 1, 2)
 
     def test_demand_beyond_a_terminal_in_degree_is_refused_before_augmenting(
         self, fig2, monkeypatch
