@@ -89,17 +89,21 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         raise InputError(f"{origin}: {exc}") from exc
 
 
-def load_network_file(path: str | Path) -> Network:
-    path = Path(path)
+def _read_json(path: Path) -> Any:
+    """The JSON document in a UTF-8 file; any failure to read it is an InputError."""
     try:
-        text = path.read_text()
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return network_from_dict(doc, origin=str(path))
+
+
+def load_network_file(path: str | Path) -> Network:
+    path = Path(path)
+    return network_from_dict(_read_json(path), origin=str(path))
 
 
 # ----------------------------------------------------------------------------
@@ -156,7 +160,7 @@ def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
         "field": {
             "name": f"GF(2^{code.field_bits})",
             "bits": code.field_bits,
-            "modulus": _hex(code.modulus),
+            "modulus": _hex(DEFAULT_MODULI[code.field_bits]),
         },
         "x1_routes": [list(p.edges) for p in plan.x1_routes],
         "x2_routes": [list(p.edges) for p in plan.x2_routes],
@@ -200,7 +204,12 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         bits = _json_int(field["bits"], "field.bits")
         if field["name"] != f"GF(2^{bits})":
             raise InputError(f"field.name {field['name']!r} does not match field.bits {bits}")
-        modulus = _parse_hex(field["modulus"])
+        modulus = get_field(bits).modulus  # refuses bits outside 1..16 first
+        if _parse_hex(field["modulus"]) != modulus:
+            raise InputError(
+                f"field.modulus {field['modulus']!r} is not {_hex(modulus)}, "
+                f"the modulus of GF(2^{bits})"
+            )
         x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
         x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])
 
@@ -224,7 +233,6 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         t1, t2 = (_known_keys(dec[t], ("inputs", "matrix"), f"decode.{t}") for t in ("t1", "t2"))
         code = MulticastCode(
             field_bits=bits,
-            modulus=modulus,
             h0=demand.h0,
             support=support,
             local_coeffs=local,
@@ -233,7 +241,6 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             decode_t1=tuple(tuple(_parse_hex(c) for c in row) for row in t1["matrix"]),
             decode_t2=tuple(tuple(_parse_hex(c) for c in row) for row in t2["matrix"]),
         )
-        get_field(bits, modulus)  # validates the field parameters
         return TransferPlan(
             demand=demand,
             seed=_json_int(doc["seed"], "seed"),
@@ -253,13 +260,7 @@ def dump_plan(plan: TransferPlan) -> str:
 
 def load_plan_file(path: str | Path) -> TransferPlan:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return plan_from_dict(doc, origin=str(path))
+    return plan_from_dict(_read_json(path), origin=str(path))
 
 
 def dump_trace(traces: list[tuple[int, ReroutingTrace]]) -> str:
@@ -286,6 +287,11 @@ def dump_trace(traces: list[tuple[int, ReroutingTrace]]) -> str:
 # DOT export
 
 
+def _dot_id(label: str) -> str:
+    """label as a quoted DOT ID, with its backslashes and double quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(
     net: Network,
     plan: TransferPlan | None = None,
@@ -310,8 +316,7 @@ def export_dot(
     vectors: dict[int, tuple[int, ...]] = {}
     if plan:
         check_plan(net, plan)
-        code = plan.multicast
-        vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
+        vectors = coding_vectors(plan.multicast)
     x1_edges = {eid for p in plan.x1_routes for eid in p.edges} if plan else set()
     x2_edges = {eid for p in plan.x2_routes for eid in p.edges} if plan else set()
 
@@ -325,7 +330,7 @@ def export_dot(
         if v.startswith(RESERVED_PREFIX):
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        out.append(f'  "{v}"{suffix};')
+        out.append(f"  {_dot_id(v)}{suffix};")
     for e in target.edges:
         attrs = [f'label="e{e.eid}"']
         if e.eid in virtual_ids:
@@ -341,7 +346,7 @@ def export_dot(
         elif e.eid in vectors:
             vec = ",".join(_hex(c) for c in vectors[e.eid])
             attrs[0] = f'label="e{e.eid} [{vec}]"'
-        out.append(f'  "{e.tail}" -> "{e.head}" [{", ".join(attrs)}];')
+        out.append(f"  {_dot_id(e.tail)} -> {_dot_id(e.head)} [{', '.join(attrs)}];")
     out.append("}")
     return "\n".join(out) + "\n"
 

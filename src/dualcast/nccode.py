@@ -5,7 +5,8 @@ edge carries a linear combination of the symbols just before it on its paths;
 the global vector of an edge expresses its symbol directly in terms of the
 messages. With two terminals a binary code suffices, so the code is built
 deterministically over GF(2), edge by edge, keeping each terminal's vectors
-independent; its 0/1 coefficients are written in the requested GF(2^m).
+independent; its 0/1 coefficients are written in the requested GF(2^m), a
+field fixed by m alone through its modulus DEFAULT_MODULI[m].
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .flow import EdgePath
 from .flow import decompose_paths, max_flow  # noqa: F401
 from .netgraph import EdgeId
 
-# One irreducible polynomial per field size (top bit included). The degree-8
-# entry is fixed to x^8+x^4+x^3+x^2+1 so serialized plans are reproducible.
+# One primitive polynomial per field size (top bit included): x has order
+# 2^m - 1 modulo each, so the powers of x are every nonzero element. A field
+# is fixed by its size alone; the degree-8 entry is x^8+x^4+x^3+x^2+1.
 DEFAULT_MODULI: dict[int, int] = {
     1: 0b11,
     2: 0b111,
@@ -55,18 +57,6 @@ def _poly_mod(a: int, m: int) -> int:
     return a
 
 
-def _is_irreducible(poly: int) -> bool:
-    degree = poly.bit_length() - 1
-    if degree < 1:
-        return False
-    for d in range(1, degree // 2 + 1):
-        for low in range(1 << d):
-            divisor = (1 << d) | low
-            if _poly_mod(poly, divisor) == 0:
-                return False
-    return True
-
-
 def _window(c: int) -> tuple[int, ...]:
     """The carry-less products c * k in GF(2)[x] for every k < 16."""
     c2 = c << 1
@@ -79,35 +69,39 @@ def _window(c: int) -> tuple[int, ...]:
 
 
 class GF:
-    """Arithmetic in GF(2^bits) modulo a fixed irreducible polynomial.
+    """Arithmetic in GF(2^bits) modulo DEFAULT_MODULI[bits].
 
     Elements are plain ints in [0, 2^bits). Addition is XOR. Fields of up to
-    12 bits multiply and invert through log/antilog tables. Larger fields keep
-    no table of 2^bits entries: a product takes four bits of one factor at a
-    time from a 16-entry window of multiples of the other, then folds the high
-    half back through two byte tables of (h << bits) mod modulus; an inverse
-    runs the extended Euclidean algorithm over GF(2)[x]. scale and mat_vec
-    build each window once and reuse it along a row or down a column.
+    12 bits multiply through log/antilog tables, the powers of x. Larger
+    fields keep no table of 2^bits entries: a product takes four bits of one
+    factor at a time from a 16-entry window of multiples of the other, then
+    folds the high half back through two byte tables of (h << bits) mod
+    modulus, and mat_vec builds each window once and reuses it down a column.
+    An inverse runs the extended Euclidean algorithm over GF(2)[x].
     """
 
-    def __init__(self, bits: int, modulus: int | None = None):
+    def __init__(self, bits: int):
         if not 1 <= bits <= MAX_FIELD_BITS:
             raise InputError(f"field bits must be in 1..{MAX_FIELD_BITS}, got {bits}")
-        if modulus is None:
-            modulus = DEFAULT_MODULI[bits]
-        if modulus.bit_length() != bits + 1:
-            raise InputError(f"modulus 0x{modulus:X} does not have degree {bits}")
-        if not _is_irreducible(modulus):
-            raise InputError(f"modulus 0x{modulus:X} is reducible")
         self.bits = bits
-        self.modulus = modulus
+        self.modulus = DEFAULT_MODULI[bits]
         self.size = 1 << bits
         self._exp: list[int] = []
         self._log: list[int] | None = None  # None: no log tables
         self._fold_lo: list[int] = []
         self._fold_hi: list[int] = []
         if bits <= LOG_TABLE_BITS:
-            self._build_tables()
+            exp, x = [], 1
+            for _ in range(self.size - 1):
+                exp.append(x)
+                x <<= 1
+                if x & self.size:
+                    x ^= self.modulus
+            log = [0] * self.size
+            for i, v in enumerate(exp):
+                log[v] = i
+            self._exp = exp + exp  # twice over: log a + log b needs no modulo
+            self._log = log
         else:
             # A window product has at most 2*bits-1 bits, so its high half
             # h = p >> bits has at most bits-1: one table per byte of h.
@@ -122,38 +116,6 @@ class GF:
             table += [t ^ step for t in table]
         return table
 
-    def _build_tables(self) -> None:
-        """Log/antilog tables from the first primitive element found.
-
-        The powers of a candidate g are formed by shift-and-add, one product
-        per element; an irreducible modulus always has a primitive element.
-        """
-        top, modulus = self.size, self.modulus
-        for g in range(2, self.size) if self.size > 2 else [1]:
-            exp = [1] * (self.size - 1)
-            x = 1
-            ok = True
-            for i in range(1, self.size - 1):
-                a, b, x = x, g, 0
-                while b:
-                    if b & 1:
-                        x ^= a
-                    b >>= 1
-                    a <<= 1
-                    if a & top:
-                        a ^= modulus
-                if x == 1:
-                    ok = False
-                    break
-                exp[i] = x
-            if ok:
-                log = [0] * self.size
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = exp + exp  # twice over: log a + log b needs no modulo
-                self._log = log
-                return
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -165,30 +127,9 @@ class GF:
         h = p >> self.bits
         return p & (self.size - 1) ^ self._fold_lo[h & 255] ^ self._fold_hi[h >> 8]
 
-    def scale(self, c: int, row: Sequence[int]) -> list[int]:
-        """c times every entry of row."""
-        if c == 0:
-            return [0] * len(row)
-        log = self._log
-        if log is not None:
-            exp = self._exp
-            lc = log[c]
-            return [exp[lc + log[x]] if x else 0 for x in row]
-        w = _window(c)  # mul's product and fold, the window built once per row
-        bits, mask = self.bits, self.size - 1
-        lo, hi = self._fold_lo, self._fold_hi
-        out = []
-        for x in row:
-            p = w[x & 15] ^ w[x >> 4 & 15] << 4 ^ w[x >> 8 & 15] << 8 ^ w[x >> 12] << 12
-            h = p >> bits
-            out.append(p & mask ^ lo[h & 255] ^ hi[h >> 8])
-        return out
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self._log is not None:
-            return self._exp[(self.size - 1 - self._log[a]) % (self.size - 1)]
         # Extended Euclid over GF(2)[x], keeping u = g1*a and v = g2*a mod modulus.
         u, v, g1, g2 = a, self.modulus, 1, 0
         while u != 1:
@@ -199,19 +140,18 @@ class GF:
             g1 ^= g2 << j
         return g1
 
-    def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
-        if self._log is None:
-            return self.mat_vec((u,), v)[0]
-        acc = 0
-        exp, log = self._exp, self._log  # mul inlined: this is decoding's inner loop
-        for a, b in zip(u, v):
-            if a and b:
-                acc ^= exp[log[a] + log[b]]
-        return acc
-
     def mat_vec(self, a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-        if self._log is not None:
-            return [self.dot(row, v) for row in a]
+        log = self._log
+        if log is not None:
+            exp = self._exp  # mul inlined: this is decoding's inner loop
+            out = []
+            for row in a:
+                acc = 0
+                for x, y in zip(row, v):
+                    if x and y:
+                        acc ^= exp[log[x] + log[y]]
+                out.append(acc)
+            return out
         # One window per entry of v, shared by every row; each row folds once.
         windows = [_window(x) for x in v]
         bits, mask = self.bits, self.size - 1
@@ -229,32 +169,27 @@ class GF:
     def mat_inv(self, a: Sequence[Sequence[int]]) -> list[list[int]] | None:
         """Gauss-Jordan inverse, or None if the matrix is singular."""
         n = len(a)
+        mul = self.mul
         work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
                 return None
             work[col], work[pivot] = work[pivot], work[col]
-            work[col] = pivot_row = self.scale(self.inv(work[col][col]), work[col])
+            scale = self.inv(work[col][col])
+            work[col] = pivot_row = [mul(scale, x) for x in work[col]]
             for r in range(n):
-                if r != col and work[r][col]:
-                    work[r] = [
-                        x ^ y for x, y in zip(work[r], self.scale(work[r][col], pivot_row))
-                    ]
+                factor = work[r][col]
+                if r != col and factor:
+                    work[r] = [x ^ mul(factor, y) for x, y in zip(work[r], pivot_row)]
         return [row[n:] for row in work]
 
 
-def get_field(bits: int, modulus: int | None = None) -> GF:
-    """The field GF(2^bits) modulo modulus, DEFAULT_MODULI[bits] if None.
-
-    One object per field, so its tables and irreducibility check are built once.
-    """
-    return _field(bits, DEFAULT_MODULI.get(bits) if modulus is None else modulus)
-
-
+# perfbench/tracer.py wraps get_field by name to count field lookups.
 @lru_cache(maxsize=None)
-def _field(bits: int, modulus: int | None) -> GF:
-    return GF(bits, modulus)
+def get_field(bits: int) -> GF:
+    """The field GF(2^bits), one object per size so its tables are built once."""
+    return GF(bits)
 
 
 # A coded edge's inputs are either coded edges just before it on its paths
@@ -270,7 +205,6 @@ class MulticastCode:
     """
 
     field_bits: int
-    modulus: int
     h0: int
     support: tuple[EdgeId, ...]  # coded edges in evaluation order
     local_coeffs: dict[EdgeId, dict[InputKey, int]]
@@ -281,7 +215,7 @@ class MulticastCode:
 
     @property
     def field(self) -> GF:
-        return get_field(self.field_bits, self.modulus)
+        return get_field(self.field_bits)
 
 
 def _evaluation_order(feeders: dict[EdgeId, set[EdgeId]]) -> list[EdgeId]:
@@ -388,7 +322,6 @@ def build_multicast_code(
     d1, d2 = (tuple(tuple(dk >> i & 1 for dk in d) for i in range(h0)) for d in duals)
     return MulticastCode(
         field_bits=field.bits,
-        modulus=field.modulus,
         h0=h0,
         support=tuple(ordered),
         local_coeffs=local,
@@ -399,46 +332,30 @@ def build_multicast_code(
     )
 
 
-def _evaluate(
-    field: GF,
-    support: Sequence[EdgeId],
-    local_coeffs: dict[EdgeId, dict[InputKey, int]],
-    x0: Sequence[int],
-) -> dict[EdgeId, int]:
-    """The symbol on every coded edge, in support order, for messages x0."""
-    symbols: dict[EdgeId, int] = {}
-    mul = field.mul
-    for eid in support:
-        acc = 0
-        for (kind, ref), c in local_coeffs[eid].items():
-            acc ^= mul(c, x0[ref] if kind == "msg" else symbols[ref])
-        symbols[eid] = acc
-    return symbols
-
-
-def coding_vectors(
-    field: GF,
-    support: Sequence[EdgeId],
-    local_coeffs: dict[EdgeId, dict[InputKey, int]],
-    h0: int,
-) -> dict[EdgeId, tuple[int, ...]]:
+def coding_vectors(code: MulticastCode) -> dict[EdgeId, tuple[int, ...]]:
     """The global vector of every coded edge, as its local coefficients define it.
 
     Column j is the code evaluated on the j-th unit message vector.
     """
-    columns = [
-        _evaluate(field, support, local_coeffs, [int(i == j) for i in range(h0)])
-        for j in range(h0)
-    ]
-    return {eid: tuple(col[eid] for col in columns) for eid in support}
+    h0 = code.h0
+    columns = [apply_code(code, [int(i == j) for i in range(h0)]) for j in range(h0)]
+    return {eid: tuple(col[eid] for col in columns) for eid in code.support}
 
 
 def apply_code(code: MulticastCode, x0: Sequence[int]) -> dict[EdgeId, int]:
     """Forward-evaluate the code: the symbol carried by every coded edge.
 
-    Each edge applies its local coefficients to its tail's incoming symbols
-    (messages themselves at the source).
+    Each edge, in support order, applies its local coefficients to its tail's
+    incoming symbols (messages themselves at the source).
     """
     if len(x0) != code.h0:
         raise InputError(f"expected {code.h0} message symbols, got {len(x0)}")
-    return _evaluate(code.field, code.support, code.local_coeffs, x0)
+    symbols: dict[EdgeId, int] = {}
+    mul = code.field.mul
+    local_coeffs = code.local_coeffs
+    for eid in code.support:
+        acc = 0
+        for (kind, ref), c in local_coeffs[eid].items():
+            acc ^= mul(c, x0[ref] if kind == "msg" else symbols[ref])
+        symbols[eid] = acc
+    return symbols

@@ -20,7 +20,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from typing import Any
 
@@ -182,6 +184,23 @@ def is_irreducible_reference(poly: int) -> bool:
     return True
 
 
+def multiplicative_order_of_x(poly: int) -> int:
+    """The least n > 0 with x^n = 1 modulo poly, or 0 if none is below 2^degree.
+
+    Repeated multiplication by x; poly is primitive exactly when this is
+    2^degree - 1.
+    """
+    degree = poly.bit_length() - 1
+    power = 1
+    for n in range(1, 1 << degree):
+        power <<= 1
+        if power >> degree:
+            power ^= poly
+        if power == 1:
+            return n
+    return 0
+
+
 def edge_disjoint(paths) -> bool:
     seen: set[int] = set()
     for p in paths:
@@ -326,7 +345,7 @@ def gf_rank(field, a) -> int:
 def gf_mat_mul(field, a, b) -> list[list[int]]:
     """Matrix product over `field`."""
     cols = list(zip(*b)) if b else []
-    return [[field.dot(row, col) for col in cols] for row in a]
+    return [[reduce(xor, map(field.mul, row, col), 0) for col in cols] for row in a]
 
 
 def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
@@ -368,7 +387,7 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
                     failures.append((trial, label, f"route {r} delivered a wrong symbol"))
     if failures:
         return tuple(failures)
-    vectors = coding_vectors(field, code.support, code.local_coeffs, code.h0)
+    vectors = coding_vectors(code)
     for j in range(code.h0):
         unit = [int(i == j) for i in range(code.h0)]
         column = {eid: vec[j] for eid, vec in vectors.items()}

@@ -137,7 +137,7 @@ def _audit_residual(data: SweepData, tag, net: Network, d: Demand, plan) -> None
     if d.h0:
         code = plan.multicast
         f = code.field
-        vectors = coding_vectors(f, code.support, code.local_coeffs, code.h0)
+        vectors = coding_vectors(code)
         for inputs in (code.inputs_t1, code.inputs_t2):
             transfer = [vectors[eid] for eid in inputs]
             if gf_rank(f, transfer) != d.h0:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -25,6 +26,8 @@ from conftest import wide_network
 from oracles import network_to_dict, structurally_equal
 
 FIG2 = str(fig2_path())
+# Bytes that no UTF-8 text starts with: a UTF-16 byte-order mark.
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
 
 # Four nodes with cycles through the source and between the terminals: for
 # (2, 0, 0), coding on the union of the residual paths to each terminal and
@@ -59,7 +62,7 @@ V1_DIGESTS = {
 def _as_version_1(plan) -> str:
     """The plan file as version 1 wrote it: version 2 plus the computed coding vectors."""
     code = plan.multicast
-    vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
+    vectors = coding_vectors(code)
     doc = plan_to_dict(plan)
     doc["version"] = 1
     doc["coding_vectors"] = {str(eid): [f"0x{c:02X}" for c in v] for eid, v in vectors.items()}
@@ -285,6 +288,30 @@ class TestPlanFormat:
         doc = plan_to_dict(plan)
         assert doc["field"] == {"name": "GF(2^8)", "bits": 8, "modulus": "0x11D"}
 
+    @pytest.mark.parametrize("modulus", ["0x11B", "0x100"])  # irreducible; x^8
+    @pytest.mark.parametrize("trials", ["0", "100"])
+    def test_modulus_other_than_the_fields_own_exits_one(
+        self, plan_file, capsys, modulus, trials
+    ):
+        doc = json.loads(plan_file.read_text())
+        doc["field"]["modulus"] = modulus
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {plan_file}: field.modulus {modulus!r} is not 0x11D, "
+                       "the modulus of GF(2^8)\n")
+
+    @pytest.mark.parametrize("bits", [0, 17])
+    def test_field_bits_out_of_range_are_named_before_the_modulus(self, plan_file, capsys, bits):
+        doc = json.loads(plan_file.read_text())
+        doc["field"].update(name=f"GF(2^{bits})", bits=bits, modulus="0x11B")
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", FIG2, str(plan_file)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {plan_file}: field bits must be in 1..16, got {bits}\n"
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -327,6 +354,13 @@ class TestCmdCheck:
         empty = tmp_path / "empty.json"
         empty.write_text("{}")
         assert main(["check", str(empty), "--h0", "0", "--h1", "0", "--h2", "0"]) == 1
+
+    def test_non_utf8_network_file_exits_one_with_an_error_line(self, tmp_path, capsys):
+        net = tmp_path / "utf16.json"
+        net.write_bytes(NOT_UTF8)
+        assert main(["check", str(net), "--h0", "1", "--h1", "0", "--h2", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {net}: not UTF-8 text (byte 0: invalid start byte)\n"
 
 
 class TestCmdSynthesize:
@@ -478,6 +512,18 @@ class TestCmdVerify:
         assert "T1" in capsys.readouterr().err
         assert main(["verify", FIG2, str(bad), "--trials", "100"]) == 4
 
+    @pytest.mark.parametrize("which", ["network", "plan"])
+    def test_non_utf8_input_file_exits_one_with_an_error_line(
+        self, plan_file, tmp_path, capsys, which
+    ):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(NOT_UTF8)
+        files = [str(bad), str(plan_file)] if which == "network" else [FIG2, str(bad)]
+        capsys.readouterr()
+        assert main(["verify", *files]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)\n"
+
     def test_negative_trials_exit_one(self, plan_file, capsys):
         assert main(["verify", FIG2, str(plan_file), "--trials", "-5"]) == 1
         assert "trials" in capsys.readouterr().err
@@ -601,6 +647,26 @@ class TestCmdExportDot:
         assert "x1" in out and "color=blue" in out
         assert "x2" in out and "color=red" in out
         assert "[0x" in out  # coded edges carry vector labels
+
+    def test_labels_with_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
+        labels = ["s", 'a"b', "t2\\"]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "nodes": labels,
+            "edges": [{"from": "s", "to": 'a"b'}, {"from": "s", "to": "t2\\"},
+                      {"from": 'a"b', "to": "t2\\"}],
+            "source": "s",
+            "terminals": ['a"b', "t2\\"],
+        }))
+        assert main(["export-dot", str(net)]) == 0
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        ids = []
+        for line in capsys.readouterr().out.splitlines()[2:-1]:
+            # Every quote and backslash on the line lies inside a well-formed quoted ID.
+            assert not re.search(r'["\\]', quoted.sub("", line)), line
+            ids.append([re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(line)])
+        assert [i[0] for i in ids[:3]] == labels
+        assert [i[:2] for i in ids[3:]] == [["s", 'a"b'], ["s", "t2\\"], ['a"b', "t2\\"]]
 
     def test_output_file_option(self, tmp_path):
         target = tmp_path / "net.dot"

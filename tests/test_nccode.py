@@ -24,12 +24,11 @@ from oracles import (
     gf_mul_reference,
     gf_rank,
     is_irreducible_reference,
+    multiplicative_order_of_x,
 )
 
 GF256 = get_field(8)
-# Plan files carry their own modulus: one non-default irreducible of degree 16.
-ALT_16 = (16, 0x1002B)
-FIELDS = [(bits, DEFAULT_MODULI[bits]) for bits in range(1, 17)] + [ALT_16]
+FIELDS = [(bits, DEFAULT_MODULI[bits]) for bits in range(1, 17)]
 
 # The butterfly fixture's edges: 0=s->a, 1=s->b, 2=a->t1, 3=b->t2, 4=a->m,
 # 5=b->m, 6=m->n, 7=n->t1, 8=n->t2. Two edge-disjoint paths to each terminal,
@@ -72,11 +71,16 @@ class TestFieldBasics:
         assert poly.bit_length() == bits + 1
         assert is_irreducible_reference(poly)
 
+    @pytest.mark.parametrize("bits", sorted(DEFAULT_MODULI))
+    def test_default_moduli_are_primitive(self, bits):
+        # The log tables are the powers of x, so x must generate every nonzero element.
+        assert multiplicative_order_of_x(DEFAULT_MODULI[bits]) == (1 << bits) - 1
+
     @pytest.mark.parametrize("bits, modulus", FIELDS)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_multiplication_matches_schoolbook_reference(self, bits, modulus, data):
-        field = get_field(bits, modulus)
+        field = get_field(bits)
         a = data.draw(st.integers(0, field.size - 1))
         b = data.draw(st.integers(0, field.size - 1))
         assert field.mul(a, b) == gf_mul_reference(a, b, bits, modulus)
@@ -84,7 +88,7 @@ class TestFieldBasics:
     @pytest.mark.parametrize("bits, modulus", FIELDS)
     def test_extreme_products_match_schoolbook_reference(self, bits, modulus):
         # All-ones and top-bit operands give the longest carry-less products.
-        field = get_field(bits, modulus)
+        field = get_field(bits)
         top = field.size - 1
         operands = {x & top for x in (0, 1, 2, 3, top, top - 1, top >> 1, (top >> 1) + 1, 0x5555)}
         for a, b in product(operands, repeat=2):
@@ -92,7 +96,7 @@ class TestFieldBasics:
 
     @pytest.mark.parametrize("bits, modulus", [f for f in FIELDS if f[0] > 12])
     def test_inverse_in_large_tableless_field(self, bits, modulus):
-        f = get_field(bits, modulus)
+        f = get_field(bits)
         rng = random.Random(3)
         samples = [1, 2, f.size - 1, f.size >> 1] + [rng.randrange(1, f.size) for _ in range(500)]
         for a in samples:
@@ -100,20 +104,11 @@ class TestFieldBasics:
             assert 0 < b < f.size
             assert gf_mul_reference(a, b, bits, modulus) == 1
 
-    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (13, 0x201B), (16, 0x1100B), ALT_16])
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_scale_matches_elementwise_mul(self, bits, modulus, data):
-        f = get_field(bits, modulus)
-        c = data.draw(st.integers(0, f.size - 1))
-        row = data.draw(st.lists(st.integers(0, f.size - 1), max_size=12))
-        assert f.scale(c, row) == [f.mul(c, x) for x in row]
-
-    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (13, 0x201B), (16, 0x1100B), ALT_16])
+    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (13, 0x201B), (16, 0x1100B)])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_mat_vec_matches_schoolbook_reference(self, bits, modulus, data):
-        f = get_field(bits, modulus)
+        f = get_field(bits)
         n = data.draw(st.integers(0, 6))
         element = st.integers(0, f.size - 1)
         v = data.draw(st.lists(element, min_size=n, max_size=n))
@@ -125,15 +120,11 @@ class TestFieldBasics:
                 acc ^= gf_mul_reference(x, y, bits, modulus)
             expected.append(acc)
         assert f.mat_vec(a, v) == expected
-        assert [f.dot(row, v) for row in a] == expected
-
-    def test_alternative_degree_16_modulus_is_irreducible(self):
-        assert is_irreducible_reference(ALT_16[1]) and ALT_16[1] != DEFAULT_MODULI[16]
 
     def test_one_field_object_per_field(self):
-        assert get_field(16) is get_field(16, 0x1100B)
-        assert get_field(8) is get_field(8, 0x11D)
-        assert get_field(16, ALT_16[1]) is not get_field(16)
+        for bits in sorted(DEFAULT_MODULI):
+            assert get_field(bits) is get_field(bits)
+            assert get_field(bits).modulus == DEFAULT_MODULI[bits]
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_field_axioms_sampled(self, a, b, c):
@@ -147,16 +138,12 @@ class TestFieldBasics:
             GF(0)
         with pytest.raises(InputError):
             GF(17)
-        with pytest.raises(InputError):
-            GF(8, modulus=0x100)  # x^8: reducible
-        with pytest.raises(InputError):
-            GF(8, modulus=0x1D)  # wrong degree
 
 
 class TestMatrices:
-    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (16, 0x1100B), ALT_16])
+    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (16, 0x1100B)])
     def test_inverse_round_trip(self, bits, modulus):
-        f = get_field(bits, modulus)
+        f = get_field(bits)
         rng = random.Random(1)
         for _ in range(20):
             n = rng.randint(1, 4)
@@ -170,7 +157,7 @@ class TestMatrices:
 
     @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (16, 0x1100B)])
     def test_singular_matrix_has_no_inverse(self, bits, modulus):
-        f = get_field(bits, modulus)
+        f = get_field(bits)
         assert f.mat_inv([[1, 1], [1, 1]]) is None
         assert gf_rank(f, [[1, 1], [1, 1]]) == 1
         rng = random.Random(2)
@@ -311,7 +298,7 @@ class TestApplyCode:
 
     def test_unit_messages_read_out_global_coefficients(self, butterfly, butterfly_code):
         code = butterfly_code
-        vectors = coding_vectors(code.field, code.support, code.local_coeffs, code.h0)
+        vectors = coding_vectors(code)
         for i in range(2):
             x0 = [int(i == j) for j in range(2)]
             symbols = apply_code(code, x0)
@@ -338,7 +325,7 @@ class TestApplyCode:
     def test_decode_matrices_invert_the_transfer_matrices(self, butterfly_code):
         code = butterfly_code
         f = code.field
-        vectors = coding_vectors(f, code.support, code.local_coeffs, code.h0)
+        vectors = coding_vectors(code)
         for inputs, matrix in (
             (code.inputs_t1, code.decode_t1),
             (code.inputs_t2, code.decode_t2),
