@@ -114,14 +114,31 @@ def _hex(value: int) -> str:
     return f"0x{value:02X}"
 
 
-# These raise inside plan_from_dict's try, which prefixes the file name.
-def _parse_hex(text: Any) -> int:
+# These are called inside plan_from_dict's try, which prefixes the file name.
+# Each accepts only the spelling plan_to_dict writes, so no text is carried
+# unproved.
+def _parse_hex(text: Any, where: str) -> int:
     if not isinstance(text, str):
-        raise InputError(f"expected a hex string, got {text!r}")
+        raise InputError(f"expected a hex string, got {text!r}, in {where}")
     try:
-        return int(text, 16)
-    except ValueError as exc:
-        raise InputError(f"bad hex value {text!r}") from exc
+        value = int(text, 16)
+    except ValueError:
+        pass
+    else:
+        if text == _hex(value):
+            return value
+    raise InputError(
+        f"bad hex value {text!r} in {where}: not written as 0x and upper-case hex digits"
+    )
+
+
+def _decimal(text: str) -> int | None:
+    """text as an integer if str writes that integer as text, else None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if text == str(value) else None
 
 
 def _json_object(value: Any, what: str) -> dict:
@@ -187,8 +204,10 @@ def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
 def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
     """Parse a plan document's JSON shapes and types; check_plan checks the rest.
 
-    An object key that plan_to_dict does not write is refused, so nothing is
-    carried unproved.
+    An object key that plan_to_dict does not write is refused, and so is an
+    edge id, input ref or hex value it would spell differently, so nothing
+    is carried unproved. With one spelling per edge and input, a parsed
+    object cannot name either twice.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
@@ -205,7 +224,7 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         if field["name"] != f"GF(2^{bits})":
             raise InputError(f"field.name {field['name']!r} does not match field.bits {bits}")
         modulus = get_field(bits).modulus  # refuses bits outside 1..16 first
-        if _parse_hex(field["modulus"]) != modulus:
+        if _parse_hex(field["modulus"], "field.modulus") != modulus:
             raise InputError(
                 f"field.modulus {field['modulus']!r} is not {_hex(modulus)}, "
                 f"the modulus of GF(2^{bits})"
@@ -216,17 +235,19 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         support = _edge_ids(doc["support"], "support")
         local: dict[int, dict[tuple[str, int], int]] = {}
         for eid_text, coeffs in _json_object(doc["local_coeffs"], "local_coeffs").items():
-            eid = int(eid_text)
-            if eid in local:
-                raise InputError(f"local_coeffs names edge {eid} twice")
+            eid = _decimal(eid_text)
+            if eid is None:
+                raise InputError(f"local_coeffs key {eid_text!r} is not a decimal edge id")
             parsed: dict[tuple[str, int], int] = {}
             for key_text, value in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
                 kind, _, ref = key_text.partition(":")
-                if kind not in ("edge", "msg") or not ref.lstrip("-").isdigit():
-                    raise InputError(f"bad coefficient key {key_text!r}")
-                parsed[(kind, int(ref))] = _parse_hex(value)
-            if len(parsed) != len(coeffs):
-                raise InputError(f"local_coeffs[{eid_text!r}] names an input twice")
+                ref_id = _decimal(ref)
+                if kind not in ("edge", "msg") or ref_id is None:
+                    raise InputError(
+                        f"bad coefficient key {key_text!r}: not edge:<id> or msg:<index> "
+                        "in decimal"
+                    )
+                parsed[(kind, ref_id)] = _parse_hex(value, f"the local coefficients of edge {eid}")
             local[eid] = parsed
 
         dec = _known_keys(doc["decode"], ("t1", "t2"), "decode")
@@ -238,8 +259,10 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             local_coeffs=local,
             inputs_t1=_edge_ids(t1["inputs"], "decode.t1.inputs"),
             inputs_t2=_edge_ids(t2["inputs"], "decode.t2.inputs"),
-            decode_t1=tuple(tuple(_parse_hex(c) for c in row) for row in t1["matrix"]),
-            decode_t2=tuple(tuple(_parse_hex(c) for c in row) for row in t2["matrix"]),
+            decode_t1=tuple(tuple(_parse_hex(c, "decode matrix of T1") for c in row)
+                            for row in t1["matrix"]),
+            decode_t2=tuple(tuple(_parse_hex(c, "decode matrix of T2") for c in row)
+                            for row in t2["matrix"]),
         )
         return TransferPlan(
             demand=demand,

@@ -8,12 +8,15 @@ residual adjacency that each Network builds once (Network._residual_arcs).
 The same loop can continue from a flow it already found: terminal_cuts gets
 a network's three terminal min-cuts from two Dinic runs, the pair cut
 continuing the flow to T1, and each Network caches them
-(Network._terminal_cuts). edge_disjoint_paths decomposes a maximum flow
-straight from the residual bytes the loop leaves, with the walk behind
-decompose_paths; a network extended by add_virtual runs both on the
-adjacency it inherits from its base. All tie-breaking is by ascending edge
-id, out-arcs before in-arcs, so identical inputs always produce identical
-flows and paths.
+(Network._terminal_cuts). A run also stops as soon as its value reaches a
+bound it is given: no flow exceeds the source's out-degree or the sinks'
+in-degree, counted from those nodes' own arc lists, so terminal_cuts and
+edge_disjoint_paths skip the final search that would only confirm it.
+edge_disjoint_paths decomposes a maximum flow straight from the residual
+bytes the loop leaves, with the walk behind decompose_paths; a network
+extended by add_virtual runs both on the adjacency it inherits from its
+base. All tie-breaking is by ascending edge id, out-arcs before in-arcs, so
+identical inputs always produce identical flows and paths.
 """
 
 from __future__ import annotations
@@ -71,11 +74,12 @@ def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
     shared by every call.
     """
     graph = net._residual_arcs
-    s, is_sink = _flow_ends(graph, src, sinks)
+    s, is_sink, _ = _flow_ends(graph, src, sinks)
     residual = bytearray(b"\x01\x00") * len(graph.eids)
-    value, level = _augment(graph, s, is_sink, residual)
-    # The last search reached no sink, so its levels mark the residual
-    # reachable set: the source side of a minimum cut.
+    # A limit no flow reaches: the run ends on a search that reaches no sink,
+    # so its levels mark the residual reachable set, the source side of a
+    # minimum cut.
+    value, level = _augment(graph, s, is_sink, residual, len(graph.eids) + 1)
     edge_flow = dict(zip(graph.eids, residual[1::2]))
     source_side = frozenset(v for v, lv in zip(net.nodes, level) if lv >= 0)
     return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
@@ -87,16 +91,25 @@ def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> l
     Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks), but
     the walk reads the flow straight from Dinic's residual bytes (edge i
     carries flow while arc 2i+1 is residual) instead of through a FlowResult.
+    The run stops once its value reaches the degree bound of src and the
+    sinks; the search it skips would find no augmenting path, so the residual
+    bytes, and with them the paths, are those of a full run.
     """
     graph = net._residual_arcs
-    s, is_sink = _flow_ends(graph, src, sinks)
+    s, is_sink, bound = _flow_ends(graph, src, sinks)
     residual = bytearray(b"\x01\x00") * len(graph.eids)
-    value = _augment(graph, s, is_sink, residual)[0]
+    value = _augment(graph, s, is_sink, residual, bound)[0]
     return _decompose(net, s, is_sink, residual[1::2], value)
 
 
-def _flow_ends(graph: ResidualArcs, src: NodeId, sinks: Iterable[NodeId]) -> tuple[int, bytearray]:
-    """src's node number and a flag per node marking the sinks, for a flow from src."""
+def _flow_ends(
+    graph: ResidualArcs, src: NodeId, sinks: Iterable[NodeId]
+) -> tuple[int, bytearray, int]:
+    """src's node number, a flag per node marking the sinks, and a bound on the flow.
+
+    The bound is the smaller of src's out-degree and the sinks' total
+    in-degree: no flow from src into the sinks is larger.
+    """
     sink_set = set(sinks)
     if not sink_set:
         raise InputError("sink set must be nonempty")
@@ -107,9 +120,12 @@ def _flow_ends(graph: ResidualArcs, src: NodeId, sinks: Iterable[NodeId]) -> tup
         if v not in index:
             raise UnknownNodeError(f"node {v!r} not in network")
     is_sink = bytearray(len(index))
+    in_degree = 0
     for v in sink_set:
         is_sink[index[v]] = 1
-    return index[src], is_sink
+        in_degree += graph.degrees(index[v])[1]
+    s = index[src]
+    return s, is_sink, min(graph.degrees(s)[0], in_degree)
 
 
 def terminal_cuts(net: Network) -> tuple[int, int, int]:
@@ -119,41 +135,56 @@ def terminal_cuts(net: Network) -> tuple[int, int, int]:
     T1 is also a flow into the pair, and augmenting any feasible flow until no
     sink is reachable reaches the maximum (Ford-Fulkerson 1956), so the pair
     cut is the T1 cut plus the added augmentations. The flow to {T2} runs
-    fresh. Network caches the result (Network._terminal_cuts).
+    fresh. Each run stops at a bound no flow can pass: the source's
+    out-degree, the sinks' in-degree, and for T2 the pair cut, since a flow
+    into T2 is also a flow into the pair. Network caches the result
+    (Network._terminal_cuts).
     """
     index, eids, _, _ = graph = net._residual_arcs
     s = index[net.source]
     t1, t2 = (index[t] for t in net.terminals)
+    out_s = graph.degrees(s)[0]
+    in1, in2 = graph.degrees(t1)[1], graph.degrees(t2)[1]
     is_sink = bytearray(len(index))
     is_sink[t1] = 1
     residual = bytearray(b"\x01\x00") * len(eids)
-    cut_t1 = _augment(graph, s, is_sink, residual)[0]
+    cut_t1 = _augment(graph, s, is_sink, residual, min(out_s, in1))[0]
     is_sink[t2] = 1
-    cut_pair = cut_t1 + _augment(graph, s, is_sink, residual)[0]
+    limit = min(out_s, in1 + in2) - cut_t1
+    cut_pair = cut_t1 + _augment(graph, s, is_sink, residual, limit)[0]
     is_sink[t1] = 0
-    cut_t2 = _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(eids))[0]
+    residual = bytearray(b"\x01\x00") * len(eids)
+    cut_t2 = _augment(graph, s, is_sink, residual, min(out_s, in2, cut_pair))[0]
     return cut_t1, cut_t2, cut_pair
 
 
 def _augment(
-    graph: ResidualArcs, s: int, is_sink: bytearray, residual: bytearray
+    graph: ResidualArcs, s: int, is_sink: bytearray, residual: bytearray, limit: int
 ) -> tuple[int, list[int]]:
-    """Augment the flow held in residual until no sink is reachable from s.
+    """Augment the flow held in residual until no sink is reachable or limit is added.
 
     residual holds one byte per arc of graph (1 while the arc is residual)
     and is updated in place; the flow it starts from may be any feasible flow
-    into the sinks. Returns the value added and the last phase's levels, which
-    are >= 0 exactly on the residual source side. Each phase levels the
-    residual graph by breadth-first search from s and then adds a blocking
-    flow along level-increasing arcs, by an iterative depth-first search that
-    keeps a current-arc pointer per node; a search branch ends at the first
-    sink it reaches. With unit capacities this takes O(E * sqrt(E)) time
-    (Even-Tarjan 1975).
+    into the sinks. Returns the value added and the last phase's levels; they
+    are >= 0 exactly on the residual source side only when the run ended on a
+    phase that reached no sink, not when it stopped at limit. Each phase
+    levels the residual graph by breadth-first search from s and then adds a
+    blocking flow along level-increasing arcs, by an iterative depth-first
+    search that keeps a current-arc pointer per node; a search branch ends at
+    the first sink it reaches. With unit capacities this takes O(E * sqrt(E))
+    time (Even-Tarjan 1975).
+
+    limit is checked before each phase and at the augmentation that reaches
+    it, so a limit of 0 runs no search. A limit that bounds every flow from
+    the current one (a degree bound, say) leaves the residual exactly as a
+    run without it: once the value reaches it no augmenting path exists, so
+    the skipped searches would change no byte.
     """
     _, _, arc_head, arcs = graph
     n = len(arcs)
     value = 0
-    while True:
+    level: list[int] = []
+    while value < limit:
         level = [-1] * n
         level[s] = 0
         sink_level = n  # no sink reached yet
@@ -181,6 +212,8 @@ def _augment(
                     residual[a] = 0
                     residual[a ^ 1] = 1
                 value += 1
+                if value == limit:
+                    return value, level
                 path.clear()
                 u = s
                 continue

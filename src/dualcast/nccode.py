@@ -346,7 +346,9 @@ def apply_code(code: MulticastCode, x0: Sequence[int]) -> dict[EdgeId, int]:
     """Forward-evaluate the code: the symbol carried by every coded edge.
 
     Each edge, in support order, applies its local coefficients to its tail's
-    incoming symbols (messages themselves at the source).
+    incoming symbols (messages themselves at the source). A coefficient of 1,
+    all a synthesized code holds besides 0, adds its symbol without a field
+    multiply.
     """
     if len(x0) != code.h0:
         raise InputError(f"expected {code.h0} message symbols, got {len(x0)}")
@@ -356,6 +358,7 @@ def apply_code(code: MulticastCode, x0: Sequence[int]) -> dict[EdgeId, int]:
     for eid in code.support:
         acc = 0
         for (kind, ref), c in local_coeffs[eid].items():
-            acc ^= mul(c, x0[ref] if kind == "msg" else symbols[ref])
+            x = x0[ref] if kind == "msg" else symbols[ref]
+            acc ^= x if c == 1 else mul(c, x)
         symbols[eid] = acc
     return symbols

@@ -60,6 +60,15 @@ class ResidualArcs(NamedTuple):
     arc_head: list[int]
     arcs: list[list[int]]
 
+    def degrees(self, v: int) -> tuple[int, int]:
+        """Out- and in-degree of node number v, counted from its own arc list.
+
+        A node's in-arcs are its odd arc numbers.
+        """
+        node_arcs = self.arcs[v]
+        n_in = sum(a & 1 for a in node_arcs)
+        return len(node_arcs) - n_in, n_in
+
 
 @dataclass(frozen=True)
 class Network:

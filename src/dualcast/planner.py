@@ -87,10 +87,10 @@ def check_demand_size(net: Network, d: Demand) -> None:
     """Refuse a demand past a terminal's in-degree, so no virtual bundle outgrows |E|.
 
     The in-degrees are counted on the network's cached residual adjacency,
-    where a node's in-arcs are its odd arc numbers.
+    as terminal_cuts counts its flow bounds.
     """
-    index, _, _, arcs = net._residual_arcs
-    deg1, deg2 = (sum(a & 1 for a in arcs[index[t]]) for t in net.terminals)
+    graph = net._residual_arcs
+    deg1, deg2 = (graph.degrees(graph.index[t])[1] for t in net.terminals)
     if d.h0 + d.h1 > deg1 or d.h0 + d.h2 > deg2:
         raise InfeasibleDemandError(check_feasibility(net, d))
 

@@ -7,12 +7,16 @@ One rewrite step picks a green path whose first doubly-colored edge is not at
 its start and reroutes the red path through that edge onto the green path's
 prefix. At the fixpoint every green path is either entirely green or starts
 on a doubly-colored edge; the entirely-green ones are interference-free routes.
+Steps are always taken on the first violating green path in index order,
+but after a step only the green paths it can have changed are checked
+again: those crossing the red edges the step gave up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .augment import AugmentedNetwork
 from .errors import InvariantError, NonterminationError, TheoremViolationError
@@ -59,12 +63,24 @@ class ReroutingTrace:
 def run_to_fixpoint(
     state: ColoringState, budget: int | None = None
 ) -> tuple[ColoringState, ReroutingTrace]:
-    """Apply rewrite steps, rescanning green paths in index order, until none violates.
+    """Apply rewrite steps, each to the first violating green path, until none violates.
 
     A green path violates when its first red edge e1 is not its first edge.
     The step gives the red path r through e1 the green path's edges up to e1
     followed by r's old edges after e1; r's old edges before e1 lose red.
     `red_of` maps each red edge to the index of its red path.
+
+    Green paths are checked in index order, and after a step only those
+    whose red edges changed are checked again. The stepped path now starts
+    on a red edge, so it stops violating; the prefix it hands r is its own
+    and carries no red before the step, so no other green path gains a red
+    edge. Only the edges r gives up can move another green path's first red
+    edge, and green paths share no edge, so each of them lies on at most one
+    green path (`green_of`, built at the first step). Those paths, when
+    already checked, go on a min-heap; the next step is taken on the
+    smallest index in it or, once it is empty, on the next unchecked path,
+    whichever violates first. That is the first violating path in index
+    order, the one a rescan from index 0 after every step would pick.
 
     The state is checked once, on entry, in one walk per path: every path is
     non-empty, starts at the source and is contiguous, only its first edge
@@ -103,24 +119,40 @@ def run_to_fixpoint(
     if budget is None:
         budget = max(1, len(net.edges)) * max(1, len(greens)) * max(1, len(reds))
     red_of = {eid: r for r, edges in enumerate(reds) for eid in edges}
+    green_of: dict[EdgeId, int] = {}
+    unchecked = 0  # greens from this index on are still to be checked
+    recheck: list[int] = []  # min-heap of checked greens whose red edges changed
+    queued: set[int] = set()  # the greens in recheck
     steps: list[TraceStep] = []
     while True:
-        for g, p in enumerate(greens):
-            pos = next((i for i, eid in enumerate(p.edges) if eid in red_of), 0)
-            if pos:
+        if recheck:
+            g = heappop(recheck)
+            queued.remove(g)
+        elif unchecked < len(greens):
+            g = unchecked
+            unchecked += 1
+        else:
+            break
+        edges = greens[g].edges
+        for pos, e1 in enumerate(edges):
+            if e1 in red_of:
                 break
         else:
-            if steps:
-                red_paths = tuple(EdgePath(edges) for edges in reds)
-                state = ColoringState(net=net, green_paths=greens, red_paths=red_paths)
-            return state, ReroutingTrace(tuple(steps))
-        e1 = p.edges[pos]
+            continue
+        if not pos:
+            continue
+        if not steps:
+            green_of = {eid: i for i, p in enumerate(greens) for eid in p.edges}
         r = red_of[e1]
         old = reds[r]
         split = old.index(e1)
-        prefix = p.edges[: pos + 1]
+        prefix = edges[: pos + 1]
         for eid in old[:split]:
             del red_of[eid]
+            h = green_of.get(eid)
+            if h is not None and h < unchecked and h not in queued:
+                queued.add(h)
+                heappush(recheck, h)
         for eid in prefix:
             red_of[eid] = r
         reds[r] = prefix + old[split + 1 :]
@@ -129,6 +161,10 @@ def run_to_fixpoint(
             raise NonterminationError(
                 f"recoloring exceeded its budget of {budget} steps"
             )
+    if steps:
+        red_paths = tuple(EdgePath(edges) for edges in reds)
+        state = ColoringState(net=net, green_paths=greens, red_paths=red_paths)
+    return state, ReroutingTrace(tuple(steps))
 
 
 def extract_exclusive_green(

@@ -475,13 +475,14 @@ class TestCmdVerify:
             (lambda d: d["support"].append(12), "coded edge 12 is listed twice in the support"),
             (lambda d: d["local_coeffs"].__setitem__("0", {"msg:0": "0x01"}),
              "support and local_coeffs disagree on edge 0"),
-            # A second spelling of a key, listed first, would be overwritten unproved.
+            # A second spelling of a key, listed first, would be overwritten
+            # unproved; only the spelling the format writes is accepted.
             (lambda d: d.__setitem__("local_coeffs", {"01": {"msg:0": "0x00", "msg:1": "0x00"},
                                                       **d["local_coeffs"]}),
-             "local_coeffs names edge 1 twice"),
+             "local_coeffs key '01' is not a decimal edge id"),
             (lambda d: d["local_coeffs"].__setitem__("1", {"msg:00": "0x00",
                                                            **d["local_coeffs"]["1"]}),
-             "local_coeffs['1'] names an input twice"),
+             "bad coefficient key 'msg:00'"),
         ],
     )
     def test_coded_edge_or_input_named_twice_or_unlisted_exits_one(
@@ -534,7 +535,6 @@ class TestCmdVerify:
             ("8", "decode", "0x1FF", "decode matrix of T1"),
             ("8", "local", "0x100", "local coefficient 0x100 on edge"),
             ("16", "decode", "0x10000", "decode matrix of T1"),
-            ("8", "decode", "-0x1", "decode matrix of T1"),
         ],
     )
     def test_element_outside_the_field_exits_one_naming_the_site(
@@ -554,6 +554,40 @@ class TestCmdVerify:
             assert main(["verify", FIG2, str(path), "--trials", trials]) == 1
             err = capsys.readouterr().err
             assert named in err and f"GF(2^{field_bits})" in err
+
+    @pytest.mark.parametrize(
+        "site, value, named",
+        [
+            ("key", " +0_1 ", "local_coeffs key ' +0_1 ' is not a decimal edge id"),
+            ("input", "msg:+0", "bad coefficient key 'msg:+0'"),
+            ("local", "0x1d", "bad hex value '0x1d' in the local coefficients of edge 1"),
+            ("local", " 0x1_D ", "bad hex value ' 0x1_D ' in the local coefficients of edge 1"),
+            ("local", "1", "bad hex value '1' in the local coefficients of edge 1"),
+            ("decode", "-0x1", "decode matrix of T1"),
+            ("modulus", "0x11d", "bad hex value '0x11d' in field.modulus"),
+        ],
+    )
+    def test_spelling_the_format_does_not_write_exits_one_naming_the_site(
+        self, plan_file, capsys, site, value, named
+    ):
+        doc = json.loads(plan_file.read_text())
+        coeffs = doc["local_coeffs"]
+        assert sorted(coeffs["1"]) == ["msg:0", "msg:1"] and doc["field"]["modulus"] == "0x11D"
+        if site == "key":
+            coeffs[value] = coeffs.pop("1")
+        elif site == "input":
+            coeffs["1"][value] = coeffs["1"].pop("msg:0")
+        elif site == "local":
+            coeffs["1"]["msg:0"] = value
+        elif site == "decode":
+            doc["decode"]["t1"]["matrix"][0][0] = value
+        else:
+            doc["field"]["modulus"] = value
+        plan_file.write_text(json.dumps(doc))
+        for trials in ("0", "100"):
+            assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err and "Traceback" not in err
 
     def test_coded_plan_with_zero_shared_rate_exits_one(self, plan_file, capsys):
         doc = json.loads(plan_file.read_text())

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcast import flow
 from dualcast.augment import build_augmented
 from dualcast.errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
 from dualcast.flow import (
     FlowResult,
+    _augment,
+    _flow_ends,
     check_path,
     decompose_paths,
     edge_disjoint_paths,
@@ -107,6 +110,82 @@ class TestTerminalCuts:
     def test_no_edges(self):
         net = Network(nodes=("s", "t1", "t2"), edges=(), source="s", terminals=("t1", "t2"))
         assert terminal_cuts(net) == (0, 0, 0)
+
+
+def _enumerated_cuts(net: Network) -> tuple[int, int, int]:
+    t1, t2 = net.terminals
+    return tuple(mincut_enumerate(net, net.source, sinks) for sinks in ({t1}, {t2}, {t1, t2}))
+
+
+class TestTerminalCutBounds:
+    """Each Dinic run of terminal_cuts stops at a degree or cut bound."""
+
+    @pytest.fixture
+    def runs_of(self, monkeypatch):
+        """terminal_cuts(net), checked, and the (limit, value added) of each of its runs."""
+        calls = []
+        augment = flow._augment
+
+        def recording(graph, s, is_sink, residual, limit):
+            result = augment(graph, s, is_sink, residual, limit)
+            calls.append((limit, result[0]))
+            return result
+
+        def runs_of(net):
+            monkeypatch.setattr(flow, "_augment", recording)
+            cuts = terminal_cuts(net)
+            monkeypatch.undo()
+            assert cuts == independent_cuts(net) == _enumerated_cuts(net)
+            return cuts, calls
+
+        return runs_of
+
+    def test_t1_cut_at_the_source_out_degree_leaves_the_pair_run_limit_zero(self, runs_of):
+        net = mknet([("s", "t1"), ("s", "a"), ("a", "t1"), ("a", "t2")], "s", ("t1", "t2"))
+        assert runs_of(net) == ((2, 1, 2), [(2, 2), (0, 0), (1, 1)])
+
+    def test_t2_cut_stops_at_the_pair_cut_below_its_in_degree(self, runs_of):
+        # Two edges a->b bound every flow; the source has out-degree 3 and T2
+        # in-degree 4, so only the pair cut stops the T2 run at 2.
+        pairs = [("s", "a")] * 3 + [("a", "b")] * 2 + [("b", "t2")] * 3
+        pairs += [("b", "t1"), ("t1", "t2")]
+        net = mknet(pairs, "s", ("t1", "t2"))
+        cuts, runs = runs_of(net)
+        assert cuts == (1, 2, 2) and runs[-1] == (2, 2)
+
+    def test_parallel_edges_between_the_terminals(self, runs_of):
+        pairs = [("s", "t1"), ("s", "t2"), ("s", "a"), ("a", "t1")]
+        pairs += [("t1", "t2"), ("t1", "t2"), ("t2", "t1")]
+        net = mknet(pairs, "s", ("t1", "t2"))
+        assert runs_of(net) == ((3, 3, 3), [(3, 3), (0, 0), (3, 3)])
+
+    @pytest.mark.parametrize(
+        "pairs, cuts, runs",
+        [
+            ([("s", "a"), ("a", "t2"), ("t1", "t2")], (0, 1, 1), [(0, 0), (1, 1), (1, 1)]),
+            ([("s", "a"), ("a", "t1"), ("t2", "t1")], (1, 0, 1), [(1, 1), (0, 0), (0, 0)]),
+        ],
+    )
+    def test_a_terminal_with_no_in_edge(self, runs_of, pairs, cuts, runs):
+        assert runs_of(mknet(pairs, "s", ("t1", "t2"))) == (cuts, runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(digraphs(), digraphs(max_nodes=30, max_edges=90)),
+    st.sampled_from([(0,), (1,), (0, 1)]),
+)
+def test_augment_stopped_at_a_bound_leaves_the_residual_of_a_full_run(net, which):
+    graph = net._residual_arcs
+    sinks = [net.terminals[i] for i in which]
+    s, is_sink, bound = _flow_ends(graph, net.source, sinks)
+    full = bytearray(b"\x01\x00") * len(graph.eids)
+    value = _augment(graph, s, is_sink, full, len(graph.eids) + 1)[0]
+    assert value == max_flow_edmonds_karp(net, net.source, sinks) <= bound
+    for limit in {value, bound}:
+        residual = bytearray(b"\x01\x00") * len(graph.eids)
+        assert _augment(graph, s, is_sink, residual, limit)[0] == value
+        assert residual == full
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcast.augment import build_augmented
 from dualcast.errors import (
@@ -152,6 +153,26 @@ class TestRunToFixpoint:
         with pytest.raises(NonterminationError):
             run_to_fixpoint(state, budget=0)
 
+    def test_a_step_that_frees_an_earlier_green_path_returns_to_it(self):
+        # Green 0 (s-a-b-y) starts on red 0's first edge, so it holds; green 1
+        # (s-c-d-y) meets red 0 at c->d. Stepping green 1 hands red 0 the
+        # prefix s->c->d, and red 0 gives up s->a and a->c, so green 0's first
+        # red edge moves on to b->y, on red 1, and the next step is on green 0.
+        net = mknet(
+            [("s", "a"), ("a", "b"), ("b", "y"), ("s", "c"), ("c", "d"), ("d", "y"),
+             ("a", "c"), ("d", "t"), ("s", "b")],
+            source="s",
+            terminals=("y", "t"),
+        )
+        state = make_state(net, greens=[[0, 1, 2], [3, 4, 5]], reds=[[0, 6, 4, 7], [8, 2]])
+        final, trace = run_to_fixpoint(state)
+        assert [
+            (step.green_index, step.shared_edge, step.red_index, step.prefix_swapped.edges)
+            for step in trace.steps
+        ] == [(1, 4, 0, (3, 4)), (0, 2, 1, (0, 1, 2))]
+        assert [p.edges for p in final.red_paths] == [(3, 4, 7), (0, 1, 2)]
+        assert (final, trace) == fixpoint_by_steps(state)
+
     def test_fig2_pass_one_reaches_the_forced_route(self, fig2):
         d = Demand(2, 1, 1)
         aug = build_augmented(fig2, d)
@@ -274,8 +295,8 @@ def _layered_instances(rng, count, width=16, layers=6):
 
 
 def _passes(instances):
-    for seed, (net, d) in enumerate(instances):
-        _, passes = synthesize_with_diagnostics(net, d, seed)
+    for net, d in instances:
+        passes = symmetric_pass(build_augmented(net, d), d)
         yield passes.pass1
         yield passes.pass2
 
@@ -307,9 +328,11 @@ class TestAgainstReferenceStepper:
         assert sum(steps) >= 200
         assert sum(n >= 2 for n in steps) >= 10  # both budgets trip on these
 
-    @given(feasible_instances())
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["dag", "cyclic"])
+    @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_fixpoints_and_traces_match_on_random_instances(self, instance):
+    def test_fixpoints_and_traces_match_on_random_instances(self, cyclic, data):
+        instance = data.draw(feasible_instances(cyclic=cyclic))
         for result in _passes([instance]):
             _matches_reference(result)
 
