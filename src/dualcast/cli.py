@@ -90,9 +90,22 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
 
 
 def _read_json(path: Path) -> Any:
-    """The JSON document in a UTF-8 file; any failure to read it is an InputError."""
+    """The JSON document in a UTF-8 file; any failure to read it is an InputError.
+
+    An object that repeats a key is refused: json.loads would keep only the
+    last value, so the text of the others would be carried but never read.
+    """
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        doc: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in doc:
+                raise InputError(f"{path}: key {key!r} is repeated in one object")
+            doc[key] = value
+        return doc
+
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -7,6 +7,11 @@ messages. With two terminals a binary code suffices, so the code is built
 deterministically over GF(2), edge by edge, keeping each terminal's vectors
 independent; its 0/1 coefficients are written in the requested GF(2^m), a
 field fixed by m alone through its modulus DEFAULT_MODULI[m].
+
+The code is linear, so one evaluation can carry many message tuples, one in
+each m-bit lane of every symbol. With message i set to 1 << m*i, lane j
+carries the unit message e_j, and lane j of each edge's symbol is entry j of
+its global vector: one evaluation yields them all (coding_vectors).
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class GF:
     folds the high half back through two byte tables of (h << bits) mod
     modulus, and mat_vec builds each window once and reuses it down a column.
     An inverse runs the extended Euclidean algorithm over GF(2)[x].
+
+    mul_lanes multiplies many elements at once, packed side by side into the
+    bits-wide lanes of one int; since addition is XOR, adding two packed ints
+    adds lane by lane.
     """
 
     def __init__(self, bits: int):
@@ -126,6 +135,28 @@ class GF:
         p = w[b & 15] ^ w[b >> 4 & 15] << 4 ^ w[b >> 8 & 15] << 8 ^ w[b >> 12] << 12
         h = p >> self.bits
         return p & (self.size - 1) ^ self._fold_lo[h & 255] ^ self._fold_hi[h >> 8]
+
+    def mul_lanes(self, c: int, x: int) -> int:
+        """c times each bits-wide lane of x; lane j is bits [bits*j, bits*(j+1)).
+
+        Multiplying by c is linear over GF(2): the product is the XOR, over
+        the bit positions i of a lane, of c*x^i placed in every lane whose
+        bit i is set. Gathering those bits at the lanes' bottoms leaves 0 or
+        1 in each lane, so an integer multiply by c*x^i, which is below
+        2^bits, places it without a carry. For x < size this is mul(c, x).
+        """
+        if x < self.size or not c:
+            return self.mul(c, x)
+        bits, size = self.bits, self.size
+        lanes = -(-x.bit_length() // bits)
+        ones = ((1 << bits * lanes) - 1) // (size - 1)  # bit 0 of every lane
+        acc = 0
+        for i in range(bits):
+            acc ^= (x >> i & ones) * c
+            c <<= 1
+            if c & size:
+                c ^= self.modulus
+        return acc
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -332,33 +363,50 @@ def build_multicast_code(
     )
 
 
+def unit_lanes(bits: int, h0: int) -> list[int]:
+    """The h0 unit messages packed into bits-wide lanes: e_j is 1 in lane j."""
+    return [1 << bits * j for j in range(h0)]
+
+
+def unpack_lanes(bits: int, x: int, n: int) -> list[int]:
+    """The field elements in the first n bits-wide lanes of x, lane 0 first."""
+    mask = (1 << bits) - 1
+    return [x >> shift & mask for shift in range(0, bits * n, bits)]
+
+
 def coding_vectors(code: MulticastCode) -> dict[EdgeId, tuple[int, ...]]:
     """The global vector of every coded edge, as its local coefficients define it.
 
-    Column j is the code evaluated on the j-th unit message vector.
+    One evaluation on the packed unit messages: lane j of an edge's symbol is
+    its value under the j-th unit message, entry j of its vector.
     """
-    h0 = code.h0
-    columns = [apply_code(code, [int(i == j) for i in range(h0)]) for j in range(h0)]
-    return {eid: tuple(col[eid] for col in columns) for eid in code.support}
+    bits, h0 = code.field_bits, code.h0
+    symbols = apply_code(code, unit_lanes(bits, h0))
+    return {eid: tuple(unpack_lanes(bits, v, h0)) for eid, v in symbols.items()}
 
 
 def apply_code(code: MulticastCode, x0: Sequence[int]) -> dict[EdgeId, int]:
     """Forward-evaluate the code: the symbol carried by every coded edge.
 
     Each edge, in support order, applies its local coefficients to its tail's
-    incoming symbols (messages themselves at the source). A coefficient of 1,
-    all a synthesized code holds besides 0, adds its symbol without a field
-    multiply.
+    incoming symbols (messages themselves at the source). A coefficient of 0
+    is skipped and one of 1, all a synthesized code holds, adds its symbol
+    without a field multiply; any other goes through GF.mul_lanes. So a
+    symbol may pack several field elements into bits-wide lanes, each
+    evaluated as if alone: on the packed unit messages unit_lanes(bits, h0)
+    one call yields every global vector.
     """
     if len(x0) != code.h0:
         raise InputError(f"expected {code.h0} message symbols, got {len(x0)}")
     symbols: dict[EdgeId, int] = {}
-    mul = code.field.mul
+    mul_lanes = code.field.mul_lanes
     local_coeffs = code.local_coeffs
     for eid in code.support:
         acc = 0
         for (kind, ref), c in local_coeffs[eid].items():
-            x = x0[ref] if kind == "msg" else symbols[ref]
-            acc ^= x if c == 1 else mul(c, x)
+            if c == 1:
+                acc ^= x0[ref] if kind == "msg" else symbols[ref]
+            elif c:
+                acc ^= mul_lanes(c, x0[ref] if kind == "msg" else symbols[ref])
         symbols[eid] = acc
     return symbols

@@ -12,8 +12,8 @@ to report a demand those flows refuse. Those are a feasible synthesis's
 only two max-flows: the second pass starts from the first pass's coloring
 on the same augmented graph. check_plan is the one semantic check of a
 plan, run by synthesis, verification and the DOT export; verify_plan then
-proves the checked plan delivers by evaluating its code on the unit
-messages.
+proves the checked plan delivers by evaluating its code once, on the unit
+messages packed into the m-bit lanes of one int per edge.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     UnknownEdgeError,
 )
 from .flow import EdgePath, check_path
-from .nccode import MulticastCode, apply_code, build_multicast_code
+from .nccode import MulticastCode, apply_code, build_multicast_code, unit_lanes, unpack_lanes
 from .netgraph import Demand, EdgeId, Network, NodeId
 # Unused here; perfbench/tracer.py wraps planner.remove_edges.
 from .netgraph import remove_edges  # noqa: F401
@@ -266,45 +266,61 @@ def verify_plan(
     The plan is first checked by check_plan, whose PlanMismatchError is
     raised rather than reported as failed trials. Routes copy their symbol,
     and coding and decoding are linear, so terminal t decodes the shared
-    messages x0 to M_t·x0, where column j of M_t is the code run once on the
-    unit message e_j and decoded at t; those h0 runs also give every coded
-    edge's global coding vector. The code is therefore evaluated h0 times
-    whatever trials is. A trial fails at Tt when M_t·x0 != x0 for its random
-    x0; when both M_t are the identity no trial can fail and none is drawn.
-    When no trial fails, both M_t must be the identity, or PlanMismatchError
-    is raised; a plan that passes delivers every message tuple.
+    messages x0 to M_t·x0, where column j of M_t is the code run on the unit
+    message e_j and decoded at t. The code runs once, whatever trials is, on
+    the h0 unit messages packed into m-bit lanes (unit_lanes): lane j of an
+    edge's symbol is its value under e_j. Decoding those packed symbols gives
+    the rows of M_t, lane j of row i holding M_t[i][j], so M_t is the
+    identity exactly when row i is 1 << m*i for every i. Then no trial can
+    fail and none is drawn. Otherwise a trial fails at Tt when M_t·x0 != x0
+    for its random x0; when no trial fails, PlanMismatchError names the
+    first terminal, by column, whose M_t is not the identity. A plan that
+    passes delivers every message tuple.
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
     check_plan(net, plan)
     code = plan.multicast
     d = plan.demand
-    units = [[int(i == j) for i in range(d.h0)] for j in range(d.h0)]
-    columns = [apply_code(code, e) for e in units]
     field = code.field
-    decoders = {"T1": (code.inputs_t1, code.decode_t1), "T2": (code.inputs_t2, code.decode_t2)}
-    transfer = {
-        label: [field.mat_vec(matrix, [col[eid] for eid in inputs]) for col in columns]
-        for label, (inputs, matrix) in decoders.items()
+    units = unit_lanes(field.bits, d.h0)
+    symbols = apply_code(code, units)
+    mul_lanes = field.mul_lanes
+    transfer: dict[str, list[int]] = {}  # label: the packed rows of M_t
+    for label, inputs, matrix in (
+        ("T1", code.inputs_t1, code.decode_t1),
+        ("T2", code.inputs_t2, code.decode_t2),
+    ):
+        received = [symbols[eid] for eid in inputs]
+        rows = transfer[label] = []
+        for coeffs in matrix:
+            acc = 0
+            for c, x in zip(coeffs, received):
+                if c == 1:
+                    acc ^= x
+                elif c:
+                    acc ^= mul_lanes(c, x)
+            rows.append(acc)
+    if all(rows == units for rows in transfer.values()):
+        return VerificationReport(trials=trials, failures=())
+    matrices = {
+        label: [unpack_lanes(field.bits, row, d.h0) for row in rows]
+        for label, rows in transfer.items()
     }
     failures: list[TrialFailure] = []
-    if any(m != units for m in transfer.values()):
-        rows = {label: list(zip(*m)) for label, m in transfer.items()}
-        rng = random.Random(seed)
-        for trial in range(trials):
-            x0 = [rng.randrange(field.size) for _ in range(d.h0)]
-            for _ in range(d.h1 + d.h2):  # x1 and x2, drawn as a full simulation would
-                rng.randrange(field.size)
-            for label, m in rows.items():
-                got = field.mat_vec(m, x0)
-                if got != x0:
-                    failures.append(
-                        TrialFailure(trial, label, f"decoded {got}, expected {x0}")
-                    )
+    rng = random.Random(seed)
+    for trial in range(trials):
+        x0 = [rng.randrange(field.size) for _ in range(d.h0)]
+        for _ in range(d.h1 + d.h2):  # x1 and x2, drawn as a full simulation would
+            rng.randrange(field.size)
+        for label, m in matrices.items():
+            got = field.mat_vec(m, x0)
+            if got != x0:
+                failures.append(TrialFailure(trial, label, f"decoded {got}, expected {x0}"))
     if not failures:
-        for j, unit in enumerate(units):
-            for label, m in transfer.items():
-                if m[j] != unit:
+        for j in range(d.h0):
+            for label, m in matrices.items():
+                if any(row[j] != (i == j) for i, row in enumerate(m)):
                     raise PlanMismatchError(
                         f"decode matrix of {label} does not invert its transfer matrix"
                     )

@@ -29,7 +29,7 @@ from typing import Any
 from dualcast.augment import AugmentedNetwork
 from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
 from dualcast.flow import EdgePath, FlowResult, max_flow
-from dualcast.nccode import MulticastCode, apply_code, coding_vectors
+from dualcast.nccode import MulticastCode, apply_code
 from dualcast.netgraph import Demand, EdgeId, Network, NodeId
 from dualcast.planner import TransferPlan, check_feasibility, check_plan
 from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
@@ -354,7 +354,8 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
     Each trial copies x1 and x2 along their routes, evaluates the code on x0
     and decodes at both terminals. Returns the failures as (trial, terminal,
     detail) tuples. When none failed, the decode matrices are checked exactly
-    against the coding vectors, raising PlanMismatchError on a mismatch.
+    against the code run once on each unit message, one symbol per edge and
+    no packed lanes, raising PlanMismatchError on a mismatch.
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
@@ -387,10 +388,9 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
                     failures.append((trial, label, f"route {r} delivered a wrong symbol"))
     if failures:
         return tuple(failures)
-    vectors = coding_vectors(code)
     for j in range(code.h0):
         unit = [int(i == j) for i in range(code.h0)]
-        column = {eid: vec[j] for eid, vec in vectors.items()}
+        column = apply_code(code, unit)
         for terminal in (1, 2):
             if decode_symbols(code, terminal, column) != unit:
                 raise PlanMismatchError(

@@ -56,6 +56,44 @@ def digraphs(draw, max_nodes: int = 6, max_edges: int = 10) -> Network:
     )
 
 
+@st.composite
+def crossing_digraphs(
+    draw, max_width: int = 6, max_layers: int = 5, max_back: int = 8
+) -> Network:
+    """Layered multigraph whose columns cross, with back edges making cycles.
+
+    The source s feeds the first of `layers` layers of `width` nodes. Node j
+    links to node j of the next layer and to two drawn nodes there, so equal
+    draws give parallel edges; each last-layer node links to t1, t2 or both.
+    Up to max_back extra edges then run from any node but s, the terminals
+    included, to any layer node, closing cycles. Many paths cross, so
+    recoloring reroutes.
+    """
+    width = draw(st.integers(2, max_width))
+    layers = draw(st.integers(2, max_layers))
+    labels = ["s"] + [f"n{i}_{j}" for i in range(layers) for j in range(width)] + ["t1", "t2"]
+    pairs = [("s", f"n0_{j}") for j in range(width)]
+    column = st.integers(0, width - 1)
+    for i in range(layers - 1):
+        for j in range(width):
+            for k in (j, draw(column), draw(column)):
+                pairs.append((f"n{i}_{j}", f"n{i + 1}_{k}"))
+    for j in range(width):
+        for t in draw(st.sampled_from((("t1",), ("t2",), ("t1", "t2")))):
+            pairs.append((f"n{layers - 1}_{j}", t))
+    for _ in range(draw(st.integers(0, max_back))):
+        tail = draw(st.sampled_from(labels[1:]))
+        head = draw(st.sampled_from(labels[1:-2]))
+        if tail != head:
+            pairs.append((tail, head))
+    return Network(
+        nodes=tuple(labels),
+        edges=tuple(Edge(k, t, h) for k, (t, h) in enumerate(pairs)),
+        source="s",
+        terminals=("t1", "t2"),
+    )
+
+
 def demands(max_total: int = 4) -> st.SearchStrategy[Demand]:
     return st.tuples(
         st.integers(0, max_total), st.integers(0, max_total), st.integers(0, max_total)
@@ -63,14 +101,9 @@ def demands(max_total: int = 4) -> st.SearchStrategy[Demand]:
 
 
 @st.composite
-def feasible_instances(
-    draw, max_nodes: int = 7, cyclic: bool = False
-) -> tuple[Network, Demand]:
-    """A network with a demand already known to satisfy the three cut conditions.
-
-    The network is a DAG, or with cyclic=True a digraph that may hold cycles.
-    """
-    net = draw((digraphs if cyclic else dag_networks)(max_nodes=max_nodes))
+def feasible_instances(draw, max_nodes: int = 7) -> tuple[Network, Demand]:
+    """A DAG with a demand already known to satisfy the three cut conditions."""
+    net = draw(dag_networks(max_nodes=max_nodes))
     t1, t2 = net.terminals
     c1 = min_cut_value(net, net.source, {t1})
     c2 = min_cut_value(net, net.source, {t2})
@@ -79,3 +112,16 @@ def feasible_instances(
     h1 = draw(st.integers(0, min(c1 - h0, c12 - h0, 3)))
     h2 = draw(st.integers(0, min(c2 - h0, c12 - h0 - h1, 3)))
     return net, Demand(h0, h1, h2)
+
+
+@st.composite
+def crossing_instances(draw) -> tuple[Network, Demand]:
+    """A crossing_digraphs network with a drawn h0 and private rates as large as the cuts allow."""
+    net = draw(crossing_digraphs())
+    t1, t2 = net.terminals
+    c1 = min_cut_value(net, net.source, {t1})
+    c2 = min_cut_value(net, net.source, {t2})
+    c12 = min_cut_value(net, net.source, {t1, t2})
+    h0 = draw(st.integers(0, min(c1, c2)))
+    h1 = min(c1 - h0, c12 - h0)
+    return net, Demand(h0, h1, min(c2 - h0, c12 - h0 - h1))

@@ -525,6 +525,28 @@ class TestCmdVerify:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)\n"
 
+    @pytest.mark.parametrize("which", ["network", "plan"])
+    def test_repeated_key_exits_one_with_an_error_line(self, plan_file, tmp_path, capsys, which):
+        # json.loads alone keeps the last of two equal keys: the network would
+        # read edge 0 as 1->T1, and the plan's junk entry would go unread.
+        if which == "network":
+            text = fig2_path().read_text().replace(
+                '{"from": "1", "to": "6"}', '{"from": "1", "to": "6", "to": "T1"}', 1
+            )
+            key = "to"
+        else:
+            text = plan_file.read_text().replace(
+                '"local_coeffs": {\n', '"local_coeffs": {\n    "1": {"zz": "junk"},\n', 1
+            )
+            key = "1"
+        bad = tmp_path / "repeated.json"
+        bad.write_text(text)
+        files = [str(bad), str(plan_file)] if which == "network" else [FIG2, str(bad)]
+        capsys.readouterr()
+        assert main(["verify", *files, "--trials", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {bad}: key '{key}' is repeated in one object\n"
+
     def test_negative_trials_exit_one(self, plan_file, capsys):
         assert main(["verify", FIG2, str(plan_file), "--trials", "-5"]) == 1
         assert "trials" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 
@@ -17,7 +18,9 @@ from dualcast.nccode import (
     coding_vectors,
     get_field,
 )
+from dualcast.planner import synthesize
 
+from conftest import random_feasible_instances
 from oracles import (
     decode_symbols,
     gf_mat_mul,
@@ -28,6 +31,13 @@ from oracles import (
 )
 
 GF256 = get_field(8)
+
+
+def pack(xs, bits):
+    """Field elements side by side in bits-wide lanes, xs[0] in the lowest."""
+    return sum(x << bits * j for j, x in enumerate(xs))
+
+
 FIELDS = [(bits, DEFAULT_MODULI[bits]) for bits in range(1, 17)]
 
 # The butterfly fixture's edges: 0=s->a, 1=s->b, 2=a->t1, 3=b->t2, 4=a->m,
@@ -120,6 +130,18 @@ class TestFieldBasics:
                 acc ^= gf_mul_reference(x, y, bits, modulus)
             expected.append(acc)
         assert f.mat_vec(a, v) == expected
+
+    @pytest.mark.parametrize("bits, modulus", FIELDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lane_product_matches_schoolbook_reference_in_every_lane(self, bits, modulus, data):
+        field = get_field(bits)
+        element = st.integers(0, field.size - 1)
+        c = data.draw(element)
+        xs = data.draw(st.lists(element, max_size=8))
+        want = [gf_mul_reference(c, x, bits, modulus) for x in xs]
+        assert want == [field.mul(c, x) for x in xs]
+        assert field.mul_lanes(c, pack(xs, bits)) == pack(want, bits)
 
     def test_one_field_object_per_field(self):
         for bits in sorted(DEFAULT_MODULI):
@@ -321,6 +343,35 @@ class TestApplyCode:
     def test_wrong_message_count_rejected(self, butterfly, butterfly_code):
         with pytest.raises(InputError):
             apply_code(butterfly_code, [1, 2, 3])
+
+    @pytest.mark.parametrize("field_bits", [8, 16])
+    def test_packed_evaluation_matches_scalar_runs_lane_by_lane(self, field_bits):
+        # Synthesized codes are binary; random coefficients make every edge
+        # with a coefficient other than 0 and 1 go through mul_lanes.
+        rng = random.Random(field_bits)
+        size = 1 << field_bits
+        coded = 0
+        for i, (net, d) in enumerate(random_feasible_instances(seed=31, count=80)):
+            if not d.h0:
+                continue
+            code = synthesize(net, d, seed=i, field_bits=field_bits).multicast
+            local = {
+                eid: {key: rng.choice((0, 1, rng.randrange(size))) for key in keys}
+                for eid, keys in code.local_coeffs.items()
+            }
+            code = dataclasses.replace(code, local_coeffs=local)
+            coded += any(c > 1 for keys in local.values() for c in keys.values())
+            tuples = [[rng.randrange(size) for _ in range(d.h0)] for _ in range(rng.randint(1, 8))]
+            tuples += [[int(i == j) for i in range(d.h0)] for j in range(d.h0)]
+            scalar = [apply_code(code, x0) for x0 in tuples]
+            packed = apply_code(code, [pack(col, field_bits) for col in zip(*tuples)])
+            assert packed.keys() == set(code.support)
+            for eid, v in packed.items():
+                assert v == pack([symbols[eid] for symbols in scalar], field_bits)
+            vectors = coding_vectors(code)
+            for j, symbols in enumerate(scalar[-d.h0 :]):
+                assert all(vectors[eid][j] == symbols[eid] for eid in code.support)
+        assert coded >= 20
 
     def test_decode_matrices_invert_the_transfer_matrices(self, butterfly_code):
         code = butterfly_code

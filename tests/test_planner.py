@@ -271,6 +271,35 @@ class TestVerifyPlan:
         assert report.passed and report.trials == 0
 
 
+def _rescaled(plan, rng):
+    """The plan with each coded edge's symbol scaled by its own drawn c > 1.
+
+    An edge's local coefficients are multiplied by c, and every use of its
+    symbol, a later edge's coefficient or a decode-matrix column, by 1/c, so
+    the plan still delivers, with coefficients that are not 0 or 1.
+    """
+    code = plan.multicast
+    f = code.field
+    local = {eid: dict(keys) for eid, keys in code.local_coeffs.items()}
+    decode = {
+        name: [list(row) for row in getattr(code, name)] for name in ("decode_t1", "decode_t2")
+    }
+    for eid in code.support:
+        c = rng.randrange(2, f.size)
+        local[eid] = {key: f.mul(c, v) for key, v in local[eid].items()}
+        for keys in local.values():
+            if ("edge", eid) in keys:
+                keys[("edge", eid)] = f.mul(f.inv(c), keys[("edge", eid)])
+        for name, inputs in (("decode_t1", code.inputs_t1), ("decode_t2", code.inputs_t2)):
+            for k in (k for k, e in enumerate(inputs) if e == eid):
+                for row in decode[name]:
+                    row[k] = f.mul(f.inv(c), row[k])
+    scaled = dataclasses.replace(
+        code, local_coeffs=local, **{name: tuple(map(tuple, m)) for name, m in decode.items()}
+    )
+    return dataclasses.replace(plan, multicast=scaled)
+
+
 def _tampered_plans(net, plan, rng):
     """The plan, then one copy each with a wrong local coefficient,
     decode-matrix entry and decode input list, at sites and in-field values
@@ -339,7 +368,24 @@ class TestVerifyMatchesSimulation:
                     seen.add(want[0] if want[0] != "failures" else bool(want[1]))
         assert seen == {False, True, PlanMismatchError}
 
-    def test_code_is_evaluated_h0_times_whatever_the_trial_count(self, fig2, monkeypatch):
+    @pytest.mark.parametrize("field_bits", [8, 16])
+    def test_rescaled_non_binary_plans_verify_like_the_simulation(self, field_bits):
+        rng = random.Random(field_bits)
+        checked = 0
+        for i, (net, d) in enumerate(random_feasible_instances(seed=5, count=80)):
+            if not d.h0:
+                continue
+            plan = _rescaled(synthesize(net, d, seed=i, field_bits=field_bits), rng)
+            assert any(c > 1 for row in plan.multicast.decode_t1 for c in row)
+            for candidate in _tampered_plans(net, plan, rng):
+                for trials in (0, 3):
+                    want = self._outcome(verify_by_simulation, net, candidate, trials)
+                    assert self._outcome(verify_plan, net, candidate, trials) == want
+            assert verify_plan(net, plan, trials=3, seed=i).passed
+            checked += 1
+        assert checked >= 20
+
+    def test_code_is_evaluated_once_whatever_the_trial_count(self, fig2, monkeypatch):
         calls = []
         real = planner.apply_code
 
@@ -359,7 +405,7 @@ class TestVerifyMatchesSimulation:
                 else:
                     with pytest.raises(PlanMismatchError):
                         verify_plan(fig2, candidate, trials=trials)
-                assert len(calls) == plan.demand.h0
+                assert len(calls) == 1  # on the unit messages packed into lanes
 
 
 class TestDiagnostics:

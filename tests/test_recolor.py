@@ -46,7 +46,7 @@ from oracles import (
     replay_trace,
     visits,
 )
-from strategies import feasible_instances
+from strategies import crossing_instances, feasible_instances
 
 
 def make_state(net, greens, reds):
@@ -332,7 +332,7 @@ class TestAgainstReferenceStepper:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_fixpoints_and_traces_match_on_random_instances(self, cyclic, data):
-        instance = data.draw(feasible_instances(cyclic=cyclic))
+        instance = data.draw(crossing_instances() if cyclic else feasible_instances())
         for result in _passes([instance]):
             _matches_reference(result)
 
