@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, Iterable, NoReturn
 
 from .augment import RESERVED_PREFIX, build_augmented
 from .errors import (
@@ -31,6 +31,7 @@ from .planner import synthesize_with_diagnostics, verify_plan
 from .recolor import ReroutingTrace
 
 NETWORK_KEYS = ("nodes", "edges", "source", "terminals")
+_EDGE_KEYS = frozenset(("from", "to", "cap"))
 PLAN_VERSION = 2
 PLAN_KEYS = ("version", "demand", "seed", "field", "x1_routes", "x2_routes", "support",
              "local_coeffs", "decode")
@@ -67,14 +68,17 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         raise InputError(f"{origin}: edges must be a list")
     weighted: list[tuple[str, str, int]] = []
     for i, entry in enumerate(doc["edges"]):
-        if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
-            raise InputError(f"{origin}: edge #{i} needs 'from' and 'to'")
-        _known_keys(entry, ("from", "to", "cap"), f"{origin}: edge #{i}")
-        tail, head = entry["from"], entry["to"]
-        for label in (tail, head):
-            if not isinstance(label, str) or label not in node_set:
-                raise InputError(f"{origin}: edge #{i} references unknown node {label!r}")
-        weighted.append((tail, head, entry.get("cap", 1)))
+        if (
+            isinstance(entry, dict)
+            and _EDGE_KEYS.issuperset(entry)
+            and isinstance(tail := entry.get("from"), str)
+            and tail in node_set
+            and isinstance(head := entry.get("to"), str)
+            and head in node_set
+        ):
+            weighted.append((tail, head, entry.get("cap", 1)))
+        else:
+            _raise_edge_error(entry, i, node_set, origin)
     for label in (doc["source"], *terminals):
         if not isinstance(label, str) or label not in node_set:
             raise InputError(f"{origin}: {label!r} is not a declared node")
@@ -87,6 +91,17 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         )
     except (InputError, UnknownNodeError) as exc:
         raise InputError(f"{origin}: {exc}") from exc
+
+
+def _raise_edge_error(entry: Any, i: int, node_set: set[str], origin: str) -> NoReturn:
+    """Raise the error for edge #i, an entry network_from_dict did not accept."""
+    if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
+        raise InputError(f"{origin}: edge #{i} needs 'from' and 'to'")
+    _known_keys(entry, ("from", "to", "cap"), f"{origin}: edge #{i}")
+    for label in (entry["from"], entry["to"]):
+        if not isinstance(label, str) or label not in node_set:
+            raise InputError(f"{origin}: edge #{i} references unknown node {label!r}")
+    raise AssertionError(f"edge #{i} was refused for no reason")
 
 
 def _read_json(path: Path) -> Any:
@@ -127,8 +142,23 @@ def _hex(value: int) -> str:
     return f"0x{value:02X}"
 
 
+class _QuotedHex(dict):
+    """value -> _hex(value) as a JSON string; built for the values below 0x100."""
+
+    def __missing__(self, value: int) -> str:
+        return f'"{_hex(value)}"'
+
+
+# Every value a GF(2^8) plan holds, spelt as dump_plan writes it and read
+# back exactly; larger values take _hex and _parse_hex.
+_HEX_VALUE = {_hex(v): v for v in range(0x100)}
+_QUOTED_HEX = _QuotedHex((v, f'"{text}"') for text, v in _HEX_VALUE.items())
+# Input kinds, mapped to one shared string each for the parsed keys.
+_INPUT_KINDS = {"edge": "edge", "msg": "msg"}
+
+
 # These are called inside plan_from_dict's try, which prefixes the file name.
-# Each accepts only the spelling plan_to_dict writes, so no text is carried
+# Each accepts only the spelling dump_plan writes, so no text is carried
 # unproved.
 def _parse_hex(text: Any, where: str) -> int:
     if not isinstance(text, str):
@@ -160,6 +190,12 @@ def _json_object(value: Any, what: str) -> dict:
     return value
 
 
+def _json_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _known_keys(value: Any, keys: tuple[str, ...], what: str) -> dict:
     """value as an object with no key outside keys; a missing key fails on lookup."""
     obj = _json_object(value, what)
@@ -176,51 +212,75 @@ def _json_int(value: Any, what: str) -> int:
 
 
 def _edge_ids(value: Any, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list, got {value!r}")
-    return tuple(_json_int(e, f"{what} entry") for e in value)
+    ids = tuple(_json_list(value, what))
+    if {int}.issuperset(map(type, ids)):
+        return ids
+    return tuple(_json_int(e, f"{what} entry") for e in ids)
 
 
-def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
-    code = plan.multicast
-    return {
-        "version": PLAN_VERSION,
-        "demand": {"h0": plan.demand.h0, "h1": plan.demand.h1, "h2": plan.demand.h2},
-        "seed": plan.seed,
-        "field": {
-            "name": f"GF(2^{code.field_bits})",
-            "bits": code.field_bits,
-            "modulus": _hex(DEFAULT_MODULI[code.field_bits]),
-        },
-        "x1_routes": [list(p.edges) for p in plan.x1_routes],
-        "x2_routes": [list(p.edges) for p in plan.x2_routes],
-        "support": list(code.support),
-        "local_coeffs": {
-            str(eid): {
-                f"{kind}:{ref}": _hex(c) for (kind, ref), c in code.local_coeffs[eid].items()
-            }
-            for eid in code.support
-        },
-        "decode": {
-            "t1": {
-                "inputs": list(code.inputs_t1),
-                "matrix": [[_hex(c) for c in row] for row in code.decode_t1],
-            },
-            "t2": {
-                "inputs": list(code.inputs_t2),
-                "matrix": [[_hex(c) for c in row] for row in code.decode_t2],
-            },
-        },
-    }
+def _routes(value: Any, label: str) -> tuple[EdgePath, ...]:
+    what = f"{label} route"
+    return tuple(EdgePath(_edge_ids(p, what)) for p in _json_list(value, f"{label}_routes"))
+
+
+def _local_coeffs(value: Any) -> dict[int, dict[tuple[str, int], int]]:
+    """The local_coeffs object, each coefficient entry read in one step.
+
+    An input ref of ASCII digits with no leading zero is read by int and a
+    value in _HEX_VALUE by lookup; anything else goes through _decimal or
+    _parse_hex, which accept the other canonical spellings (a negative ref,
+    a value of 0x100 or more) and refuse the rest.
+    """
+    local: dict[int, dict[tuple[str, int], int]] = {}
+    for eid_text, coeffs in _json_object(value, "local_coeffs").items():
+        eid = _decimal(eid_text)
+        if eid is None:
+            raise InputError(f"local_coeffs key {eid_text!r} is not a decimal edge id")
+        parsed: dict[tuple[str, int], int] = {}
+        for key_text, c in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
+            kind, _, ref = key_text.partition(":")
+            kind = _INPUT_KINDS.get(kind)
+            if ref.isascii() and ref.isdigit() and (ref[0] != "0" or len(ref) == 1):
+                ref_id: int | None = int(ref)
+            else:
+                ref_id = _decimal(ref)
+            if kind is None or ref_id is None:
+                raise InputError(
+                    f"bad coefficient key {key_text!r}: not edge:<id> or msg:<index> in decimal"
+                )
+            try:
+                parsed[kind, ref_id] = _HEX_VALUE[c]
+            except (KeyError, TypeError):  # TypeError: an unhashable value
+                parsed[kind, ref_id] = _parse_hex(c, f"the local coefficients of edge {eid}")
+        local[eid] = parsed
+    return local
+
+
+def _decode_matrix(value: Any, t: str) -> tuple[tuple[int, ...], ...]:
+    """decode.<t>.matrix, each row read through _HEX_VALUE in one map.
+
+    A row the table does not cover is read again entry by entry through
+    _parse_hex, which accepts a canonical value of 0x100 or more and
+    otherwise raises for the first entry that is not canonical.
+    """
+    rows = []
+    for row in _json_list(value, f"decode.{t}.matrix"):
+        _json_list(row, f"decode.{t}.matrix row")
+        try:
+            rows.append(tuple(map(_HEX_VALUE.__getitem__, row)))
+        except (KeyError, TypeError):
+            rows.append(tuple(_parse_hex(c, f"decode matrix of {t.upper()}") for c in row))
+    return tuple(rows)
 
 
 def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
     """Parse a plan document's JSON shapes and types; check_plan checks the rest.
 
-    An object key that plan_to_dict does not write is refused, and so is an
-    edge id, input ref or hex value it would spell differently, so nothing
-    is carried unproved. With one spelling per edge and input, a parsed
-    object cannot name either twice.
+    An object key that dump_plan does not write is refused, and so is an
+    edge id, input ref or hex value it would spell differently, or a route
+    list, route, matrix or matrix row that is not a JSON list, so nothing is
+    carried unproved. With one spelling per edge and input, a parsed object
+    cannot name either twice.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
@@ -242,26 +302,11 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
                 f"field.modulus {field['modulus']!r} is not {_hex(modulus)}, "
                 f"the modulus of GF(2^{bits})"
             )
-        x1 = tuple(EdgePath(_edge_ids(p, "x1 route")) for p in doc["x1_routes"])
-        x2 = tuple(EdgePath(_edge_ids(p, "x2 route")) for p in doc["x2_routes"])
+        x1 = _routes(doc["x1_routes"], "x1")
+        x2 = _routes(doc["x2_routes"], "x2")
 
         support = _edge_ids(doc["support"], "support")
-        local: dict[int, dict[tuple[str, int], int]] = {}
-        for eid_text, coeffs in _json_object(doc["local_coeffs"], "local_coeffs").items():
-            eid = _decimal(eid_text)
-            if eid is None:
-                raise InputError(f"local_coeffs key {eid_text!r} is not a decimal edge id")
-            parsed: dict[tuple[str, int], int] = {}
-            for key_text, value in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
-                kind, _, ref = key_text.partition(":")
-                ref_id = _decimal(ref)
-                if kind not in ("edge", "msg") or ref_id is None:
-                    raise InputError(
-                        f"bad coefficient key {key_text!r}: not edge:<id> or msg:<index> "
-                        "in decimal"
-                    )
-                parsed[(kind, ref_id)] = _parse_hex(value, f"the local coefficients of edge {eid}")
-            local[eid] = parsed
+        local = _local_coeffs(doc["local_coeffs"])
 
         dec = _known_keys(doc["decode"], ("t1", "t2"), "decode")
         t1, t2 = (_known_keys(dec[t], ("inputs", "matrix"), f"decode.{t}") for t in ("t1", "t2"))
@@ -272,10 +317,8 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
             local_coeffs=local,
             inputs_t1=_edge_ids(t1["inputs"], "decode.t1.inputs"),
             inputs_t2=_edge_ids(t2["inputs"], "decode.t2.inputs"),
-            decode_t1=tuple(tuple(_parse_hex(c, "decode matrix of T1") for c in row)
-                            for row in t1["matrix"]),
-            decode_t2=tuple(tuple(_parse_hex(c, "decode matrix of T2") for c in row)
-                            for row in t2["matrix"]),
+            decode_t1=_decode_matrix(t1["matrix"], "t1"),
+            decode_t2=_decode_matrix(t2["matrix"], "t2"),
         )
         return TransferPlan(
             demand=demand,
@@ -290,8 +333,75 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
         raise InputError(f"{origin}: malformed plan file ({exc})") from exc
 
 
+# dump_plan writes what json.dumps(doc, indent=2, sort_keys=True) writes:
+# each member or item on its own line, two spaces deeper than its container,
+# "[]" and "{}" when empty. A member line starts with its quoted key, and
+# every key the format has is made of characters above '"', so sorting the
+# lines of an object sorts its keys, "10" before "2".
+_PADS = tuple(" " * n for n in range(0, 12, 2))  # indents of depths 0 to 5
+
+
+def _lines(open_: str, items: Iterable[str], close: str, pad: str) -> str:
+    inner = pad + "  "
+    body = (",\n" + inner).join(items)
+    return f"{open_}\n{inner}{body}\n{pad}{close}" if body else open_ + close
+
+
+def _array(items: Iterable[str], pad: str) -> str:
+    return _lines("[", items, "]", pad)
+
+
+def _object(members: Iterable[str], pad: str) -> str:
+    return _lines("{", members, "}", pad)
+
+
 def dump_plan(plan: TransferPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
+    """The plan as its version-2 file text, written in one pass.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) + "\n" of the
+    document the format defines, byte for byte, for any plan check_plan
+    accepts whose ids, rates and seed are ints.
+    """
+    code = plan.multicast
+    demand = plan.demand
+    bits = code.field_bits
+    spell = _QUOTED_HEX.__getitem__
+
+    def ids(values: Iterable[int], depth: int) -> str:
+        return _array(map(str, values), _PADS[depth])
+
+    def decoder(inputs: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> str:
+        rows = [_array(map(spell, row), _PADS[4]) for row in matrix]
+        return _object([f'"inputs": {ids(inputs, 3)}', f'"matrix": {_array(rows, _PADS[3])}'],
+                       _PADS[2])
+
+    local = code.local_coeffs
+    coeffs = sorted(
+        f'"{eid}": '
+        + _object(sorted([f'"{kind}:{ref}": {spell(c)}' for (kind, ref), c in local[eid].items()]),
+                  _PADS[2])
+        for eid in code.support
+    )
+    return _object([
+        '"decode": ' + _object([
+            f'"t1": {decoder(code.inputs_t1, code.decode_t1)}',
+            f'"t2": {decoder(code.inputs_t2, code.decode_t2)}',
+        ], _PADS[1]),
+        '"demand": ' + _object(
+            [f'"h0": {demand.h0}', f'"h1": {demand.h1}', f'"h2": {demand.h2}'], _PADS[1]
+        ),
+        '"field": ' + _object([
+            f'"bits": {bits}',
+            f'"modulus": "{_hex(DEFAULT_MODULI[bits])}"',
+            f'"name": "GF(2^{bits})"',
+        ], _PADS[1]),
+        '"local_coeffs": ' + _object(coeffs, _PADS[1]),
+        f'"seed": {plan.seed}',
+        '"support": ' + ids(code.support, 1),
+        f'"version": {PLAN_VERSION}',
+        '"x1_routes": ' + _array([ids(p.edges, 2) for p in plan.x1_routes], _PADS[1]),
+        '"x2_routes": ' + _array([ids(p.edges, 2) for p in plan.x2_routes], _PADS[1]),
+    ], _PADS[0]) + "\n"
 
 
 def load_plan_file(path: str | Path) -> TransferPlan:

@@ -174,6 +174,10 @@ def expand_capacities(weighted_edges: Iterable[tuple[NodeId, NodeId, int]]) -> l
     out: list[Edge] = []
     eid = 0
     for tail, head, cap in weighted_edges:
+        if cap == 1 and type(cap) is int:
+            out.append(Edge(eid, tail, head))
+            eid += 1
+            continue
         if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
             raise InputError(f"capacity must be a positive integer, got {cap!r} on {tail}->{head}")
         for _ in range(cap):

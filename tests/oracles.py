@@ -12,11 +12,13 @@ recoloring reference on recolor's state and trace containers, and the
 identity check on max-flow and the feasibility report). The small helpers
 that only the oracles and tests need (decoding, a single min-cut value, a
 flow's used edges, a plan's or a pass's route edges, a network's JSON
-document) live here too, not in the package.
+document) live here too, not in the package, and so does the reference
+plan writer: the plan's document through the stdlib's indenting encoder.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from typing import Any
 from dualcast.augment import AugmentedNetwork
 from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
 from dualcast.flow import EdgePath, FlowResult, max_flow
-from dualcast.nccode import MulticastCode, apply_code
+from dualcast.nccode import DEFAULT_MODULI, MulticastCode, apply_code
 from dualcast.netgraph import Demand, EdgeId, Network, NodeId
 from dualcast.planner import TransferPlan, check_feasibility, check_plan
 from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
@@ -624,3 +626,46 @@ def check_lemma(aug: AugmentedNetwork, d: Demand) -> LemmaReport:
         cut_y2=cut_y2,
         failed=tuple(failed),
     )
+
+
+def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
+    """The version-2 plan document: the format's keys, hex values as _hex spells them."""
+
+    def hex_(value: int) -> str:
+        return f"0x{value:02X}"
+
+    code = plan.multicast
+    return {
+        "version": 2,
+        "demand": {"h0": plan.demand.h0, "h1": plan.demand.h1, "h2": plan.demand.h2},
+        "seed": plan.seed,
+        "field": {
+            "name": f"GF(2^{code.field_bits})",
+            "bits": code.field_bits,
+            "modulus": hex_(DEFAULT_MODULI[code.field_bits]),
+        },
+        "x1_routes": [list(p.edges) for p in plan.x1_routes],
+        "x2_routes": [list(p.edges) for p in plan.x2_routes],
+        "support": list(code.support),
+        "local_coeffs": {
+            str(eid): {
+                f"{kind}:{ref}": hex_(c) for (kind, ref), c in code.local_coeffs[eid].items()
+            }
+            for eid in code.support
+        },
+        "decode": {
+            "t1": {
+                "inputs": list(code.inputs_t1),
+                "matrix": [[hex_(c) for c in row] for row in code.decode_t1],
+            },
+            "t2": {
+                "inputs": list(code.inputs_t2),
+                "matrix": [[hex_(c) for c in row] for row in code.decode_t2],
+            },
+        },
+    }
+
+
+def reference_plan_text(plan: TransferPlan) -> str:
+    """The plan file text as the stdlib writes its document; dump_plan must equal it."""
+    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"

@@ -58,16 +58,18 @@ def digraphs(draw, max_nodes: int = 6, max_edges: int = 10) -> Network:
 
 @st.composite
 def crossing_digraphs(
-    draw, max_width: int = 6, max_layers: int = 5, max_back: int = 8
+    draw, max_width: int = 6, max_layers: int = 5, max_back: int = 8, acyclic: bool = False
 ) -> Network:
-    """Layered multigraph whose columns cross, with back edges making cycles.
+    """Layered multigraph whose columns cross, with extra edges that make cycles unless acyclic.
 
     The source s feeds the first of `layers` layers of `width` nodes. Node j
     links to node j of the next layer and to two drawn nodes there, so equal
     draws give parallel edges; each last-layer node links to t1, t2 or both.
     Up to max_back extra edges then run from any node but s, the terminals
-    included, to any layer node, closing cycles. Many paths cross, so
-    recoloring reroutes.
+    included, to any layer node, closing cycles. With acyclic they run
+    forward instead, from a layer node to a node of a later layer or to a
+    terminal, and the graph stays a DAG. Many paths cross, so recoloring
+    reroutes.
     """
     width = draw(st.integers(2, max_width))
     layers = draw(st.integers(2, max_layers))
@@ -82,8 +84,13 @@ def crossing_digraphs(
         for t in draw(st.sampled_from((("t1",), ("t2",), ("t1", "t2")))):
             pairs.append((f"n{layers - 1}_{j}", t))
     for _ in range(draw(st.integers(0, max_back))):
-        tail = draw(st.sampled_from(labels[1:]))
-        head = draw(st.sampled_from(labels[1:-2]))
+        if acyclic:
+            i = draw(st.integers(0, layers - 1))
+            tail = f"n{i}_{draw(column)}"
+            head = draw(st.sampled_from(labels[1 + (i + 1) * width:]))
+        else:
+            tail = draw(st.sampled_from(labels[1:]))
+            head = draw(st.sampled_from(labels[1:-2]))
         if tail != head:
             pairs.append((tail, head))
     return Network(
@@ -115,9 +122,9 @@ def feasible_instances(draw, max_nodes: int = 7) -> tuple[Network, Demand]:
 
 
 @st.composite
-def crossing_instances(draw) -> tuple[Network, Demand]:
+def crossing_instances(draw, acyclic: bool = False) -> tuple[Network, Demand]:
     """A crossing_digraphs network with a drawn h0 and private rates as large as the cuts allow."""
-    net = draw(crossing_digraphs())
+    net = draw(crossing_digraphs(acyclic=acyclic))
     t1, t2 = net.terminals
     c1 = min_cut_value(net, net.source, {t1})
     c2 = min_cut_value(net, net.source, {t2})

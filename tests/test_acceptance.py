@@ -30,6 +30,7 @@ from oracles import (
     gf_rank,
     min_cut_value,
     red_source_degree,
+    reference_plan_text,
     replay_trace,
     route_edges,
     routing_only_exists,
@@ -75,6 +76,7 @@ class SweepData:
     rank_failures: list = field(default_factory=list)
     non_binary: list = field(default_factory=list)
     plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
+    writer_mismatches: list = field(default_factory=list)  # dump_plan != the reference writer
 
 
 def _non_binary(plan, field_bits: int) -> bool:
@@ -180,7 +182,10 @@ def sweep() -> SweepData:
             if plan is None:
                 continue
             data.n_feasible += 1
-            data.plan_hash.update(dump_plan(plan).encode())
+            text = dump_plan(plan)
+            data.plan_hash.update(text.encode())
+            if text != reference_plan_text(plan):
+                data.writer_mismatches.append(tag)
             if _non_binary(plan, bits):
                 data.non_binary.append(tag)
 
@@ -289,6 +294,7 @@ class CyclicSweepData:
     non_binary: list = field(default_factory=list)
     x1_crossings: list = field(default_factory=list)
     plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
+    writer_mismatches: list = field(default_factory=list)  # dump_plan != the reference writer
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +321,10 @@ def cyclic_sweep() -> CyclicSweepData:
                 continue
             if not feasible:
                 data.decision_mismatches.append(tag)
-            data.plan_hash.update(dump_plan(plan).encode())
+            text = dump_plan(plan)
+            data.plan_hash.update(text.encode())
+            if text != reference_plan_text(plan):
+                data.writer_mismatches.append(tag)
             if not verify_plan(net, plan, trials=3, seed=gi).passed:
                 data.verify_failures.append(tag)
             if _non_binary(plan, bits):
@@ -342,3 +351,10 @@ def test_criterion_7_sweep_plan_bytes_are_pinned(sweep, cyclic_sweep):
         both = sweep.plan_hash.hexdigest() + cyclic_sweep.plan_hash.hexdigest()
         digest = hashlib.sha256(both.encode()).hexdigest()
         assert digest == "6f4cfd204c299200f46c1cdc68b4f68a53e6adb98b2827cc94f8054d94910cda"
+
+
+def test_criterion_7_sweep_plans_are_written_as_the_reference_writes_them(sweep, cyclic_sweep):
+    with criterion(7, "dump_plan equals the stdlib writer on every sweep plan"):
+        assert sweep.n_feasible > 0 and cyclic_sweep.n_feasible > 0
+        assert sweep.writer_mismatches == []
+        assert cyclic_sweep.writer_mismatches == []

@@ -14,16 +14,15 @@ from dualcast.cli import (
     main,
     network_from_dict,
     plan_from_dict,
-    plan_to_dict,
 )
 from dualcast.errors import InputError
 from dualcast.fixtures import fig2_network, fig2_path
 from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand
-from dualcast.planner import synthesize, verify_plan
+from dualcast.planner import check_plan, synthesize, verify_plan
 
 from conftest import wide_network
-from oracles import network_to_dict, structurally_equal
+from oracles import network_to_dict, reference_plan_text, structurally_equal
 
 FIG2 = str(fig2_path())
 # Bytes that no UTF-8 text starts with: a UTF-16 byte-order mark.
@@ -63,7 +62,7 @@ def _as_version_1(plan) -> str:
     """The plan file as version 1 wrote it: version 2 plus the computed coding vectors."""
     code = plan.multicast
     vectors = coding_vectors(code)
-    doc = plan_to_dict(plan)
+    doc = json.loads(dump_plan(plan))
     doc["version"] = 1
     doc["coding_vectors"] = {str(eid): [f"0x{c:02X}" for c in v] for eid, v in vectors.items()}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -165,7 +164,7 @@ class TestPlanFormat:
     )
     def test_version_2_is_version_1_without_coding_vectors(self, case, net, demand, seed, bits):
         plan = synthesize(net, demand, seed=seed, field_bits=bits)
-        doc = plan_to_dict(plan)
+        doc = json.loads(dump_plan(plan))
         assert doc["version"] == 2 and "coding_vectors" not in doc
         v1 = _as_version_1(plan).encode()
         assert hashlib.sha256(v1).hexdigest() == V1_DIGESTS[case]
@@ -182,7 +181,7 @@ class TestPlanFormat:
 
     def test_unknown_version_is_rejected(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
-        doc = plan_to_dict(plan)
+        doc = json.loads(dump_plan(plan))
         doc["version"] = 99
         with pytest.raises(InputError) as exc:
             plan_from_dict(doc)
@@ -285,7 +284,7 @@ class TestPlanFormat:
 
     def test_field_is_documented_in_the_plan(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
-        doc = plan_to_dict(plan)
+        doc = json.loads(dump_plan(plan))
         assert doc["field"] == {"name": "GF(2^8)", "bits": 8, "modulus": "0x11D"}
 
     @pytest.mark.parametrize("modulus", ["0x11B", "0x100"])  # irreducible; x^8
@@ -311,6 +310,56 @@ class TestPlanFormat:
         assert main(["verify", FIG2, str(plan_file)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {plan_file}: field bits must be in 1..16, got {bits}\n"
+
+
+class TestPlanWriter:
+    """dump_plan writes the bytes the stdlib's indenting encoder writes for the plan's document."""
+
+    @pytest.mark.parametrize(
+        "net, demand, bits",
+        [
+            (fig2_network(), Demand(2, 1, 1), 8),  # routes on both sides
+            (fig2_network(), Demand(2, 0, 0), 8),  # empty route lists
+            (fig2_network(), Demand(0, 1, 1), 8),  # no code: empty objects and lists
+            (fig2_network(), Demand(2, 1, 1), 16),  # modulus 0x1100B
+            (WIDE, Demand(5, 1, 0), 16),
+            (wide_network(12, 3), Demand(11, 1, 0), 8),  # "msg:10" before "msg:2"
+        ],
+        ids=["fig2-211", "fig2-200", "fig2-011", "fig2-211-gf16", "wide-510-gf16", "wide-h0-11"],
+    )
+    def test_synthesized_plans_match_the_reference_writer(self, net, demand, bits):
+        plan = synthesize(net, demand, seed=7, field_bits=bits)
+        text = dump_plan(plan)
+        assert text == reference_plan_text(plan)
+        assert plan_from_dict(json.loads(text)) == plan
+
+    def test_h0_zero_writes_empty_code_containers(self, fig2):
+        doc = json.loads(dump_plan(synthesize(fig2, Demand(0, 1, 1), seed=7)))
+        assert doc["support"] == [] and doc["local_coeffs"] == {}
+        assert doc["decode"] == {"t1": {"inputs": [], "matrix": []},
+                                 "t2": {"inputs": [], "matrix": []}}
+
+    def test_keys_sort_as_strings(self):
+        plan = synthesize(wide_network(12, 3), Demand(11, 1, 0), seed=7)
+        text = dump_plan(plan)
+        assert text.index('"msg:10"') < text.index('"msg:2"')
+        assert text.index('\n    "10": {') < text.index('\n    "2": {')
+
+    def test_loaded_non_binary_values_match_the_reference_writer(self, fig2):
+        # Values of 0x100 and more are spelt by _hex, not the table of smaller ones.
+        plan = synthesize(fig2, Demand(2, 1, 1), seed=7, field_bits=16)
+        doc = json.loads(dump_plan(plan))
+        coeffs = doc["local_coeffs"][str(plan.multicast.support[0])]
+        coeffs[next(iter(coeffs))] = "0xBEEF"
+        doc["decode"]["t2"]["matrix"][1][0] = "0x100"
+        doc["decode"]["t1"]["matrix"][0][1] = "0xFF"
+        loaded = plan_from_dict(doc)
+        assert 0xBEEF in loaded.multicast.local_coeffs[plan.multicast.support[0]].values()
+        assert loaded.multicast.decode_t2[1][0] == 0x100
+        check_plan(fig2, loaded)
+        text = dump_plan(loaded)
+        assert text == reference_plan_text(loaded)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestUsage:
@@ -610,6 +659,47 @@ class TestCmdVerify:
             assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "demand, mutate, named",
+        [
+            # Read through its keys, this row would pass as the row it replaces, 0x01 0x00.
+            ((2, 1, 1),
+             lambda d: d["decode"]["t1"]["matrix"].__setitem__(
+                 0, {"0x01": "junk0", "0x00": "junk1"}),
+             "decode.t1.matrix row must be a list, got {'0x01': 'junk0', '0x00': 'junk1'}"),
+            ((2, 1, 1), lambda d: d["decode"]["t1"]["matrix"].__setitem__(1, "0x010x01"),
+             "decode.t1.matrix row must be a list, got '0x010x01'"),
+            ((2, 1, 1), lambda d: d["decode"]["t2"].__setitem__("matrix", {}),
+             "decode.t2.matrix must be a list, got {}"),
+            ((2, 1, 1), lambda d: d["x1_routes"].__setitem__(0, {"0": 0, "4": 4}),
+             "x1 route must be a list, got {'0': 0, '4': 4}"),
+            # Read as no routes, these would meet h2 = 0.
+            ((2, 1, 0), lambda d: d.__setitem__("x2_routes", {}),
+             "x2_routes must be a list, got {}"),
+            ((2, 1, 0), lambda d: d.__setitem__("x2_routes", ""),
+             "x2_routes must be a list, got ''"),
+        ],
+        ids=["row-object", "row-string", "matrix-object", "route-object", "routes-object",
+             "routes-string"],
+    )
+    def test_route_list_route_matrix_or_row_not_a_list_exits_one_naming_the_field(
+        self, tmp_path, capsys, demand, mutate, named
+    ):
+        path = tmp_path / "plan.json"
+        rates = [flag for name, rate in zip(("--h0", "--h1", "--h2"), demand)
+                 for flag in (name, str(rate))]
+        assert main(["synthesize", FIG2, *rates, "--seed", "7", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["decode"]["t1"]["matrix"][0] == ["0x01", "0x00"] and doc["x2_routes"] == (
+            [[3, 5]] if demand[2] else [])
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        for trials in ("0", "100"):
+            capsys.readouterr()
+            assert main(["verify", FIG2, str(path), "--trials", trials]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {path}: {named}\n"
 
     def test_coded_plan_with_zero_shared_rate_exits_one(self, plan_file, capsys):
         doc = json.loads(plan_file.read_text())

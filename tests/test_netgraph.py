@@ -51,6 +51,11 @@ class TestExpandCapacities:
         with pytest.raises(InputError):
             expand_capacities([("a", "b", cap)])
 
+    @pytest.mark.parametrize("cap", [True, 1.0])
+    def test_capacity_equal_to_one_but_not_an_int_is_rejected(self, cap):
+        with pytest.raises(InputError, match="capacity must be a positive integer"):
+            expand_capacities([("a", "b", 2), ("a", "b", cap)])
+
     @given(weighted_lists)
     def test_grouping_by_pair_recovers_capacities(self, weighted):
         edges = expand_capacities(weighted)
