@@ -37,7 +37,13 @@ class EdgePath:
 
 
 def check_path(net: Network, path: EdgePath, src: NodeId, sink: NodeId) -> None:
-    """Raise InvariantError unless path is a contiguous src -> sink walk of distinct edges."""
+    """Raise InvariantError unless path is a contiguous src -> sink walk of distinct edges.
+
+    Checks run in a fixed order (empty, repeated edge, start, end, then each
+    junction), so the error names the path's first fault; a route edge not in
+    net raises UnknownEdgeError. planner.check_plan relies on this to name
+    the fault of a route its own walk refuses.
+    """
     if not path.edges:
         raise InvariantError("empty path")
     if len(set(path.edges)) != len(path.edges):

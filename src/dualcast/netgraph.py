@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, repeat
 from typing import Iterable, NamedTuple
 
 from .errors import InputError, UnknownEdgeError, UnknownNodeError
@@ -166,24 +167,43 @@ def _raise_first_edge_error(edges: tuple[Edge, ...], node_set: set[NodeId]) -> N
         seen_ids.add(e.eid)
 
 
+MAX_UNIT_EDGES = 1 << 20  # the most unit edges a network's capacities may expand to
+
+
 def expand_capacities(weighted_edges: Iterable[tuple[NodeId, NodeId, int]]) -> list[Edge]:
     """Split each weighted edge of capacity c into c parallel unit edges.
 
-    Ids are assigned consecutively from 0, in input order.
+    Ids are assigned consecutively from 0, in input order. The capacities are
+    checked before any edge is built, with a type, minimum and sum test over
+    all of them; only when that fails are they walked in order, and
+    InputError names the first edge whose capacity is not a positive integer
+    or takes the total past MAX_UNIT_EDGES.
     """
-    out: list[Edge] = []
-    eid = 0
-    for tail, head, cap in weighted_edges:
-        if cap == 1 and type(cap) is int:
-            out.append(Edge(eid, tail, head))
-            eid += 1
-            continue
+    weighted = list(weighted_edges)
+    tails, heads, caps = zip(*weighted) if weighted else ((), (), ())
+    if (
+        not set(map(type, caps)) <= {int}
+        or min(caps, default=1) <= 0
+        or sum(caps) > MAX_UNIT_EDGES
+    ):
+        _check_capacities(weighted)
+    if sum(caps) != len(caps):
+        tails = chain.from_iterable(map(repeat, tails, caps))
+        heads = chain.from_iterable(map(repeat, heads, caps))
+    return list(map(Edge._make, zip(count(), tails, heads)))
+
+
+def _check_capacities(weighted: list[tuple[NodeId, NodeId, int]]) -> None:
+    """Raise for the first capacity that is not a positive integer or passes the bound."""
+    total = 0
+    for i, (tail, head, cap) in enumerate(weighted):
         if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
             raise InputError(f"capacity must be a positive integer, got {cap!r} on {tail}->{head}")
-        for _ in range(cap):
-            out.append(Edge(eid, tail, head))
-            eid += 1
-    return out
+        total += cap
+        if total > MAX_UNIT_EDGES:
+            raise InputError(
+                f"edge #{i} ({tail}->{head}) takes the capacities past {MAX_UNIT_EDGES} unit edges"
+            )
 
 
 def remove_edges(net: Network, ids: Iterable[EdgeId]) -> Network:

@@ -11,9 +11,11 @@ recoloring pass's two flows decide feasibility, and the cuts are read only
 to report a demand those flows refuse. Those are a feasible synthesis's
 only two max-flows: the second pass starts from the first pass's coloring
 on the same augmented graph. check_plan is the one semantic check of a
-plan, run by synthesis, verification and the DOT export; verify_plan then
-proves the checked plan delivers by evaluating its code once, on the unit
-messages packed into the m-bit lanes of one int per edge.
+plan, run by synthesis, verification and the DOT export. It walks each
+route once and hands a route to check_path, which names its first fault,
+only when the walk finds one. verify_plan then proves the checked plan
+delivers by evaluating its code once, on the unit messages packed into the
+m-bit lanes of one int per edge.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     InvariantError,
     PlanMismatchError,
     TheoremViolationError,
-    UnknownEdgeError,
 )
 from .flow import EdgePath, check_path
 from .nccode import MulticastCode, apply_code, build_multicast_code, unit_lanes, unpack_lanes
@@ -191,8 +192,15 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
     edges feeding it, with local coefficients for exactly those edges. Each
     terminal decodes h0 coded edges entering it, and every coefficient and
     decode entry is in the plan's field.
+
+    Each route is walked once, one edge lookup per edge, and is disjoint
+    from the routes before it when adding its edges grows their set by its
+    length. Only a route that fails this walk goes to check_path, which names
+    its first fault; a failing route that check_path accepts shares an edge.
     """
     t1, t2 = net.terminals
+    src = net.source
+    edge_at = net._edge_index
     code = plan.multicast
     all_route_edges: set[EdgeId] = set()
     try:
@@ -203,36 +211,47 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
             if len(routes) != n_expected:
                 raise PlanMismatchError(f"{label} route count != demand")
             for p in routes:
-                check_path(net, p, net.source, sink)
-                for eid in p.edges:
-                    if eid in all_route_edges:
-                        raise PlanMismatchError("routes share an edge")
-                    all_route_edges.add(eid)
+                edges = p.edges
+                n_before = len(all_route_edges)
+                all_route_edges.update(edges)
+                at = src
+                for eid in edges:
+                    e = edge_at.get(eid)  # (eid, tail, head)
+                    if e is None or e[1] != at:
+                        break
+                    at = e[2]
+                else:
+                    if at == sink and len(all_route_edges) == n_before + len(edges):
+                        continue
+                check_path(net, p, src, sink)
+                raise PlanMismatchError("routes share an edge")
     except InvariantError as exc:
         raise PlanMismatchError(str(exc)) from exc
     try:
-        coded = [net.edge(eid) for eid in code.support]
-    except UnknownEdgeError:
+        coded = [edge_at[eid] for eid in code.support]
+    except KeyError:
         raise PlanMismatchError("coded edge is not in the network") from None
-    if all_route_edges.intersection(code.support):
+    if not all_route_edges.isdisjoint(code.support):
         raise PlanMismatchError("coded support overlaps a route")
-    if code.h0 != plan.demand.h0:
+    h0 = code.h0
+    if h0 != plan.demand.h0:
         raise PlanMismatchError("code rate != demand")
     size = code.field.size
+    local_coeffs = code.local_coeffs
     head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
-    for e in coded:
-        eid = e.eid
+    for eid, tail, head in coded:
         if eid in head_of:
             raise PlanMismatchError(f"coded edge {eid} is listed twice in the support")
-        keys = code.local_coeffs.get(eid)
+        keys = local_coeffs.get(eid)
         if keys is None:
             raise PlanMismatchError(f"coded edge {eid} has no local coefficients")
+        from_source = tail == src
         for (kind, ref), c in keys.items():
             if kind == "msg":
-                if e.tail != net.source or not 0 <= ref < code.h0:
+                if not from_source or not 0 <= ref < h0:
                     raise PlanMismatchError(f"bad message input on edge {eid}")
             elif kind == "edge":
-                if head_of.get(ref) != e.tail:
+                if head_of.get(ref) != tail:
                     raise PlanMismatchError(f"bad edge input {ref} on edge {eid}")
             else:
                 raise PlanMismatchError(f"unknown input kind {kind!r}")
@@ -240,17 +259,17 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
                 raise PlanMismatchError(
                     f"local coefficient {c:#x} on edge {eid} is not in GF(2^{code.field_bits})"
                 )
-        head_of[eid] = e.head
-    if extra := code.local_coeffs.keys() - head_of:
+        head_of[eid] = head
+    if extra := local_coeffs.keys() - head_of:
         raise PlanMismatchError(f"support and local_coeffs disagree on edge {min(extra)}")
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
-        if len(inputs) != code.h0:
+        if len(inputs) != h0:
             raise PlanMismatchError("decode input count != rate")
         for eid in inputs:
             if head_of.get(eid) != term:
                 raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
     for matrix, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
-        if [len(row) for row in matrix] != [code.h0] * code.h0:
+        if [len(row) for row in matrix] != [h0] * h0:
             raise PlanMismatchError("decode matrix has wrong shape")
         if any(not 0 <= c < size for row in matrix for c in row):
             raise PlanMismatchError(

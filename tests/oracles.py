@@ -3,13 +3,15 @@
 Everything here is deliberately naive: subset enumeration for cuts, one BFS
 per augmenting path for flows, DFS enumeration for paths, schoolbook
 polynomial arithmetic for fields, one full simulation per trial for plan
-verification, a color map and a checked snapshot per step for recoloring,
+verification, check_path on every route and one edge at a time for the
+plan check, a color map and a checked snapshot per step for recoloring,
 label lookups for path decomposition, and five separate min-cuts for the
 augmentation identities. Keep these free of any imports from the modules
 they are used to check (graph containers excepted; the simulation reference
-builds on the code primitives and check_plan, which it does not test, the
-recoloring reference on recolor's state and trace containers, and the
-identity check on max-flow and the feasibility report). The small helpers
+builds on the code primitives and the reference plan check, which builds
+on check_path, neither of which it tests, the recoloring reference on
+recolor's state and trace containers, and the identity check on max-flow
+and the feasibility report). The small helpers
 that only the oracles and tests need (decoding, a single min-cut value, a
 flow's used edges, a plan's or a pass's route edges, a network's JSON
 document) live here too, not in the package, and so does the reference
@@ -29,11 +31,17 @@ from operator import xor
 from typing import Any
 
 from dualcast.augment import AugmentedNetwork
-from dualcast.errors import InputError, InvariantError, NonterminationError, PlanMismatchError
-from dualcast.flow import EdgePath, FlowResult, max_flow
+from dualcast.errors import (
+    InputError,
+    InvariantError,
+    NonterminationError,
+    PlanMismatchError,
+    UnknownEdgeError,
+)
+from dualcast.flow import EdgePath, FlowResult, check_path, max_flow
 from dualcast.nccode import DEFAULT_MODULI, MulticastCode, apply_code
 from dualcast.netgraph import Demand, EdgeId, Network, NodeId
-from dualcast.planner import TransferPlan, check_feasibility, check_plan
+from dualcast.planner import TransferPlan, check_feasibility
 from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
 
 GREEN = "green"
@@ -350,6 +358,83 @@ def gf_mat_mul(field, a, b) -> list[list[int]]:
     return [[reduce(xor, map(field.mul, row, col), 0) for col in cols] for row in a]
 
 
+def check_plan_reference(net: Network, plan: TransferPlan) -> None:
+    """planner.check_plan by check_path on every route; the reference for it.
+
+    Each route edge then goes through a shared-route test of its own.
+    Routes: the demanded number of source paths to each terminal, disjoint
+    from each other and from the code (a route edge not in net raises
+    UnknownEdgeError). Support: distinct network edges, each after the coded
+    edges feeding it, with local coefficients for exactly those edges. Each
+    terminal decodes h0 coded edges entering it, and every coefficient and
+    decode entry is in the plan's field.
+    """
+    t1, t2 = net.terminals
+    code = plan.multicast
+    all_route_edges: set[EdgeId] = set()
+    try:
+        for routes, sink, n_expected, label in (
+            (plan.x1_routes, t1, plan.demand.h1, "x1"),
+            (plan.x2_routes, t2, plan.demand.h2, "x2"),
+        ):
+            if len(routes) != n_expected:
+                raise PlanMismatchError(f"{label} route count != demand")
+            for p in routes:
+                check_path(net, p, net.source, sink)
+                for eid in p.edges:
+                    if eid in all_route_edges:
+                        raise PlanMismatchError("routes share an edge")
+                    all_route_edges.add(eid)
+    except InvariantError as exc:
+        raise PlanMismatchError(str(exc)) from exc
+    try:
+        coded = [net.edge(eid) for eid in code.support]
+    except UnknownEdgeError:
+        raise PlanMismatchError("coded edge is not in the network") from None
+    if all_route_edges.intersection(code.support):
+        raise PlanMismatchError("coded support overlaps a route")
+    if code.h0 != plan.demand.h0:
+        raise PlanMismatchError("code rate != demand")
+    size = code.field.size
+    head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
+    for e in coded:
+        eid = e.eid
+        if eid in head_of:
+            raise PlanMismatchError(f"coded edge {eid} is listed twice in the support")
+        keys = code.local_coeffs.get(eid)
+        if keys is None:
+            raise PlanMismatchError(f"coded edge {eid} has no local coefficients")
+        for (kind, ref), c in keys.items():
+            if kind == "msg":
+                if e.tail != net.source or not 0 <= ref < code.h0:
+                    raise PlanMismatchError(f"bad message input on edge {eid}")
+            elif kind == "edge":
+                if head_of.get(ref) != e.tail:
+                    raise PlanMismatchError(f"bad edge input {ref} on edge {eid}")
+            else:
+                raise PlanMismatchError(f"unknown input kind {kind!r}")
+            if not 0 <= c < size:
+                raise PlanMismatchError(
+                    f"local coefficient {c:#x} on edge {eid} is not in GF(2^{code.field_bits})"
+                )
+        head_of[eid] = e.head
+    if extra := code.local_coeffs.keys() - head_of:
+        raise PlanMismatchError(f"support and local_coeffs disagree on edge {min(extra)}")
+    for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
+        if len(inputs) != code.h0:
+            raise PlanMismatchError("decode input count != rate")
+        for eid in inputs:
+            if head_of.get(eid) != term:
+                raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
+    for matrix, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
+        if [len(row) for row in matrix] != [code.h0] * code.h0:
+            raise PlanMismatchError("decode matrix has wrong shape")
+        if any(not 0 <= c < size for row in matrix for c in row):
+            raise PlanMismatchError(
+                f"decode matrix of {label} has an entry not in GF(2^{code.field_bits})"
+            )
+
+
 def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
     """verify_plan by one end-to-end simulation per trial; the reference for it.
 
@@ -361,7 +446,7 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
-    check_plan(net, plan)
+    check_plan_reference(net, plan)
     code = plan.multicast
     field = code.field
     rng = random.Random(seed)

@@ -105,6 +105,8 @@ class TestNetworkFormat:
             (lambda d: d["edges"].append({"from": "s", "to": "zz"}), "unknown node"),
             (lambda d: d["edges"].append({"from": "s", "to": "t1", "cap": 0}), "positive"),
             (lambda d: d["edges"].append({"from": "s", "to": "t1", "cap": True}), "positive"),
+            (lambda d: d["edges"].append({"from": "s", "to": "t1", "cap": 10**9}),
+             "edge #2 (s->t1) takes the capacities past 1048576 unit edges"),
             (lambda d: d["nodes"].append("__x"), "reserved"),
             (lambda d: d.__setitem__("terminals", ["t1"]), "pair"),
             (lambda d: d.__setitem__("edges", 5), "edges must be a list"),

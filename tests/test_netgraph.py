@@ -8,6 +8,7 @@ from dualcast.augment import build_augmented
 from dualcast.errors import InputError, UnknownEdgeError, UnknownNodeError
 from dualcast.flow import max_flow
 from dualcast.netgraph import (
+    MAX_UNIT_EDGES,
     Demand,
     Edge,
     Network,
@@ -55,6 +56,15 @@ class TestExpandCapacities:
     def test_capacity_equal_to_one_but_not_an_int_is_rejected(self, cap):
         with pytest.raises(InputError, match="capacity must be a positive integer"):
             expand_capacities([("a", "b", 2), ("a", "b", cap)])
+
+    def test_one_capacity_past_the_unit_edge_bound_is_refused(self):
+        with pytest.raises(InputError, match=r"edge #0 \(a->b\) takes the capacities past"):
+            expand_capacities([("a", "b", MAX_UNIT_EDGES + 1)])
+
+    def test_capacities_adding_up_past_the_bound_name_the_edge_that_passes_it(self):
+        half = (MAX_UNIT_EDGES >> 1) + 1
+        with pytest.raises(InputError, match=r"edge #1 \(b->c\) takes the capacities past"):
+            expand_capacities([("a", "b", half), ("b", "c", half)])
 
     @given(weighted_lists)
     def test_grouping_by_pair_recovers_capacities(self, weighted):

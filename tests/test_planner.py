@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,14 @@ from dualcast.errors import (
     InputError,
     InvariantError,
     PlanMismatchError,
+    UnknownEdgeError,
 )
-from dualcast.flow import max_flow
+from dualcast.flow import EdgePath, max_flow
 from dualcast.fixtures import fig2_network, fig2_path
 from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import (
     check_feasibility,
+    check_plan,
     synthesize,
     synthesize_with_diagnostics,
     verify_plan,
@@ -33,7 +36,7 @@ from conftest import (
     random_feasible_instances,
     small_cyclic_network,
 )
-from oracles import real_route_edges, route_edges, verify_by_simulation
+from oracles import check_plan_reference, real_route_edges, route_edges, verify_by_simulation
 from strategies import feasible_instances
 
 
@@ -406,6 +409,167 @@ class TestVerifyMatchesSimulation:
                     with pytest.raises(PlanMismatchError):
                         verify_plan(fig2, candidate, trials=trials)
                 assert len(calls) == 1  # on the unit messages packed into lanes
+
+
+NO_EDGE = 10**6  # an edge id no test network has
+
+# Each fault _faulted_plans plants, with the error it names when it is the
+# plan's first fault.
+PLAN_FAULTS = {
+    "route count": (PlanMismatchError, r"x[12] route count != demand"),
+    "empty route": (PlanMismatchError, r"empty path"),
+    "edge repeated in a route": (PlanMismatchError, r"repeated edge within path"),
+    "route not from the source": (PlanMismatchError, r"path does not start at .*"),
+    "route not to its terminal": (PlanMismatchError, r"path does not end at .*"),
+    "non-contiguous route": (PlanMismatchError, r"edges \d+ and \d+ are not contiguous"),
+    "unknown route edge": (UnknownEdgeError, rf"no edge with id {NO_EDGE}"),
+    "shared route edge": (PlanMismatchError, r"routes share an edge"),
+    "unknown coded edge": (PlanMismatchError, r"coded edge is not in the network"),
+    "support on a route": (PlanMismatchError, r"coded support overlaps a route"),
+    "code rate": (PlanMismatchError, r"code rate != demand"),
+    "support edge twice": (PlanMismatchError, r"coded edge \d+ is listed twice in the support"),
+    "no local coefficients": (PlanMismatchError, r"coded edge \d+ has no local coefficients"),
+    "message off the source": (PlanMismatchError, r"bad message input on edge \d+"),
+    "message index >= h0": (PlanMismatchError, r"bad message input on edge \d+"),
+    "feeder not before": (PlanMismatchError, r"bad edge input \d+ on edge \d+"),
+    "unknown input kind": (PlanMismatchError, r"unknown input kind 'wire'"),
+    "coefficient off the field": (
+        PlanMismatchError,
+        r"local coefficient -?0x[0-9a-f]+ on edge \d+ is not in GF\(2\^\d+\)",
+    ),
+    "extra local_coeffs": (
+        PlanMismatchError,
+        rf"support and local_coeffs disagree on edge {NO_EDGE}",
+    ),
+    "decode input count": (PlanMismatchError, r"decode input count != rate"),
+    "decode input elsewhere": (PlanMismatchError, r"decode input \d+ does not enter '.*'"),
+    "decode shape": (PlanMismatchError, r"decode matrix has wrong shape"),
+    "decode entry off the field": (
+        PlanMismatchError,
+        r"decode matrix of T[12] has an entry not in GF\(2\^\d+\)",
+    ),
+    "field bits": (InputError, r"field bits must be in 1\.\.16, got -?\d+"),
+}
+
+
+def _faulted_plans(net, plan, rng):
+    """(fault, plan) pairs: the plan with one fault of PLAN_FAULTS planted in
+    each, at a site drawn from rng. A fault that needs more routes or coded
+    edges than the plan has is left out."""
+    code = plan.multicast
+    h0, size = code.h0, code.field.size
+    out = []
+
+    def recode(fault, **change):
+        recoded = dataclasses.replace(code, **change)
+        out.append((fault, dataclasses.replace(plan, multicast=recoded)))
+
+    label = rng.choice(("x1", "x2"))
+    routes = list(getattr(plan, f"{label}_routes"))
+    fewer = routes[1:] if routes and rng.random() < 0.5 else routes + [EdgePath((NO_EDGE,))]
+    out.append(("route count", dataclasses.replace(plan, **{f"{label}_routes": tuple(fewer)})))
+    routed = [
+        (label, i) for label in ("x1", "x2") for i in range(len(getattr(plan, f"{label}_routes")))
+    ]
+    if routed:
+        label, i = rng.choice(routed)
+        routes = list(getattr(plan, f"{label}_routes"))
+        edges = routes[i].edges
+
+        def reroute(fault, new_edges):
+            new = routes[:i] + [EdgePath(tuple(new_edges))] + routes[i + 1 :]
+            out.append((fault, dataclasses.replace(plan, **{f"{label}_routes": tuple(new)})))
+
+        reroute("empty route", ())
+        reroute("edge repeated in a route", edges + (rng.choice(edges),))
+        reroute("unknown route edge", edges[:1] + (NO_EDGE,) + edges[1:])
+        if len(edges) > 1:
+            reroute("route not from the source", edges[1:])
+            reroute("route not to its terminal", edges[:-1])
+        if len(edges) > 2:
+            reroute("non-contiguous route", (edges[0], edges[2], edges[1]) + edges[3:])
+        if len(routes) > 1:
+            other = routes[rng.choice([j for j in range(len(routes)) if j != i])].edges
+            reroute("non-contiguous route", edges + other)
+            reroute("shared route edge", other)
+        recode("support on a route", support=code.support + (rng.choice(edges),))
+    recode("unknown coded edge", support=code.support + (NO_EDGE,))
+    recode("code rate", h0=h0 + 1)
+    recode("extra local_coeffs", local_coeffs={**code.local_coeffs, NO_EDGE: {}})
+    name = rng.choice(("inputs_t1", "inputs_t2"))
+    recode("decode input count", **{name: getattr(code, name) + (NO_EDGE,)})
+    name = rng.choice(("decode_t1", "decode_t2"))
+    matrix = [list(row) for row in getattr(code, name)] or [[]]
+    matrix[rng.randrange(len(matrix))][h0:] = [0]  # one entry too many
+    recode("decode shape", **{name: tuple(map(tuple, matrix))})
+    recode("field bits", field_bits=rng.choice((0, 17)))
+    if not h0:
+        return out
+    eid = rng.choice(code.support)
+
+    def with_input(fault, key, c=1, at=eid):
+        recode(fault, local_coeffs={**code.local_coeffs, at: {**code.local_coeffs[at], key: c}})
+
+    recode("support edge twice", support=code.support + (eid,))
+    recode(
+        "no local coefficients",
+        local_coeffs={e: keys for e, keys in code.local_coeffs.items() if e != eid},
+    )
+    key = rng.choice(sorted(code.local_coeffs[eid]))
+    with_input("coefficient off the field", key, rng.choice((size, -1)))
+    with_input("unknown input kind", ("wire", 0))
+    with_input("feeder not before", ("edge", eid))
+    if any(kind == "edge" for keys in code.local_coeffs.values() for kind, _ in keys):
+        recode("feeder not before", support=code.support[::-1])
+    off_source = [e for e in code.support if net.edge(e).tail != net.source]
+    if off_source:
+        with_input("message off the source", ("msg", 0), at=rng.choice(off_source))
+    on_source = [e for e in code.support if net.edge(e).tail == net.source]
+    with_input("message index >= h0", ("msg", h0 + rng.randrange(2)), at=rng.choice(on_source))
+    name, other = rng.choice((("inputs_t1", "inputs_t2"), ("inputs_t2", "inputs_t1")))
+    recode("decode input elsewhere", **{name: getattr(code, other)})
+    name = rng.choice(("decode_t1", "decode_t2"))
+    matrix = [list(row) for row in getattr(code, name)]
+    matrix[rng.randrange(h0)][rng.randrange(h0)] = rng.choice((size, -1))
+    recode("decode entry off the field", **{name: tuple(map(tuple, matrix))})
+    return out
+
+
+class TestCheckPlanMatchesReference:
+    """check_plan against the per-route check_path reference (oracles)."""
+
+    @staticmethod
+    def _outcome(check, net, plan):
+        try:
+            check(net, plan)
+        except DualcastError as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_every_fault_gives_the_reference_error(self):
+        rng = random.Random(2009)
+        cases = [(fig2_network(), Demand(2, 1, 1)), (fig2_network(), Demand(1, 2, 1))]
+        cases += random_feasible_instances(seed=19, count=60)
+        cyclic = []
+        while len(cyclic) < 8:
+            net = small_cyclic_network(rng)
+            d = rng.choice(all_demands(4))
+            if d.total and check_feasibility(net, d).feasible:
+                cyclic.append((net, d))
+        fired = dict.fromkeys(PLAN_FAULTS, 0)
+        for i, (net, d) in enumerate(cases + cyclic):
+            try:
+                plan = synthesize(net, d, seed=i, field_bits=(1, 8, 16)[i % 3])
+            except CyclicSupportError:
+                continue
+            assert self._outcome(check_plan, net, plan) is None
+            for fault, candidate in _faulted_plans(net, plan, rng):
+                want = self._outcome(check_plan_reference, net, candidate)
+                assert self._outcome(check_plan, net, candidate) == want, (i, fault)
+                kind, pattern = PLAN_FAULTS[fault]
+                if want and want[0] is kind and re.fullmatch(pattern, want[1]):
+                    fired[fault] += 1
+        assert all(fired.values()), fired
 
 
 class TestDiagnostics:
