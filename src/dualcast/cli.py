@@ -2,8 +2,14 @@
 
 Commands: check (feasibility verdict), synthesize (write a plan), verify
 (prove that a plan delivers on its network), export-dot (render to Graphviz).
-Exit codes are a stable contract: 0 ok, 1 input error (a usage error too),
+Exit codes are a stable contract: 0 ok, 1 input error (a usage error, or an
+input file that cannot be read or an output file that cannot be written),
 2 infeasible demand, 3 synthesis failure, 4 verification failure.
+
+A plan file (version 3) holds the binary code as XORs: each coded edge lists
+the inputs it XORs, and each decode row the positions in its terminal's
+inputs that it XORs. field.bits records the symbol width m, 1..16, which
+the XORs do not depend on.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .flow import EdgePath
-from .nccode import DEFAULT_MODULI, MulticastCode, coding_vectors, get_field
+from .nccode import MAX_FIELD_BITS, MulticastCode, coding_vectors
 from .netgraph import Demand, Network, expand_capacities
 from .planner import TransferPlan, check_demand_size, check_feasibility, check_plan
 from .planner import synthesize_with_diagnostics, verify_plan
@@ -32,9 +38,9 @@ from .recolor import ReroutingTrace
 
 NETWORK_KEYS = ("nodes", "edges", "source", "terminals")
 _EDGE_KEYS = frozenset(("from", "to", "cap"))
-PLAN_VERSION = 2
+PLAN_VERSION = 3
 PLAN_KEYS = ("version", "demand", "seed", "field", "x1_routes", "x2_routes", "support",
-             "local_coeffs", "decode")
+             "local_inputs", "decode")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -129,6 +135,14 @@ def _read_json(path: Path) -> Any:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; any failure to write it is an InputError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def load_network_file(path: str | Path) -> Network:
     path = Path(path)
     return network_from_dict(_read_json(path), origin=str(path))
@@ -138,41 +152,8 @@ def load_network_file(path: str | Path) -> Network:
 # Plan file format
 
 
-def _hex(value: int) -> str:
-    return f"0x{value:02X}"
-
-
-class _QuotedHex(dict):
-    """value -> _hex(value) as a JSON string; built for the values below 0x100."""
-
-    def __missing__(self, value: int) -> str:
-        return f'"{_hex(value)}"'
-
-
-# Every value a GF(2^8) plan holds, spelt as dump_plan writes it and read
-# back exactly; larger values take _hex and _parse_hex.
-_HEX_VALUE = {_hex(v): v for v in range(0x100)}
-_QUOTED_HEX = _QuotedHex((v, f'"{text}"') for text, v in _HEX_VALUE.items())
-# Input kinds, mapped to one shared string each for the parsed keys.
+# Input kinds, mapped to one shared string each for the parsed inputs.
 _INPUT_KINDS = {"edge": "edge", "msg": "msg"}
-
-
-# These are called inside plan_from_dict's try, which prefixes the file name.
-# Each accepts only the spelling dump_plan writes, so no text is carried
-# unproved.
-def _parse_hex(text: Any, where: str) -> int:
-    if not isinstance(text, str):
-        raise InputError(f"expected a hex string, got {text!r}, in {where}")
-    try:
-        value = int(text, 16)
-    except ValueError:
-        pass
-    else:
-        if text == _hex(value):
-            return value
-    raise InputError(
-        f"bad hex value {text!r} in {where}: not written as 0x and upper-case hex digits"
-    )
 
 
 def _decimal(text: str) -> int | None:
@@ -211,7 +192,7 @@ def _json_int(value: Any, what: str) -> int:
     return value
 
 
-def _edge_ids(value: Any, what: str) -> tuple[int, ...]:
+def _ints(value: Any, what: str) -> tuple[int, ...]:
     ids = tuple(_json_list(value, what))
     if {int}.issuperset(map(type, ids)):
         return ids
@@ -220,67 +201,48 @@ def _edge_ids(value: Any, what: str) -> tuple[int, ...]:
 
 def _routes(value: Any, label: str) -> tuple[EdgePath, ...]:
     what = f"{label} route"
-    return tuple(EdgePath(_edge_ids(p, what)) for p in _json_list(value, f"{label}_routes"))
+    return tuple(EdgePath(_ints(p, what)) for p in _json_list(value, f"{label}_routes"))
 
 
-def _local_coeffs(value: Any) -> dict[int, dict[tuple[str, int], int]]:
-    """The local_coeffs object, each coefficient entry read in one step.
+# These are called inside plan_from_dict's try, which prefixes the file name.
+# Each accepts only the spelling dump_plan writes, so no text is carried
+# unproved; check_plan checks the order of inputs and positions.
+def _input(text: Any, where: str) -> tuple[str, int]:
+    """An input spelt edge:<id> or msg:<index>, the number in decimal."""
+    if isinstance(text, str):
+        kind, _, ref = text.partition(":")
+        ref_id = _decimal(ref)
+        if kind in _INPUT_KINDS and ref_id is not None:
+            return _INPUT_KINDS[kind], ref_id
+    raise InputError(f"bad input {text!r} in {where}: not edge:<id> or msg:<index> in decimal")
 
-    An input ref of ASCII digits with no leading zero is read by int and a
-    value in _HEX_VALUE by lookup; anything else goes through _decimal or
-    _parse_hex, which accept the other canonical spellings (a negative ref,
-    a value of 0x100 or more) and refuse the rest.
-    """
-    local: dict[int, dict[tuple[str, int], int]] = {}
-    for eid_text, coeffs in _json_object(value, "local_coeffs").items():
+
+def _local_inputs(value: Any) -> dict[int, tuple[tuple[str, int], ...]]:
+    """The local_inputs object: per coded edge, the list of inputs it XORs."""
+    local: dict[int, tuple[tuple[str, int], ...]] = {}
+    for eid_text, inputs in _json_object(value, "local_inputs").items():
         eid = _decimal(eid_text)
         if eid is None:
-            raise InputError(f"local_coeffs key {eid_text!r} is not a decimal edge id")
-        parsed: dict[tuple[str, int], int] = {}
-        for key_text, c in _json_object(coeffs, f"local_coeffs[{eid_text!r}]").items():
-            kind, _, ref = key_text.partition(":")
-            kind = _INPUT_KINDS.get(kind)
-            if ref.isascii() and ref.isdigit() and (ref[0] != "0" or len(ref) == 1):
-                ref_id: int | None = int(ref)
-            else:
-                ref_id = _decimal(ref)
-            if kind is None or ref_id is None:
-                raise InputError(
-                    f"bad coefficient key {key_text!r}: not edge:<id> or msg:<index> in decimal"
-                )
-            try:
-                parsed[kind, ref_id] = _HEX_VALUE[c]
-            except (KeyError, TypeError):  # TypeError: an unhashable value
-                parsed[kind, ref_id] = _parse_hex(c, f"the local coefficients of edge {eid}")
-        local[eid] = parsed
+            raise InputError(f"local_inputs key {eid_text!r} is not a decimal edge id")
+        where = f"local_inputs[{eid_text!r}]"
+        local[eid] = tuple(_input(text, where) for text in _json_list(inputs, where))
     return local
 
 
-def _decode_matrix(value: Any, t: str) -> tuple[tuple[int, ...], ...]:
-    """decode.<t>.matrix, each row read through _HEX_VALUE in one map.
-
-    A row the table does not cover is read again entry by entry through
-    _parse_hex, which accepts a canonical value of 0x100 or more and
-    otherwise raises for the first entry that is not canonical.
-    """
-    rows = []
-    for row in _json_list(value, f"decode.{t}.matrix"):
-        _json_list(row, f"decode.{t}.matrix row")
-        try:
-            rows.append(tuple(map(_HEX_VALUE.__getitem__, row)))
-        except (KeyError, TypeError):
-            rows.append(tuple(_parse_hex(c, f"decode matrix of {t.upper()}") for c in row))
-    return tuple(rows)
+def _decode_rows(value: Any, t: str) -> tuple[tuple[int, ...], ...]:
+    what = f"decode.{t}.rows"
+    return tuple(_ints(row, f"{what} row") for row in _json_list(value, what))
 
 
 def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
     """Parse a plan document's JSON shapes and types; check_plan checks the rest.
 
     An object key that dump_plan does not write is refused, and so is an
-    edge id, input ref or hex value it would spell differently, or a route
-    list, route, matrix or matrix row that is not a JSON list, so nothing is
-    carried unproved. With one spelling per edge and input, a parsed object
-    cannot name either twice.
+    edge id or input it would spell differently, or a route list, route,
+    input list, row list or row that is not a JSON list, so nothing is
+    carried unproved. With one spelling per edge id, a parsed object cannot
+    name an edge twice; check_plan refuses a list out of the order
+    dump_plan writes, which also refuses a repeat.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
@@ -292,33 +254,25 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
     try:
         _known_keys(doc, PLAN_KEYS, "plan")
         demand = Demand(**doc["demand"])
-        field = _known_keys(doc["field"], ("name", "bits", "modulus"), "field")
+        field = _known_keys(doc["field"], ("bits",), "field")
         bits = _json_int(field["bits"], "field.bits")
-        if field["name"] != f"GF(2^{bits})":
-            raise InputError(f"field.name {field['name']!r} does not match field.bits {bits}")
-        modulus = get_field(bits).modulus  # refuses bits outside 1..16 first
-        if _parse_hex(field["modulus"], "field.modulus") != modulus:
-            raise InputError(
-                f"field.modulus {field['modulus']!r} is not {_hex(modulus)}, "
-                f"the modulus of GF(2^{bits})"
-            )
         x1 = _routes(doc["x1_routes"], "x1")
         x2 = _routes(doc["x2_routes"], "x2")
 
-        support = _edge_ids(doc["support"], "support")
-        local = _local_coeffs(doc["local_coeffs"])
+        support = _ints(doc["support"], "support")
+        local = _local_inputs(doc["local_inputs"])
 
         dec = _known_keys(doc["decode"], ("t1", "t2"), "decode")
-        t1, t2 = (_known_keys(dec[t], ("inputs", "matrix"), f"decode.{t}") for t in ("t1", "t2"))
-        code = MulticastCode(
+        t1, t2 = (_known_keys(dec[t], ("inputs", "rows"), f"decode.{t}") for t in ("t1", "t2"))
+        code = MulticastCode(  # refuses field bits outside 1..16
             field_bits=bits,
             h0=demand.h0,
             support=support,
-            local_coeffs=local,
-            inputs_t1=_edge_ids(t1["inputs"], "decode.t1.inputs"),
-            inputs_t2=_edge_ids(t2["inputs"], "decode.t2.inputs"),
-            decode_t1=_decode_matrix(t1["matrix"], "t1"),
-            decode_t2=_decode_matrix(t2["matrix"], "t2"),
+            local_inputs=local,
+            inputs_t1=_ints(t1["inputs"], "decode.t1.inputs"),
+            inputs_t2=_ints(t2["inputs"], "decode.t2.inputs"),
+            decode_t1=_decode_rows(t1["rows"], "t1"),
+            decode_t2=_decode_rows(t2["rows"], "t2"),
         )
         return TransferPlan(
             demand=demand,
@@ -356,7 +310,7 @@ def _object(members: Iterable[str], pad: str) -> str:
 
 
 def dump_plan(plan: TransferPlan) -> str:
-    """The plan as its version-2 file text, written in one pass.
+    """The plan as its version-3 file text, written in one pass.
 
     The text is json.dumps(doc, indent=2, sort_keys=True) + "\n" of the
     document the format defines, byte for byte, for any plan check_plan
@@ -364,22 +318,17 @@ def dump_plan(plan: TransferPlan) -> str:
     """
     code = plan.multicast
     demand = plan.demand
-    bits = code.field_bits
-    spell = _QUOTED_HEX.__getitem__
 
     def ids(values: Iterable[int], depth: int) -> str:
         return _array(map(str, values), _PADS[depth])
 
-    def decoder(inputs: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]) -> str:
-        rows = [_array(map(spell, row), _PADS[4]) for row in matrix]
-        return _object([f'"inputs": {ids(inputs, 3)}', f'"matrix": {_array(rows, _PADS[3])}'],
-                       _PADS[2])
+    def decoder(inputs: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> str:
+        row_lists = _array([ids(row, 4) for row in rows], _PADS[3])
+        return _object([f'"inputs": {ids(inputs, 3)}', f'"rows": {row_lists}'], _PADS[2])
 
-    local = code.local_coeffs
-    coeffs = sorted(
-        f'"{eid}": '
-        + _object(sorted([f'"{kind}:{ref}": {spell(c)}' for (kind, ref), c in local[eid].items()]),
-                  _PADS[2])
+    local = code.local_inputs
+    inputs = sorted(
+        f'"{eid}": ' + _array([f'"{kind}:{ref}"' for kind, ref in local[eid]], _PADS[2])
         for eid in code.support
     )
     return _object([
@@ -390,12 +339,8 @@ def dump_plan(plan: TransferPlan) -> str:
         '"demand": ' + _object(
             [f'"h0": {demand.h0}', f'"h1": {demand.h1}', f'"h2": {demand.h2}'], _PADS[1]
         ),
-        '"field": ' + _object([
-            f'"bits": {bits}',
-            f'"modulus": "{_hex(DEFAULT_MODULI[bits])}"',
-            f'"name": "GF(2^{bits})"',
-        ], _PADS[1]),
-        '"local_coeffs": ' + _object(coeffs, _PADS[1]),
+        '"field": ' + _object([f'"bits": {code.field_bits}'], _PADS[1]),
+        '"local_inputs": ' + _object(inputs, _PADS[1]),
         f'"seed": {plan.seed}',
         '"support": ' + ids(code.support, 1),
         f'"version": {PLAN_VERSION}',
@@ -447,7 +392,7 @@ def export_dot(
 
     With a plan, which must pass check_plan on net, the x1/x2 route edges get
     distinct styling and coded edges are labelled with the coding vectors
-    their local coefficients give. With augment_demand, the virtual nodes and
+    their local inputs give, each entry 0x00 or 0x01. With augment_demand, the virtual nodes and
     bundles are included as dashed edges; a demand larger than a terminal's
     in-degree raises InfeasibleDemandError, as synthesis does.
     """
@@ -490,7 +435,7 @@ def export_dot(
             attrs.append("penwidth=2")
             attrs[0] = f'label="e{e.eid} x2"'
         elif e.eid in vectors:
-            vec = ",".join(_hex(c) for c in vectors[e.eid])
+            vec = ",".join(f"0x{c:02X}" for c in vectors[e.eid])
             attrs[0] = f'label="e{e.eid} [{vec}]"'
         out.append(f"  {_dot_id(e.tail)} -> {_dot_id(e.head)} [{', '.join(attrs)}];")
     out.append("}")
@@ -527,14 +472,12 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     )
     text = dump_plan(plan)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_text(args.output, text)
         print(f"plan written to {args.output}")
     else:
         sys.stdout.write(text)
     if args.trace:
-        Path(args.trace).write_text(
-            dump_trace([(1, passes.pass1.trace), (2, passes.pass2.trace)])
-        )
+        _write_text(args.trace, dump_trace([(1, passes.pass1.trace), (2, passes.pass2.trace)]))
         print(f"rerouting trace written to {args.trace}")
     return EXIT_OK
 
@@ -560,7 +503,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         augment_demand = _demand_from_args(args)
     text = export_dot(net, plan=plan, augment_demand=augment_demand)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -610,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--field-bits",
         type=int,
         default=8,
-        choices=sorted(DEFAULT_MODULI),
-        help="symbol field GF(2^m)",
+        choices=range(1, MAX_FIELD_BITS + 1),
+        help="symbol width m",
     )
     p_synth.add_argument("-o", "--output", help="plan file to write (default: stdout)")
     p_synth.add_argument("--trace", help="also write the rerouting trace as JSON lines")

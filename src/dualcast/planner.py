@@ -14,14 +14,16 @@ on the same augmented graph. check_plan is the one semantic check of a
 plan, run by synthesis, verification and the DOT export. It walks each
 route once and hands a route to check_path, which names its first fault,
 only when the walk finds one. verify_plan then proves the checked plan
-delivers by evaluating its code once, on the unit messages packed into the
-m-bit lanes of one int per edge.
+delivers over GF(2), which proves it in every GF(2^m): it evaluates the
+code once, on the unit messages 1 << j, and XORs the decode rows.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_, xor
 
 from .augment import build_augmented
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .flow import EdgePath, check_path
-from .nccode import MulticastCode, apply_code, build_multicast_code, unit_lanes, unpack_lanes
+from .nccode import MulticastCode, apply_code, build_multicast_code
 from .netgraph import Demand, EdgeId, Network, NodeId
 # Unused here; perfbench/tracer.py wraps planner.remove_edges.
 from .netgraph import remove_edges  # noqa: F401
@@ -112,7 +114,7 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
 
     The pipeline: augment once, extract h1 then h2 interference-free routes
     by recoloring, and put a deterministic binary multicast code of rate h0,
-    written in GF(2^field_bits), on the h0 paths to each terminal the second
+    on symbols of field_bits bits, on the h0 paths to each terminal the second
     pass holds besides its routes. The second pass starts from the first
     pass's final coloring, so the first pass's two max-flows are the only
     ones a feasible synthesis runs. seed is only recorded in the plan: no
@@ -189,9 +191,10 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
     Routes: the demanded number of source paths to each terminal, disjoint
     from each other and from the code (a route edge not in net raises
     UnknownEdgeError). Support: distinct network edges, each after the coded
-    edges feeding it, with local coefficients for exactly those edges. Each
-    terminal decodes h0 coded edges entering it, and every coefficient and
-    decode entry is in the plan's field.
+    edges feeding it, with local inputs for exactly those edges, listed in
+    increasing order without repeats. Each terminal decodes h0 coded edges
+    entering it with h0 rows, each listing positions below h0 in increasing
+    order without repeats: the order dump_plan writes, so a plan has one text.
 
     Each route is walked once, one edge lookup per edge, and is disjoint
     from the routes before it when adding its edges grows their set by its
@@ -236,17 +239,18 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
     h0 = code.h0
     if h0 != plan.demand.h0:
         raise PlanMismatchError("code rate != demand")
-    size = code.field.size
-    local_coeffs = code.local_coeffs
+    local_inputs = code.local_inputs
     head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
     for eid, tail, head in coded:
         if eid in head_of:
             raise PlanMismatchError(f"coded edge {eid} is listed twice in the support")
-        keys = local_coeffs.get(eid)
+        keys = local_inputs.get(eid)
         if keys is None:
-            raise PlanMismatchError(f"coded edge {eid} has no local coefficients")
+            raise PlanMismatchError(f"coded edge {eid} has no local inputs")
         from_source = tail == src
-        for (kind, ref), c in keys.items():
+        prev: tuple = ("",)  # below every input
+        for key in keys:
+            kind, ref = key
             if kind == "msg":
                 if not from_source or not 0 <= ref < h0:
                     raise PlanMismatchError(f"bad message input on edge {eid}")
@@ -255,26 +259,34 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
                     raise PlanMismatchError(f"bad edge input {ref} on edge {eid}")
             else:
                 raise PlanMismatchError(f"unknown input kind {kind!r}")
-            if not 0 <= c < size:
+            if key <= prev:
                 raise PlanMismatchError(
-                    f"local coefficient {c:#x} on edge {eid} is not in GF(2^{code.field_bits})"
+                    f"local inputs of edge {eid} are not in increasing order without repeats"
                 )
+            prev = key
         head_of[eid] = head
-    if extra := local_coeffs.keys() - head_of:
-        raise PlanMismatchError(f"support and local_coeffs disagree on edge {min(extra)}")
+    if extra := local_inputs.keys() - head_of:
+        raise PlanMismatchError(f"support and local_inputs disagree on edge {min(extra)}")
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
         if len(inputs) != h0:
             raise PlanMismatchError("decode input count != rate")
         for eid in inputs:
             if head_of.get(eid) != term:
                 raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
-    for matrix, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
-        if [len(row) for row in matrix] != [h0] * h0:
-            raise PlanMismatchError("decode matrix has wrong shape")
-        if any(not 0 <= c < size for row in matrix for c in row):
-            raise PlanMismatchError(
-                f"decode matrix of {label} has an entry not in GF(2^{code.field_bits})"
-            )
+    for rows, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
+        if len(rows) != h0:
+            raise PlanMismatchError("decode row count != rate")
+        for i, row in enumerate(rows):
+            last = -1
+            for k in row:
+                if not last < k < h0:
+                    fault = (
+                        "is not in increasing order without repeats"
+                        if 0 <= k < h0
+                        else f"names a position outside 0..{h0 - 1}"
+                    )
+                    raise PlanMismatchError(f"decode row {i} of {label} {fault}")
+                last = k
 
 
 def verify_plan(
@@ -284,63 +296,57 @@ def verify_plan(
 
     The plan is first checked by check_plan, whose PlanMismatchError is
     raised rather than reported as failed trials. Routes copy their symbol,
-    and coding and decoding are linear, so terminal t decodes the shared
-    messages x0 to M_t·x0, where column j of M_t is the code run on the unit
-    message e_j and decoded at t. The code runs once, whatever trials is, on
-    the h0 unit messages packed into m-bit lanes (unit_lanes): lane j of an
-    edge's symbol is its value under e_j. Decoding those packed symbols gives
-    the rows of M_t, lane j of row i holding M_t[i][j], so M_t is the
-    identity exactly when row i is 1 << m*i for every i. Then no trial can
-    fail and none is drawn. Otherwise a trial fails at Tt when M_t·x0 != x0
-    for its random x0; when no trial fails, PlanMismatchError names the
-    first terminal, by column, whose M_t is not the identity. A plan that
-    passes delivers every message tuple.
+    and coding and decoding are XORs, so terminal t decodes the shared
+    messages x0 to M_t·x0 over GF(2), where column j of M_t is the code run
+    on the unit message e_j and decoded at t. The code runs once, whatever
+    trials is, on the unit messages 1 << j: an edge's symbol is then its
+    global vector, and XORing the symbols a decode row lists gives that row
+    of M_t as an h0-bit int. M_t is the identity exactly when row i is 1 << i
+    for every i; an identity over GF(2) holds in every GF(2^m), so then no
+    trial can fail and none is drawn. Otherwise a trial fails at Tt when
+    M_t·x0 != x0 for its random x0 of m-bit symbols; when no trial fails,
+    PlanMismatchError names the first terminal, by column, whose M_t is not
+    the identity. A plan that passes delivers every message tuple.
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
     check_plan(net, plan)
     code = plan.multicast
     d = plan.demand
-    field = code.field
-    units = unit_lanes(field.bits, d.h0)
+    units = [1 << j for j in range(d.h0)]
     symbols = apply_code(code, units)
-    mul_lanes = field.mul_lanes
-    transfer: dict[str, list[int]] = {}  # label: the packed rows of M_t
-    for label, inputs, matrix in (
+    transfer: dict[str, list[int]] = {}  # label: the rows of M_t, as h0-bit ints
+    for label, inputs, rows in (
         ("T1", code.inputs_t1, code.decode_t1),
         ("T2", code.inputs_t2, code.decode_t2),
     ):
         received = [symbols[eid] for eid in inputs]
-        rows = transfer[label] = []
-        for coeffs in matrix:
+        transfer[label] = m_t = []
+        for row in rows:
             acc = 0
-            for c, x in zip(coeffs, received):
-                if c == 1:
-                    acc ^= x
-                elif c:
-                    acc ^= mul_lanes(c, x)
-            rows.append(acc)
+            for k in row:
+                acc ^= received[k]
+            m_t.append(acc)
     if all(rows == units for rows in transfer.values()):
         return VerificationReport(trials=trials, failures=())
-    matrices = {
-        label: [unpack_lanes(field.bits, row, d.h0) for row in rows]
-        for label, rows in transfer.items()
-    }
     failures: list[TrialFailure] = []
     rng = random.Random(seed)
+    size = 1 << code.field_bits
     for trial in range(trials):
-        x0 = [rng.randrange(field.size) for _ in range(d.h0)]
+        x0 = [rng.randrange(size) for _ in range(d.h0)]
         for _ in range(d.h1 + d.h2):  # x1 and x2, drawn as a full simulation would
-            rng.randrange(field.size)
-        for label, m in matrices.items():
-            got = field.mat_vec(m, x0)
+            rng.randrange(size)
+        for label, rows in transfer.items():
+            got = [reduce(xor, [x for j, x in enumerate(x0) if row >> j & 1], 0) for row in rows]
             if got != x0:
                 failures.append(TrialFailure(trial, label, f"decoded {got}, expected {x0}"))
     if not failures:
-        for j in range(d.h0):
-            for label, m in matrices.items():
-                if any(row[j] != (i == j) for i, row in enumerate(m)):
-                    raise PlanMismatchError(
-                        f"decode matrix of {label} does not invert its transfer matrix"
-                    )
+        # Bit j of wrong[t] is set where column j of M_t is not e_j; the
+        # lowest set bit, compared as a power of two, is the first such column.
+        wrong = {
+            label: reduce(or_, [row ^ 1 << i for i, row in enumerate(rows)], 0)
+            for label, rows in transfer.items()
+        }
+        _, label = min((w & -w, label) for label, w in wrong.items() if w)
+        raise PlanMismatchError(f"decode matrix of {label} does not invert its transfer matrix")
     return VerificationReport(trials=trials, failures=tuple(failures))

@@ -8,8 +8,8 @@ plan check, a color map and a checked snapshot per step for recoloring,
 label lookups for path decomposition, and five separate min-cuts for the
 augmentation identities. Keep these free of any imports from the modules
 they are used to check (graph containers excepted; the simulation reference
-builds on the code primitives and the reference plan check, which builds
-on check_path, neither of which it tests, the recoloring reference on
+evaluates the code itself and builds on the reference plan check, which
+builds on check_path, which it does not test, the recoloring reference on
 recolor's state and trace containers, and the identity check on max-flow
 and the feasibility report). The small helpers
 that only the oracles and tests need (decoding, a single min-cut value, a
@@ -39,7 +39,7 @@ from dualcast.errors import (
     UnknownEdgeError,
 )
 from dualcast.flow import EdgePath, FlowResult, check_path, max_flow
-from dualcast.nccode import DEFAULT_MODULI, MulticastCode, apply_code
+from dualcast.nccode import MulticastCode
 from dualcast.netgraph import Demand, EdgeId, Network, NodeId
 from dualcast.planner import TransferPlan, check_feasibility
 from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
@@ -352,6 +352,18 @@ def gf_rank(field, a) -> int:
     return rank
 
 
+def gf2_rank(a) -> int:
+    """Rank over GF(2) of a matrix of 0/1 entries, by elimination on row bit masks."""
+    pivots: dict[int, int] = {}  # top bit: the reduced row with that top bit
+    for row in a:
+        v = sum(bit << j for j, bit in enumerate(row))
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
 def gf_mat_mul(field, a, b) -> list[list[int]]:
     """Matrix product over `field`."""
     cols = list(zip(*b)) if b else []
@@ -365,9 +377,11 @@ def check_plan_reference(net: Network, plan: TransferPlan) -> None:
     Routes: the demanded number of source paths to each terminal, disjoint
     from each other and from the code (a route edge not in net raises
     UnknownEdgeError). Support: distinct network edges, each after the coded
-    edges feeding it, with local coefficients for exactly those edges. Each
-    terminal decodes h0 coded edges entering it, and every coefficient and
-    decode entry is in the plan's field.
+    edges feeding it, with local inputs for exactly those edges, sorted and
+    without repeats. Each terminal decodes h0 coded edges entering it with
+    h0 rows of positions below h0, sorted and without repeats. The first
+    input or position that breaks a rule names its fault, each prefix of a
+    list checked whole.
     """
     t1, t2 = net.terminals
     code = plan.multicast
@@ -395,16 +409,15 @@ def check_plan_reference(net: Network, plan: TransferPlan) -> None:
         raise PlanMismatchError("coded support overlaps a route")
     if code.h0 != plan.demand.h0:
         raise PlanMismatchError("code rate != demand")
-    size = code.field.size
     head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
     for e in coded:
         eid = e.eid
         if eid in head_of:
             raise PlanMismatchError(f"coded edge {eid} is listed twice in the support")
-        keys = code.local_coeffs.get(eid)
+        keys = code.local_inputs.get(eid)
         if keys is None:
-            raise PlanMismatchError(f"coded edge {eid} has no local coefficients")
-        for (kind, ref), c in keys.items():
+            raise PlanMismatchError(f"coded edge {eid} has no local inputs")
+        for n, (kind, ref) in enumerate(keys):
             if kind == "msg":
                 if e.tail != net.source or not 0 <= ref < code.h0:
                     raise PlanMismatchError(f"bad message input on edge {eid}")
@@ -413,55 +426,73 @@ def check_plan_reference(net: Network, plan: TransferPlan) -> None:
                     raise PlanMismatchError(f"bad edge input {ref} on edge {eid}")
             else:
                 raise PlanMismatchError(f"unknown input kind {kind!r}")
-            if not 0 <= c < size:
+            if list(keys[: n + 1]) != sorted(set(keys[: n + 1])):
                 raise PlanMismatchError(
-                    f"local coefficient {c:#x} on edge {eid} is not in GF(2^{code.field_bits})"
+                    f"local inputs of edge {eid} are not in increasing order without repeats"
                 )
         head_of[eid] = e.head
-    if extra := code.local_coeffs.keys() - head_of:
-        raise PlanMismatchError(f"support and local_coeffs disagree on edge {min(extra)}")
+    if extra := code.local_inputs.keys() - head_of:
+        raise PlanMismatchError(f"support and local_inputs disagree on edge {min(extra)}")
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
         if len(inputs) != code.h0:
             raise PlanMismatchError("decode input count != rate")
         for eid in inputs:
             if head_of.get(eid) != term:
                 raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
-    for matrix, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
-        if [len(row) for row in matrix] != [code.h0] * code.h0:
-            raise PlanMismatchError("decode matrix has wrong shape")
-        if any(not 0 <= c < size for row in matrix for c in row):
-            raise PlanMismatchError(
-                f"decode matrix of {label} has an entry not in GF(2^{code.field_bits})"
-            )
+    for rows, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
+        if len(rows) != code.h0:
+            raise PlanMismatchError("decode row count != rate")
+        for i, row in enumerate(rows):
+            for n, k in enumerate(row):
+                if not 0 <= k < code.h0:
+                    raise PlanMismatchError(
+                        f"decode row {i} of {label} names a position outside 0..{code.h0 - 1}"
+                    )
+                if list(row[: n + 1]) != sorted(set(row[: n + 1])):
+                    raise PlanMismatchError(
+                        f"decode row {i} of {label} is not in increasing order without repeats"
+                    )
+
+
+def evaluate_code(code: MulticastCode, x0) -> dict[EdgeId, int]:
+    """Every coded edge's symbol: the XOR of its local inputs, one edge at a time."""
+    symbols: dict[EdgeId, int] = {}
+    for eid in code.support:
+        value = 0
+        for kind, ref in code.local_inputs[eid]:
+            value ^= x0[ref] if kind == "msg" else symbols[ref]
+        symbols[eid] = value
+    return symbols
 
 
 def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
     """verify_plan by one end-to-end simulation per trial; the reference for it.
 
-    Each trial copies x1 and x2 along their routes, evaluates the code on x0
-    and decodes at both terminals. Returns the failures as (trial, terminal,
-    detail) tuples. When none failed, the decode matrices are checked exactly
-    against the code run once on each unit message, one symbol per edge and
-    no packed lanes, raising PlanMismatchError on a mismatch.
+    Each trial draws m-bit symbols, copies x1 and x2 along their routes,
+    evaluates the code on x0 and decodes at both terminals. Returns the
+    failures as (trial, terminal, detail) tuples. When none failed, the
+    decode rows are checked exactly against the code run once on each unit
+    message, one 0/1 symbol per edge, raising PlanMismatchError on a
+    mismatch.
     """
     if trials < 0:
         raise InputError(f"trials must be nonnegative, got {trials}")
     check_plan_reference(net, plan)
     code = plan.multicast
-    field = code.field
+    size = 2**code.field_bits
     rng = random.Random(seed)
     d = plan.demand
     failures: list[tuple[int, str, str]] = []
     for trial in range(trials):
-        x0 = [rng.randrange(field.size) for _ in range(d.h0)]
-        x1 = [rng.randrange(field.size) for _ in range(d.h1)]
-        x2 = [rng.randrange(field.size) for _ in range(d.h2)]
+        x0 = [rng.randrange(size) for _ in range(d.h0)]
+        x1 = [rng.randrange(size) for _ in range(d.h1)]
+        x2 = [rng.randrange(size) for _ in range(d.h2)]
         symbols: dict[int, int] = {}
         for private, routes in ((x1, plan.x1_routes), (x2, plan.x2_routes)):
             for r, p in enumerate(routes):
                 for eid in p.edges:
                     symbols[eid] = private[r]
-        symbols.update(apply_code(code, x0))
+        symbols.update(evaluate_code(code, x0))
         for terminal, label, private, routes in (
             (1, "T1", x1, plan.x1_routes),
             (2, "T2", x2, plan.x2_routes),
@@ -477,7 +508,7 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
         return tuple(failures)
     for j in range(code.h0):
         unit = [int(i == j) for i in range(code.h0)]
-        column = apply_code(code, unit)
+        column = evaluate_code(code, unit)
         for terminal in (1, 2):
             if decode_symbols(code, terminal, column) != unit:
                 raise PlanMismatchError(
@@ -489,13 +520,13 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
 def decode_symbols(
     code: MulticastCode, terminal: int, symbols: dict[EdgeId, int]
 ) -> list[int]:
-    """Recover the h0 messages at terminal 1 or 2 from coded edge symbols."""
+    """Recover the h0 messages at terminal 1 or 2: each row XORs the inputs it lists."""
     if terminal not in (1, 2):
         raise InputError("terminal must be 1 or 2")
     inputs = code.inputs_t1 if terminal == 1 else code.inputs_t2
-    matrix = code.decode_t1 if terminal == 1 else code.decode_t2
+    rows = code.decode_t1 if terminal == 1 else code.decode_t2
     received = [symbols[eid] for eid in inputs]
-    return code.field.mat_vec(matrix, received)
+    return [reduce(xor, (received[k] for k in row), 0) for row in rows]
 
 
 def min_cut_value(net: Network, src: NodeId, sinks) -> int:
@@ -714,39 +745,23 @@ def check_lemma(aug: AugmentedNetwork, d: Demand) -> LemmaReport:
 
 
 def plan_to_dict(plan: TransferPlan) -> dict[str, Any]:
-    """The version-2 plan document: the format's keys, hex values as _hex spells them."""
-
-    def hex_(value: int) -> str:
-        return f"0x{value:02X}"
-
+    """The version-3 plan document: the format's keys, each input spelt kind:ref."""
     code = plan.multicast
     return {
-        "version": 2,
+        "version": 3,
         "demand": {"h0": plan.demand.h0, "h1": plan.demand.h1, "h2": plan.demand.h2},
         "seed": plan.seed,
-        "field": {
-            "name": f"GF(2^{code.field_bits})",
-            "bits": code.field_bits,
-            "modulus": hex_(DEFAULT_MODULI[code.field_bits]),
-        },
+        "field": {"bits": code.field_bits},
         "x1_routes": [list(p.edges) for p in plan.x1_routes],
         "x2_routes": [list(p.edges) for p in plan.x2_routes],
         "support": list(code.support),
-        "local_coeffs": {
-            str(eid): {
-                f"{kind}:{ref}": hex_(c) for (kind, ref), c in code.local_coeffs[eid].items()
-            }
+        "local_inputs": {
+            str(eid): [f"{kind}:{ref}" for kind, ref in code.local_inputs[eid]]
             for eid in code.support
         },
         "decode": {
-            "t1": {
-                "inputs": list(code.inputs_t1),
-                "matrix": [[hex_(c) for c in row] for row in code.decode_t1],
-            },
-            "t2": {
-                "inputs": list(code.inputs_t2),
-                "matrix": [[hex_(c) for c in row] for row in code.decode_t2],
-            },
+            "t1": {"inputs": list(code.inputs_t1), "rows": [list(r) for r in code.decode_t1]},
+            "t2": {"inputs": list(code.inputs_t2), "rows": [list(r) for r in code.decode_t2]},
         },
     }
 

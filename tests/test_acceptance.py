@@ -3,7 +3,7 @@
 The randomized DAG sweep (criteria 3-6) and the cyclic sweep (criterion 8)
 are each executed once by a module-scoped fixture; criterion tests assert
 over their collected results. All comparisons are exact: integer cuts and
-field arithmetic leave nothing to tolerances.
+XOR codes leave nothing to tolerances.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from conftest import all_demands, random_network, small_cyclic_network, wide_net
 from oracles import (
     check_lemma,
     exclusively_green,
-    gf_rank,
+    gf2_rank,
     min_cut_value,
     red_source_degree,
     reference_plan_text,
@@ -46,7 +46,7 @@ CYCLIC_SEED = 2009
 # Feasible demands the cyclic sweep refuses with CyclicSupportError, as
 # measured; coding on every support in-edge of a tail refused 117.
 CYCLIC_REFUSALS = 0
-# The sweeps request these fields in turn; the code is binary in each.
+# The sweeps request these symbol widths in turn; the code is the same XORs in each.
 FIELD_BITS = (1, 8, 16)
 
 
@@ -74,17 +74,9 @@ class SweepData:
     x1_crossings: list = field(default_factory=list)
     residual_shortfalls: list = field(default_factory=list)
     rank_failures: list = field(default_factory=list)
-    non_binary: list = field(default_factory=list)
+    wrong_width: list = field(default_factory=list)
     plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
     writer_mismatches: list = field(default_factory=list)  # dump_plan != the reference writer
-
-
-def _non_binary(plan, field_bits: int) -> bool:
-    """Whether the plan's code leaves GF(2) or the requested field."""
-    code = plan.multicast
-    entries = [c for keys in code.local_coeffs.values() for c in keys.values()]
-    entries += [c for row in code.decode_t1 + code.decode_t2 for c in row]
-    return code.field_bits != field_bits or not set(entries) <= {0, 1}
 
 
 def _pass_two_touches_x1(passes, plan) -> bool:
@@ -138,11 +130,10 @@ def _audit_residual(data: SweepData, tag, net: Network, d: Demand, plan) -> None
             data.residual_shortfalls.append((tag, sink))
     if d.h0:
         code = plan.multicast
-        f = code.field
         vectors = coding_vectors(code)
         for inputs in (code.inputs_t1, code.inputs_t2):
             transfer = [vectors[eid] for eid in inputs]
-            if gf_rank(f, transfer) != d.h0:
+            if gf2_rank(transfer) != d.h0:
                 data.rank_failures.append(tag)
 
 
@@ -186,8 +177,8 @@ def sweep() -> SweepData:
             data.plan_hash.update(text.encode())
             if text != reference_plan_text(plan):
                 data.writer_mismatches.append(tag)
-            if _non_binary(plan, bits):
-                data.non_binary.append(tag)
+            if plan.multicast.field_bits != bits:
+                data.wrong_width.append(tag)
 
             lemma = check_lemma(passes.pass1.aug, d)
             if not lemma.ok:
@@ -235,7 +226,7 @@ def test_criterion_3_capacity_region_sweep(sweep):
         assert sweep.n_feasible > 1000  # the sweep must actually exercise synthesis
         assert sweep.decision_mismatches == []
         assert sweep.verify_failures == []
-        assert sweep.non_binary == []
+        assert sweep.wrong_width == []
         assert sweep.synth_verify_seconds < 60.0
 
 
@@ -282,7 +273,7 @@ def test_criterion_7_pass_two_order_is_pinned():
         assert [list(p.edges) for p in plan.x2_routes] == [[4, 18, 36, 51], [3, 15, 33, 49]]
         assert verify_plan(net, plan, trials=0).passed
         digest = hashlib.sha256(dump_plan(plan).encode()).hexdigest()
-        assert digest == "557d23d7b74f53e003d261665b094740ce415e27d60d8ddcc7c10798014c37ef"
+        assert digest == "0552e6f19e62e20fb2d283beb39a7089e2d90a2365ada1ccde9d03a4c55021a9"
 
 
 @dataclass
@@ -291,7 +282,7 @@ class CyclicSweepData:
     decision_mismatches: list = field(default_factory=list)
     verify_failures: list = field(default_factory=list)
     refusals: list = field(default_factory=list)
-    non_binary: list = field(default_factory=list)
+    wrong_width: list = field(default_factory=list)
     x1_crossings: list = field(default_factory=list)
     plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
     writer_mismatches: list = field(default_factory=list)  # dump_plan != the reference writer
@@ -327,8 +318,8 @@ def cyclic_sweep() -> CyclicSweepData:
                 data.writer_mismatches.append(tag)
             if not verify_plan(net, plan, trials=3, seed=gi).passed:
                 data.verify_failures.append(tag)
-            if _non_binary(plan, bits):
-                data.non_binary.append(tag)
+            if plan.multicast.field_bits != bits:
+                data.wrong_width.append(tag)
             if _pass_two_touches_x1(passes, plan):
                 data.x1_crossings.append(tag)
     return data
@@ -339,7 +330,7 @@ def test_criterion_8_cyclic_networks(cyclic_sweep):
         assert cyclic_sweep.n_feasible > 2000
         assert cyclic_sweep.decision_mismatches == []
         assert cyclic_sweep.verify_failures == []
-        assert cyclic_sweep.non_binary == []
+        assert cyclic_sweep.wrong_width == []
         assert cyclic_sweep.x1_crossings == []
         assert len(cyclic_sweep.refusals) == CYCLIC_REFUSALS, cyclic_sweep.refusals
 
@@ -350,7 +341,7 @@ def test_criterion_7_sweep_plan_bytes_are_pinned(sweep, cyclic_sweep):
         # each a sha256 over dump_plan of its plans in synthesis order.
         both = sweep.plan_hash.hexdigest() + cyclic_sweep.plan_hash.hexdigest()
         digest = hashlib.sha256(both.encode()).hexdigest()
-        assert digest == "6f4cfd204c299200f46c1cdc68b4f68a53e6adb98b2827cc94f8054d94910cda"
+        assert digest == "8cd32b442f495f733ad4d9cf8fcef0bf9c64ae9366f29f4cc47d498aec9028e2"
 
 
 def test_criterion_7_sweep_plans_are_written_as_the_reference_writes_them(sweep, cyclic_sweep):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -17,7 +18,6 @@ from dualcast.cli import (
 )
 from dualcast.errors import InputError
 from dualcast.fixtures import fig2_network, fig2_path
-from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand
 from dualcast.planner import check_plan, synthesize, verify_plan
 
@@ -48,24 +48,6 @@ SWAP = {
 
 
 WIDE = wide_network()
-
-# sha256 of the version-1 files of the three pinned plans, which also stored
-# every coded edge's global coding vector.
-V1_DIGESTS = {
-    "fig2-8": "981e743f9e3af5af67deef7b09b7b9546a289c07fe6460a854f2a5108be0b759",
-    "fig2-16": "1c52eb09bfc4889b131a13b86c8f3873927fd7bceec5fe609d0747e602a9e261",
-    "wide-16": "b55f0b4eb4fab69eec48d873e1507bf85d2fcda6a231e85e3470fa2d880496e7",
-}
-
-
-def _as_version_1(plan) -> str:
-    """The plan file as version 1 wrote it: version 2 plus the computed coding vectors."""
-    code = plan.multicast
-    vectors = coding_vectors(code)
-    doc = json.loads(dump_plan(plan))
-    doc["version"] = 1
-    doc["coding_vectors"] = {str(eid): [f"0x{c:02X}" for c in v] for eid, v in vectors.items()}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -156,30 +138,29 @@ class TestPlanFormat:
         again = plan_from_dict(doc)
         assert again == plan
 
-    @pytest.mark.parametrize(
-        "case, net, demand, seed, bits",
-        [
-            ("fig2-8", fig2_network(), Demand(2, 1, 1), 7, 8),
-            ("fig2-16", fig2_network(), Demand(2, 1, 1), 7, 16),
-            ("wide-16", WIDE, Demand(5, 1, 0), 11, 16),
-        ],
-    )
-    def test_version_2_is_version_1_without_coding_vectors(self, case, net, demand, seed, bits):
-        plan = synthesize(net, demand, seed=seed, field_bits=bits)
-        doc = json.loads(dump_plan(plan))
-        assert doc["version"] == 2 and "coding_vectors" not in doc
-        v1 = _as_version_1(plan).encode()
-        assert hashlib.sha256(v1).hexdigest() == V1_DIGESTS[case]
+    def test_fig2_code_is_written_as_xors(self, plan_file):
+        # Each coded edge lists the inputs it XORs, each decode row the
+        # positions in its terminal's inputs; zero entries are not written.
+        doc = json.loads(plan_file.read_text())
+        assert doc["field"] == {"bits": 8}
+        assert doc["local_inputs"] == {
+            "1": ["msg:0"], "2": ["msg:1"], "6": ["edge:1"], "7": ["edge:2"], "8": ["edge:1"],
+            "9": ["edge:2"], "10": ["edge:8", "edge:9"], "11": ["edge:10"], "12": ["edge:10"],
+        }
+        assert doc["decode"] == {"t1": {"inputs": [6, 11], "rows": [[0], [0, 1]]},
+                                 "t2": {"inputs": [12, 7], "rows": [[0, 1], [1]]}}
 
-    def test_version_1_file_exits_one_with_an_error_line(self, fig2, tmp_path, capsys):
-        path = tmp_path / "v1.json"
-        path.write_text(_as_version_1(synthesize(fig2, Demand(2, 1, 1), seed=7)))
-        for command in (["verify", FIG2, str(path)], ["export-dot", FIG2, str(path)]):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_versions_exit_one_with_an_error_line(self, plan_file, capsys, version):
+        doc = json.loads(plan_file.read_text())
+        doc["version"] = version
+        plan_file.write_text(json.dumps(doc))
+        for command in (["verify", FIG2, str(plan_file)], ["export-dot", FIG2, str(plan_file)]):
             capsys.readouterr()
             assert main(command) == 1
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == f"error: {path}: unsupported plan version 1 (expected 2)\n"
+            assert err == f"error: {plan_file}: unsupported plan version {version} (expected 3)\n"
 
     def test_unknown_version_is_rejected(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
@@ -198,9 +179,10 @@ class TestPlanFormat:
             (lambda d: d.__setitem__("x1_routes", [[0.0]]), "x1 route entry must be an integer"),
             (lambda d: d.__setitem__("x1_routes", [["0"]]), "x1 route entry must be an integer"),
             (lambda d: d["decode"]["t1"].__setitem__("inputs", [True]), "decode.t1.inputs entry"),
-            (lambda d: d.__setitem__("local_coeffs", {"1": 5}), "local_coeffs['1'] must be an"),
-            (lambda d: d.__setitem__("local_coeffs", []), "local_coeffs must be an object"),
-            (lambda d: d["local_coeffs"]["1"].__setitem__("msg:0", 5), "hex string, got 5"),
+            (lambda d: d.__setitem__("local_inputs", {"1": 5}), "local_inputs['1'] must be a list"),
+            (lambda d: d.__setitem__("local_inputs", []), "local_inputs must be an object"),
+            (lambda d: d["local_inputs"]["1"].append(5), "bad input 5 in local_inputs['1']"),
+            (lambda d: d["decode"]["t2"]["rows"][0].append("1"), "decode.t2.rows row entry"),
         ],
     )
     def test_mistyped_fields_exit_one_with_an_error_line(self, tmp_path, capsys, mutate, fragment):
@@ -242,7 +224,7 @@ class TestPlanFormat:
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda d: d["local_coeffs"]["1"].__setitem__("msg:0", "zz"), "bad hex value 'zz'"),
+            (lambda d: d["local_inputs"]["1"].__setitem__(0, "zz"), "bad input 'zz'"),
             (lambda d: d.__setitem__("seed", "7"), "seed must be an integer"),
             (lambda d: d.__delitem__("decode"), "malformed plan file"),
         ],
@@ -260,9 +242,6 @@ class TestPlanFormat:
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda d: d["field"].__setitem__("name", "GF(2^4)"),
-             "field.name 'GF(2^4)' does not match field.bits 8"),
-            (lambda d: d["field"].__setitem__("name", 5), "field.name 5 does not match"),
             (lambda d: d["decode"]["t1"].__setitem__("rank", 2),
              "decode.t1 has unknown key 'rank'"),
             (lambda d: d["field"].__setitem__("poly", "0x11D"), "field has unknown key 'poly'"),
@@ -278,35 +257,18 @@ class TestPlanFormat:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {plan_file}: ") and fragment in err
 
-    def test_version_1_file_edited_to_version_2_is_refused(self, fig2):
-        doc = json.loads(_as_version_1(synthesize(fig2, Demand(2, 1, 1), seed=7)))
-        doc["version"] = 2
-        with pytest.raises(InputError, match="unknown key 'coding_vectors'"):
+    def test_version_2_file_edited_to_version_3_is_refused(self, plan_file):
+        # Version 2 wrote dense hex coefficients under local_coeffs.
+        doc = json.loads(plan_file.read_text())
+        doc["local_coeffs"] = {eid: {key: "0x01" for key in inputs}
+                               for eid, inputs in doc.pop("local_inputs").items()}
+        with pytest.raises(InputError, match="plan has unknown key 'local_coeffs'"):
             plan_from_dict(doc)
 
-    def test_field_is_documented_in_the_plan(self, fig2):
-        plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
-        doc = json.loads(dump_plan(plan))
-        assert doc["field"] == {"name": "GF(2^8)", "bits": 8, "modulus": "0x11D"}
-
-    @pytest.mark.parametrize("modulus", ["0x11B", "0x100"])  # irreducible; x^8
-    @pytest.mark.parametrize("trials", ["0", "100"])
-    def test_modulus_other_than_the_fields_own_exits_one(
-        self, plan_file, capsys, modulus, trials
-    ):
-        doc = json.loads(plan_file.read_text())
-        doc["field"]["modulus"] = modulus
-        plan_file.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
-        err = capsys.readouterr().err
-        assert err == (f"error: {plan_file}: field.modulus {modulus!r} is not 0x11D, "
-                       "the modulus of GF(2^8)\n")
-
     @pytest.mark.parametrize("bits", [0, 17])
-    def test_field_bits_out_of_range_are_named_before_the_modulus(self, plan_file, capsys, bits):
+    def test_field_bits_out_of_range_exit_one(self, plan_file, capsys, bits):
         doc = json.loads(plan_file.read_text())
-        doc["field"].update(name=f"GF(2^{bits})", bits=bits, modulus="0x11B")
+        doc["field"]["bits"] = bits
         plan_file.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", FIG2, str(plan_file)]) == 1
@@ -323,9 +285,9 @@ class TestPlanWriter:
             (fig2_network(), Demand(2, 1, 1), 8),  # routes on both sides
             (fig2_network(), Demand(2, 0, 0), 8),  # empty route lists
             (fig2_network(), Demand(0, 1, 1), 8),  # no code: empty objects and lists
-            (fig2_network(), Demand(2, 1, 1), 16),  # modulus 0x1100B
+            (fig2_network(), Demand(2, 1, 1), 16),  # a two-digit width
             (WIDE, Demand(5, 1, 0), 16),
-            (wide_network(12, 3), Demand(11, 1, 0), 8),  # "msg:10" before "msg:2"
+            (wide_network(12, 3), Demand(11, 1, 0), 8),  # edge "10" before "2"
         ],
         ids=["fig2-211", "fig2-200", "fig2-011", "fig2-211-gf16", "wide-510-gf16", "wide-h0-11"],
     )
@@ -337,27 +299,35 @@ class TestPlanWriter:
 
     def test_h0_zero_writes_empty_code_containers(self, fig2):
         doc = json.loads(dump_plan(synthesize(fig2, Demand(0, 1, 1), seed=7)))
-        assert doc["support"] == [] and doc["local_coeffs"] == {}
-        assert doc["decode"] == {"t1": {"inputs": [], "matrix": []},
-                                 "t2": {"inputs": [], "matrix": []}}
+        assert doc["support"] == [] and doc["local_inputs"] == {}
+        assert doc["decode"] == {"t1": {"inputs": [], "rows": []},
+                                 "t2": {"inputs": [], "rows": []}}
 
-    def test_keys_sort_as_strings(self):
+    def test_object_keys_sort_as_strings_and_lists_keep_their_order(self):
         plan = synthesize(wide_network(12, 3), Demand(11, 1, 0), seed=7)
+        code = plan.multicast
+        # Source edge 0 XORs messages 2 and 10: in number order, not as strings.
+        code = dataclasses.replace(
+            code, local_inputs={**code.local_inputs, 0: (("msg", 2), ("msg", 10))}
+        )
+        plan = dataclasses.replace(plan, multicast=code)
+        check_plan(wide_network(12, 3), plan)
         text = dump_plan(plan)
-        assert text.index('"msg:10"') < text.index('"msg:2"')
-        assert text.index('\n    "10": {') < text.index('\n    "2": {')
+        assert text == reference_plan_text(plan)
+        assert text.index('\n    "10": [') < text.index('\n    "2": [')
+        assert text.index('"msg:2"') < text.index('"msg:10"')
+        assert plan_from_dict(json.loads(text)) == plan
 
-    def test_loaded_non_binary_values_match_the_reference_writer(self, fig2):
-        # Values of 0x100 and more are spelt by _hex, not the table of smaller ones.
+    def test_loaded_code_synthesis_never_writes_matches_the_reference_writer(self, fig2):
+        # An edge that XORs nothing and an empty decode row pass the plan
+        # check (the plan then fails to verify) and are written back as read.
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7, field_bits=16)
         doc = json.loads(dump_plan(plan))
-        coeffs = doc["local_coeffs"][str(plan.multicast.support[0])]
-        coeffs[next(iter(coeffs))] = "0xBEEF"
-        doc["decode"]["t2"]["matrix"][1][0] = "0x100"
-        doc["decode"]["t1"]["matrix"][0][1] = "0xFF"
+        doc["local_inputs"]["10"] = []
+        doc["decode"]["t2"]["rows"][1] = []
         loaded = plan_from_dict(doc)
-        assert 0xBEEF in loaded.multicast.local_coeffs[plan.multicast.support[0]].values()
-        assert loaded.multicast.decode_t2[1][0] == 0x100
+        assert loaded.multicast.local_inputs[10] == ()
+        assert loaded.multicast.decode_t2[1] == ()
         check_plan(fig2, loaded)
         text = dump_plan(loaded)
         assert text == reference_plan_text(loaded)
@@ -371,6 +341,7 @@ class TestUsage:
             ["check", FIG2, "--h1", "1", "--h2", "0"],  # --h0 missing
             ["check", FIG2, "--h0", "two", "--h1", "1", "--h2", "0"],
             ["synthesize", FIG2, "--h0", "1", "--h1", "0", "--h2", "0", "--field-bits", "0"],
+            ["synthesize", FIG2, "--h0", "1", "--h1", "0", "--h2", "0", "--field-bits", "17"],
         ],
     )
     def test_usage_error_exits_one_not_the_infeasible_code(self, argv, capsys):
@@ -438,9 +409,10 @@ class TestCmdSynthesize:
     @pytest.mark.parametrize(
         "field_bits, digest",
         [
-            ("8", "20ad82fbdabb16f6fd0dd405e9f71ba9423b449612d96b27c36a392039ab266b"),
-            ("16", "9685cdd193b1720003d22ad23bf429d3debeba2f503ee79e5e0cf2ac03ea6b0d"),
+            ("8", "fef4b112183f71deb6f3b36253dca99bf64d15de3f355e8f760836ff4e971b9f"),
+            ("16", "96d440794cc9e45a3e1dd8b461894d77e5e0d22b044f60a357854b7df61b23a1"),
         ],
+        ids=["8", "16"],
     )
     def test_fig2_plan_bytes_are_pinned(self, tmp_path, field_bits, digest):
         out = tmp_path / "plan.json"
@@ -449,12 +421,21 @@ class TestCmdSynthesize:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_wide_gf16_plan_bytes_are_pinned(self):
-        # h0 = 5, with the binary code written in GF(2^16).
+        # h0 = 5, with 16-bit symbols.
         plan = synthesize(WIDE, Demand(5, 1, 0), seed=11, field_bits=16)
         assert (plan.multicast.h0, plan.multicast.field_bits) == (5, 16)
         assert verify_plan(WIDE, plan, trials=0).passed
         digest = hashlib.sha256(dump_plan(plan).encode()).hexdigest()
-        assert digest == "198ab0779d9deb7617814e39fe24f10bd0e2ca5d2915d2c4c147d71bf325b2f6"
+        assert digest == "b4d8d42531161ebd23f268d603177206f6f768b07292962093bad360f3ed897e"
+
+    @pytest.mark.parametrize("flag", ["-o", "--trace"])
+    def test_unwritable_output_exits_one_with_an_error_line(self, tmp_path, capsys, flag):
+        missing = tmp_path / "no-such-dir" / "out.json"
+        other = ["--trace", str(tmp_path / "t.jsonl")] if flag == "-o" else []
+        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
+                     flag, str(missing), *other]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}: ") and "Traceback" not in err
 
     def test_infeasible_demand_exits_two(self, capsys):
         assert main(["synthesize", FIG2, "--h0", "3", "--h1", "1", "--h2", "1"]) == 2
@@ -506,41 +487,40 @@ class TestCmdVerify:
     def test_zero_trials_runs_structural_checks_only(self, plan_file):
         assert main(["verify", FIG2, str(plan_file), "--trials", "0"]) == 0
 
-    def test_corrupted_coefficient_exits_four_and_names_the_site(
+    def test_dropped_input_exits_four_with_trials_and_one_without(
         self, plan_file, tmp_path, capsys
     ):
         doc = json.loads(plan_file.read_text())
-        eid, coeffs = next(iter(doc["local_coeffs"].items()))
-        key = next(iter(coeffs))
-        coeffs[key] = f"0x{int(coeffs[key], 16) ^ 1:02X}"
+        assert doc["local_inputs"]["10"] == ["edge:8", "edge:9"]
+        del doc["local_inputs"]["10"][0]
         bad = tmp_path / "bad_plan.json"
         bad.write_text(json.dumps(doc))
         code = main(["verify", FIG2, str(bad), "--trials", "50"])
         out = capsys.readouterr().out
         assert code == 4
         assert "trial" in out and ("T1" in out or "T2" in out)
+        assert main(["verify", FIG2, str(bad), "--trials", "0"]) == 1
+        assert "does not invert its transfer matrix" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "mutate, named",
         [
             (lambda d: d["support"].append(12), "coded edge 12 is listed twice in the support"),
-            (lambda d: d["local_coeffs"].__setitem__("0", {"msg:0": "0x01"}),
-             "support and local_coeffs disagree on edge 0"),
+            (lambda d: d["local_inputs"].__setitem__("0", ["msg:0"]),
+             "support and local_inputs disagree on edge 0"),
             # A second spelling of a key, listed first, would be overwritten
             # unproved; only the spelling the format writes is accepted.
-            (lambda d: d.__setitem__("local_coeffs", {"01": {"msg:0": "0x00", "msg:1": "0x00"},
-                                                      **d["local_coeffs"]}),
-             "local_coeffs key '01' is not a decimal edge id"),
-            (lambda d: d["local_coeffs"].__setitem__("1", {"msg:00": "0x00",
-                                                           **d["local_coeffs"]["1"]}),
-             "bad coefficient key 'msg:00'"),
+            (lambda d: d.__setitem__("local_inputs", {"01": [], **d["local_inputs"]}),
+             "local_inputs key '01' is not a decimal edge id"),
+            (lambda d: d["local_inputs"].__setitem__("1", ["msg:00", "msg:0"]),
+             "bad input 'msg:00' in local_inputs['1']"),
         ],
     )
     def test_coded_edge_or_input_named_twice_or_unlisted_exits_one(
         self, plan_file, capsys, mutate, named
     ):
         doc = json.loads(plan_file.read_text())
-        assert doc["support"][-1] == 12 and sorted(doc["local_coeffs"]["1"]) == ["msg:0", "msg:1"]
+        assert doc["support"][-1] == 12 and doc["local_inputs"]["1"] == ["msg:0"]
         mutate(doc)
         plan_file.write_text(json.dumps(doc))
         for trials in ("0", "100"):
@@ -548,14 +528,15 @@ class TestCmdVerify:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err
 
-    @pytest.mark.parametrize("tamper", ["matrix", "inputs"])
+    @pytest.mark.parametrize("tamper", ["rows", "inputs"])
     def test_wrong_decoder_exits_one_without_trials_and_four_with(
         self, plan_file, tmp_path, capsys, tamper
     ):
         doc = json.loads(plan_file.read_text())
         t1 = doc["decode"]["t1"]
-        if tamper == "matrix":
-            t1["matrix"][0][0] = f"0x{int(t1['matrix'][0][0], 16) ^ 1:02X}"
+        if tamper == "rows":
+            assert t1["rows"][0] == [0]
+            t1["rows"][0] = [0, 1]
         else:
             t1["inputs"].reverse()
         bad = tmp_path / "bad_plan.json"
@@ -587,7 +568,7 @@ class TestCmdVerify:
             key = "to"
         else:
             text = plan_file.read_text().replace(
-                '"local_coeffs": {\n', '"local_coeffs": {\n    "1": {"zz": "junk"},\n', 1
+                '"local_inputs": {\n', '"local_inputs": {\n    "1": ["zz"],\n', 1
             )
             key = "1"
         bad = tmp_path / "repeated.json"
@@ -603,59 +584,29 @@ class TestCmdVerify:
         assert "trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field_bits, site, value, named",
-        [
-            ("8", "decode", "0x1FF", "decode matrix of T1"),
-            ("8", "local", "0x100", "local coefficient 0x100 on edge"),
-            ("16", "decode", "0x10000", "decode matrix of T1"),
-        ],
-    )
-    def test_element_outside_the_field_exits_one_naming_the_site(
-        self, tmp_path, capsys, field_bits, site, value, named
-    ):
-        path = tmp_path / "plan.json"
-        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
-                     "--seed", "7", "--field-bits", field_bits, "-o", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        if site == "decode":
-            doc["decode"]["t1"]["matrix"][0][0] = value
-        else:
-            coeffs = next(iter(doc["local_coeffs"].values()))
-            coeffs[next(iter(coeffs))] = value
-        path.write_text(json.dumps(doc))
-        for trials in ("0", "100"):
-            assert main(["verify", FIG2, str(path), "--trials", trials]) == 1
-            err = capsys.readouterr().err
-            assert named in err and f"GF(2^{field_bits})" in err
-
-    @pytest.mark.parametrize(
         "site, value, named",
         [
-            ("key", " +0_1 ", "local_coeffs key ' +0_1 ' is not a decimal edge id"),
-            ("input", "msg:+0", "bad coefficient key 'msg:+0'"),
-            ("local", "0x1d", "bad hex value '0x1d' in the local coefficients of edge 1"),
-            ("local", " 0x1_D ", "bad hex value ' 0x1_D ' in the local coefficients of edge 1"),
-            ("local", "1", "bad hex value '1' in the local coefficients of edge 1"),
-            ("decode", "-0x1", "decode matrix of T1"),
-            ("modulus", "0x11d", "bad hex value '0x11d' in field.modulus"),
+            ("key", " +0_1 ", "local_inputs key ' +0_1 ' is not a decimal edge id"),
+            ("input", "msg:+0", "bad input 'msg:+0' in local_inputs['1']"),
+            ("input", "msg: 0", "bad input 'msg: 0' in local_inputs['1']"),
+            ("input", "MSG:0", "bad input 'MSG:0' in local_inputs['1']"),
+            ("input", 0, "bad input 0 in local_inputs['1']"),
+            ("decode", "0", "decode.t1.rows row entry must be an integer, got '0'"),
+            ("decode", 0.0, "decode.t1.rows row entry must be an integer, got 0.0"),
         ],
     )
     def test_spelling_the_format_does_not_write_exits_one_naming_the_site(
         self, plan_file, capsys, site, value, named
     ):
         doc = json.loads(plan_file.read_text())
-        coeffs = doc["local_coeffs"]
-        assert sorted(coeffs["1"]) == ["msg:0", "msg:1"] and doc["field"]["modulus"] == "0x11D"
+        inputs = doc["local_inputs"]
+        assert inputs["1"] == ["msg:0"] and doc["decode"]["t1"]["rows"][0] == [0]
         if site == "key":
-            coeffs[value] = coeffs.pop("1")
+            inputs[value] = inputs.pop("1")
         elif site == "input":
-            coeffs["1"][value] = coeffs["1"].pop("msg:0")
-        elif site == "local":
-            coeffs["1"]["msg:0"] = value
-        elif site == "decode":
-            doc["decode"]["t1"]["matrix"][0][0] = value
+            inputs["1"] = [value]
         else:
-            doc["field"]["modulus"] = value
+            doc["decode"]["t1"]["rows"][0] = [value]
         plan_file.write_text(json.dumps(doc))
         for trials in ("0", "100"):
             assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
@@ -665,15 +616,15 @@ class TestCmdVerify:
     @pytest.mark.parametrize(
         "demand, mutate, named",
         [
-            # Read through its keys, this row would pass as the row it replaces, 0x01 0x00.
-            ((2, 1, 1),
-             lambda d: d["decode"]["t1"]["matrix"].__setitem__(
-                 0, {"0x01": "junk0", "0x00": "junk1"}),
-             "decode.t1.matrix row must be a list, got {'0x01': 'junk0', '0x00': 'junk1'}"),
-            ((2, 1, 1), lambda d: d["decode"]["t1"]["matrix"].__setitem__(1, "0x010x01"),
-             "decode.t1.matrix row must be a list, got '0x010x01'"),
-            ((2, 1, 1), lambda d: d["decode"]["t2"].__setitem__("matrix", {}),
-             "decode.t2.matrix must be a list, got {}"),
+            # Read through its keys, this row would pass as the row it replaces, [0].
+            ((2, 1, 1), lambda d: d["decode"]["t1"]["rows"].__setitem__(0, {"0": "junk"}),
+             "decode.t1.rows row must be a list, got {'0': 'junk'}"),
+            ((2, 1, 1), lambda d: d["decode"]["t1"]["rows"].__setitem__(1, "01"),
+             "decode.t1.rows row must be a list, got '01'"),
+            ((2, 1, 1), lambda d: d["decode"]["t2"].__setitem__("rows", {}),
+             "decode.t2.rows must be a list, got {}"),
+            ((2, 1, 1), lambda d: d["local_inputs"].__setitem__("1", {"msg:0": "junk"}),
+             "local_inputs['1'] must be a list, got {'msg:0': 'junk'}"),
             ((2, 1, 1), lambda d: d["x1_routes"].__setitem__(0, {"0": 0, "4": 4}),
              "x1 route must be a list, got {'0': 0, '4': 4}"),
             # Read as no routes, these would meet h2 = 0.
@@ -682,10 +633,10 @@ class TestCmdVerify:
             ((2, 1, 0), lambda d: d.__setitem__("x2_routes", ""),
              "x2_routes must be a list, got ''"),
         ],
-        ids=["row-object", "row-string", "matrix-object", "route-object", "routes-object",
-             "routes-string"],
+        ids=["row-object", "row-string", "rows-object", "inputs-object", "route-object",
+             "routes-object", "routes-string"],
     )
-    def test_route_list_route_matrix_or_row_not_a_list_exits_one_naming_the_field(
+    def test_route_list_route_row_list_or_row_not_a_list_exits_one_naming_the_field(
         self, tmp_path, capsys, demand, mutate, named
     ):
         path = tmp_path / "plan.json"
@@ -693,7 +644,7 @@ class TestCmdVerify:
                  for flag in (name, str(rate))]
         assert main(["synthesize", FIG2, *rates, "--seed", "7", "-o", str(path)]) == 0
         doc = json.loads(path.read_text())
-        assert doc["decode"]["t1"]["matrix"][0] == ["0x01", "0x00"] and doc["x2_routes"] == (
+        assert doc["decode"]["t1"]["rows"][0] == [0] and doc["x2_routes"] == (
             [[3, 5]] if demand[2] else [])
         mutate(doc)
         path.write_text(json.dumps(doc))
@@ -702,6 +653,44 @@ class TestCmdVerify:
             assert main(["verify", FIG2, str(path), "--trials", trials]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err == f"error: {path}: {named}\n"
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda d: d["local_inputs"]["10"].reverse(),
+             "local inputs of edge 10 are not in increasing order without repeats"),
+            (lambda d: d["local_inputs"]["1"].append("msg:0"),
+             "local inputs of edge 1 are not in increasing order without repeats"),
+            (lambda d: d["decode"]["t1"]["rows"][1].append(2),
+             "decode row 1 of T1 names a position outside 0..1"),
+            (lambda d: d["decode"]["t2"]["rows"][1].insert(0, -1),
+             "decode row 1 of T2 names a position outside 0..1"),
+            (lambda d: d["decode"]["t1"]["rows"][1].reverse(),
+             "decode row 1 of T1 is not in increasing order without repeats"),
+            (lambda d: d["decode"]["t1"]["rows"][0].append(0),
+             "decode row 0 of T1 is not in increasing order without repeats"),
+            (lambda d: d["field"].__setitem__("modulus", "0x11D"),
+             "field has unknown key 'modulus'"),
+            (lambda d: d["field"].__setitem__("name", "GF(2^8)"), "field has unknown key 'name'"),
+            (lambda d: d["decode"]["t1"].__setitem__("matrix", [["0x01", "0x00"]]),
+             "decode.t1 has unknown key 'matrix'"),
+            (lambda d: d.__setitem__("version", 2), "unsupported plan version 2 (expected 3)"),
+        ],
+        ids=["inputs-order", "input-repeated", "position-past-h0", "position-negative",
+             "row-order", "position-repeated", "modulus", "name", "matrix", "version-2"],
+    )
+    def test_version_3_refusals_exit_one_naming_the_field(self, plan_file, capsys, mutate, named):
+        doc = json.loads(plan_file.read_text())
+        assert doc["local_inputs"]["10"] == ["edge:8", "edge:9"]
+        assert doc["decode"]["t1"]["rows"] == [[0], [0, 1]]
+        assert doc["decode"]["t2"]["rows"] == [[0, 1], [1]]
+        mutate(doc)
+        plan_file.write_text(json.dumps(doc))
+        for trials in ("0", "100"):
+            capsys.readouterr()
+            assert main(["verify", FIG2, str(plan_file), "--trials", trials]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.endswith(f"{named}\n")
 
     def test_coded_plan_with_zero_shared_rate_exits_one(self, plan_file, capsys):
         doc = json.loads(plan_file.read_text())
@@ -820,3 +809,9 @@ class TestCmdExportDot:
         target = tmp_path / "net.dot"
         assert main(["export-dot", FIG2, "-o", str(target)]) == 0
         assert target.read_text().startswith("digraph")
+
+    def test_unwritable_output_exits_one_with_an_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir" / "net.dot"
+        assert main(["export-dot", FIG2, "-o", str(missing)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {missing}: ")

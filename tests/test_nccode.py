@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from dualcast.planner import synthesize
 from conftest import random_feasible_instances
 from oracles import (
     decode_symbols,
+    evaluate_code,
+    gf2_rank,
     gf_mat_mul,
     gf_mul_reference,
     gf_rank,
@@ -31,12 +34,6 @@ from oracles import (
 )
 
 GF256 = get_field(8)
-
-
-def pack(xs, bits):
-    """Field elements side by side in bits-wide lanes, xs[0] in the lowest."""
-    return sum(x << bits * j for j, x in enumerate(xs))
-
 
 FIELDS = [(bits, DEFAULT_MODULI[bits]) for bits in range(1, 17)]
 
@@ -83,7 +80,7 @@ class TestFieldBasics:
 
     @pytest.mark.parametrize("bits", sorted(DEFAULT_MODULI))
     def test_default_moduli_are_primitive(self, bits):
-        # The log tables are the powers of x, so x must generate every nonzero element.
+        # x generates every nonzero element of each field.
         assert multiplicative_order_of_x(DEFAULT_MODULI[bits]) == (1 << bits) - 1
 
     @pytest.mark.parametrize("bits, modulus", FIELDS)
@@ -105,7 +102,7 @@ class TestFieldBasics:
             assert field.mul(a, b) == gf_mul_reference(a, b, bits, modulus)
 
     @pytest.mark.parametrize("bits, modulus", [f for f in FIELDS if f[0] > 12])
-    def test_inverse_in_large_tableless_field(self, bits, modulus):
+    def test_inverse_in_large_fields(self, bits, modulus):
         f = get_field(bits)
         rng = random.Random(3)
         samples = [1, 2, f.size - 1, f.size >> 1] + [rng.randrange(1, f.size) for _ in range(500)]
@@ -113,35 +110,6 @@ class TestFieldBasics:
             b = f.inv(a)
             assert 0 < b < f.size
             assert gf_mul_reference(a, b, bits, modulus) == 1
-
-    @pytest.mark.parametrize("bits, modulus", [(8, 0x11D), (13, 0x201B), (16, 0x1100B)])
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_mat_vec_matches_schoolbook_reference(self, bits, modulus, data):
-        f = get_field(bits)
-        n = data.draw(st.integers(0, 6))
-        element = st.integers(0, f.size - 1)
-        v = data.draw(st.lists(element, min_size=n, max_size=n))
-        a = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), max_size=6))
-        expected = []
-        for row in a:
-            acc = 0
-            for x, y in zip(row, v):
-                acc ^= gf_mul_reference(x, y, bits, modulus)
-            expected.append(acc)
-        assert f.mat_vec(a, v) == expected
-
-    @pytest.mark.parametrize("bits, modulus", FIELDS)
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_lane_product_matches_schoolbook_reference_in_every_lane(self, bits, modulus, data):
-        field = get_field(bits)
-        element = st.integers(0, field.size - 1)
-        c = data.draw(element)
-        xs = data.draw(st.lists(element, max_size=8))
-        want = [gf_mul_reference(c, x, bits, modulus) for x in xs]
-        assert want == [field.mul(c, x) for x in xs]
-        assert field.mul_lanes(c, pack(xs, bits)) == pack(want, bits)
 
     def test_one_field_object_per_field(self):
         for bits in sorted(DEFAULT_MODULI):
@@ -246,41 +214,45 @@ class TestBuildMulticastCode:
         for eid in code.inputs_t1:
             assert butterfly.edge(eid).head == "t1"
 
-    def test_each_coded_edge_combines_its_path_predecessors(self):
+    def test_each_coded_edge_xors_its_path_predecessors(self):
         code = butterfly_code_for()
-        inputs = {eid: set(keys) for eid, keys in code.local_coeffs.items()}
-        messages = {("msg", 0), ("msg", 1)}
-        assert inputs == {
-            0: messages,
-            1: messages,
-            2: {("edge", 0)},
-            3: {("edge", 1)},
-            4: {("edge", 0)},
-            5: {("edge", 1)},
-            6: {("edge", 4), ("edge", 5)},
-            7: {("edge", 6)},
-            8: {("edge", 6)},
+        # Edge 0 starts T1's path 0 and T2's path 1, so neither unit vector
+        # alone keeps both frontiers independent: it takes e0 + e1. Edge 6,
+        # where the paths meet, XORs both symbols before it.
+        assert code.local_inputs == {
+            0: (("msg", 0), ("msg", 1)),
+            1: (("msg", 0),),
+            2: (("edge", 0),),
+            3: (("edge", 1),),
+            4: (("edge", 0),),
+            5: (("edge", 1),),
+            6: (("edge", 4), ("edge", 5)),
+            7: (("edge", 6),),
+            8: (("edge", 6),),
         }
         assert code.support == (0, 1, 2, 3, 4, 5, 6, 7, 8)  # smallest ready id first
         assert (code.inputs_t1, code.inputs_t2) == ((2, 7), (3, 8))
-        # Edge 0 starts T1's path 0 and T2's path 1, so neither unit vector
-        # alone keeps both frontiers independent: it takes e0 + e1.
-        assert code.local_coeffs[0] == {("msg", 0): 1, ("msg", 1): 1}
+        # T1 receives e0 + e1 on edge 2 and e0 on edge 7: message 0 is the
+        # XOR of both, message 1 is edge 7's symbol.
+        assert (code.decode_t1, code.decode_t2) == (((0, 1), (1,)), ((0,), (1,)))
 
     def test_families_of_different_sizes_are_rejected(self):
         with pytest.raises(InputError, match="as many paths"):
             build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2[:1], field_bits=8)
 
-    def test_construction_is_deterministic_and_binary_in_every_field(self):
+    def test_construction_is_deterministic_and_the_same_in_every_field(self):
         assert butterfly_code_for() == butterfly_code_for()
         gf2 = butterfly_code_for(1)
         for bits in (1, 8, 16):
             code = butterfly_code_for(bits)
             assert code.field_bits == bits
-            assert code.local_coeffs == gf2.local_coeffs
+            assert code.local_inputs == gf2.local_inputs
             assert (code.decode_t1, code.decode_t2) == (gf2.decode_t1, gf2.decode_t2)
-            assert {c for keys in code.local_coeffs.values() for c in keys.values()} <= {0, 1}
-            assert {c for row in code.decode_t1 + code.decode_t2 for c in row} <= {0, 1}
+
+    @pytest.mark.parametrize("bits", [0, 17, -1])
+    def test_symbol_width_outside_1_to_16_is_refused(self, bits):
+        with pytest.raises(InputError, match=rf"field bits must be in 1\.\.16, got {bits}"):
+            butterfly_code_for(bits)
 
     @pytest.mark.parametrize(
         "paths_t1, paths_t2, named",
@@ -344,44 +316,39 @@ class TestApplyCode:
         with pytest.raises(InputError):
             apply_code(butterfly_code, [1, 2, 3])
 
-    @pytest.mark.parametrize("field_bits", [8, 16])
-    def test_packed_evaluation_matches_scalar_runs_lane_by_lane(self, field_bits):
-        # Synthesized codes are binary; random coefficients make every edge
-        # with a coefficient other than 0 and 1 go through mul_lanes.
+    @pytest.mark.parametrize("field_bits", [1, 8, 16])
+    def test_evaluation_matches_the_reference_and_unit_messages_give_every_vector(
+        self, field_bits
+    ):
         rng = random.Random(field_bits)
-        size = 1 << field_bits
         coded = 0
         for i, (net, d) in enumerate(random_feasible_instances(seed=31, count=80)):
             if not d.h0:
                 continue
             code = synthesize(net, d, seed=i, field_bits=field_bits).multicast
-            local = {
-                eid: {key: rng.choice((0, 1, rng.randrange(size))) for key in keys}
-                for eid, keys in code.local_coeffs.items()
-            }
-            code = dataclasses.replace(code, local_coeffs=local)
-            coded += any(c > 1 for keys in local.values() for c in keys.values())
-            tuples = [[rng.randrange(size) for _ in range(d.h0)] for _ in range(rng.randint(1, 8))]
-            tuples += [[int(i == j) for i in range(d.h0)] for j in range(d.h0)]
-            scalar = [apply_code(code, x0) for x0 in tuples]
-            packed = apply_code(code, [pack(col, field_bits) for col in zip(*tuples)])
-            assert packed.keys() == set(code.support)
-            for eid, v in packed.items():
-                assert v == pack([symbols[eid] for symbols in scalar], field_bits)
+            for _ in range(3):
+                x0 = [rng.randrange(2**field_bits) for _ in range(d.h0)]
+                assert apply_code(code, x0) == evaluate_code(code, x0)
+            # On the unit messages 1 << j, bit j of each symbol is its value under e_j.
+            units = apply_code(code, [1 << j for j in range(d.h0)])
             vectors = coding_vectors(code)
-            for j, symbols in enumerate(scalar[-d.h0 :]):
-                assert all(vectors[eid][j] == symbols[eid] for eid in code.support)
+            for j in range(d.h0):
+                column = evaluate_code(code, [int(i == j) for i in range(d.h0)])
+                for eid in code.support:
+                    assert units[eid] >> j & 1 == vectors[eid][j] == column[eid]
+            coded += 1
         assert coded >= 20
 
-    def test_decode_matrices_invert_the_transfer_matrices(self, butterfly_code):
+    def test_decode_rows_invert_the_transfer_matrices(self, butterfly_code):
         code = butterfly_code
-        f = code.field
+        h0 = code.h0
         vectors = coding_vectors(code)
-        for inputs, matrix in (
+        for inputs, rows in (
             (code.inputs_t1, code.decode_t1),
             (code.inputs_t2, code.decode_t2),
         ):
             transfer = [vectors[eid] for eid in inputs]
-            assert gf_rank(f, transfer) == code.h0
-            prod = gf_mat_mul(f, [list(r) for r in matrix], transfer)
-            assert prod == [[int(i == j) for j in range(code.h0)] for i in range(code.h0)]
+            assert gf2_rank(transfer) == h0
+            prod = [[reduce(xor, (transfer[k][j] for k in row), 0) for j in range(h0)]
+                    for row in rows]
+            assert prod == [[int(i == j) for j in range(h0)] for i in range(h0)]

@@ -242,16 +242,13 @@ class TestVerifyPlan:
         report = verify_plan(fig2, plan, trials=100)
         assert report.passed and report.trials == 100
 
-    def test_corrupted_coefficient_is_detected(self, fig2):
+    def test_dropped_local_input_is_detected(self, fig2):
         plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
         code = plan.multicast
-        # Flip one local coefficient on a decode-critical edge.
+        # Drop one local input of a decode-critical edge.
         victim = code.inputs_t1[0]
-        coeffs = dict(code.local_coeffs[victim])
-        key = next(iter(coeffs))
-        coeffs[key] ^= 1
         broken_code = dataclasses.replace(
-            code, local_coeffs={**code.local_coeffs, victim: coeffs}
+            code, local_inputs={**code.local_inputs, victim: code.local_inputs[victim][1:]}
         )
         broken = dataclasses.replace(plan, multicast=broken_code)
         report = verify_plan(fig2, broken, trials=20)
@@ -274,58 +271,34 @@ class TestVerifyPlan:
         assert report.passed and report.trials == 0
 
 
-def _rescaled(plan, rng):
-    """The plan with each coded edge's symbol scaled by its own drawn c > 1.
-
-    An edge's local coefficients are multiplied by c, and every use of its
-    symbol, a later edge's coefficient or a decode-matrix column, by 1/c, so
-    the plan still delivers, with coefficients that are not 0 or 1.
-    """
-    code = plan.multicast
-    f = code.field
-    local = {eid: dict(keys) for eid, keys in code.local_coeffs.items()}
-    decode = {
-        name: [list(row) for row in getattr(code, name)] for name in ("decode_t1", "decode_t2")
-    }
-    for eid in code.support:
-        c = rng.randrange(2, f.size)
-        local[eid] = {key: f.mul(c, v) for key, v in local[eid].items()}
-        for keys in local.values():
-            if ("edge", eid) in keys:
-                keys[("edge", eid)] = f.mul(f.inv(c), keys[("edge", eid)])
-        for name, inputs in (("decode_t1", code.inputs_t1), ("decode_t2", code.inputs_t2)):
-            for k in (k for k, e in enumerate(inputs) if e == eid):
-                for row in decode[name]:
-                    row[k] = f.mul(f.inv(c), row[k])
-    scaled = dataclasses.replace(
-        code, local_coeffs=local, **{name: tuple(map(tuple, m)) for name, m in decode.items()}
-    )
-    return dataclasses.replace(plan, multicast=scaled)
+def _toggled(items, item):
+    """items, sorted, with item added if absent and removed if present."""
+    return tuple(sorted(set(items) ^ {item}))
 
 
 def _tampered_plans(net, plan, rng):
-    """The plan, then one copy each with a wrong local coefficient,
-    decode-matrix entry and decode input list, at sites and in-field values
-    drawn from rng."""
+    """The plan, then one copy each with a local input toggled, a decode
+    position toggled and a decode input list changed, at sites drawn from
+    rng. Each copy still passes check_plan."""
     code = plan.multicast
     if not code.h0:
         return [plan]
-    size = code.field.size
-
-    def flip(c):
-        return c ^ rng.randrange(1, size)
 
     eid = rng.choice(code.support)
-    coeffs = dict(code.local_coeffs[eid])
-    key = rng.choice(sorted(coeffs))
-    coeffs[key] = flip(coeffs[key])
-    local = {"local_coeffs": {**code.local_coeffs, eid: coeffs}}
+    tail = net.edge(eid).tail
+    if tail == net.source:
+        candidates = [("msg", j) for j in range(code.h0)]
+    else:
+        before = code.support[: code.support.index(eid)]
+        candidates = [("edge", e) for e in before if net.edge(e).head == tail]
+    toggled = _toggled(code.local_inputs[eid], rng.choice(candidates))
+    local = {"local_inputs": {**code.local_inputs, eid: toggled}}
 
     name = rng.choice(("decode_t1", "decode_t2"))
-    matrix = [list(row) for row in getattr(code, name)]
-    i, j = rng.randrange(code.h0), rng.randrange(code.h0)
-    matrix[i][j] = flip(matrix[i][j])
-    decode = {name: tuple(map(tuple, matrix))}
+    rows = list(getattr(code, name))
+    i = rng.randrange(code.h0)
+    rows[i] = _toggled(rows[i], rng.randrange(code.h0))
+    decode = {name: tuple(rows)}
 
     name, terminal = rng.choice((("inputs_t1", 0), ("inputs_t2", 1)))
     entering = [e for e in code.support if net.edge(e).head == net.terminals[terminal]]
@@ -371,23 +344,6 @@ class TestVerifyMatchesSimulation:
                     seen.add(want[0] if want[0] != "failures" else bool(want[1]))
         assert seen == {False, True, PlanMismatchError}
 
-    @pytest.mark.parametrize("field_bits", [8, 16])
-    def test_rescaled_non_binary_plans_verify_like_the_simulation(self, field_bits):
-        rng = random.Random(field_bits)
-        checked = 0
-        for i, (net, d) in enumerate(random_feasible_instances(seed=5, count=80)):
-            if not d.h0:
-                continue
-            plan = _rescaled(synthesize(net, d, seed=i, field_bits=field_bits), rng)
-            assert any(c > 1 for row in plan.multicast.decode_t1 for c in row)
-            for candidate in _tampered_plans(net, plan, rng):
-                for trials in (0, 3):
-                    want = self._outcome(verify_by_simulation, net, candidate, trials)
-                    assert self._outcome(verify_plan, net, candidate, trials) == want
-            assert verify_plan(net, plan, trials=3, seed=i).passed
-            checked += 1
-        assert checked >= 20
-
     def test_code_is_evaluated_once_whatever_the_trial_count(self, fig2, monkeypatch):
         calls = []
         real = planner.apply_code
@@ -408,13 +364,28 @@ class TestVerifyMatchesSimulation:
                 else:
                     with pytest.raises(PlanMismatchError):
                         verify_plan(fig2, candidate, trials=trials)
-                assert len(calls) == 1  # on the unit messages packed into lanes
+                assert len(calls) == 1  # on the unit messages 1 << j
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_one_proof_covers_every_symbol_width(fig2, bits):
+    # The XORs do not depend on the width m: the plan verifies in each, and a
+    # tampered copy fails the trials of m-bit symbols as the simulation does.
+    d = Demand(2, 1, 1)
+    plan = synthesize(fig2, d, seed=7, field_bits=bits)
+    assert dataclasses.replace(plan.multicast, field_bits=8) == synthesize(fig2, d, seed=7).multicast
+    assert verify_plan(fig2, plan, trials=20, seed=bits).passed
+    broken = _tampered_plans(fig2, plan, random.Random(0))[1]
+    report = verify_plan(fig2, broken, trials=20, seed=bits)
+    want = verify_by_simulation(fig2, broken, 20, bits)
+    assert want and tuple((f.trial, f.terminal, f.detail) for f in report.failures) == want
 
 
 NO_EDGE = 10**6  # an edge id no test network has
 
 # Each fault _faulted_plans plants, with the error it names when it is the
 # plan's first fault.
+UNORDERED = "not in increasing order without repeats"
 PLAN_FAULTS = {
     "route count": (PlanMismatchError, r"x[12] route count != demand"),
     "empty route": (PlanMismatchError, r"empty path"),
@@ -428,36 +399,35 @@ PLAN_FAULTS = {
     "support on a route": (PlanMismatchError, r"coded support overlaps a route"),
     "code rate": (PlanMismatchError, r"code rate != demand"),
     "support edge twice": (PlanMismatchError, r"coded edge \d+ is listed twice in the support"),
-    "no local coefficients": (PlanMismatchError, r"coded edge \d+ has no local coefficients"),
+    "no local inputs": (PlanMismatchError, r"coded edge \d+ has no local inputs"),
     "message off the source": (PlanMismatchError, r"bad message input on edge \d+"),
     "message index >= h0": (PlanMismatchError, r"bad message input on edge \d+"),
     "feeder not before": (PlanMismatchError, r"bad edge input \d+ on edge \d+"),
     "unknown input kind": (PlanMismatchError, r"unknown input kind 'wire'"),
-    "coefficient off the field": (
+    "local inputs out of order": (PlanMismatchError, rf"local inputs of edge \d+ are {UNORDERED}"),
+    "local input repeated": (PlanMismatchError, rf"local inputs of edge \d+ are {UNORDERED}"),
+    "extra local_inputs": (
         PlanMismatchError,
-        r"local coefficient -?0x[0-9a-f]+ on edge \d+ is not in GF\(2\^\d+\)",
-    ),
-    "extra local_coeffs": (
-        PlanMismatchError,
-        rf"support and local_coeffs disagree on edge {NO_EDGE}",
+        rf"support and local_inputs disagree on edge {NO_EDGE}",
     ),
     "decode input count": (PlanMismatchError, r"decode input count != rate"),
     "decode input elsewhere": (PlanMismatchError, r"decode input \d+ does not enter '.*'"),
-    "decode shape": (PlanMismatchError, r"decode matrix has wrong shape"),
-    "decode entry off the field": (
+    "decode row count": (PlanMismatchError, r"decode row count != rate"),
+    "decode row out of order": (PlanMismatchError, rf"decode row \d+ of T[12] is {UNORDERED}"),
+    "decode position repeated": (PlanMismatchError, rf"decode row \d+ of T[12] is {UNORDERED}"),
+    "decode position out of range": (
         PlanMismatchError,
-        r"decode matrix of T[12] has an entry not in GF\(2\^\d+\)",
+        r"decode row \d+ of T[12] names a position outside 0\.\.\d+",
     ),
-    "field bits": (InputError, r"field bits must be in 1\.\.16, got -?\d+"),
 }
 
 
 def _faulted_plans(net, plan, rng):
     """(fault, plan) pairs: the plan with one fault of PLAN_FAULTS planted in
-    each, at a site drawn from rng. A fault that needs more routes or coded
-    edges than the plan has is left out."""
+    each, at a site drawn from rng. A fault that needs more routes, coded
+    edges, inputs or positions than the plan has is left out."""
     code = plan.multicast
-    h0, size = code.h0, code.field.size
+    h0 = code.h0
     out = []
 
     def recode(fault, **change):
@@ -495,43 +465,56 @@ def _faulted_plans(net, plan, rng):
         recode("support on a route", support=code.support + (rng.choice(edges),))
     recode("unknown coded edge", support=code.support + (NO_EDGE,))
     recode("code rate", h0=h0 + 1)
-    recode("extra local_coeffs", local_coeffs={**code.local_coeffs, NO_EDGE: {}})
+    recode("extra local_inputs", local_inputs={**code.local_inputs, NO_EDGE: ()})
     name = rng.choice(("inputs_t1", "inputs_t2"))
     recode("decode input count", **{name: getattr(code, name) + (NO_EDGE,)})
     name = rng.choice(("decode_t1", "decode_t2"))
-    matrix = [list(row) for row in getattr(code, name)] or [[]]
-    matrix[rng.randrange(len(matrix))][h0:] = [0]  # one entry too many
-    recode("decode shape", **{name: tuple(map(tuple, matrix))})
-    recode("field bits", field_bits=rng.choice((0, 17)))
+    recode("decode row count", **{name: getattr(code, name) + ((),)})
     if not h0:
         return out
     eid = rng.choice(code.support)
 
-    def with_input(fault, key, c=1, at=eid):
-        recode(fault, local_coeffs={**code.local_coeffs, at: {**code.local_coeffs[at], key: c}})
+    def with_inputs(fault, inputs, at=eid):
+        recode(fault, local_inputs={**code.local_inputs, at: inputs})
+
+    def with_input(fault, key, at=eid):
+        with_inputs(fault, tuple(sorted({*code.local_inputs[at], key})), at)
 
     recode("support edge twice", support=code.support + (eid,))
     recode(
-        "no local coefficients",
-        local_coeffs={e: keys for e, keys in code.local_coeffs.items() if e != eid},
+        "no local inputs",
+        local_inputs={e: keys for e, keys in code.local_inputs.items() if e != eid},
     )
-    key = rng.choice(sorted(code.local_coeffs[eid]))
-    with_input("coefficient off the field", key, rng.choice((size, -1)))
     with_input("unknown input kind", ("wire", 0))
     with_input("feeder not before", ("edge", eid))
-    if any(kind == "edge" for keys in code.local_coeffs.values() for kind, _ in keys):
+    if any(kind == "edge" for keys in code.local_inputs.values() for kind, _ in keys):
         recode("feeder not before", support=code.support[::-1])
     off_source = [e for e in code.support if net.edge(e).tail != net.source]
     if off_source:
         with_input("message off the source", ("msg", 0), at=rng.choice(off_source))
     on_source = [e for e in code.support if net.edge(e).tail == net.source]
     with_input("message index >= h0", ("msg", h0 + rng.randrange(2)), at=rng.choice(on_source))
+    inputs = code.local_inputs[eid]
+    with_inputs("local input repeated", inputs + inputs[-1:])
+    merging = [e for e in code.support if len(code.local_inputs[e]) > 1]
+    if merging:
+        at = rng.choice(merging)
+        with_inputs("local inputs out of order", code.local_inputs[at][::-1], at)
     name, other = rng.choice((("inputs_t1", "inputs_t2"), ("inputs_t2", "inputs_t1")))
     recode("decode input elsewhere", **{name: getattr(code, other)})
     name = rng.choice(("decode_t1", "decode_t2"))
-    matrix = [list(row) for row in getattr(code, name)]
-    matrix[rng.randrange(h0)][rng.randrange(h0)] = rng.choice((size, -1))
-    recode("decode entry off the field", **{name: tuple(map(tuple, matrix))})
+    rows = getattr(code, name)
+
+    def with_row(fault, i, row):
+        recode(fault, **{name: rows[:i] + (row,) + rows[i + 1 :]})
+
+    i = rng.randrange(h0)
+    with_row("decode position repeated", i, rows[i] + rows[i][-1:])
+    with_row("decode position out of range", i, rng.choice(((-1,) + rows[i], rows[i] + (h0,))))
+    long_rows = [i for i, row in enumerate(rows) if len(row) > 1]
+    if long_rows:
+        i = rng.choice(long_rows)
+        with_row("decode row out of order", i, rows[i][::-1])
     return out
 
 
