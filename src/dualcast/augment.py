@@ -1,9 +1,11 @@
 """Virtual-terminal augmentation of a network for a demand.
 
 For demand (h0, h1, h2) the network is extended with virtual terminals T1', T2'
-(where each terminal's data is notionally decoded) and collector nodes Y1, Y2.
+(where each terminal's data is notionally decoded) and the collector node Y1.
 Bundle sizes encode the per-terminal rates, so min-cuts to the virtual nodes
-measure exactly the capacity available for each demand split.
+measure exactly the capacity available for each demand split. The paper's
+second collector, fed from T1' and T2', is not built: the second recoloring
+pass starts from the first pass's paths to T2' and runs no flow into it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .netgraph import Demand, EdgeId, Network, NodeId, add_virtual
 T1P = "__T1P"
 T2P = "__T2P"
 Y1 = "__Y1"
-Y2 = "__Y2"
 
 RESERVED_PREFIX = "__"
 
@@ -28,16 +29,15 @@ class AugmentedNetwork:
     t1p: NodeId
     t2p: NodeId
     y1: NodeId
-    y2: NodeId
     virtual_edge_ids: frozenset[EdgeId]
 
 
 def build_augmented(net: Network, d: Demand) -> AugmentedNetwork:
-    """Extend net with T1', T2', Y1, Y2 and the six rate-sized virtual bundles.
+    """Extend net with T1', T2', Y1 and the four rate-sized virtual bundles.
 
     Bundle multiplicities (as unit edges): T1->T1' and T1'->Y1 carry h0+h1,
-    T1'->Y2 carries h1, T2->T2' and T2'->Y2 carry h0+h2, T2'->Y1 carries h2.
-    Both collectors end up with in-degree h0+h1+h2.
+    T2->T2' carries h0+h2, T2'->Y1 carries h2. The collector ends up with
+    in-degree h0+h1+h2.
     """
     for label in net.nodes:
         if label.startswith(RESERVED_PREFIX):
@@ -46,19 +46,16 @@ def build_augmented(net: Network, d: Demand) -> AugmentedNetwork:
     bundles = [
         (t1, T1P, d.h0 + d.h1),
         (T1P, Y1, d.h0 + d.h1),
-        (T1P, Y2, d.h1),
         (t2, T2P, d.h0 + d.h2),
         (T2P, Y1, d.h2),
-        (T2P, Y2, d.h0 + d.h2),
     ]
     unit_edges = [(tail, head) for tail, head, count in bundles for _ in range(count)]
-    extended, new_ids = add_virtual(net, [T1P, T2P, Y1, Y2], unit_edges)
+    extended, new_ids = add_virtual(net, [T1P, T2P, Y1], unit_edges)
     return AugmentedNetwork(
         base=net,
         net=extended,
         t1p=T1P,
         t2p=T2P,
         y1=Y1,
-        y2=Y2,
         virtual_edge_ids=frozenset(new_ids),
     )

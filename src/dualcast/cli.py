@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, NoReturn
+from typing import Any, Collection, Iterable, NoReturn
 
 from .augment import RESERVED_PREFIX, build_augmented
 from .errors import (
@@ -103,7 +103,7 @@ def _raise_edge_error(entry: Any, i: int, node_set: set[str], origin: str) -> No
     """Raise the error for edge #i, an entry network_from_dict did not accept."""
     if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
         raise InputError(f"{origin}: edge #{i} needs 'from' and 'to'")
-    _known_keys(entry, ("from", "to", "cap"), f"{origin}: edge #{i}")
+    _known_keys(entry, _EDGE_KEYS, f"{origin}: edge #{i}")
     for label in (entry["from"], entry["to"]):
         if not isinstance(label, str) or label not in node_set:
             raise InputError(f"{origin}: edge #{i} references unknown node {label!r}")
@@ -177,7 +177,7 @@ def _json_list(value: Any, what: str) -> list:
     return value
 
 
-def _known_keys(value: Any, keys: tuple[str, ...], what: str) -> dict:
+def _known_keys(value: Any, keys: Collection[str], what: str) -> dict:
     """value as an object with no key outside keys; a missing key fails on lookup."""
     obj = _json_object(value, what)
     for key in obj:

@@ -55,8 +55,10 @@ DEFAULT_MODULI: dict[int, int] = {
 MAX_FIELD_BITS = 16
 
 
-def _check_field_bits(bits: int) -> None:
-    """Refuse a symbol width outside 1..MAX_FIELD_BITS."""
+def check_field_bits(bits: int) -> None:
+    """Refuse a symbol width that is not an int (a bool is not) in 1..MAX_FIELD_BITS."""
+    if not isinstance(bits, int) or isinstance(bits, bool):
+        raise InputError(f"field bits must be an integer, got {bits!r}")
     if not 1 <= bits <= MAX_FIELD_BITS:
         raise InputError(f"field bits must be in 1..{MAX_FIELD_BITS}, got {bits}")
 
@@ -72,7 +74,7 @@ class GF:
     """
 
     def __init__(self, bits: int):
-        _check_field_bits(bits)
+        check_field_bits(bits)
         self.bits = bits
         self.modulus = DEFAULT_MODULI[bits]
         self.size = 1 << bits
@@ -150,7 +152,7 @@ class MulticastCode:
     decode_t2: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_field_bits(self.field_bits)
+        check_field_bits(self.field_bits)
 
 
 def _evaluation_order(feeders: dict[EdgeId, set[EdgeId]]) -> list[EdgeId]:

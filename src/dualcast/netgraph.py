@@ -80,10 +80,11 @@ class Network:
     the residual adjacency every flow runs on, and the three terminal
     min-cuts. dataclasses.replace builds a new Network that derives its own;
     a network extended by add_virtual inherits its base's edge index and
-    residual adjacency, and derives only its own cuts. Construction checks
-    the edges with set and element-wise comparisons over their transposed
-    fields, and only on a failure walks them in order to name the first
-    offending edge.
+    residual adjacency, and derives only its own cuts. Construction refuses
+    fields that are not tuples, so a caller cannot change a network under
+    its cached values. It checks the edges with set and element-wise
+    comparisons over their transposed fields, and only on a failure walks
+    them in order to name the first offending edge.
     """
 
     nodes: tuple[NodeId, ...]
@@ -92,6 +93,12 @@ class Network:
     terminals: tuple[NodeId, NodeId]
 
     def __post_init__(self) -> None:
+        for name in ("nodes", "edges", "terminals"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                raise InputError(f"{name} must be a tuple, got {type(value).__name__}")
+        if len(self.terminals) != 2:
+            raise InputError(f"terminals must be a pair, got {len(self.terminals)} labels")
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise InputError("duplicate node labels")

@@ -34,7 +34,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .flow import EdgePath, check_path
-from .nccode import MulticastCode, apply_code, build_multicast_code
+from .nccode import MulticastCode, apply_code, build_multicast_code, check_field_bits
 from .netgraph import Demand, EdgeId, Network, NodeId
 # Unused here; perfbench/tracer.py wraps planner.remove_edges.
 from .netgraph import remove_edges  # noqa: F401
@@ -133,6 +133,10 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     On a cyclic network pass 2's paths to T1 and to T2 can share edges in
     opposite orders; the feasible demand is then refused (CyclicSupportError).
 
+    A seed or field_bits that is not an int (a bool is not one), or field_bits
+    outside 1..16, raises InputError before anything is built: the plan file
+    records both, and its loader reads back only ints.
+
     Because the augmentation comes first, a network built directly (not by
     the CLI loader, which rejects such labels) with a node label starting
     with '__' raises InputError from build_augmented, even when the demand
@@ -145,6 +149,9 @@ def synthesize_with_diagnostics(
     net: Network, d: Demand, seed: int, *, field_bits: int = 8
 ) -> tuple[TransferPlan, SymmetricPassResult]:
     """synthesize, but also return the recoloring pass results for auditing."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    check_field_bits(field_bits)
     check_demand_size(net, d)
     aug = build_augmented(net, d)
     try:

@@ -1,15 +1,16 @@
 """Path recoloring: carve interference-free routes out of overlapping path sets.
 
 Two families of edge-disjoint paths share a graph: green paths from the source
-to a collector node, red paths from the source to the protected virtual
-terminal. An edge is green (red) iff some current green (red) path uses it.
-One rewrite step picks a green path whose first doubly-colored edge is not at
-its start and reroutes the red path through that edge onto the green path's
-prefix. At the fixpoint every green path is either entirely green or starts
-on a doubly-colored edge; the entirely-green ones are interference-free routes.
-Steps are always taken on the first violating green path in index order,
-but after a step only the green paths it can have changed are checked
-again: those crossing the red edges the step gave up.
+to the collector Y1 (pass 1) or to T2' (pass 2), red paths from the source to
+the protected virtual terminal. An edge is green (red) iff some current green
+(red) path uses it. One rewrite step picks a green path whose first
+doubly-colored edge is not at its start and reroutes the red path through
+that edge onto the green path's prefix. At the fixpoint every green path is
+either entirely green or starts on a doubly-colored edge; the entirely-green
+ones are interference-free routes. Steps are always taken on the first
+violating green path in index order, but after a step only the green paths
+it can have changed are checked again: those crossing the red edges the step
+gave up.
 """
 
 from __future__ import annotations
@@ -283,31 +284,26 @@ def single_pass(aug: AugmentedNetwork, d: Demand) -> PassResult:
 def second_pass(pass1: PassResult, d: Demand) -> PassResult:
     """Pass 2, started from pass 1's final coloring on the same augmented graph.
 
-    Green: pass 1's h0+h2 final red paths to T2', the i-th extended by the
-    i-th T2'->Y2 edge in ascending id (the bundle has exactly h0+h2). Red:
-    pass 1's h0 non-route green paths entering Y1 from T1', cut at T1'. The
-    routes are green and carry no red, so no path here uses an x1 route
-    edge, and recoloring only hands red paths prefixes of these greens.
-    A count other than h0+h2 or h0 means pass 1 broke its guarantees.
+    Green: pass 1's h0+h2 final red paths to T2', unchanged. Red: pass 1's
+    h0 non-route green paths entering Y1 from T1', cut at T1'. The routes
+    are green and carry no red, so no path here uses an x1 route edge, and
+    recoloring only hands red paths prefixes of these greens. A count other
+    than h0+h2 or h0 means pass 1 broke its guarantees.
     """
     aug = pass1.aug
     net = aug.net
-    into_y2 = sorted(
-        eid for eid in aug.virtual_edge_ids if net.edge(eid)[1:] == (aug.t2p, aug.y2)
-    )
     routed = {p.edges[0] for p in pass1.routes}
     reds = tuple(
         EdgePath(p.edges[:-1])
         for p in pass1.state.green_paths
         if p.edges[0] not in routed and net.edge(p.edges[-1]).tail == aug.t1p
     )
-    old_reds = pass1.state.red_paths
-    if len(reds) != d.h0 or len(old_reds) != len(into_y2):
+    greens = pass1.state.red_paths
+    if len(reds) != d.h0 or len(greens) != d.h0 + d.h2:
         raise TheoremViolationError(
             f"pass 1 left {len(reds)} non-route paths through {aug.t1p!r} and "
-            f"{len(old_reds)} red paths, expected {d.h0} and {len(into_y2)}"
+            f"{len(greens)} red paths, expected {d.h0} and {d.h0 + d.h2}"
         )
-    greens = tuple(EdgePath(p.edges + (eid,)) for p, eid in zip(old_reds, into_y2))
     initial = ColoringState(net=net, green_paths=greens, red_paths=reds)
     state, trace = run_to_fixpoint(initial)
     routes = tuple(extract_exclusive_green(state, gate=aug.t2p, count=d.h2))
@@ -319,8 +315,8 @@ def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:
 
     Pass 1 extracts the h1 routes toward T1 from fresh flows to Y1 and T2'.
     Pass 2 mirrors the roles, starting from pass 1's final coloring
-    (second_pass): its green paths to Y2 all end T2'->Y2, and its red paths
-    to T1' avoid the x1 routes. The fixpoint leaves at most h0 green paths
+    (second_pass): its green paths are pass 1's red paths to T2', and its red
+    paths to T1' avoid the x1 routes. The fixpoint leaves at most h0 green paths
     starting on a red edge, one per red path's source out-edge, so at least
     h2 are exclusively green; recoloring never changes a green path, so each
     passes the gate T2'. Both passes share one augmentation and two flows.

@@ -25,7 +25,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import xor
 
 from typing import Any
@@ -40,7 +39,7 @@ from dualcast.errors import (
 )
 from dualcast.flow import EdgePath, FlowResult, check_path, max_flow
 from dualcast.nccode import MulticastCode
-from dualcast.netgraph import Demand, EdgeId, Network, NodeId
+from dualcast.netgraph import Demand, EdgeId, Network, NodeId, add_virtual
 from dualcast.planner import TransferPlan, check_feasibility
 from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
 
@@ -219,16 +218,6 @@ def edge_disjoint(paths) -> bool:
                 return False
             seen.add(eid)
     return True
-
-
-def max_disjoint_path_count(net: Network, src: NodeId, sink: NodeId) -> int:
-    """Largest edge-disjoint subset of simple paths, by brute force over subsets."""
-    paths = all_simple_paths(net, src, sink)
-    for size in range(len(paths), 0, -1):
-        for combo in combinations(paths, size):
-            if edge_disjoint(combo):
-                return size
-    return 0
 
 
 def decompose_paths_reference(
@@ -705,19 +694,32 @@ class LemmaReport:
         return self.applicable and not self.failed
 
 
+Y2 = "__Y2"
+
+
+def with_second_collector(aug: AugmentedNetwork, d: Demand) -> Network:
+    """aug.net plus the paper's second collector Y2, which the package does not build.
+
+    Y2 takes h1 edges from T1' and h0+h2 from T2', so its in-degree is
+    h0+h1+h2, as Y1's is.
+    """
+    bundles = [(aug.t1p, Y2)] * d.h1 + [(aug.t2p, Y2)] * (d.h0 + d.h2)
+    return add_virtual(aug.net, [Y2], bundles)[0]
+
+
 def check_lemma(aug: AugmentedNetwork, d: Demand) -> LemmaReport:
     """Compute the five virtual min-cuts and flag deviations from their identities.
 
     Expected: cut to T1' equals h0+h1, to T2' equals h0+h2, to each collector
-    equals h0+h1+h2, and the joint cut to both virtual terminals is at least
-    h0+h1+h2.
+    (Y1, and Y2 from with_second_collector) equals h0+h1+h2, and the joint
+    cut to both virtual terminals is at least h0+h1+h2.
     """
     s = aug.net.source
     cut_t1p = min_cut_value(aug.net, s, {aug.t1p})
     cut_t2p = min_cut_value(aug.net, s, {aug.t2p})
     cut_pair = min_cut_value(aug.net, s, {aug.t1p, aug.t2p})
     cut_y1 = min_cut_value(aug.net, s, {aug.y1})
-    cut_y2 = min_cut_value(aug.net, s, {aug.y2})
+    cut_y2 = min_cut_value(with_second_collector(aug, d), s, {Y2})
 
     applicable = check_feasibility(aug.base, d).feasible
     failed: list[str] = []

@@ -9,7 +9,9 @@ from dualcast.errors import InputError
 from dualcast.netgraph import Demand, Edge, Network
 
 from conftest import mknet, parallel_net
-from oracles import check_lemma, in_edges, mincut_enumerate, out_edges
+from oracles import (
+    Y2, check_lemma, in_edges, mincut_enumerate, out_edges, with_second_collector,
+)
 from strategies import dag_networks, demands, feasible_instances
 
 
@@ -20,28 +22,34 @@ def bundle_count(aug, tail, head):
 class TestBuildAugmented:
     def test_fig2_demand_211_bundle_sizes(self, fig2):
         aug = build_augmented(fig2, Demand(2, 1, 1))
+        t1, t2 = fig2.terminals
+        assert bundle_count(aug, t1, aug.t1p) == 3
+        assert bundle_count(aug, aug.t1p, aug.y1) == 3
+        assert bundle_count(aug, t2, aug.t2p) == 3
+        assert bundle_count(aug, aug.t2p, aug.y1) == 1
         assert len(in_edges(aug.net, aug.y1)) == 4
-        assert len(in_edges(aug.net, aug.y2)) == 4
         assert len(in_edges(aug.net, aug.t1p)) == 3
         assert len(in_edges(aug.net, aug.t2p)) == 3
-        assert bundle_count(aug, aug.t2p, aug.y1) == 1
-        assert bundle_count(aug, aug.t1p, aug.y2) == 1
+
+    def test_no_second_collector(self, fig2):
+        aug = build_augmented(fig2, Demand(2, 1, 1))
+        assert not hasattr(aug, "y2")
+        assert aug.net.nodes[len(fig2.nodes):] == (aug.t1p, aug.t2p, aug.y1)
 
     def test_zero_demand_leaves_collectors_isolated(self, fig2):
         aug = build_augmented(fig2, Demand(0, 0, 0))
         assert not aug.virtual_edge_ids
-        for v in (aug.t1p, aug.t2p, aug.y1, aug.y2):
+        for v in (aug.t1p, aug.t2p, aug.y1):
             assert in_edges(aug.net, v) == [] and out_edges(aug.net, v) == []
 
     def test_demand_102_asymmetric_bundles(self, fig2):
         aug = build_augmented(fig2, Demand(1, 0, 2))
-        assert bundle_count(aug, aug.t1p, aug.y2) == 0
+        assert bundle_count(aug, aug.t1p, aug.y1) == 1
         assert bundle_count(aug, aug.t2p, aug.y1) == 2
 
-    def test_collectors_have_no_out_edges(self, fig2):
+    def test_collector_has_no_out_edges(self, fig2):
         aug = build_augmented(fig2, Demand(2, 1, 1))
         assert out_edges(aug.net, aug.y1) == []
-        assert out_edges(aug.net, aug.y2) == []
 
     def test_original_graph_is_untouched(self, fig2):
         aug = build_augmented(fig2, Demand(2, 1, 1))
@@ -62,8 +70,8 @@ class TestBuildAugmented:
     @settings(max_examples=40, deadline=None)
     def test_node_and_edge_deltas(self, fig2, d):
         aug = build_augmented(fig2, d)
-        assert len(aug.net.nodes) - len(fig2.nodes) == 4
-        expected = 2 * (d.h0 + d.h1) + d.h1 + 2 * (d.h0 + d.h2) + d.h2
+        assert len(aug.net.nodes) - len(fig2.nodes) == 3
+        expected = 3 * d.h0 + 2 * d.h1 + 2 * d.h2
         assert len(aug.net.edges) - len(fig2.edges) == expected
         assert len(aug.virtual_edge_ids) == expected
 
@@ -82,7 +90,7 @@ class TestCheckLemma:
         assert report.cut_t2p == mincut_enumerate(aug.net, "1", {aug.t2p})
         assert report.cut_pair == mincut_enumerate(aug.net, "1", {aug.t1p, aug.t2p})
         assert report.cut_y1 == mincut_enumerate(aug.net, "1", {aug.y1})
-        assert report.cut_y2 == mincut_enumerate(aug.net, "1", {aug.y2})
+        assert report.cut_y2 == mincut_enumerate(with_second_collector(aug, d), "1", {Y2})
 
     def test_zero_demand_trivially_satisfied(self, fig2):
         report = check_lemma(build_augmented(fig2, Demand(0, 0, 0)), Demand(0, 0, 0))

@@ -729,9 +729,11 @@ class TestCmdExportDot:
         assert main(["export-dot", FIG2, "--augmented",
                      "--h0", "1", "--h1", "1", "--h2", "1"]) == 0
         out = capsys.readouterr().out
-        for label in ("__T1P", "__T2P", "__Y1", "__Y2"):
+        for label in ("__T1P", "__T2P", "__Y1"):
             assert label in out
-        assert out.count("style=dashed") >= 8  # 4 node decls + virtual edges
+        assert "__Y2" not in out
+        # 3 node declarations and 2 + 2 + 2 + 1 virtual edges for demand (1, 1, 1).
+        assert out.count("style=dashed") == 10
 
     def test_augmented_view_refuses_a_demand_past_a_terminal_in_degree(self, capsys):
         demand = ["--h0", "1000000000", "--h1", "0", "--h2", "0"]

@@ -88,6 +88,24 @@ class TestNetworkValidation:
         with pytest.raises(InputError):
             mknet([("s", "t")], source="s", terminals=("t", "t"))
 
+    @pytest.mark.parametrize("field", ["nodes", "edges", "terminals"])
+    def test_a_list_field_is_refused(self, field):
+        # A list would let a caller change the network under its cached cuts.
+        fields = dict(
+            nodes=("s", "t1", "t2"),
+            edges=(Edge(0, "s", "t1"), Edge(1, "s", "t2")),
+            source="s",
+            terminals=("t1", "t2"),
+        )
+        fields[field] = list(fields[field])
+        with pytest.raises(InputError, match=f"^{field} must be a tuple, got list$"):
+            Network(**fields)
+
+    @pytest.mark.parametrize("terminals", [(), ("t1",), ("t1", "t2", "t1")])
+    def test_terminals_other_than_a_pair_are_refused(self, terminals):
+        with pytest.raises(InputError, match=f"terminals must be a pair, got {len(terminals)}"):
+            Network(nodes=("s", "t1", "t2"), edges=(), source="s", terminals=terminals)
+
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
             Network(

@@ -227,6 +227,26 @@ class TestFeasibilityFromPassOne:
         assert exc.value.report == check_feasibility(fig2, d)
         assert augmented == []
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": 0, "field_bits": True}, "field bits must be an integer, got True"),
+            ({"seed": 0, "field_bits": 8.0}, "field bits must be an integer, got 8.0"),
+        ],
+        ids=["seed-bool", "seed-str", "seed-float", "bits-bool", "bits-float"],
+    )
+    def test_a_seed_or_width_a_plan_file_cannot_hold_is_refused_before_augmenting(
+        self, fig2, monkeypatch, kwargs, named
+    ):
+        # The plan file records both as JSON ints, and its loader reads no other.
+        augmented = self._count(monkeypatch, "build_augmented", planner)
+        with pytest.raises(InputError, match=re.escape(named)):
+            synthesize(fig2, Demand(2, 1, 1), **kwargs)
+        assert augmented == []
+
     def test_reserved_label_is_an_input_error_even_when_infeasible(self):
         net = mknet([("s", "a"), ("a", "t1"), ("a", "t2")], source="s",
                     terminals=("t1", "t2"), extra_nodes=("__x",))

@@ -467,11 +467,8 @@ class TestHandOff:
         aug = p1.aug
         assert p2.aug is aug
         assert len(p1.trace.steps) == pass1_steps
-        into_y2 = [e.eid for e in aug.net.edges if (e.tail, e.head) == (aug.t2p, aug.y2)]
-        assert len(into_y2) == len(p1.state.red_paths) == d.h0 + d.h2
-        assert p2.initial.green_paths == tuple(
-            EdgePath(p.edges + (eid,)) for p, eid in zip(p1.state.red_paths, into_y2)
-        )
+        assert len(p1.state.red_paths) == d.h0 + d.h2
+        assert p2.initial.green_paths == p1.state.red_paths
         routes = {p.edges for p in p1.routes}
         through_t1p = [
             p.edges[:-1] for p in p1.state.green_paths
@@ -491,7 +488,7 @@ class TestHandOff:
             # No path counts as a route: three non-route paths through T1', not h0 = 2.
             pass1 = dataclasses.replace(pass1, routes=())
         else:
-            # A T2'->Y2 edge is left without a red path to extend.
+            # h0+h2-1 red paths to T2', one short of the green paths pass 2 needs.
             state = dataclasses.replace(pass1.state, red_paths=pass1.state.red_paths[:-1])
             pass1 = dataclasses.replace(pass1, state=state)
         with pytest.raises(TheoremViolationError, match="pass 1 left"):
