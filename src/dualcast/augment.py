@@ -1,19 +1,21 @@
 """Virtual-terminal augmentation of a network for a demand.
 
-For demand (h0, h1, h2) the network is extended with virtual terminals T1', T2'
-(where each terminal's data is notionally decoded) and the collector node Y1.
+For demand (h0, h1, h2) the network is extended with virtual terminals T1P,
+T2P (the paper's T1' and T2', where each terminal's data is notionally
+decoded) and the collector node Y1. The result is a plain Network: its first
+edges are the base network's, and the virtual edges come after them, so a
+caller holding the base reads them as extended.edges[len(base.edges):].
 Bundle sizes encode the per-terminal rates, so min-cuts to the virtual nodes
-measure exactly the capacity available for each demand split. The paper's
-second collector, fed from T1' and T2', is not built: the second recoloring
-pass starts from the first pass's paths to T2' and runs no flow into it.
+measure exactly the capacity available for each demand split. The virtual
+nodes lead only to Y1, and Y1 leads nowhere. The paper's second collector,
+fed from T1' and T2', is not built: the second recoloring pass starts from
+the first pass's paths to T2' and runs no flow into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
-from .netgraph import Demand, EdgeId, Network, NodeId, add_virtual
+from .netgraph import Demand, Network, add_virtual
 
 T1P = "__T1P"
 T2P = "__T2P"
@@ -22,17 +24,7 @@ Y1 = "__Y1"
 RESERVED_PREFIX = "__"
 
 
-@dataclass(frozen=True)
-class AugmentedNetwork:
-    base: Network
-    net: Network
-    t1p: NodeId
-    t2p: NodeId
-    y1: NodeId
-    virtual_edge_ids: frozenset[EdgeId]
-
-
-def build_augmented(net: Network, d: Demand) -> AugmentedNetwork:
+def build_augmented(net: Network, d: Demand) -> Network:
     """Extend net with T1', T2', Y1 and the four rate-sized virtual bundles.
 
     Bundle multiplicities (as unit edges): T1->T1' and T1'->Y1 carry h0+h1,
@@ -50,12 +42,4 @@ def build_augmented(net: Network, d: Demand) -> AugmentedNetwork:
         (T2P, Y1, d.h2),
     ]
     unit_edges = [(tail, head) for tail, head, count in bundles for _ in range(count)]
-    extended, new_ids = add_virtual(net, [T1P, T2P, Y1], unit_edges)
-    return AugmentedNetwork(
-        base=net,
-        net=extended,
-        t1p=T1P,
-        t2p=T2P,
-        y1=Y1,
-        virtual_edge_ids=frozenset(new_ids),
-    )
+    return add_virtual(net, [T1P, T2P, Y1], unit_edges)

@@ -397,12 +397,9 @@ def export_dot(
     in-degree raises InfeasibleDemandError, as synthesis does.
     """
     target = net
-    virtual_ids: frozenset[int] = frozenset()
     if augment_demand is not None:
         check_demand_size(net, augment_demand)
-        aug = build_augmented(net, augment_demand)
-        target = aug.net
-        virtual_ids = aug.virtual_edge_ids
+        target = build_augmented(net, augment_demand)
 
     vectors: dict[int, tuple[int, ...]] = {}
     if plan:
@@ -422,9 +419,9 @@ def export_dot(
             attrs.append("style=dashed")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         out.append(f"  {_dot_id(v)}{suffix};")
-    for e in target.edges:
+    for i, e in enumerate(target.edges):
         attrs = [f'label="e{e.eid}"']
-        if e.eid in virtual_ids:
+        if i >= len(net.edges):  # a virtual edge: build_augmented puts them last
             attrs.append("style=dashed")
         if e.eid in x1_edges:
             attrs.append("color=blue")

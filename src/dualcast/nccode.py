@@ -252,10 +252,7 @@ def build_multicast_code(
                 duals[t] = [dk ^ dl if (dk & v).bit_count() & 1 else dk for dk in duals[t]]
                 duals[t][l] = dl
         vector[("edge", eid)] = v
-        if fed[0][0] == "msg":
-            local[eid] = tuple(("msg", j) for j in range(h0) if v >> j & 1)
-        else:
-            local[eid] = tuple(key for key, c in zip(fed, coeffs) if c)
+        local[eid] = tuple(key for key, c in zip(fed, coeffs) if c)
     d1, d2 = (_decode_rows(d) for d in duals)
     return MulticastCode(
         field_bits=field_bits,

@@ -82,9 +82,8 @@ class Network:
     a network extended by add_virtual inherits its base's edge index and
     residual adjacency, and derives only its own cuts. Construction refuses
     fields that are not tuples, so a caller cannot change a network under
-    its cached values. It checks the edges with set and element-wise
-    comparisons over their transposed fields, and only on a failure walks
-    them in order to name the first offending edge.
+    its cached values, and labels that are not strings or edges that are not
+    Edges with int ids, so no later call meets one (_check_edges).
     """
 
     nodes: tuple[NodeId, ...]
@@ -99,10 +98,11 @@ class Network:
                 raise InputError(f"{name} must be a tuple, got {type(value).__name__}")
         if len(self.terminals) != 2:
             raise InputError(f"terminals must be a pair, got {len(self.terminals)} labels")
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise InputError("duplicate node labels")
+        node_set = _label_set(self.nodes)
         t1, t2 = self.terminals
+        for label in (self.source, t1, t2):
+            if type(label) is not str:
+                raise InputError(f"source and terminals must be strings, got {label!r}")
         if self.source == t1 or self.source == t2:
             raise InputError("source must differ from both terminals")
         if t1 == t2:
@@ -110,14 +110,7 @@ class Network:
         for label in (self.source, t1, t2):
             if label not in node_set:
                 raise UnknownNodeError(f"node {label!r} not in network")
-        eids, tails, heads = zip(*self.edges) if self.edges else ((), (), ())
-        if (
-            any(map(operator.eq, tails, heads))
-            or not node_set.issuperset(tails)
-            or not node_set.issuperset(heads)
-            or len(set(eids)) != len(eids)
-        ):
-            _raise_first_edge_error(self.edges, node_set)
+        _check_edges(self.edges, node_set)
 
     @cached_property
     def _edge_index(self) -> dict[EdgeId, Edge]:
@@ -161,10 +154,45 @@ class Network:
         return eids[-1] + 1 if eids else 0
 
 
+def _label_set(labels: tuple[NodeId, ...]) -> set[NodeId]:
+    """The labels as a set; InputError unless they are distinct strings."""
+    if not set(map(type, labels)) <= {str}:
+        bad = next(v for v in labels if type(v) is not str)
+        raise InputError(f"node labels must be strings, got {bad!r}")
+    label_set = set(labels)
+    if len(label_set) != len(labels):
+        raise InputError("duplicate node labels")
+    return label_set
+
+
+def _check_edges(edges: tuple[Edge, ...], node_set: set[NodeId]) -> None:
+    """Raise unless the edges are Edges with distinct int ids between two distinct nodes.
+
+    Set and element-wise comparisons over their types and transposed fields;
+    only on a failure are they walked to name the first offending edge.
+    """
+    if set(map(type, edges)) <= {Edge}:
+        eids, tails, heads = zip(*edges) if edges else ((), (), ())
+        if (
+            set(map(type, eids)) <= {int}
+            and not any(map(operator.eq, tails, heads))
+            and node_set.issuperset(tails)
+            and node_set.issuperset(heads)
+            and len(set(eids)) == len(eids)
+        ):
+            return
+    _raise_first_edge_error(edges, node_set)
+
+
 def _raise_first_edge_error(edges: tuple[Edge, ...], node_set: set[NodeId]) -> None:
-    """Raise for the first edge that is a self-loop, has an unknown end or repeats an id."""
+    """Raise for the first edge that is no Edge, has no int id, loops, or has an unknown end
+    or a repeated id."""
     seen_ids: set[EdgeId] = set()
     for e in edges:
+        if type(e) is not Edge:
+            raise InputError(f"edges must be Edge values, got {e!r}")
+        if type(e.eid) is not int:
+            raise InputError(f"edge ids must be integers, got {e.eid!r}")
         if e.tail == e.head:
             raise InputError(f"self-loop at {e.tail!r}")
         if e.tail not in node_set or e.head not in node_set:
@@ -229,28 +257,25 @@ def remove_edges(net: Network, ids: Iterable[EdgeId]) -> Network:
 
 def add_virtual(
     net: Network, new_nodes: Iterable[NodeId], new_edges: Iterable[tuple[NodeId, NodeId]]
-) -> tuple[Network, list[EdgeId]]:
-    """Extend a network with extra nodes and unit edges; returns the new ids.
+) -> Network:
+    """Extend a network with extra nodes and unit edges, listed and numbered after net's.
 
-    The new ids follow every id of net, so the extended network inherits
-    net's edge index and residual adjacency instead of rebuilding them: base
-    edges keep their arc numbers, the new edges' arcs come after them, and
-    only the nodes a new edge touches get a new arc list (base out-arcs, new
-    out-arcs, base in-arcs, new in-arcs). That is exactly the adjacency a
-    fresh build gives, since each group stays in ascending edge id.
+    Only the labels and the new edges are checked: net's edges passed when
+    net was built. The extended network inherits net's edge index and
+    residual adjacency instead of rebuilding them: base edges keep their arc
+    numbers, the new edges' arcs come after them, and only the nodes a new
+    edge touches get a new arc list (base out-arcs, new out-arcs, base
+    in-arcs, new in-arcs). That is exactly the adjacency a fresh build
+    gives, since each group stays in ascending edge id.
     """
     index, eids, arc_head, arcs = net._residual_arcs
     added = tuple(
         Edge(eid, tail, head) for eid, (tail, head) in enumerate(new_edges, net.next_edge_id())
     )
-    extended = Network(
-        nodes=net.nodes + tuple(new_nodes),
-        edges=net.edges + added,
-        source=net.source,
-        terminals=net.terminals,
-    )
+    nodes = net.nodes + tuple(new_nodes)
+    _check_edges(added, _label_set(nodes))
     index = dict(index)
-    for v in extended.nodes[len(net.nodes) :]:
+    for v in nodes[len(net.nodes) :]:
         index[v] = len(index)
     arc_head = arc_head.copy()
     new_out: dict[int, list[int]] = {}
@@ -265,12 +290,16 @@ def add_virtual(
         base = arcs[v]
         n_out = sum(1 for a in base if not a & 1)  # out-arcs are even and come first
         arcs[v] = base[:n_out] + new_out.get(v, []) + base[n_out:] + new_in.get(v, [])
-    new_ids = [e.eid for e in added]
     edge_index = dict(net._edge_index)
-    edge_index.update(zip(new_ids, added))
-    # Seed the cached properties (a frozen dataclass still has a __dict__).
+    edge_index.update((e.eid, e) for e in added)
+    # A frozen dataclass keeps its fields and cached properties in __dict__.
+    extended = object.__new__(Network)
     vars(extended).update(
+        nodes=nodes,
+        edges=net.edges + added,
+        source=net.source,
+        terminals=net.terminals,
         _edge_index=edge_index,
-        _residual_arcs=ResidualArcs(index, eids + new_ids, arc_head, arcs),
+        _residual_arcs=ResidualArcs(index, eids + [e.eid for e in added], arc_head, arcs),
     )
-    return extended, new_ids
+    return extended

@@ -153,21 +153,17 @@ def synthesize_with_diagnostics(
         raise InputError(f"seed must be an integer, got {seed!r}")
     check_field_bits(field_bits)
     check_demand_size(net, d)
-    aug = build_augmented(net, d)
     try:
-        passes = symmetric_pass(aug, d)
+        passes = symmetric_pass(build_augmented(net, d), d)
     except TheoremViolationError:
         # On an infeasible demand a pass-1 flow falls short before anything else.
         report = check_feasibility(net, d)
         if not report.feasible:
             raise InfeasibleDemandError(report) from None
         raise
-    x1_routes, x2_routes = passes.x1_routes, passes.x2_routes
-
     code = build_multicast_code(*passes.coded_paths, field_bits=field_bits)
-    plan = TransferPlan(
-        demand=d, seed=seed, x1_routes=x1_routes, x2_routes=x2_routes, multicast=code
-    )
+    x1, x2 = passes.pass1.routes, passes.pass2.routes
+    plan = TransferPlan(demand=d, seed=seed, x1_routes=x1, x2_routes=x2, multicast=code)
     try:
         check_plan(net, plan)
     except PlanMismatchError as exc:
@@ -313,10 +309,11 @@ def verify_plan(
     trial can fail and none is drawn. Otherwise a trial fails at Tt when
     M_t·x0 != x0 for its random x0 of m-bit symbols; when no trial fails,
     PlanMismatchError names the first terminal, by column, whose M_t is not
-    the identity. A plan that passes delivers every message tuple.
+    the identity. A plan that passes delivers every message tuple. trials
+    that is not an int (a bool is not one) or is negative raises InputError.
     """
-    if trials < 0:
-        raise InputError(f"trials must be nonnegative, got {trials}")
+    if type(trials) is not int or trials < 0:
+        raise InputError(f"trials must be a nonnegative integer, got {trials!r}")
     check_plan(net, plan)
     code = plan.multicast
     d = plan.demand

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .augment import AugmentedNetwork
+from .augment import T1P, T2P, Y1
 from .errors import InvariantError, NonterminationError, TheoremViolationError
 from .flow import EdgePath, edge_disjoint_paths
 from .netgraph import Demand, EdgeId, Network, NodeId
@@ -171,14 +171,16 @@ def run_to_fixpoint(
 def extract_exclusive_green(
     state: ColoringState, *, gate: NodeId, count: int
 ) -> list[EdgePath]:
-    """Return the routes: the first `count` exclusively green paths, cut at `gate`.
+    """Return the routes: the first `count` exclusively green paths, up to `gate`.
 
     An exclusively green path uses no red edge. The fixpoint guarantees at
-    least h1 such paths and that every one of them traverses the gate node;
-    spare capacity in the network can leave more than h1, in which case the
-    first h1 in path order are taken. Each is cut right after its first
-    arrival at the gate, so a route ends with the virtual terminal-entry
-    edge. Fewer than h1, or an exclusively green path avoiding the gate,
+    least `count` such paths and that every one of them traverses the gate,
+    a virtual terminal; spare capacity in the network can leave more, in
+    which case the first `count` in path order are taken. Each is cut just
+    before its first arrival at the gate, so a route is over the base
+    network's edges and ends at the real terminal: the edge into the gate is
+    the only virtual edge before it, since virtual nodes lead only to Y1.
+    Fewer than `count`, or an exclusively green path avoiding the gate,
     means the construction's guarantees were broken and is reported as a
     theorem violation.
     """
@@ -189,7 +191,7 @@ def extract_exclusive_green(
             f"expected at least {count} exclusively green paths, found {len(exclusive)}"
         )
     try:
-        routes = [_truncate_at(state.net, p, gate) for p in exclusive]
+        routes = [EdgePath(p.edges[: _arrival(state.net, p, gate)]) for p in exclusive]
     except InvariantError:
         raise TheoremViolationError(
             f"exclusively green path misses the virtual terminal {gate!r}"
@@ -199,35 +201,22 @@ def extract_exclusive_green(
 
 @dataclass(frozen=True)
 class PassResult:
-    """Everything one recoloring pass produced, for auditing and projection."""
+    """One recoloring pass: its first and final colorings, its trace and its routes.
 
-    aug: AugmentedNetwork
+    Both colorings are on the extended network, state.net. The routes are
+    over the base network's edges (extract_exclusive_green).
+    """
+
     initial: ColoringState
     state: ColoringState
     trace: ReroutingTrace
     routes: tuple[EdgePath, ...]
-
-    @property
-    def real_routes(self) -> tuple[EdgePath, ...]:
-        """The routes over original-graph edge ids (virtual hops dropped)."""
-        virtual = self.aug.virtual_edge_ids
-        return tuple(
-            EdgePath(tuple(eid for eid in p.edges if eid not in virtual)) for p in self.routes
-        )
 
 
 @dataclass(frozen=True)
 class SymmetricPassResult:
     pass1: PassResult
     pass2: PassResult
-
-    @property
-    def x1_routes(self) -> tuple[EdgePath, ...]:
-        return self.pass1.real_routes
-
-    @property
-    def x2_routes(self) -> tuple[EdgePath, ...]:
-        return self.pass2.real_routes
 
     @property
     def coded_paths(self) -> tuple[tuple[EdgePath, ...], tuple[EdgePath, ...]]:
@@ -238,51 +227,52 @@ class SymmetricPassResult:
         recoloring keeps them there; the x2 routes are green and carry no red.
         """
         p2 = self.pass2
-        t1, t2 = p2.aug.base.terminals
+        net = p2.state.net
+        t1, t2 = net.terminals
         routed = {p.edges[0] for p in p2.routes}
         greens = [p for p in p2.state.green_paths if p.edges[0] not in routed]
         return (
-            tuple(_truncate_at(p2.aug.net, p, t1) for p in p2.state.red_paths),
-            tuple(_truncate_at(p2.aug.net, p, t2) for p in greens),
+            tuple(EdgePath(p.edges[: _arrival(net, p, t1) + 1]) for p in p2.state.red_paths),
+            tuple(EdgePath(p.edges[: _arrival(net, p, t2) + 1]) for p in greens),
         )
 
 
-def _truncate_at(net: Network, path: EdgePath, node: NodeId) -> EdgePath:
+def _arrival(net: Network, path: EdgePath, node: NodeId) -> int:
+    """The position on path of the edge by which it first enters node."""
     for i, eid in enumerate(path.edges):
         if net.edge(eid).head == node:
-            return EdgePath(path.edges[: i + 1])
+            return i
     raise InvariantError(f"path never reaches {node!r}")
 
 
-def single_pass(aug: AugmentedNetwork, d: Demand) -> PassResult:
+def single_pass(net: Network, d: Demand) -> PassResult:
     """Pass 1: decompose fresh flows to Y1 and T2', recolor to fixpoint, cut routes at T1'.
 
-    Each path family comes from edge_disjoint_paths, which decomposes its
-    Dinic run's residual directly, on the adjacency aug.net inherits from
-    the base network. Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
+    net is the base network extended by build_augmented. Each path family
+    comes from edge_disjoint_paths, which decomposes its Dinic run's
+    residual directly, on the adjacency net inherits from the base network.
+    Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """
-    net = aug.net
     s = net.source
-    greens = edge_disjoint_paths(net, s, {aug.y1})
+    greens = edge_disjoint_paths(net, s, {Y1})
     if len(greens) != d.total:
         raise TheoremViolationError(
-            f"expected {d.total} edge-disjoint paths to {aug.y1!r}, found {len(greens)}"
+            f"expected {d.total} edge-disjoint paths to {Y1!r}, found {len(greens)}"
         )
-    reds = edge_disjoint_paths(net, s, {aug.t2p})
+    reds = edge_disjoint_paths(net, s, {T2P})
     if len(reds) != d.h0 + d.h2:
         raise TheoremViolationError(
-            f"expected {d.h0 + d.h2} edge-disjoint paths to {aug.t2p!r}, "
-            f"found {len(reds)}"
+            f"expected {d.h0 + d.h2} edge-disjoint paths to {T2P!r}, found {len(reds)}"
         )
     initial = ColoringState(net=net, green_paths=tuple(greens), red_paths=tuple(reds))
     state, trace = run_to_fixpoint(initial)
-    routes = tuple(extract_exclusive_green(state, gate=aug.t1p, count=d.h1))
-    return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)
+    routes = tuple(extract_exclusive_green(state, gate=T1P, count=d.h1))
+    return PassResult(initial=initial, state=state, trace=trace, routes=routes)
 
 
 def second_pass(pass1: PassResult, d: Demand) -> PassResult:
-    """Pass 2, started from pass 1's final coloring on the same augmented graph.
+    """Pass 2, started from pass 1's final coloring on the same extended network.
 
     Green: pass 1's h0+h2 final red paths to T2', unchanged. Red: pass 1's
     h0 non-route green paths entering Y1 from T1', cut at T1'. The routes
@@ -290,28 +280,27 @@ def second_pass(pass1: PassResult, d: Demand) -> PassResult:
     recoloring only hands red paths prefixes of these greens. A count other
     than h0+h2 or h0 means pass 1 broke its guarantees.
     """
-    aug = pass1.aug
-    net = aug.net
+    net = pass1.state.net
     routed = {p.edges[0] for p in pass1.routes}
     reds = tuple(
         EdgePath(p.edges[:-1])
         for p in pass1.state.green_paths
-        if p.edges[0] not in routed and net.edge(p.edges[-1]).tail == aug.t1p
+        if p.edges[0] not in routed and net.edge(p.edges[-1]).tail == T1P
     )
     greens = pass1.state.red_paths
     if len(reds) != d.h0 or len(greens) != d.h0 + d.h2:
         raise TheoremViolationError(
-            f"pass 1 left {len(reds)} non-route paths through {aug.t1p!r} and "
+            f"pass 1 left {len(reds)} non-route paths through {T1P!r} and "
             f"{len(greens)} red paths, expected {d.h0} and {d.h0 + d.h2}"
         )
     initial = ColoringState(net=net, green_paths=greens, red_paths=reds)
     state, trace = run_to_fixpoint(initial)
-    routes = tuple(extract_exclusive_green(state, gate=aug.t2p, count=d.h2))
-    return PassResult(aug=aug, initial=initial, state=state, trace=trace, routes=routes)
+    routes = tuple(extract_exclusive_green(state, gate=T2P, count=d.h2))
+    return PassResult(initial=initial, state=state, trace=trace, routes=routes)
 
 
-def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:
-    """Both recoloring passes on one augmented graph, with pass 1's two flows.
+def symmetric_pass(net: Network, d: Demand) -> SymmetricPassResult:
+    """Both recoloring passes on one extended network, with pass 1's two flows.
 
     Pass 1 extracts the h1 routes toward T1 from fresh flows to Y1 and T2'.
     Pass 2 mirrors the roles, starting from pass 1's final coloring
@@ -321,5 +310,5 @@ def symmetric_pass(aug: AugmentedNetwork, d: Demand) -> SymmetricPassResult:
     h2 are exclusively green; recoloring never changes a green path, so each
     passes the gate T2'. Both passes share one augmentation and two flows.
     """
-    pass1 = single_pass(aug, d)
+    pass1 = single_pass(net, d)
     return SymmetricPassResult(pass1=pass1, pass2=second_pass(pass1, d))

@@ -29,7 +29,7 @@ from operator import xor
 
 from typing import Any
 
-from dualcast.augment import AugmentedNetwork
+from dualcast.augment import T1P, T2P, Y1
 from dualcast.errors import (
     InputError,
     InvariantError,
@@ -464,8 +464,8 @@ def verify_by_simulation(net: Network, plan, trials: int = 100, seed: int = 0):
     message, one 0/1 symbol per edge, raising PlanMismatchError on a
     mismatch.
     """
-    if trials < 0:
-        raise InputError(f"trials must be nonnegative, got {trials}")
+    if type(trials) is not int or trials < 0:
+        raise InputError(f"trials must be a nonnegative integer, got {trials!r}")
     check_plan_reference(net, plan)
     code = plan.multicast
     size = 2**code.field_bits
@@ -535,7 +535,7 @@ def route_edges(plan: TransferPlan) -> set[EdgeId]:
 
 def real_route_edges(result: PassResult) -> set[EdgeId]:
     """Original-graph edge ids used by a recoloring pass's routes."""
-    return {eid for p in result.real_routes for eid in p.edges}
+    return {eid for p in result.routes for eid in p.edges}
 
 
 def network_to_dict(net: Network) -> dict[str, Any]:
@@ -697,31 +697,33 @@ class LemmaReport:
 Y2 = "__Y2"
 
 
-def with_second_collector(aug: AugmentedNetwork, d: Demand) -> Network:
-    """aug.net plus the paper's second collector Y2, which the package does not build.
+def with_second_collector(ext: Network, d: Demand) -> Network:
+    """ext, a network from build_augmented, plus the paper's second collector
+    Y2, which the package does not build.
 
     Y2 takes h1 edges from T1' and h0+h2 from T2', so its in-degree is
     h0+h1+h2, as Y1's is.
     """
-    bundles = [(aug.t1p, Y2)] * d.h1 + [(aug.t2p, Y2)] * (d.h0 + d.h2)
-    return add_virtual(aug.net, [Y2], bundles)[0]
+    bundles = [(T1P, Y2)] * d.h1 + [(T2P, Y2)] * (d.h0 + d.h2)
+    return add_virtual(ext, [Y2], bundles)
 
 
-def check_lemma(aug: AugmentedNetwork, d: Demand) -> LemmaReport:
+def check_lemma(ext: Network, base: Network, d: Demand) -> LemmaReport:
     """Compute the five virtual min-cuts and flag deviations from their identities.
 
-    Expected: cut to T1' equals h0+h1, to T2' equals h0+h2, to each collector
-    (Y1, and Y2 from with_second_collector) equals h0+h1+h2, and the joint
-    cut to both virtual terminals is at least h0+h1+h2.
+    ext is base extended by build_augmented for d. Expected: cut to T1'
+    equals h0+h1, to T2' equals h0+h2, to each collector (Y1, and Y2 from
+    with_second_collector) equals h0+h1+h2, and the joint cut to both
+    virtual terminals is at least h0+h1+h2.
     """
-    s = aug.net.source
-    cut_t1p = min_cut_value(aug.net, s, {aug.t1p})
-    cut_t2p = min_cut_value(aug.net, s, {aug.t2p})
-    cut_pair = min_cut_value(aug.net, s, {aug.t1p, aug.t2p})
-    cut_y1 = min_cut_value(aug.net, s, {aug.y1})
-    cut_y2 = min_cut_value(with_second_collector(aug, d), s, {Y2})
+    s = ext.source
+    cut_t1p = min_cut_value(ext, s, {T1P})
+    cut_t2p = min_cut_value(ext, s, {T2P})
+    cut_pair = min_cut_value(ext, s, {T1P, T2P})
+    cut_y1 = min_cut_value(ext, s, {Y1})
+    cut_y2 = min_cut_value(with_second_collector(ext, d), s, {Y2})
 
-    applicable = check_feasibility(aug.base, d).feasible
+    applicable = check_feasibility(base, d).feasible
     failed: list[str] = []
     if applicable:
         total = d.total

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from dualcast.augment import build_augmented
+from dualcast.augment import T1P, T2P, build_augmented
 from dualcast.cli import dump_plan
 from dualcast.errors import CyclicSupportError, InfeasibleDemandError
 from dualcast.nccode import coding_vectors
@@ -34,7 +34,6 @@ from oracles import (
     replay_trace,
     route_edges,
     routing_only_exists,
-    visits,
 )
 
 N_GRAPHS = 500
@@ -88,13 +87,19 @@ def _pass_two_touches_x1(passes, plan) -> bool:
     return any(not x1.isdisjoint(p.edges) for p in paths)
 
 
-def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
-    """Criterion 5 evidence: per-step conservation, fixpoint counts, budgets."""
+def _audit_recoloring(data: SweepData, tag, net: Network, passes, d: Demand) -> None:
+    """Criterion 5 evidence: per-step conservation, fixpoint counts, budgets.
+
+    Each route must be a prefix, over net's edges, of an exclusively green
+    path whose next edge enters the gate.
+    """
+    real = {e.eid for e in net.edges}
     jobs = (
-        (passes.pass1, d.h0 + d.h2, d.h1, passes.pass1.aug.t1p),
-        (passes.pass2, d.h0, d.h2, passes.pass2.aug.t2p),
+        (passes.pass1, d.h0 + d.h2, d.h1, T1P),
+        (passes.pass2, d.h0, d.h2, T2P),
     )
     for result, expected_red, n_routes, gate in jobs:
+        ext = result.state.net
         if red_source_degree(result.initial) != expected_red:
             data.red_count_violations.append((tag, "initial"))
         # Replay step by step so the invariant is observed after every rewrite.
@@ -110,10 +115,14 @@ def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
         if len(exclusive) < n_routes or len(result.routes) != n_routes:
             data.route_extraction_faults.append((tag, "count"))
         for p in result.routes:
-            if not visits(result.aug.net, p, gate):
+            k = len(p.edges)
+            if not real.issuperset(p.edges) or not any(
+                q.edges[:k] == p.edges and len(q.edges) > k and ext.edge(q.edges[k]).head == gate
+                for q in exclusive
+            ):
                 data.route_extraction_faults.append((tag, "gate"))
         budget = (
-            max(1, len(result.aug.net.edges))
+            max(1, len(ext.edges))
             * max(1, len(result.initial.green_paths))
             * max(1, len(result.initial.red_paths))
         )
@@ -124,9 +133,9 @@ def _audit_recoloring(data: SweepData, tag, passes, d: Demand) -> None:
 def _audit_residual(data: SweepData, tag, net: Network, d: Demand, plan) -> None:
     """Criterion 6 evidence: residual flows to the virtual terminals and ranks."""
     residual = remove_edges(net, route_edges(plan))
-    aug = build_augmented(residual, d)
-    for sink in (aug.t1p, aug.t2p):
-        if min_cut_value(aug.net, net.source, {sink}) < d.h0:
+    ext = build_augmented(residual, d)
+    for sink in (T1P, T2P):
+        if min_cut_value(ext, net.source, {sink}) < d.h0:
             data.residual_shortfalls.append((tag, sink))
     if d.h0:
         code = plan.multicast
@@ -180,10 +189,10 @@ def sweep() -> SweepData:
             if plan.multicast.field_bits != bits:
                 data.wrong_width.append(tag)
 
-            lemma = check_lemma(passes.pass1.aug, d)
+            lemma = check_lemma(passes.pass1.state.net, net, d)
             if not lemma.ok:
                 data.lemma_failures.append((tag, lemma))
-            _audit_recoloring(data, tag, passes, d)
+            _audit_recoloring(data, tag, net, passes, d)
             if _pass_two_touches_x1(passes, plan):
                 data.x1_crossings.append(tag)
             _audit_residual(data, tag, net, d, plan)

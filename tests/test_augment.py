@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.augment import build_augmented
+from dualcast.augment import T1P, T2P, Y1, build_augmented
 from dualcast.errors import InputError
 from dualcast.netgraph import Demand, Edge, Network
 
@@ -15,46 +15,49 @@ from oracles import (
 from strategies import dag_networks, demands, feasible_instances
 
 
-def bundle_count(aug, tail, head):
-    return sum(1 for e in aug.net.edges if (e.tail, e.head) == (tail, head))
+def bundle_count(ext, tail, head):
+    return sum(1 for e in ext.edges if (e.tail, e.head) == (tail, head))
 
 
 class TestBuildAugmented:
     def test_fig2_demand_211_bundle_sizes(self, fig2):
-        aug = build_augmented(fig2, Demand(2, 1, 1))
+        ext = build_augmented(fig2, Demand(2, 1, 1))
         t1, t2 = fig2.terminals
-        assert bundle_count(aug, t1, aug.t1p) == 3
-        assert bundle_count(aug, aug.t1p, aug.y1) == 3
-        assert bundle_count(aug, t2, aug.t2p) == 3
-        assert bundle_count(aug, aug.t2p, aug.y1) == 1
-        assert len(in_edges(aug.net, aug.y1)) == 4
-        assert len(in_edges(aug.net, aug.t1p)) == 3
-        assert len(in_edges(aug.net, aug.t2p)) == 3
+        assert bundle_count(ext, t1, T1P) == 3
+        assert bundle_count(ext, T1P, Y1) == 3
+        assert bundle_count(ext, t2, T2P) == 3
+        assert bundle_count(ext, T2P, Y1) == 1
+        assert len(in_edges(ext, Y1)) == 4
+        assert len(in_edges(ext, T1P)) == 3
+        assert len(in_edges(ext, T2P)) == 3
 
     def test_no_second_collector(self, fig2):
-        aug = build_augmented(fig2, Demand(2, 1, 1))
-        assert not hasattr(aug, "y2")
-        assert aug.net.nodes[len(fig2.nodes):] == (aug.t1p, aug.t2p, aug.y1)
+        ext = build_augmented(fig2, Demand(2, 1, 1))
+        assert ext.nodes[len(fig2.nodes):] == (T1P, T2P, Y1)
 
     def test_zero_demand_leaves_collectors_isolated(self, fig2):
-        aug = build_augmented(fig2, Demand(0, 0, 0))
-        assert not aug.virtual_edge_ids
-        for v in (aug.t1p, aug.t2p, aug.y1):
-            assert in_edges(aug.net, v) == [] and out_edges(aug.net, v) == []
+        ext = build_augmented(fig2, Demand(0, 0, 0))
+        assert ext.edges == fig2.edges
+        for v in (T1P, T2P, Y1):
+            assert in_edges(ext, v) == [] and out_edges(ext, v) == []
 
     def test_demand_102_asymmetric_bundles(self, fig2):
-        aug = build_augmented(fig2, Demand(1, 0, 2))
-        assert bundle_count(aug, aug.t1p, aug.y1) == 1
-        assert bundle_count(aug, aug.t2p, aug.y1) == 2
+        ext = build_augmented(fig2, Demand(1, 0, 2))
+        assert bundle_count(ext, T1P, Y1) == 1
+        assert bundle_count(ext, T2P, Y1) == 2
 
     def test_collector_has_no_out_edges(self, fig2):
-        aug = build_augmented(fig2, Demand(2, 1, 1))
-        assert out_edges(aug.net, aug.y1) == []
+        ext = build_augmented(fig2, Demand(2, 1, 1))
+        assert out_edges(ext, Y1) == []
 
     def test_original_graph_is_untouched(self, fig2):
-        aug = build_augmented(fig2, Demand(2, 1, 1))
-        assert aug.net.edges[: len(fig2.edges)] == fig2.edges
-        assert set(fig2.nodes) < set(aug.net.nodes)
+        ext = build_augmented(fig2, Demand(2, 1, 1))
+        assert ext.edges[: len(fig2.edges)] == fig2.edges
+        assert set(fig2.nodes) < set(ext.nodes)
+        # The virtual edges come after the base's, and only they touch a virtual node.
+        virtual = {T1P, T2P, Y1}
+        for e in ext.edges[len(fig2.edges):]:
+            assert e.eid >= fig2.next_edge_id() and {e.tail, e.head} & virtual
 
     def test_reserved_labels_rejected(self):
         net = Network(
@@ -69,31 +72,30 @@ class TestBuildAugmented:
     @given(demands())
     @settings(max_examples=40, deadline=None)
     def test_node_and_edge_deltas(self, fig2, d):
-        aug = build_augmented(fig2, d)
-        assert len(aug.net.nodes) - len(fig2.nodes) == 3
+        ext = build_augmented(fig2, d)
+        assert len(ext.nodes) - len(fig2.nodes) == 3
         expected = 3 * d.h0 + 2 * d.h1 + 2 * d.h2
-        assert len(aug.net.edges) - len(fig2.edges) == expected
-        assert len(aug.virtual_edge_ids) == expected
+        assert len(ext.edges) - len(fig2.edges) == expected
 
 
 class TestCheckLemma:
     def test_fig2_identities(self, fig2):
         d = Demand(2, 1, 1)
-        aug = build_augmented(fig2, d)
-        report = check_lemma(aug, d)
+        ext = build_augmented(fig2, d)
+        report = check_lemma(ext, fig2, d)
         assert report.applicable and report.ok
         assert (report.cut_t1p, report.cut_t2p) == (3, 3)
         assert report.cut_pair >= 4
         assert (report.cut_y1, report.cut_y2) == (4, 4)
         # Cross-check every reported cut against subset enumeration.
-        assert report.cut_t1p == mincut_enumerate(aug.net, "1", {aug.t1p})
-        assert report.cut_t2p == mincut_enumerate(aug.net, "1", {aug.t2p})
-        assert report.cut_pair == mincut_enumerate(aug.net, "1", {aug.t1p, aug.t2p})
-        assert report.cut_y1 == mincut_enumerate(aug.net, "1", {aug.y1})
-        assert report.cut_y2 == mincut_enumerate(with_second_collector(aug, d), "1", {Y2})
+        assert report.cut_t1p == mincut_enumerate(ext, "1", {T1P})
+        assert report.cut_t2p == mincut_enumerate(ext, "1", {T2P})
+        assert report.cut_pair == mincut_enumerate(ext, "1", {T1P, T2P})
+        assert report.cut_y1 == mincut_enumerate(ext, "1", {Y1})
+        assert report.cut_y2 == mincut_enumerate(with_second_collector(ext, d), "1", {Y2})
 
     def test_zero_demand_trivially_satisfied(self, fig2):
-        report = check_lemma(build_augmented(fig2, Demand(0, 0, 0)), Demand(0, 0, 0))
+        report = check_lemma(build_augmented(fig2, Demand(0, 0, 0)), fig2, Demand(0, 0, 0))
         assert report.ok
         assert (report.cut_t1p, report.cut_t2p, report.cut_pair) == (0, 0, 0)
         assert (report.cut_y1, report.cut_y2) == (0, 0)
@@ -102,14 +104,13 @@ class TestCheckLemma:
         # Plenty of raw capacity toward T1; the virtual bundle still pins the cut.
         d = Demand(2, 1, 0)
         net = parallel_net(d.h0 + d.h1 + 5, d.h0)
-        aug = build_augmented(net, d)
-        report = check_lemma(aug, d)
+        report = check_lemma(build_augmented(net, d), net, d)
         assert report.cut_t1p == d.h0 + d.h1
         assert report.ok
 
     def test_infeasible_demand_flagged_not_applicable(self, fig2):
         d = Demand(4, 1, 1)
-        report = check_lemma(build_augmented(fig2, d), d)
+        report = check_lemma(build_augmented(fig2, d), fig2, d)
         assert not report.applicable
         assert not report.ok
 
@@ -117,14 +118,13 @@ class TestCheckLemma:
     @settings(max_examples=120, deadline=None)
     def test_identities_hold_whenever_base_cuts_do(self, instance):
         net, d = instance
-        report = check_lemma(build_augmented(net, d), d)
+        report = check_lemma(build_augmented(net, d), net, d)
         assert report.applicable
         assert report.ok, report
 
     @given(dag_networks(), demands())
     @settings(max_examples=80, deadline=None)
     def test_t1p_cut_never_exceeds_its_bundle(self, net, d):
-        aug = build_augmented(net, d)
-        report = check_lemma(aug, d)
+        report = check_lemma(build_augmented(net, d), net, d)
         assert report.cut_t1p <= d.h0 + d.h1
         assert report.cut_t2p <= d.h0 + d.h2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcast import flow
-from dualcast.augment import build_augmented
+from dualcast.augment import T2P, Y1, build_augmented
 from dualcast.errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
 from dualcast.flow import (
     FlowResult,
@@ -245,11 +245,11 @@ class TestAdjacencyCache:
         fewer = remove_edges(fig2, [0])  # 1 -> 6, one of T1's three routes
         assert max_flow(fewer, "1", {"T1"}).value == 2
         assert max_flow(fewer, "1", {"T1", "T2"}).value == 3
-        more, new_ids = add_virtual(fig2, ["x"], [("1", "x"), ("x", "T1"), ("x", "T1")])
+        more = add_virtual(fig2, ["x"], [("1", "x"), ("x", "T1"), ("x", "T1")])
         res = max_flow(more, "1", {"T1"})
         assert res.value == 4
         assert set(res.edge_flow) == {e.eid for e in more.edges}
-        assert res.edge_flow[new_ids[0]] == 1
+        assert res.edge_flow[more.edges[len(fig2.edges)].eid] == 1
         assert max_flow(fig2, "1", {"T1"}).value == 3
         for net in (fewer, more):
             for sinks in ({"T1"}, {"T2"}, {"T1", "T2"}):
@@ -421,7 +421,7 @@ def test_decomposition_matches_the_label_based_reference(net, data):
         Network(nodes=net.nodes, edges=tuple(reversed(net.edges)), source=net.source,
                 terminals=net.terminals),
         remove_edges(net, dropped - {None}),
-        add_virtual(net, ["x"], x_edges)[0],
+        add_virtual(net, ["x"], x_edges),
     ]
     t1, t2 = net.terminals
     for variant in variants:
@@ -453,9 +453,9 @@ def test_edge_disjoint_paths_equal_the_decomposed_max_flow(net, d, data):
     t1, t2 = net.terminals
     others = st.sampled_from(net.nodes[1:])
     drawn = data.draw(st.sets(others, min_size=1, max_size=2))
-    aug = build_augmented(net, d)
+    ext = build_augmented(net, d)
     cases = [(net, sinks) for sinks in ({t1}, {t2}, {t1, t2}, drawn)]
-    cases += [(aug.net, {aug.y1}), (aug.net, {aug.t2p}), (aug.net, {aug.y1, aug.t2p})]
+    cases += [(ext, {Y1}), (ext, {T2P}), (ext, {Y1, T2P})]
     for variant, sinks in cases:
         src = variant.source
         want = decompose_paths(variant, max_flow(variant, src, sinks), src, sinks)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,34 @@ class TestNetworkValidation:
     def test_terminals_other_than_a_pair_are_refused(self, terminals):
         with pytest.raises(InputError, match=f"terminals must be a pair, got {len(terminals)}"):
             Network(nodes=("s", "t1", "t2"), edges=(), source="s", terminals=terminals)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(nodes=(0, 1, 2), edges=(Edge(0, 0, 1),), source=0, terminals=(1, 2)),
+             "node labels must be strings, got 0"),
+            (dict(edges=(Edge(0, "s", "t1"), (1, "s", "t2"))),
+             "edges must be Edge values, got (1, 's', 't2')"),
+            (dict(edges=(Edge("0", "s", "t1"),)), "edge ids must be integers, got '0'"),
+            (dict(edges=(Edge(0.0, "s", "t1"),)), "edge ids must be integers, got 0.0"),
+            (dict(edges=(Edge(True, "s", "t1"),)), "edge ids must be integers, got True"),
+            (dict(source=["s"]), "source and terminals must be strings, got ['s']"),
+            (dict(terminals=("t1", ["t2"])), "source and terminals must be strings, got ['t2']"),
+        ],
+        ids=["int-labels", "plain-tuple-edge", "str-edge-id", "float-edge-id",
+             "bool-edge-id", "list-source", "list-terminal"],
+    )
+    def test_elements_a_later_call_would_crash_on_are_refused(self, fields, message):
+        # Each of these used to pass construction and fail later untyped:
+        # AttributeError in synthesize or check_feasibility, or a bare TypeError.
+        fields = dict(
+            dict(nodes=("s", "t1", "t2"), edges=(Edge(0, "s", "t1"),), source="s",
+                 terminals=("t1", "t2")),
+            **fields,
+        )
+        with pytest.raises(InputError, match=re.escape(message)) as exc:
+            Network(**fields)
+        assert type(exc.value) is InputError
 
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
@@ -242,7 +272,8 @@ def _fresh(net: Network) -> Network:
 
 
 def _assert_caches_match_a_fresh_build(net: Network) -> None:
-    fresh = _fresh(net)
+    fresh = _fresh(net)  # runs the checks add_virtual does not repeat
+    assert net == fresh
     assert net._residual_arcs == fresh._residual_arcs
     assert list(net._edge_index.items()) == list(fresh._edge_index.items())
     assert net.next_edge_id() == fresh.next_edge_id()
@@ -262,10 +293,11 @@ class TestAddVirtualInheritsCaches:
                           terminals=net.terminals)
         if warm:
             check_feasibility(net, d)  # caches the base's adjacency and cuts
-        aug = build_augmented(net, d)
-        _assert_caches_match_a_fresh_build(aug.net)
-        assert sorted(aug.virtual_edge_ids) == list(
-            range(net.next_edge_id(), aug.net.next_edge_id())
+        ext = build_augmented(net, d)
+        _assert_caches_match_a_fresh_build(ext)
+        assert ext.edges[: len(net.edges)] == net.edges
+        assert [e.eid for e in ext.edges[len(net.edges) :]] == list(
+            range(net.next_edge_id(), ext.next_edge_id())
         )
 
     @settings(max_examples=150, deadline=None)
@@ -277,13 +309,16 @@ class TestAddVirtualInheritsCaches:
         labels = st.sampled_from(net.nodes + ("x", "y"))
         pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
         new_edges = data.draw(st.lists(pairs, max_size=8))
-        more, ids = add_virtual(net, ["x", "y"], new_edges)
-        assert ids == list(range(net.next_edge_id(), net.next_edge_id() + len(new_edges)))
+        more = add_virtual(net, ["x", "y"], new_edges)
+        assert more.edges[: len(net.edges)] == net.edges
+        assert [e.eid for e in more.edges[len(net.edges) :]] == list(
+            range(net.next_edge_id(), net.next_edge_id() + len(new_edges))
+        )
         _assert_caches_match_a_fresh_build(more)
         # An extension of an extension inherits the inherited caches.
         labels = st.sampled_from(more.nodes + ("z",))
         pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
-        again, _ = add_virtual(more, ["z"], data.draw(st.lists(pairs, max_size=4)))
+        again = add_virtual(more, ["z"], data.draw(st.lists(pairs, max_size=4)))
         _assert_caches_match_a_fresh_build(again)
         # The base's shared arc lists are left as they were.
         assert net._residual_arcs == base_arcs
@@ -295,3 +330,5 @@ class TestAddVirtualInheritsCaches:
             add_virtual(fig2, ["x"], [("x", "x")])
         with pytest.raises(InputError, match="duplicate node labels"):
             add_virtual(fig2, ["T1"], [])
+        with pytest.raises(InputError, match="node labels must be strings, got 7"):
+            add_virtual(fig2, [7], [])

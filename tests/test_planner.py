@@ -290,6 +290,20 @@ class TestVerifyPlan:
         report = verify_plan(fig2, plan, trials=0)
         assert report.passed and report.trials == 0
 
+    @pytest.mark.parametrize("dropped", [False, True], ids=["good", "dropped-input"])
+    @pytest.mark.parametrize("trials", [1.5, True, False, "3", None, -1])
+    def test_trials_other_than_a_nonnegative_int_are_refused(self, fig2, trials, dropped):
+        plan = synthesize(fig2, Demand(2, 1, 1), seed=7)
+        if dropped:
+            code = plan.multicast
+            victim = code.inputs_t1[0]
+            code = dataclasses.replace(
+                code, local_inputs={**code.local_inputs, victim: code.local_inputs[victim][1:]}
+            )
+            plan = dataclasses.replace(plan, multicast=code)
+        with pytest.raises(InputError, match=re.escape(f"nonnegative integer, got {trials!r}")):
+            verify_plan(fig2, plan, trials=trials)
+
 
 def _toggled(items, item):
     """items, sorted, with item added if absent and removed if present."""
@@ -579,11 +593,11 @@ class TestDiagnostics:
     def test_diagnostics_expose_both_passes(self, fig2):
         d = Demand(2, 1, 1)
         plan, passes = synthesize_with_diagnostics(fig2, d, seed=7)
-        assert len(passes.x1_routes) == d.h1
-        assert len(passes.x2_routes) == d.h2
+        assert plan.x1_routes == passes.pass1.routes and len(plan.x1_routes) == d.h1
+        assert plan.x2_routes == passes.pass2.routes and len(plan.x2_routes) == d.h2
         assert plan.demand == d
         # The second pass ran on the first pass's augmented graph, off the x1 routes.
-        assert passes.pass2.aug is passes.pass1.aug
+        assert passes.pass2.state.net is passes.pass1.state.net
         x1_edges = real_route_edges(passes.pass1)
         assert x1_edges == {0, 4}
         for state in (passes.pass2.initial, passes.pass2.state):

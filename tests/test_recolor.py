@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.augment import build_augmented
+from dualcast.augment import T1P, T2P, Y1, build_augmented
 from dualcast.errors import (
     InvariantError,
     NonterminationError,
@@ -175,11 +175,11 @@ class TestRunToFixpoint:
 
     def test_fig2_pass_one_reaches_the_forced_route(self, fig2):
         d = Demand(2, 1, 1)
-        aug = build_augmented(fig2, d)
-        result = single_pass(aug, d)
+        ext = build_augmented(fig2, d)
+        result = single_pass(ext, d)
         exclusive = exclusively_green(result.state)
         assert len(exclusive) == 1
-        assert visits(aug.net, exclusive[0], aug.t1p)
+        assert visits(ext, exclusive[0], T1P)
         assert exclusive[0].edges[0] == 0  # the outer branch toward T1
         assert len(result.routes) == 1
         red_edges = {eid for p in result.state.red_paths for eid in p.edges}
@@ -188,21 +188,19 @@ class TestRunToFixpoint:
 
     def test_replay_reproduces_fixpoint_exactly(self, fig2):
         d = Demand(2, 1, 1)
-        aug = build_augmented(fig2, d)
-        result = single_pass(aug, d)
+        result = single_pass(build_augmented(fig2, d), d)
         replayed = replay_trace(result.initial, result.trace)
         assert replayed == result.state
 
     def test_red_count_is_conserved_after_every_step(self, fig2):
         d = Demand(2, 1, 1)
-        aug = build_augmented(fig2, d)
-        net = aug.net
-        gflow = max_flow(net, "1", {aug.y1})
-        rflow = max_flow(net, "1", {aug.t2p})
+        net = build_augmented(fig2, d)
+        gflow = max_flow(net, "1", {Y1})
+        rflow = max_flow(net, "1", {T2P})
         state = ColoringState(
             net=net,
-            green_paths=tuple(decompose_paths(net, gflow, "1", aug.y1)),
-            red_paths=tuple(decompose_paths(net, rflow, "1", aug.t2p)),
+            green_paths=tuple(decompose_paths(net, gflow, "1", Y1)),
+            red_paths=tuple(decompose_paths(net, rflow, "1", T2P)),
         )
         final, trace = run_to_fixpoint(state)
         expected = d.h0 + d.h2
@@ -215,7 +213,7 @@ class TestRunToFixpoint:
             # Rerouting must keep every red path a source -> T2' walk.
             for p in partial.red_paths:
                 assert net.edge(p.edges[0]).tail == "1"
-                assert net.edge(p.edges[-1]).head == aug.t2p
+                assert net.edge(p.edges[-1]).head == T2P
         assert red_source_degree(final) == expected
         assert len(final.red_paths) == len(state.red_paths)
         assert len(final.green_paths) == len(state.green_paths)
@@ -355,6 +353,21 @@ class TestExtract:
         with pytest.raises(TheoremViolationError):
             extract_exclusive_green(state, gate="t2", count=1)
 
+    def test_a_route_stops_before_the_edge_into_the_gate(self):
+        net = mknet([("s", "t1"), ("t1", "g"), ("s", "t2"), ("t2", "g")],
+                    source="s", terminals=("t1", "t2"))
+        state = make_state(net, greens=[[0, 1], [2, 3]], reds=[])
+        assert extract_exclusive_green(state, gate="g", count=2) == [
+            EdgePath((0,)), EdgePath((2,))
+        ]
+
+    def test_a_spare_path_that_misses_the_gate_is_a_theorem_violation(self):
+        # Only the first path is asked for, but every exclusive one is cut.
+        net = mknet([("s", "t1"), ("t1", "g"), ("s", "t2")], source="s", terminals=("t1", "t2"))
+        state = make_state(net, greens=[[0, 1], [2]], reds=[])
+        with pytest.raises(TheoremViolationError, match="misses the virtual terminal 'g'"):
+            extract_exclusive_green(state, gate="g", count=1)
+
     def test_spare_capacity_yields_surplus_and_first_h1_are_taken(self):
         # Four disjoint chains; with demand (1, 1, 1) two paths end up
         # exclusively green but only h1 = 1 is requested.
@@ -364,8 +377,7 @@ class TestExtract:
             pairs.append((f"m{i}", t))
         net = mknet(pairs, source="s", terminals=("t1", "t2"))
         d = Demand(1, 1, 1)
-        aug = build_augmented(net, d)
-        result = single_pass(aug, d)
+        result = single_pass(build_augmented(net, d), d)
         assert len(exclusively_green(result.state)) == 2
         assert len(result.routes) == 1
 
@@ -374,23 +386,22 @@ class TestSymmetricPass:
     def test_parallel_bundles_route_everything(self):
         d = Demand(0, 2, 3)
         net = parallel_net(d.h1, d.h2)
-        aug = build_augmented(net, d)
-        result = symmetric_pass(aug, d)
-        assert len(result.x1_routes) == 2
-        assert len(result.x2_routes) == 3
+        result = symmetric_pass(build_augmented(net, d), d)
+        assert len(result.pass1.routes) == 2
+        assert len(result.pass2.routes) == 3
         assert not real_route_edges(result.pass1) & real_route_edges(result.pass2)
 
     def test_zero_private_rates_give_empty_routes(self, butterfly):
         d = Demand(2, 0, 0)
-        aug = build_augmented(butterfly, d)
-        result = symmetric_pass(aug, d)
-        assert result.x1_routes == ()
-        assert result.x2_routes == ()
+        result = symmetric_pass(build_augmented(butterfly, d), d)
+        assert result.pass1.routes == ()
+        assert result.pass2.routes == ()
 
     def test_fig2_routes_forced_onto_outer_branches(self, fig2):
         d = Demand(2, 1, 1)
-        aug = build_augmented(fig2, d)
-        result = symmetric_pass(aug, d)
+        result = symmetric_pass(build_augmented(fig2, d), d)
+        assert [p.edges for p in result.pass1.routes] == [(0, 4)]
+        assert [p.edges for p in result.pass2.routes] == [(3, 5)]
         assert real_route_edges(result.pass1) == {0, 4}
         assert real_route_edges(result.pass2) == {3, 5}
 
@@ -398,10 +409,12 @@ class TestSymmetricPass:
     @settings(max_examples=100, deadline=None)
     def test_routes_are_disjoint_and_leave_shared_capacity(self, instance):
         net, d = instance
-        aug = build_augmented(net, d)
-        result = symmetric_pass(aug, d)
-        assert len(result.x1_routes) == d.h1
-        assert len(result.x2_routes) == d.h2
+        result = symmetric_pass(build_augmented(net, d), d)
+        assert len(result.pass1.routes) == d.h1
+        assert len(result.pass2.routes) == d.h2
+        for result_pass, terminal in zip((result.pass1, result.pass2), net.terminals):
+            for p in result_pass.routes:
+                check_path(net, p, net.source, terminal)  # base edges only
         e1 = real_route_edges(result.pass1)
         e2 = real_route_edges(result.pass2)
         assert not e1 & e2
@@ -464,19 +477,20 @@ class TestHandOff:
     def test_pass_two_starts_from_pass_one_final_coloring(self, net, d, pass1_steps):
         result = symmetric_pass(build_augmented(net, d), d)
         p1, p2 = result.pass1, result.pass2
-        aug = p1.aug
-        assert p2.aug is aug
+        ext = p1.state.net
+        assert p2.state.net is ext
         assert len(p1.trace.steps) == pass1_steps
         assert len(p1.state.red_paths) == d.h0 + d.h2
         assert p2.initial.green_paths == p1.state.red_paths
+        # A route is its green path up to T1', without the edge into T1'.
         routes = {p.edges for p in p1.routes}
         through_t1p = [
             p.edges[:-1] for p in p1.state.green_paths
-            if path_nodes(aug.net, p)[-2] == aug.t1p
+            if path_nodes(ext, p)[-2] == T1P
         ]
         assert len(through_t1p) == d.h0 + d.h1
         assert p2.initial.red_paths == tuple(
-            EdgePath(edges) for edges in through_t1p if edges not in routes
+            EdgePath(edges) for edges in through_t1p if edges[:-1] not in routes
         )
         assert len(p2.initial.red_paths) == d.h0
 
@@ -501,10 +515,10 @@ class TestHandOff:
         steps = [0, 0]
         for seed, (net, d) in enumerate(instances):
             _, passes = synthesize_with_diagnostics(net, d, seed)
-            drawn = build_augmented(net, d).net
+            drawn = build_augmented(net, d)
             for k, result in enumerate((passes.pass1, passes.pass2)):
                 steps[k] += len(result.trace.steps)
                 for step in result.trace.steps:
                     for eid in (step.shared_edge, *step.prefix_swapped.edges):
-                        assert drawn.edge(eid) == result.aug.net.edge(eid)
+                        assert drawn.edge(eid) == result.state.net.edge(eid)
         assert min(steps) > 0
