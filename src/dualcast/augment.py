@@ -15,13 +15,11 @@ the first pass's paths to T2' and runs no flow into it.
 from __future__ import annotations
 
 from .errors import InputError
-from .netgraph import Demand, Network, add_virtual
+from .netgraph import RESERVED_PREFIX, Demand, Network, add_virtual
 
 T1P = "__T1P"
 T2P = "__T2P"
 Y1 = "__Y1"
-
-RESERVED_PREFIX = "__"
 
 
 def build_augmented(net: Network, d: Demand) -> Network:
@@ -29,11 +27,12 @@ def build_augmented(net: Network, d: Demand) -> Network:
 
     Bundle multiplicities (as unit edges): T1->T1' and T1'->Y1 carry h0+h1,
     T2->T2' carries h0+h2, T2'->Y1 carries h2. The collector ends up with
-    in-degree h0+h1+h2.
+    in-degree h0+h1+h2. A base label with the reserved '__' prefix raises
+    InputError; net looks its labels up once and caches the first such one.
     """
-    for label in net.nodes:
-        if label.startswith(RESERVED_PREFIX):
-            raise InputError(f"node label {label!r} uses the reserved '__' prefix")
+    label = net._reserved_label
+    if label is not None:
+        raise InputError(f"node label {label!r} uses the reserved '__' prefix")
     t1, t2 = net.terminals
     bundles = [
         (t1, T1P, d.h0 + d.h1),

@@ -6,7 +6,10 @@ every coded edge carries the XOR of some of the symbols just before it on
 its paths (its local inputs), and each terminal recovers message i as the
 XOR of some of the symbols entering it (decode row i, a list of positions
 in its inputs). The code is built deterministically over GF(2), edge by
-edge, keeping each terminal's vectors independent. XOR is the addition of
+edge, keeping each terminal's vectors independent: one walk of the coded
+paths finds what each edge continues and feeds, and in the evaluation order
+an edge copies its input's vector unless two paths bring it different
+vectors, the only case that searches a combination. XOR is the addition of
 every GF(2^m), so the symbol width m, which the plan records, changes
 nothing in the code.
 
@@ -155,31 +158,32 @@ class MulticastCode:
         check_field_bits(self.field_bits)
 
 
-def _evaluation_order(feeders: dict[EdgeId, set[EdgeId]]) -> list[EdgeId]:
+def _evaluation_order(
+    continues: dict[EdgeId, list[tuple[int, int, InputKey]]],
+    waiting: dict[EdgeId, int],
+    fed: dict[EdgeId, list[EdgeId]],
+) -> list[EdgeId]:
     """Coded edges, each after the edges feeding it, the smallest ready id first.
 
-    One Kahn pass over the feeding relation. Edges left over wait on each
-    other; CyclicSupportError names a cycle among them.
+    One Kahn pass over waiting, the number of paths entering each edge from
+    another, which it uses up, and fed, the next edge of each path leaving
+    each edge. Edges left over wait on each other; CyclicSupportError names
+    a cycle among them, walking back along the inputs listed in continues.
     """
-    waiting = {eid: len(f) for eid, f in feeders.items()}
-    fed: dict[EdgeId, list[EdgeId]] = {}
-    for eid, f in feeders.items():
-        for j in f:
-            fed.setdefault(j, []).append(eid)
-    ready = [eid for eid, n in waiting.items() if n == 0]
+    ready = [eid for eid, n in waiting.items() if not n]
     heapq.heapify(ready)
     order: list[EdgeId] = []
     while ready:
         eid = heapq.heappop(ready)
         order.append(eid)
-        for k in fed.get(eid, ()):
+        for k in fed[eid]:
             waiting[k] -= 1
             if not waiting[k]:
                 heapq.heappush(ready, k)
-    if len(order) < len(feeders):
+    if len(order) < len(waiting):
         # Each edge left waits on a feeder left: walk back until one repeats.
         walk = [min(e for e, n in waiting.items() if n)]
-        while (eid := min(j for j in feeders[walk[-1]] if waiting[j])) not in walk:
+        while (eid := min(j for _, _, (_, j) in continues[walk[-1]] if waiting[j])) not in walk:
             walk.append(eid)
         cycle = walk[walk.index(eid) :][::-1]
         raise CyclicSupportError(f"the coded paths make edges {cycle} feed each other in a cycle")
@@ -203,56 +207,79 @@ def build_multicast_code(
     the code holds only which inputs each edge and decode row XORs, and
     field_bits is only recorded as the symbol width.
 
+    One walk over both families lists, per coded edge, the (terminal, path,
+    input) of each path it continues, the input being the path's edge before
+    it or its message where it starts, and counts and links the paths
+    entering it from another edge, for the Kahn order. An edge used twice by
+    one family raises InputError as the walk meets it; after the walk, so
+    does the first edge met that starts a path and is fed by another.
+
     Vectors are h0-bit ints. Each terminal keeps the vector f_l on its path l,
     first the unit vector e_l, and a dual basis with <d_k, f_l> = [k == l].
-    In evaluation order, an edge takes the first of a, b, a+b (its feeders'
-    vectors) whose parity against the dual of each path it continues is 1:
-    a suits its own path and b its own, so a+b suits both if neither suits
-    the other. The f_l stay a basis, and decode row i lists the k whose d_k
-    has bit i set. An edge used twice by one family, or the first edge of a
-    path that another path feeds, raises InputError.
+    In evaluation order, an edge that one path uses, or whose two paths' inputs
+    carry the same vector, copies it from its smaller input: <d_l, f_l> = 1
+    makes the copy suit every path it continues, and no dual changes. Another
+    shared edge takes the first of a, b, a+b (its inputs' vectors, in input
+    order) whose parity against the dual of each of its paths is 1: a suits
+    its own path and b its own, so a+b suits both if neither suits the other.
+    The duals of each path whose vector changed are updated, the f_l stay a
+    basis, and decode row i lists the k whose d_k has bit i set.
     """
     h0 = len(paths_t1)
     if len(paths_t2) != h0:
         raise InputError(f"need as many paths to T2 as to T1, got {len(paths_t2)} and {h0}")
-    # Per coded edge, the (terminal, path, input) of each path it continues:
-    # the input is the path's edge before it, or its message where it starts.
     continues: dict[EdgeId, list[tuple[int, int, InputKey]]] = {}
+    waiting: dict[EdgeId, int] = {}  # paths entering each edge from an edge
+    fed: dict[EdgeId, list[EdgeId]] = {}  # the next edge on each path leaving it
+    fed_and_starts: set[EdgeId] = set()
     for t, paths in enumerate((paths_t1, paths_t2)):
         for l, p in enumerate(paths):
             prev: InputKey = ("msg", l)
             for eid in p.edges:
-                on = continues.setdefault(eid, [])
-                if on and on[-1][0] == t:
+                on = continues.get(eid)
+                if on is None:
+                    on = continues[eid] = []
+                    fed[eid] = []
+                    waiting[eid] = 0
+                elif on[-1][0] == t:
                     raise InputError(f"edge {eid} is used twice by the paths to T{t + 1}")
+                elif on[0][2][0] != prev[0]:
+                    fed_and_starts.add(eid)
                 on.append((t, l, prev))
+                if prev[0] == "edge":
+                    waiting[eid] += 1
+                    fed[prev[1]].append(eid)
                 prev = ("edge", eid)
-    feeders: dict[EdgeId, set[EdgeId]] = {}
-    for eid, on in continues.items():
-        if len({kind for _, _, (kind, _) in on}) > 1:
-            raise InputError(f"edge {eid} starts a path but another path feeds it")
-        feeders[eid] = {ref for _, _, (kind, ref) in on if kind == "edge"}
-    ordered = _evaluation_order(feeders)
+    if fed_and_starts:
+        eid = next(e for e in continues if e in fed_and_starts)
+        raise InputError(f"edge {eid} starts a path but another path feeds it")
+    ordered = _evaluation_order(continues, waiting, fed)
 
     vector: dict[InputKey, int] = {("msg", j): 1 << j for j in range(h0)}
     duals = [[1 << j for j in range(h0)] for _ in range(2)]
     local: dict[EdgeId, tuple[InputKey, ...]] = {}
     for eid in ordered:
         on = continues[eid]
-        fed = sorted({key for _, _, key in on})
-        a, b = vector[fed[0]], vector[fed[-1]]
-        # Copying a suits the paths a feeds, and so every path when a == b.
-        for coeffs in ((1, 0), (0, 1), (1, 1)):
-            v = a * coeffs[0] ^ b * coeffs[1]
-            if all((duals[t][l] & v).bit_count() & 1 for t, l, _ in on):
-                break
-        for t, l, key in on:
-            if v != vector[key]:
-                dl = duals[t][l]
-                duals[t] = [dk ^ dl if (dk & v).bit_count() & 1 else dk for dk in duals[t]]
-                duals[t][l] = dl
+        first = on[0][2]
+        v = vector[first]
+        inputs = (first,)
+        if len(on) == 2:
+            lo, hi = sorted((first, on[1][2]))
+            a, b = vector[lo], vector[hi]
+            inputs = (lo,)
+            if a != b:
+                for coeffs in ((1, 0), (0, 1), (1, 1)):
+                    v = a * coeffs[0] ^ b * coeffs[1]
+                    if all((duals[t][l] & v).bit_count() & 1 for t, l, _ in on):
+                        break
+                for t, l, key in on:
+                    if v != vector[key]:
+                        dl = duals[t][l]
+                        duals[t] = [dk ^ dl if (dk & v).bit_count() & 1 else dk for dk in duals[t]]
+                        duals[t][l] = dl
+                inputs = tuple(key for key, c in zip((lo, hi), coeffs) if c)
         vector[("edge", eid)] = v
-        local[eid] = tuple(key for key, c in zip(fed, coeffs) if c)
+        local[eid] = inputs
     d1, d2 = (_decode_rows(d) for d in duals)
     return MulticastCode(
         field_bits=field_bits,

@@ -18,6 +18,8 @@ from .errors import InputError, UnknownEdgeError, UnknownNodeError
 NodeId = str
 EdgeId = int
 
+RESERVED_PREFIX = "__"  # marks the nodes augmentation adds
+
 
 class Edge(NamedTuple):
     eid: EdgeId
@@ -77,10 +79,11 @@ class Network:
 
     A Network is frozen, so whatever is derived from its fields alone stays
     true for its lifetime and is computed once, on first use: the edge index,
-    the residual adjacency every flow runs on, and the three terminal
-    min-cuts. dataclasses.replace builds a new Network that derives its own;
-    a network extended by add_virtual inherits its base's edge index and
-    residual adjacency, and derives only its own cuts. Construction refuses
+    the residual adjacency every flow runs on, the three terminal min-cuts
+    and the first label with the reserved prefix. dataclasses.replace builds
+    a new Network that derives its own; a network extended by add_virtual
+    inherits its base's edge index and residual adjacency, and derives the
+    rest itself. Construction refuses
     fields that are not tuples, so a caller cannot change a network under
     its cached values, and labels that are not strings or edges that are not
     Edges with int ids, so no later call meets one (_check_edges).
@@ -115,6 +118,11 @@ class Network:
     @cached_property
     def _edge_index(self) -> dict[EdgeId, Edge]:
         return {e.eid: e for e in self.edges}
+
+    @cached_property
+    def _reserved_label(self) -> NodeId | None:
+        """The first node label with the reserved prefix, or None."""
+        return next((v for v in self.nodes if v.startswith(RESERVED_PREFIX)), None)
 
     @cached_property
     def _residual_arcs(self) -> ResidualArcs:

@@ -83,10 +83,13 @@ def run_to_fixpoint(
     whichever violates first. That is the first violating path in index
     order, the one a rescan from index 0 after every step would pick.
 
-    The state is checked once, on entry, in one walk per path: every path is
-    non-empty, starts at the source and is contiguous, only its first edge
-    leaves the source, and paths of one color share no edge (decompose_paths
-    gives node-simple, edge-disjoint paths). Each step then keeps the red
+    The state is checked once, on entry, in one walk per path on the edge
+    index: every path is non-empty, starts at the source and is contiguous,
+    only its first edge leaves the source, and paths of one color share no
+    edge, which one set-size comparison per path tests (edge_disjoint_paths
+    gives node-simple, edge-disjoint paths). Only a path the walk refuses is
+    walked again edge by edge, to raise the UnknownEdgeError or
+    InvariantError of its first fault. Each step then keeps the red
     paths valid by construction. The green prefix before e1 carries no red,
     so it touches no other red path; the old tail after e1 is a suffix of r,
     so the new path is contiguous and edge-disjoint from the others. Its only
@@ -101,10 +104,24 @@ def run_to_fixpoint(
     rather than a legitimate outcome.
     """
     net, s = state.net, state.net.source
+    edge_at = net._edge_index
     greens = state.green_paths
     for family in (greens, state.red_paths):
         seen: set[EdgeId] = set()
-        for p in family:
+        for n, p in enumerate(family):
+            size = len(seen)
+            seen.update(p.edges)
+            at = s
+            for eid in p.edges:
+                e = edge_at.get(eid)  # (eid, tail, head)
+                if e is None or e[1] != at:
+                    break
+                at = e[2] if e[2] != s else None  # no edge continues a path back at s
+            else:
+                if p.edges and len(seen) == size + len(p.edges):
+                    continue
+            # The walk refused p: walk it again edge by edge to name its first fault.
+            seen = {eid for q in family[:n] for eid in q.edges}
             if not p.edges:
                 raise InvariantError("empty path in coloring state")
             at = s
@@ -238,7 +255,16 @@ class SymmetricPassResult:
 
 
 def _arrival(net: Network, path: EdgePath, node: NodeId) -> int:
-    """The position on path of the edge by which it first enters node."""
+    """The position on path of the edge by which it first enters node.
+
+    Heads are read off the edge index; only if that fails is the path walked
+    edge by edge, to raise UnknownEdgeError or name the missed node.
+    """
+    edge_at = net._edge_index
+    try:
+        return [edge_at[eid][2] for eid in path.edges].index(node)
+    except (KeyError, ValueError):
+        pass
     for i, eid in enumerate(path.edges):
         if net.edge(eid).head == node:
             return i

@@ -5,7 +5,8 @@ per augmenting path for flows, DFS enumeration for paths, schoolbook
 polynomial arithmetic for fields, one full simulation per trial for plan
 verification, check_path on every route and one edge at a time for the
 plan check, a color map and a checked snapshot per step for recoloring,
-label lookups for path decomposition, and five separate min-cuts for the
+label lookups for path decomposition, separate passes and a parity search
+on every edge for the code builder, and five separate min-cuts for the
 augmentation identities. Keep these free of any imports from the modules
 they are used to check (graph containers excepted; the simulation reference
 evaluates the code itself and builds on the reference plan check, which
@@ -20,6 +21,7 @@ plan writer: the plan's document through the stdlib's indenting encoder.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from collections import deque
@@ -31,6 +33,7 @@ from typing import Any
 
 from dualcast.augment import T1P, T2P, Y1
 from dualcast.errors import (
+    CyclicSupportError,
     InputError,
     InvariantError,
     NonterminationError,
@@ -441,6 +444,90 @@ def check_plan_reference(net: Network, plan: TransferPlan) -> None:
                     raise PlanMismatchError(
                         f"decode row {i} of {label} is not in increasing order without repeats"
                     )
+
+
+def build_multicast_code_reference(paths_t1, paths_t2, *, field_bits: int) -> MulticastCode:
+    """nccode.build_multicast_code in separate passes; the reference for it.
+
+    One walk of both path families lists, per coded edge, the (terminal,
+    path, input) of each path it continues; a second pass over those lists
+    builds each edge's set of feeders; Kahn's algorithm, smallest ready id
+    first, orders them, with its own waiting counts and fed lists. Every
+    edge then runs the a / b / a+b parity search against the duals of the
+    paths it continues, copies included, and updates the duals of each path
+    whose vector changed.
+    """
+    h0 = len(paths_t1)
+    if len(paths_t2) != h0:
+        raise InputError(f"need as many paths to T2 as to T1, got {len(paths_t2)} and {h0}")
+    continues: dict[EdgeId, list] = {}
+    for t, paths in enumerate((paths_t1, paths_t2)):
+        for l, p in enumerate(paths):
+            prev = ("msg", l)
+            for eid in p.edges:
+                on = continues.setdefault(eid, [])
+                if on and on[-1][0] == t:
+                    raise InputError(f"edge {eid} is used twice by the paths to T{t + 1}")
+                on.append((t, l, prev))
+                prev = ("edge", eid)
+    feeders: dict[EdgeId, set[EdgeId]] = {}
+    for eid, on in continues.items():
+        if len({kind for _, _, (kind, _) in on}) > 1:
+            raise InputError(f"edge {eid} starts a path but another path feeds it")
+        feeders[eid] = {ref for _, _, (kind, ref) in on if kind == "edge"}
+    waiting = {eid: len(f) for eid, f in feeders.items()}
+    fed: dict[EdgeId, list[EdgeId]] = {}
+    for eid, f in feeders.items():
+        for j in f:
+            fed.setdefault(j, []).append(eid)
+    ready = [eid for eid, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    ordered: list[EdgeId] = []
+    while ready:
+        eid = heapq.heappop(ready)
+        ordered.append(eid)
+        for k in fed.get(eid, ()):
+            waiting[k] -= 1
+            if not waiting[k]:
+                heapq.heappush(ready, k)
+    if len(ordered) < len(feeders):
+        walk = [min(e for e, n in waiting.items() if n)]
+        while (eid := min(j for j in feeders[walk[-1]] if waiting[j])) not in walk:
+            walk.append(eid)
+        cycle = walk[walk.index(eid) :][::-1]
+        raise CyclicSupportError(f"the coded paths make edges {cycle} feed each other in a cycle")
+
+    vector = {("msg", j): 1 << j for j in range(h0)}
+    duals = [[1 << j for j in range(h0)] for _ in range(2)]
+    local = {}
+    for eid in ordered:
+        on = continues[eid]
+        keys = sorted({key for _, _, key in on})
+        a, b = vector[keys[0]], vector[keys[-1]]
+        for coeffs in ((1, 0), (0, 1), (1, 1)):
+            v = a * coeffs[0] ^ b * coeffs[1]
+            if all((duals[t][l] & v).bit_count() & 1 for t, l, _ in on):
+                break
+        for t, l, key in on:
+            if v != vector[key]:
+                dl = duals[t][l]
+                duals[t] = [dk ^ dl if (dk & v).bit_count() & 1 else dk for dk in duals[t]]
+                duals[t][l] = dl
+        vector[("edge", eid)] = v
+        local[eid] = tuple(key for key, c in zip(keys, coeffs) if c)
+    rows = []
+    for d in duals:
+        rows.append(tuple(tuple(k for k, dk in enumerate(d) if dk >> i & 1) for i in range(h0)))
+    return MulticastCode(
+        field_bits=field_bits,
+        h0=h0,
+        support=tuple(ordered),
+        local_inputs=local,
+        inputs_t1=tuple(p.edges[-1] for p in paths_t1),
+        inputs_t2=tuple(p.edges[-1] for p in paths_t2),
+        decode_t1=rows[0],
+        decode_t2=rows[1],
+    )
 
 
 def evaluate_code(code: MulticastCode, x0) -> dict[EdgeId, int]:

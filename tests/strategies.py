@@ -108,9 +108,9 @@ def demands(max_total: int = 4) -> st.SearchStrategy[Demand]:
 
 
 @st.composite
-def feasible_instances(draw, max_nodes: int = 7) -> tuple[Network, Demand]:
-    """A DAG with a demand already known to satisfy the three cut conditions."""
-    net = draw(dag_networks(max_nodes=max_nodes))
+def feasible_instances(draw, max_nodes: int = 7, cyclic: bool = False) -> tuple[Network, Demand]:
+    """A DAG, or with cyclic a digraph, with a demand known to meet the three cut conditions."""
+    net = draw(digraphs(max_nodes=max_nodes) if cyclic else dag_networks(max_nodes=max_nodes))
     t1, t2 = net.terminals
     c1 = min_cut_value(net, net.source, {t1})
     c2 = min_cut_value(net, net.source, {t2})

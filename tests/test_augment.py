@@ -69,6 +69,20 @@ class TestBuildAugmented:
         with pytest.raises(InputError):
             build_augmented(net, Demand(0, 1, 1))
 
+    def test_reserved_label_error_names_the_first_one_on_every_call(self):
+        net = Network(
+            nodes=("s", "__a", "t1", "__b", "t2"),
+            edges=(Edge(0, "s", "t1"), Edge(1, "s", "t2")),
+            source="s",
+            terminals=("t1", "t2"),
+        )
+        # The label is looked up once and cached on the network; a second
+        # demand on it is refused with the same text.
+        for d in (Demand(0, 1, 1), Demand(1, 0, 0)):
+            with pytest.raises(InputError) as exc:
+                build_augmented(net, d)
+            assert str(exc.value) == "node label '__a' uses the reserved '__' prefix"
+
     @given(demands())
     @settings(max_examples=40, deadline=None)
     def test_node_and_edge_deltas(self, fig2, d):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcast.augment import build_augmented
 from dualcast.errors import CyclicSupportError, InputError
 from dualcast.flow import EdgePath
 from dualcast.nccode import (
@@ -20,9 +21,11 @@ from dualcast.nccode import (
     get_field,
 )
 from dualcast.planner import synthesize
+from dualcast.recolor import symmetric_pass
 
 from conftest import random_feasible_instances
 from oracles import (
+    build_multicast_code_reference,
     decode_symbols,
     evaluate_code,
     gf2_rank,
@@ -32,6 +35,7 @@ from oracles import (
     is_irreducible_reference,
     multiplicative_order_of_x,
 )
+from strategies import crossing_instances, feasible_instances
 
 GF256 = get_field(8)
 
@@ -46,6 +50,19 @@ BUTTERFLY_T2 = (EdgePath((1, 3)), EdgePath((0, 4, 6, 8)))
 
 def butterfly_code_for(field_bits=8):
     return build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2, field_bits=field_bits)
+
+
+def code_fields(code):
+    return (code.support, code.local_inputs, code.inputs_t1, code.inputs_t2,
+            code.decode_t1, code.decode_t2)
+
+
+def outcome(build, paths_t1, paths_t2):
+    """The code's fields, or the type and text of the error the builder raises."""
+    try:
+        return code_fields(build(paths_t1, paths_t2, field_bits=8))
+    except (InputError, CyclicSupportError) as exc:
+        return type(exc), str(exc)
 
 
 class TestFieldBasics:
@@ -237,7 +254,7 @@ class TestBuildMulticastCode:
         assert (code.decode_t1, code.decode_t2) == (((0, 1), (1,)), ((0,), (1,)))
 
     def test_families_of_different_sizes_are_rejected(self):
-        with pytest.raises(InputError, match="as many paths"):
+        with pytest.raises(InputError, match=r"^need as many paths to T2 as to T1, got 1 and 2$"):
             build_multicast_code(BUTTERFLY_T1, BUTTERFLY_T2[:1], field_bits=8)
 
     def test_construction_is_deterministic_and_the_same_in_every_field(self):
@@ -263,11 +280,20 @@ class TestBuildMulticastCode:
             # A path to T2 starts on edge 6, which edge 5 feeds on a path to T1.
             (BUTTERFLY_T1, (EdgePath((1, 3)), EdgePath((6, 8))),
              "edge 6 starts a path but another path feeds it"),
+            # Both faults: T2's first path starts on the fed edge 6, and its
+            # second takes edge 8 again. The reuse is named, though the walk
+            # met the fed start first.
+            (BUTTERFLY_T1, (EdgePath((6, 8)), EdgePath((1, 8))),
+             "edge 8 is used twice by the paths to T2"),
+            # Edges 6 and 2 both start a path to T2 and are fed on paths to T1.
+            # The walk meets 6 first on T2's paths, but 2 first on T1's.
+            (BUTTERFLY_T1, (EdgePath((6, 8)), EdgePath((2,))),
+             "edge 2 starts a path but another path feeds it"),
         ],
     )
     def test_malformed_families_are_refused(self, paths_t1, paths_t2, named):
-        with pytest.raises(InputError, match=named):
-            build_multicast_code(paths_t1, paths_t2, field_bits=8)
+        assert outcome(build_multicast_code, paths_t1, paths_t2) == (InputError, named)
+        assert outcome(build_multicast_code_reference, paths_t1, paths_t2) == (InputError, named)
 
     def test_paths_sharing_edges_in_opposite_orders_name_the_cycle(self):
         # Edges 0=s->a, 1=s->b, 2=a->b, 3=b->a, 4=a->t1, 5=b->t2: the path to
@@ -275,9 +301,41 @@ class TestBuildMulticastCode:
         # the two edges would combine the other's symbol.
         to_t1 = (EdgePath((0, 2, 3, 4)),)
         to_t2 = (EdgePath((1, 3, 2, 5)),)
-        with pytest.raises(CyclicSupportError, match=r"edges \[3, 2\] feed each other in a cycle"):
-            build_multicast_code(to_t1, to_t2, field_bits=8)
+        message = "the coded paths make edges [3, 2] feed each other in a cycle"
+        for build in (build_multicast_code, build_multicast_code_reference):
+            assert outcome(build, to_t1, to_t2) == (CyclicSupportError, message)
 
+
+class TestBuilderMatchesReference:
+    """The one-walk builder against the separate-pass reference in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "instances",
+        [feasible_instances(), feasible_instances(cyclic=True), crossing_instances()],
+        ids=["acyclic", "cyclic", "crossing"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_same_code_on_pass_two_coded_paths(self, instances, data):
+        net, d = data.draw(instances)
+        paths = symmetric_pass(build_augmented(net, d), d).coded_paths
+        assert outcome(build_multicast_code, *paths) == outcome(
+            build_multicast_code_reference, *paths
+        )
+
+    def test_a_shared_edge_whose_feeders_carry_one_vector_copies_the_smaller(self):
+        # Edge 0 starts both paths; they part on edges 1 and 2, which copy its
+        # vector, and meet again on edge 3, which copies edge 1's.
+        paths_t1, paths_t2 = (EdgePath((0, 1, 3)),), (EdgePath((0, 2, 3)),)
+        code = build_multicast_code(paths_t1, paths_t2, field_bits=8)
+        assert code.local_inputs[3] == (("edge", 1),)
+        assert code == build_multicast_code_reference(paths_t1, paths_t2, field_bits=8)
+
+    def test_same_code_on_the_butterfly_and_in_evaluation_order(self):
+        code = butterfly_code_for()
+        ref = build_multicast_code_reference(BUTTERFLY_T1, BUTTERFLY_T2, field_bits=8)
+        assert code == ref
+        assert list(code.local_inputs) == list(code.support)
 
 
 @pytest.fixture(scope="module")

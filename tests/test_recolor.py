@@ -12,6 +12,7 @@ from dualcast.errors import (
     InvariantError,
     NonterminationError,
     TheoremViolationError,
+    UnknownEdgeError,
 )
 from dualcast.fixtures import fig2_network
 from dualcast.flow import EdgePath, check_path, decompose_paths, max_flow
@@ -19,6 +20,7 @@ from dualcast.netgraph import Demand, remove_edges
 from dualcast.planner import check_feasibility, synthesize_with_diagnostics
 from dualcast.recolor import (
     ColoringState,
+    _arrival,
     extract_exclusive_green,
     run_to_fixpoint,
     second_pass,
@@ -238,6 +240,47 @@ class TestRunToFixpoint:
         )
         with pytest.raises(InvariantError):
             run_to_fixpoint(make_state(net, greens=greens, reds=reds))
+
+    @pytest.mark.parametrize(
+        "greens, reds, error",
+        [
+            ([[0, 1, 2]], [[3]], "edge 2 does not continue a path from the source"),
+            ([[2]], [[0, 1, 3]], "edge 3 does not continue a path from the source"),
+            ([[]], [[3]], "empty path in coloring state"),
+            ([[2]], [[1, 3]], "edge 1 does not continue a path from the source"),
+            ([[0, 2]], [[3]], "edge 2 does not continue a path from the source"),
+            ([[2]], [[3], [3]], "paths of one color share edge 3"),
+            # The first fault of the path is named: the shared edge before the unknown one.
+            ([[2]], [[3], [3, 9]], "paths of one color share edge 3"),
+            ([[2], [9]], [[3]], "no edge with id 9"),
+            # A path may end back at the source; only an edge after that is refused.
+            ([[0, 1]], [[3]], None),
+        ],
+    )
+    def test_entry_check_names_the_first_fault(self, greens, reds, error):
+        net = mknet(
+            [("s", "a"), ("a", "s"), ("s", "y"), ("s", "t")],
+            source="s",
+            terminals=("y", "t"),
+        )
+        state = make_state(net, greens=greens, reds=reds)
+        if error is None:
+            assert run_to_fixpoint(state)[0] is state
+            return
+        with pytest.raises((InvariantError, UnknownEdgeError)) as exc:
+            run_to_fixpoint(state)
+        assert str(exc.value) == error
+        assert isinstance(exc.value, UnknownEdgeError) == error.startswith("no edge")
+
+    def test_arrival_reads_heads_and_walks_only_on_a_failure(self):
+        net = mknet([("s", "a"), ("a", "t"), ("t", "y")], source="s", terminals=("y", "t"))
+        assert _arrival(net, EdgePath((0, 1, 2)), "t") == 1
+        # An unknown edge after the arrival is never looked at, as in an edge-by-edge walk.
+        assert _arrival(net, EdgePath((0, 1, 9)), "t") == 1
+        with pytest.raises(UnknownEdgeError, match="no edge with id 9"):
+            _arrival(net, EdgePath((0, 9, 1)), "t")
+        with pytest.raises(InvariantError, match="path never reaches 'y'"):
+            _arrival(net, EdgePath((0, 1)), "y")
 
     def test_an_invalid_state_is_refused_only_by_run_to_fixpoint(self):
         net = mknet([("s", "a"), ("b", "y"), ("s", "t")], source="s", terminals=("y", "t"))
