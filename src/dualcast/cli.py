@@ -63,9 +63,6 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
     nodes = doc["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
         raise InputError(f"{origin}: nodes must be a list of strings")
-    for label in nodes:
-        if label.startswith(RESERVED_PREFIX):
-            raise InputError(f"{origin}: node label {label!r} uses the reserved '__' prefix")
     node_set = set(nodes)
     terminals = doc["terminals"]
     if not isinstance(terminals, list) or len(terminals) != 2:
@@ -89,7 +86,7 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         if not isinstance(label, str) or label not in node_set:
             raise InputError(f"{origin}: {label!r} is not a declared node")
     try:
-        return Network(
+        net = Network(
             nodes=tuple(nodes),
             edges=tuple(expand_capacities(weighted)),
             source=doc["source"],
@@ -97,6 +94,10 @@ def network_from_dict(doc: Any, origin: str = "<network>") -> Network:
         )
     except (InputError, UnknownNodeError) as exc:
         raise InputError(f"{origin}: {exc}") from exc
+    label = net._reserved_label  # cached: synthesis reads it again
+    if label is not None:
+        raise InputError(f"{origin}: node label {label!r} uses the reserved '__' prefix")
+    return net
 
 
 def _raise_edge_error(entry: Any, i: int, node_set: set[str], origin: str) -> NoReturn:
@@ -468,14 +469,16 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         net, d, args.seed, field_bits=args.field_bits
     )
     text = dump_plan(plan)
+    status = sys.stdout  # status lines; stderr when the plan itself goes to stdout
     if args.output:
         _write_text(args.output, text)
         print(f"plan written to {args.output}")
     else:
         sys.stdout.write(text)
+        status = sys.stderr
     if args.trace:
         _write_text(args.trace, dump_trace([(1, passes.pass1.trace), (2, passes.pass2.trace)]))
-        print(f"rerouting trace written to {args.trace}")
+        print(f"rerouting trace written to {args.trace}", file=status)
     return EXIT_OK
 
 

@@ -15,8 +15,11 @@ edge_disjoint_paths skip the final search that would only confirm it.
 edge_disjoint_paths decomposes a maximum flow straight from the residual
 bytes the loop leaves, with the walk behind decompose_paths; a network
 extended by add_virtual runs both on the adjacency it inherits from its
-base. All tie-breaking is by ascending edge id, out-arcs before in-arcs, so
-identical inputs always produce identical flows and paths.
+base. The check's run to T2 is kept on the network (Network._t2_run), and
+paths_via_t2 replays it for a node entered only from T2, such as T2',
+instead of running a flow there. All tie-breaking is by ascending edge id,
+out-arcs before in-arcs, so identical inputs always produce identical
+flows and paths.
 """
 
 from __future__ import annotations
@@ -108,6 +111,41 @@ def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> l
     return _decompose(net, s, is_sink, residual[1::2], value)
 
 
+def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
+    """edge_disjoint_paths(net, net.source, {gate}) for a gate entered only from T2, by replay.
+
+    Each of the gate's k in-edges leaves T2, so a Dinic run to {gate} is a
+    run to {T2} with each path continued by the next T2 -> gate edge, and
+    stopped after k paths: the searches level every other node as in the
+    run to T2, and those a run to T2 does not level are dead ends; a bound
+    only truncates a run. So when net holds the check's run to T2
+    (Network._t2_run), the residual that edge_disjoint_paths decomposes is
+    built by replaying its first k paths and using the first that many
+    edges into the gate, and no search runs; a net that holds none runs
+    edge_disjoint_paths itself. An edge into the gate from another node
+    raises InputError.
+    """
+    graph = net._residual_arcs
+    s, is_sink, _ = _flow_ends(graph, net.source, {gate})
+    t2 = graph.index[net.terminals[1]]
+    arc_head = graph.arc_head
+    into_gate = [a for a in graph.arcs[graph.index[gate]] if a & 1]  # ascending edge id
+    if any(arc_head[a] != t2 for a in into_gate):
+        raise InputError(f"an edge into {gate!r} does not leave {net.terminals[1]!r}")
+    if net._t2_run is None:  # no check ran on the base network
+        return edge_disjoint_paths(net, net.source, {gate})
+    run = net._t2_run[: len(into_gate)]
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
+    for path in run:
+        for a in path:
+            residual[a] = 0
+            residual[a ^ 1] = 1
+    for a in into_gate[: len(run)]:  # the reverse arc of a used edge is residual
+        residual[a] = 1
+        residual[a ^ 1] = 0
+    return _decompose(net, s, is_sink, residual[1::2], len(run))
+
+
 def _flow_ends(
     graph: ResidualArcs, src: NodeId, sinks: Iterable[NodeId]
 ) -> tuple[int, bytearray, int]:
@@ -134,17 +172,20 @@ def _flow_ends(
     return s, is_sink, min(graph.degrees(s)[0], in_degree)
 
 
-def terminal_cuts(net: Network) -> tuple[int, int, int]:
+def terminal_cuts(
+    net: Network, record: list[tuple[int, ...]] | None = None
+) -> tuple[int, int, int]:
     """Min-cut values from the source to T1, to T2 and to the pair, by two Dinic runs.
 
     The flow to {T1} is continued with T2 added to the sink set: a flow into
     T1 is also a flow into the pair, and augmenting any feasible flow until no
     sink is reachable reaches the maximum (Ford-Fulkerson 1956), so the pair
     cut is the T1 cut plus the added augmentations. The flow to {T2} runs
-    fresh. Each run stops at a bound no flow can pass: the source's
-    out-degree, the sinks' in-degree, and for T2 the pair cut, since a flow
-    into T2 is also a flow into the pair. Network caches the result
-    (Network._terminal_cuts).
+    fresh; record, when given, gets its augmenting paths, which
+    paths_via_t2 replays. Each run stops at a bound no flow can pass: the
+    source's out-degree, the sinks' in-degree, and for T2 the pair cut, since
+    a flow into T2 is also a flow into the pair. Network caches the result,
+    and the run to T2 (Network._terminal_cuts).
     """
     index, eids, _, _ = graph = net._residual_arcs
     s = index[net.source]
@@ -160,12 +201,17 @@ def terminal_cuts(net: Network) -> tuple[int, int, int]:
     cut_pair = cut_t1 + _augment(graph, s, is_sink, residual, limit)[0]
     is_sink[t1] = 0
     residual = bytearray(b"\x01\x00") * len(eids)
-    cut_t2 = _augment(graph, s, is_sink, residual, min(out_s, in2, cut_pair))[0]
+    cut_t2 = _augment(graph, s, is_sink, residual, min(out_s, in2, cut_pair), record)[0]
     return cut_t1, cut_t2, cut_pair
 
 
 def _augment(
-    graph: ResidualArcs, s: int, is_sink: bytearray, residual: bytearray, limit: int
+    graph: ResidualArcs,
+    s: int,
+    is_sink: bytearray,
+    residual: bytearray,
+    limit: int,
+    record: list[tuple[int, ...]] | None = None,
 ) -> tuple[int, list[int]]:
     """Augment the flow held in residual until no sink is reachable or limit is added.
 
@@ -179,6 +225,8 @@ def _augment(
     search that keeps a current-arc pointer per node; a search branch ends at
     the first sink it reaches. With unit capacities this takes O(E * sqrt(E))
     time (Even-Tarjan 1975).
+
+    record, when given, gets each augmenting path's arcs from s, in order.
 
     limit is checked before each phase and at the augmentation that reaches
     it, so a limit of 0 runs no search. A limit that bounds every flow from
@@ -217,6 +265,8 @@ def _augment(
                 for a in path:
                     residual[a] = 0
                     residual[a ^ 1] = 1
+                if record is not None:
+                    record.append(tuple(path))
                 value += 1
                 if value == limit:
                     return value, level

@@ -6,16 +6,19 @@ terminal that the second recoloring pass leaves off the routes.
 check_feasibility compares the three min-cuts with the demand. They come
 from two Dinic runs, the pair cut continuing the flow to T1, and are cached
 on the Network, so one network answers any number of demands after its
-first check. Synthesis does not run the check up front: the first
-recoloring pass's two flows decide feasibility, and the cuts are read only
-to report a demand those flows refuse. Those are a feasible synthesis's
-only two max-flows: the second pass starts from the first pass's coloring
-on the same augmented graph. check_plan is the one semantic check of a
-plan, run by synthesis, verification and the DOT export. It walks each
-route once and hands a route to check_path, which names its first fault,
-only when the walk finds one. verify_plan then proves the checked plan
-delivers over GF(2), which proves it in every GF(2^m): it evaluates the
-code once, on the unit messages 1 << j, and XORs the decode rows.
+first check; so are the augmenting paths of the check's run to T2.
+Synthesis does not run the check up front: the first recoloring pass's
+two flows decide feasibility, and the cuts are read only to report a
+demand those flows refuse. Those are a feasible synthesis's only two
+flows, and after a check the one to T2' replays the check's run to T2
+instead of searching, so the flow to Y1 is its one Dinic run: the second
+pass starts from the first pass's coloring on the same augmented graph.
+check_plan is the one semantic check of a plan, run by synthesis,
+verification and the DOT export. It walks each route once and hands a
+route to check_path, which names its first fault, only when the walk finds
+one. verify_plan then proves the checked plan delivers over GF(2), which
+proves it in every GF(2^m): it evaluates the code once, on the unit
+messages 1 << j, and XORs the decode rows.
 """
 
 from __future__ import annotations
@@ -117,8 +120,10 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     on symbols of field_bits bits, on the h0 paths to each terminal the second
     pass holds besides its routes. The second pass starts from the first
     pass's final coloring, so the first pass's two max-flows are the only
-    ones a feasible synthesis runs. seed is only recorded in the plan: no
-    coded value depends on it, and identical inputs give identical plans.
+    ones a feasible synthesis needs, and after a check of net only the one
+    to Y1 searches: the one to T2' replays the check's run to T2. seed is
+    only recorded in the plan: no coded value depends on it, and identical
+    inputs give identical plans.
 
     Feasibility is certified by the first recoloring pass, not checked
     beforehand. On the augmented graph Y1's only in-edges are the h0+h1 edges

@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 
 from .augment import T1P, T2P, Y1
 from .errors import InvariantError, NonterminationError, TheoremViolationError
-from .flow import EdgePath, edge_disjoint_paths
+from .flow import EdgePath, edge_disjoint_paths, paths_via_t2
 from .netgraph import Demand, EdgeId, Network, NodeId
 # Unused here; perfbench/tracer.py wraps recolor.build_augmented, recolor.remove_edges,
 # recolor.max_flow and recolor.decompose_paths.
@@ -272,11 +272,15 @@ def _arrival(net: Network, path: EdgePath, node: NodeId) -> int:
 
 
 def single_pass(net: Network, d: Demand) -> PassResult:
-    """Pass 1: decompose fresh flows to Y1 and T2', recolor to fixpoint, cut routes at T1'.
+    """Pass 1: paths to Y1 and to T2', recolored to fixpoint, routes cut at T1'.
 
-    net is the base network extended by build_augmented. Each path family
-    comes from edge_disjoint_paths, which decomposes its Dinic run's
+    net is the base network extended by build_augmented. The green paths to
+    Y1 come from edge_disjoint_paths, which decomposes its Dinic run's
     residual directly, on the adjacency net inherits from the base network.
+    The red paths to T2' are the same function's paths, but T2' is entered
+    only from T2, so paths_via_t2 replays, with no search, the run to T2
+    that a check of the base network recorded (Network._t2_run) and net
+    inherits; without a check it runs the flow to T2' itself.
     Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """
@@ -286,7 +290,7 @@ def single_pass(net: Network, d: Demand) -> PassResult:
         raise TheoremViolationError(
             f"expected {d.total} edge-disjoint paths to {Y1!r}, found {len(greens)}"
         )
-    reds = edge_disjoint_paths(net, s, {T2P})
+    reds = paths_via_t2(net, T2P)
     if len(reds) != d.h0 + d.h2:
         raise TheoremViolationError(
             f"expected {d.h0 + d.h2} edge-disjoint paths to {T2P!r}, found {len(reds)}"

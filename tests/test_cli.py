@@ -114,6 +114,23 @@ class TestNetworkFormat:
         assert fragment in str(exc.value)
         assert "net.json" in str(exc.value)
 
+    def test_a_reserved_label_is_reported_after_the_document_faults(self):
+        # The prefix is read off the built network, so a document that also
+        # has a fault of its own is refused for that fault.
+        doc = {
+            "nodes": ["s", "t1", "t2", "__x"],
+            "edges": [{"from": "s", "to": "t1"}, {"from": "s", "to": "zz"}],
+            "source": "s",
+            "terminals": ["t1", "t2"],
+        }
+        with pytest.raises(InputError, match=r"^net.json: edge #1 references unknown node 'zz'$"):
+            network_from_dict(doc, origin="net.json")
+        doc["edges"].pop()
+        with pytest.raises(
+            InputError, match=r"^net.json: node label '__x' uses the reserved '__' prefix$"
+        ):
+            network_from_dict(doc, origin="net.json")
+
     def test_json_syntax_error_carries_line_number(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "nodes": [,]\n}\n')
@@ -456,6 +473,20 @@ class TestCmdSynthesize:
                      "-o", str(plan)]) == 0
         for trials in ("0", "100"):
             assert main(["verify", str(net), str(plan), "--trials", trials]) == 0
+
+    def test_a_plan_on_stdout_reads_back_with_a_trace(self, tmp_path, capsys):
+        # With the plan on stdout, the line naming the trace file goes to
+        # stderr, so the captured stdout is the plan file and nothing else.
+        trace = tmp_path / "trace.jsonl"
+        assert main(["synthesize", FIG2, "--h0", "2", "--h1", "1", "--h2", "1",
+                     "--seed", "7", "--trace", str(trace)]) == 0
+        out, err = capsys.readouterr()
+        plan = synthesize(fig2_network(), Demand(2, 1, 1), seed=7)
+        assert json.loads(out) == json.loads(dump_plan(plan)) and out == dump_plan(plan)
+        assert err == f"rerouting trace written to {trace}\n"
+        piped = tmp_path / "piped.json"
+        piped.write_text(out)
+        assert main(["verify", FIG2, str(piped), "--trials", "10"]) == 0
 
     def test_trace_file_records_rerouting_steps(self, tmp_path):
         # Four nodes whose first pass reroutes twice, the second time on an

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from dualcast import flow
 from dualcast.augment import T2P, Y1, build_augmented
-from dualcast.errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
+from dualcast.errors import (
+    InfeasibleDemandError,
+    InputError,
+    InvariantError,
+    UnknownEdgeError,
+    UnknownNodeError,
+)
+from dualcast.fixtures import fig2_network
 from dualcast.flow import (
     FlowResult,
     _augment,
@@ -17,9 +24,11 @@ from dualcast.flow import (
     decompose_paths,
     edge_disjoint_paths,
     max_flow,
+    paths_via_t2,
     terminal_cuts,
 )
-from dualcast.netgraph import Edge, Network, add_virtual, remove_edges
+from dualcast.netgraph import Demand, Edge, Network, add_virtual, remove_edges
+from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics
 
 from conftest import mknet, parallel_net, random_network, small_cyclic_network
 from oracles import (
@@ -31,7 +40,7 @@ from oracles import (
     path_nodes,
     saturated,
 )
-from strategies import dag_networks, demands, digraphs
+from strategies import crossing_instances, dag_networks, demands, digraphs, feasible_instances
 
 
 class TestMaxFlowValues:
@@ -126,8 +135,8 @@ class TestTerminalCutBounds:
         calls = []
         augment = flow._augment
 
-        def recording(graph, s, is_sink, residual, limit):
-            result = augment(graph, s, is_sink, residual, limit)
+        def recording(graph, s, is_sink, residual, limit, *rest):
+            result = augment(graph, s, is_sink, residual, limit, *rest)
             calls.append((limit, result[0]))
             return result
 
@@ -168,6 +177,20 @@ class TestTerminalCutBounds:
     )
     def test_a_terminal_with_no_in_edge(self, runs_of, pairs, cuts, runs):
         assert runs_of(mknet(pairs, "s", ("t1", "t2"))) == (cuts, runs)
+
+    def test_the_network_keeps_the_checks_run_to_t2(self, runs_of):
+        # Recording the run to T2 changes none of its bounds, and the
+        # network's cached cuts keep its paths, one per unit of the cut.
+        net = fig2_network()
+        assert runs_of(net) == ((3, 3, 4), [(3, 3), (1, 1), (3, 3)])
+        assert net._t2_run is None
+        record: list = []
+        assert terminal_cuts(net, record) == net._terminal_cuts == (3, 3, 4)
+        assert net._t2_run == record and len(record) == 3
+        index, _, arc_head, _ = net._residual_arcs
+        for path in record:
+            assert path[0] in net._residual_arcs.arcs[index["1"]]
+            assert arc_head[path[-1]] == index["T2"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,3 +490,125 @@ def test_edge_disjoint_paths_refuse_what_max_flow_refuses(fig2):
         for fn in (max_flow, edge_disjoint_paths):
             with pytest.raises(error):
                 fn(fig2, "1", sinks)
+
+
+def _fresh(net):
+    """The same network, with nothing derived yet."""
+    return Network(net.nodes, net.edges, net.source, net.terminals)
+
+
+def _checked_run(net):
+    """The run to T2 that a check of a fresh copy of net records."""
+    net = _fresh(net)
+    net._terminal_cuts
+    return net._t2_run
+
+
+class TestPathsViaT2:
+    """Pass 1's paths to T2' are replayed from a run to T2."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            feasible_instances(), feasible_instances(cyclic=True), crossing_instances()
+        ),
+        demands(),
+    )
+    def test_replay_equals_the_flow_to_t2p(self, instance, other):
+        net, feasible = instance
+        for d in (feasible, other):
+            ext = build_augmented(_fresh(net), d)
+            assert ext._t2_run is None  # no check: the flow to T2' runs
+            want = paths_via_t2(ext, T2P)
+            assert want == edge_disjoint_paths(ext, ext.source, {T2P})
+            checked = _fresh(net)
+            checked._terminal_cuts  # records the run to T2, which ext inherits
+            ext = build_augmented(checked, d)
+            assert ext._t2_run == _checked_run(ext)
+            assert paths_via_t2(ext, T2P) == want
+        assert len(want) == min(other.h0 + other.h2, net._terminal_cuts[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), st.data())
+    def test_add_virtual_keeps_the_run_only_where_it_is_exact(self, net, data):
+        # The run to T2 is kept only when no new edge enters a base node,
+        # and then it is the extended network's own.
+        new = ["x", "y"]
+        labels = st.sampled_from(net.nodes + tuple(new))
+        pairs = data.draw(st.lists(st.tuples(labels, labels), max_size=6))
+        pairs = [(t, h) for t, h in pairs if t != h]
+        net._terminal_cuts
+        ext = add_virtual(net, new, pairs)
+        kept = all(h in new for _, h in pairs)
+        assert ext._t2_run == (_checked_run(ext) if kept else None)
+        assert add_virtual(_fresh(net), new, pairs)._t2_run is None
+
+    @pytest.mark.parametrize(
+        "d, limit", [(Demand(2, 1, 1), 3), (Demand(1, 2, 1), 2), (Demand(0, 1, 0), 0)]
+    )
+    def test_without_a_check_the_flow_to_t2p_stops_at_h0_plus_h2(self, monkeypatch, d, limit):
+        # fig2's cut to T2 is 3; with no check's run to replay, synthesis
+        # runs the flow to T2' itself, which stops at h0+h2, the in-degree
+        # of T2', and adds no path when h0+h2 = 0.
+        calls = []
+        augment = flow._augment
+
+        def recording(graph, s, is_sink, residual, limit, *rest):
+            result = augment(graph, s, is_sink, residual, limit, *rest)
+            calls.append((limit, result[0]))
+            return result
+
+        monkeypatch.setattr(flow, "_augment", recording)
+        synthesize(fig2_network(), d, seed=0)
+        assert calls == [(d.total, d.total), (limit, limit)]
+
+    @pytest.mark.parametrize(
+        "pairs, d",
+        [
+            # T2 with out-edges, to T1 and to a relay that feeds T1.
+            (
+                [("s", "a"), ("a", "t2"), ("s", "t2"), ("t2", "t1"), ("t2", "b"), ("b", "t1")],
+                Demand(1, 0, 1),
+            ),
+            # T1 fed only through T2: the cuts to T1, T2 and the pair are 1, 2, 2.
+            ([("s", "a"), ("a", "t2"), ("s", "t2"), ("t2", "t1")], Demand(1, 0, 1)),
+            # Parallel edges into T2.
+            (
+                [("s", "a")] * 3 + [("a", "t2")] * 2 + [("s", "t2"), ("s", "t1")],
+                Demand(1, 0, 2),
+            ),
+            # h0 + h2 = 0: no path to T2'.
+            ([("s", "t1"), ("s", "t2")], Demand(0, 1, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_hand_cases(self, pairs, d, checked):
+        net = mknet(pairs, "s", ("t1", "t2"))
+        if checked:
+            assert check_feasibility(net, d).feasible
+        ext = build_augmented(net, d)
+        want = edge_disjoint_paths(ext, "s", {T2P})
+        assert len(want) == d.h0 + d.h2
+        assert paths_via_t2(ext, T2P) == want
+        plan, passes = synthesize_with_diagnostics(net, d, seed=0)
+        assert passes.pass1.initial.red_paths == tuple(want)
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_unreachable_t2_is_refused_as_before(self, checked):
+        # T2 has an in-edge, so the demand passes the size check, but the
+        # source cannot reach it: the flow to Y1 goes through T1 and the
+        # replay gives no path to T2'.
+        net = mknet([("s", "t1"), ("x", "t2")], "s", ("t1", "t2"))
+        d = Demand(1, 0, 0)
+        if checked:
+            assert not check_feasibility(net, d).feasible
+        ext = build_augmented(net, d)
+        assert paths_via_t2(ext, T2P) == edge_disjoint_paths(ext, "s", {T2P}) == []
+        with pytest.raises(InfeasibleDemandError, match="ineq2") as exc:
+            synthesize(net, d, seed=0)
+        assert exc.value.report == check_feasibility(net, d)
+
+    def test_a_gate_entered_from_another_node_is_refused(self, fig2):
+        ext = add_virtual(fig2, ["g"], [("T2", "g"), ("6", "g")])
+        with pytest.raises(InputError, match="does not leave 'T2'"):
+            paths_via_t2(ext, "g")

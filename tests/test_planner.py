@@ -189,10 +189,11 @@ class TestFeasibilityFromPassOne:
         return calls
 
     def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(self, monkeypatch):
-        # Pass 1's two flows, each decomposed straight from its residual
-        # (edge_disjoint_paths), so none goes through max_flow; pass 2 starts
-        # from pass 1's coloring on the same augmented graph, and the code
-        # reuses pass 2's paths.
+        # Pass 1's flow to Y1, decomposed straight from its residual
+        # (edge_disjoint_paths), and the run to T2 that its paths to T2' are
+        # replayed from (paths_via_t2), so none goes through max_flow; pass 2
+        # starts from pass 1's coloring on the same augmented graph, and the
+        # code reuses pass 2's paths.
         net = fig2_network()  # a fresh object: its cuts are not cached yet
         flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
         runs = self._count(monkeypatch, "_augment", flow)
@@ -216,6 +217,11 @@ class TestFeasibilityFromPassOne:
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
             synthesize(net, Demand(0, 2, 3), seed=7)
         assert (len(flows), len(runs), len(checks)) == (0, 1, 2)
+        # The check kept its run to T2, so pass 1's paths to T2' replay it: a
+        # feasible synthesis on the checked network runs only the flow to Y1.
+        runs.clear()
+        synthesize(net, Demand(2, 1, 1), seed=7)
+        assert (len(flows), len(runs)) == (0, 1)
 
     def test_demand_beyond_a_terminal_in_degree_is_refused_before_augmenting(
         self, fig2, monkeypatch
