@@ -12,14 +12,17 @@ continuing the flow to T1, and each Network caches them
 bound it is given: no flow exceeds the source's out-degree or the sinks'
 in-degree, counted from those nodes' own arc lists, so terminal_cuts and
 edge_disjoint_paths skip the final search that would only confirm it.
-edge_disjoint_paths decomposes a maximum flow straight from the residual
-bytes the loop leaves, with the walk behind decompose_paths; a network
-extended by add_virtual runs both on the adjacency it inherits from its
-base. The check's run to T2 is kept on the network (Network._t2_run), and
-paths_via_t2 replays it for a node entered only from T2, such as T2',
-instead of running a flow there. All tie-breaking is by ascending edge id,
-out-arcs before in-arcs, so identical inputs always produce identical
-flows and paths.
+A run that stays within its first phase has already found its
+decomposition: its augmenting paths, in the order it found them, are the
+paths the walk behind decompose_paths would take out of the flow (see
+_augment). So edge_disjoint_paths returns a one-phase run's recorded paths
+and decomposes the residual bytes the loop leaves only after a longer run;
+a network extended by add_virtual runs both on the adjacency it inherits
+from its base. The check's run to T2 is kept on the network
+(Network._t2_run), and paths_via_t2 reuses its first paths for a node
+entered only from T2, such as T2', instead of running a flow there. All
+tie-breaking is by ascending edge id, out-arcs before in-arcs, so identical
+inputs always produce identical flows and paths.
 """
 
 from __future__ import annotations
@@ -97,17 +100,24 @@ def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
 def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> list[EdgePath]:
     """A maximum set of edge-disjoint src -> sink paths: max_flow, then decompose_paths.
 
-    Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks), but
-    the walk reads the flow straight from Dinic's residual bytes (edge i
-    carries flow while arc 2i+1 is residual) instead of through a FlowResult.
-    The run stops once its value reaches the degree bound of src and the
-    sinks; the search it skips would find no augmenting path, so the residual
+    Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks).
+    When the first and last augmenting paths of the Dinic run have the same
+    length, the whole run was one phase, and its recorded paths are returned
+    as they are: they are that decomposition (see _augment). Otherwise the
+    walk reads the flow straight from the residual bytes (edge i carries
+    flow while arc 2i+1 is residual) instead of through a FlowResult. The
+    run stops once its value reaches the degree bound of src and the sinks;
+    the search it skips would find no augmenting path, so the residual
     bytes, and with them the paths, are those of a full run.
     """
     graph = net._residual_arcs
     s, is_sink, bound = _flow_ends(graph, src, sinks)
     residual = bytearray(b"\x01\x00") * len(graph.eids)
-    value = _augment(graph, s, is_sink, residual, bound)[0]
+    record: list[tuple[int, ...]] = []
+    value = _augment(graph, s, is_sink, residual, bound, record)[0]
+    if not record or len(record[0]) == len(record[-1]):  # one phase: see _augment
+        eids = graph.eids
+        return [EdgePath(tuple([eids[a >> 1] for a in path])) for path in record]
     return _decompose(net, s, is_sink, residual[1::2], value)
 
 
@@ -119,11 +129,13 @@ def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
     stopped after k paths: the searches level every other node as in the
     run to T2, and those a run to T2 does not level are dead ends; a bound
     only truncates a run. So when net holds the check's run to T2
-    (Network._t2_run), the residual that edge_disjoint_paths decomposes is
-    built by replaying its first k paths and using the first that many
-    edges into the gate, and no search runs; a net that holds none runs
-    edge_disjoint_paths itself. An edge into the gate from another node
-    raises InputError.
+    (Network._t2_run), no search runs. If the first and the k-th of its
+    paths have equal lengths, its first k paths lie in its first phase, and
+    each, continued by the next edge into the gate, is returned as it is
+    (see _augment); otherwise the residual that edge_disjoint_paths
+    decomposes is built by replaying them and using the first that many
+    edges into the gate. A net that holds no run runs edge_disjoint_paths
+    itself. An edge into the gate from another node raises InputError.
     """
     graph = net._residual_arcs
     s, is_sink, _ = _flow_ends(graph, net.source, {gate})
@@ -135,6 +147,12 @@ def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
     if net._t2_run is None:  # no check ran on the base network
         return edge_disjoint_paths(net, net.source, {gate})
     run = net._t2_run[: len(into_gate)]
+    if not run or len(run[0]) == len(run[-1]):  # one phase: see _augment
+        eids = graph.eids
+        return [
+            EdgePath(tuple([eids[a >> 1] for a in path] + [eids[g >> 1]]))
+            for path, g in zip(run, into_gate)
+        ]
     residual = bytearray(b"\x01\x00") * len(graph.eids)
     for path in run:
         for a in path:
@@ -227,6 +245,15 @@ def _augment(
     time (Even-Tarjan 1975).
 
     record, when given, gets each augmenting path's arcs from s, in order.
+    Every path of a phase has the phase's sink level as its length, and each
+    phase's is strictly larger than the last's (Even-Tarjan 1975), so a
+    record, or a prefix of one, whose first and last paths have equal
+    lengths lies in the first phase. When that phase starts from the zero
+    flow, those paths are what _decompose takes out of the flow they carry,
+    in the same order: only forward arcs are admissible, every path climbs
+    one level per arc, so no cycle forms and no sink is passed, and each
+    node's current-arc pointer hands its carrying out-arcs to the paths
+    through it in record order, by ascending edge id, as the walk does.
 
     limit is checked before each phase and at the augmentation that reaches
     it, so a limit of 0 runs no search. A limit that bounds every flow from

@@ -10,9 +10,11 @@ first check; so are the augmenting paths of the check's run to T2.
 Synthesis does not run the check up front: the first recoloring pass's
 two flows decide feasibility, and the cuts are read only to report a
 demand those flows refuse. Those are a feasible synthesis's only two
-flows, and after a check the one to T2' replays the check's run to T2
+flows, and after a check the one to T2' reuses the check's run to T2
 instead of searching, so the flow to Y1 is its one Dinic run: the second
 pass starts from the first pass's coloring on the same augmented graph.
+Pass 1's paths are those runs' augmenting paths as recorded whenever the
+paths used lie in one Dinic phase; only a longer run is decomposed again.
 check_plan is the one semantic check of a plan, run by synthesis,
 verification and the DOT export. It walks each route once and hands a
 route to check_path, which names its first fault, only when the walk finds

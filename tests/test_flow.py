@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,12 @@ from dualcast.flow import (
     terminal_cuts,
 )
 from dualcast.netgraph import Demand, Edge, Network, add_virtual, remove_edges
-from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics
+from dualcast.planner import (
+    check_feasibility,
+    synthesize,
+    synthesize_with_diagnostics,
+    verify_plan,
+)
 
 from conftest import mknet, parallel_net, random_network, small_cyclic_network
 from oracles import (
@@ -209,6 +216,60 @@ def test_augment_stopped_at_a_bound_leaves_the_residual_of_a_full_run(net, which
         residual = bytearray(b"\x01\x00") * len(graph.eids)
         assert _augment(graph, s, is_sink, residual, limit)[0] == value
         assert residual == full
+
+
+def _phases_of_a_run(graph, s, is_sink, limit):
+    """A fresh _augment run's record, and the record's length as each phase began.
+
+    The phases are counted from outside the run: a trace function notes
+    each time _augment reaches the line that starts a phase's search.
+    """
+    lines, first = inspect.getsourcelines(flow._augment)
+    (start,) = [first + i for i, line in enumerate(lines) if "level = [-1] * n" in line]
+    code = flow._augment.__code__
+    record: list = []
+    starts: list[int] = []
+
+    def in_augment(frame, event, arg):
+        if event == "line" and frame.f_lineno == start:
+            starts.append(len(record))
+        return in_augment
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_augment if frame.f_code is code else None)
+    try:
+        _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), limit, record)
+    finally:
+        sys.settrace(before)
+    return record, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(digraphs(), digraphs(max_nodes=12, max_edges=30)),
+    st.sampled_from([(0,), (1,), (0, 1)]),
+    st.booleans(),
+)
+def test_a_one_phase_prefix_of_a_run_is_its_own_decomposition(net, which, bounded):
+    """Equal first and k-th path lengths mark a prefix of the first phase, and
+    such a prefix's recorded paths are what _decompose takes out of its flow."""
+    graph = net._residual_arcs
+    s, is_sink, bound = _flow_ends(graph, net.source, [net.terminals[i] for i in which])
+    record, starts = _phases_of_a_run(graph, s, is_sink, bound if bounded else len(graph.eids) + 1)
+    first_phase = starts[1] if len(starts) > 1 else len(record)
+    for k in range(1, len(record) + 1):
+        one_phase = len(record[0]) == len(record[k - 1])
+        assert one_phase == (k <= first_phase)
+        if one_phase:
+            residual = bytearray(b"\x01\x00") * len(graph.eids)
+            for path in record[:k]:
+                for a in path:
+                    residual[a] = 0
+                    residual[a ^ 1] = 1
+            got = flow._decompose(net, s, is_sink, residual[1::2], k)
+            assert [p.edges for p in got] == [
+                tuple(graph.eids[a >> 1] for a in path) for path in record[:k]
+            ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -612,3 +673,65 @@ class TestPathsViaT2:
         ext = add_virtual(fig2, ["g"], [("T2", "g"), ("6", "g")])
         with pytest.raises(InputError, match="does not leave 'T2'"):
             paths_via_t2(ext, "g")
+
+
+# In both networks a run's first search sends a -> c -> t and leaves b blocked
+# at c; the path that follows is s b c a e f t, through the reverse of a -> c.
+# Here t is T1, so the flow to Y1 for (1, 1, 0) needs two phases, and the one
+# path to T2' needs one.
+Y1_TWO_PHASES = (
+    [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "t1"), ("a", "e"), ("e", "f")]
+    + [("f", "t1"), ("s", "g"), ("g", "t2")],
+    Demand(1, 1, 0),
+)
+# Here t is T2, so the first h0+h2 = 2 paths of the run to T2, and the flow to
+# T2', span two phases; the flow to Y1 for (2, 0, 0) enters T1 from x and y in one.
+T2_TWO_PHASES = (
+    [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "t2"), ("a", "e"), ("e", "f")]
+    + [("f", "t2"), ("s", "x"), ("x", "t1"), ("s", "y"), ("y", "t1")],
+    Demand(2, 0, 0),
+)
+
+
+class TestPathsFromTheRecord:
+    """Pass 1's paths are a one-phase run's record; a longer run is decomposed."""
+
+    @staticmethod
+    def _counted_synthesis(monkeypatch, net, d):
+        calls = []
+        decompose = flow._decompose
+
+        def counting(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(flow, "_decompose", counting)
+        result = synthesize_with_diagnostics(net, d, seed=0)
+        monkeypatch.undo()
+        return result, len(calls)
+
+    @pytest.mark.parametrize("pairs, d", [Y1_TWO_PHASES, T2_TWO_PHASES], ids=["Y1", "T2"])
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_a_two_phase_flow_is_decomposed_once(self, monkeypatch, pairs, d, checked):
+        net = mknet(pairs, "s", ("t1", "t2"))
+        if checked:
+            assert check_feasibility(net, d).feasible
+        (plan, passes), decomposed = self._counted_synthesis(monkeypatch, net, d)
+        assert decomposed == 1
+        ext = build_augmented(net, d)
+        greens = decompose_paths(ext, max_flow(ext, "s", {Y1}), "s", Y1)
+        reds = edge_disjoint_paths(ext, "s", {T2P})
+        assert reds == decompose_paths(ext, max_flow(ext, "s", {T2P}), "s", T2P)
+        assert passes.pass1.initial.green_paths == tuple(greens)
+        assert passes.pass1.initial.red_paths == tuple(reds)
+        assert verify_plan(net, plan, trials=20).passed
+
+    # On fig2, (1, 1, 1) takes both flows from records. For (2, 1, 1) the
+    # flow to Y1 finds paths of 4, 4, 4 and 8 edges, and the first three
+    # paths of the run to T2 have 2, 2 and 4, so each is decomposed.
+    @pytest.mark.parametrize("d, decompositions", [(Demand(1, 1, 1), 0), (Demand(2, 1, 1), 2)])
+    def test_a_checked_fig2_synthesis(self, monkeypatch, fig2, d, decompositions):
+        assert check_feasibility(fig2, d).feasible
+        (plan, _), decomposed = self._counted_synthesis(monkeypatch, fig2, d)
+        assert decomposed == decompositions
+        assert verify_plan(fig2, plan, trials=20).passed
