@@ -136,10 +136,23 @@ def _read_json(path: Path) -> Any:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write an output file; any failure to write it is an InputError."""
+def _write_text(path: str | None, text: str) -> None:
+    """Write output text to the file path, or to stdout when path is empty.
+
+    Always as UTF-8, DOT's default charset, so no locale fails a non-ASCII
+    label; a text-only stdout (io.StringIO, say) takes the text as it is.
+    Any failure to write a file is an InputError.
+    """
+    if not path:
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
+        return
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -456,9 +469,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     for name, cut, req in zip(names, report.cuts, report.required):
         print(f"min-cut {name}: {cut} (needs >= {req})")
     if report.feasible:
-        print(f"FEASIBLE {report.describe()[len('feasible '):]}")
+        print(f"FEASIBLE {report.describe()}")
         return EXIT_OK
-    print(f"INFEASIBLE {report.describe()[len('infeasible '):]}")
+    print(f"INFEASIBLE {report.describe()}")
     return EXIT_INFEASIBLE
 
 
@@ -468,16 +481,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     plan, passes = synthesize_with_diagnostics(
         net, d, args.seed, field_bits=args.field_bits
     )
-    text = dump_plan(plan)
-    status = sys.stdout  # status lines; stderr when the plan itself goes to stdout
+    _write_text(args.output, dump_plan(plan))
     if args.output:
-        _write_text(args.output, text)
         print(f"plan written to {args.output}")
-    else:
-        sys.stdout.write(text)
-        status = sys.stderr
     if args.trace:
         _write_text(args.trace, dump_trace([(1, passes.pass1.trace), (2, passes.pass2.trace)]))
+        # To stderr when the plan itself went to stdout.
+        status = sys.stdout if args.output else sys.stderr
         print(f"rerouting trace written to {args.trace}", file=status)
     return EXIT_OK
 
@@ -501,11 +511,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     augment_demand = None
     if args.augmented:
         augment_demand = _demand_from_args(args)
-    text = export_dot(net, plan=plan, augment_demand=augment_demand)
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, export_dot(net, plan=plan, augment_demand=augment_demand))
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ class InfeasibleDemandError(DualcastError):
 
     def __init__(self, report):
         self.report = report
-        super().__init__(f"demand is infeasible: {report.describe()}")
+        super().__init__(f"demand is infeasible {report.describe()}")
 
 
 class CyclicSupportError(DualcastError):

@@ -12,17 +12,13 @@ continuing the flow to T1, and each Network caches them
 bound it is given: no flow exceeds the source's out-degree or the sinks'
 in-degree, counted from those nodes' own arc lists, so terminal_cuts and
 edge_disjoint_paths skip the final search that would only confirm it.
-A run that stays within its first phase has already found its
-decomposition: its augmenting paths, in the order it found them, are the
-paths the walk behind decompose_paths would take out of the flow (see
-_augment). So edge_disjoint_paths returns a one-phase run's recorded paths
-and decomposes the residual bytes the loop leaves only after a longer run;
-a network extended by add_virtual runs both on the adjacency it inherits
-from its base. The check's run to T2 is kept on the network
-(Network._t2_run), and paths_via_t2 reuses its first paths for a node
-entered only from T2, such as T2', instead of running a flow there. All
-tie-breaking is by ascending edge id, out-arcs before in-arcs, so identical
-inputs always produce identical flows and paths.
+edge_disjoint_paths turns its run's record of augmenting paths into paths
+in one step, _recorded_paths; a network extended by add_virtual runs on the
+adjacency it inherits from its base. The check's run to T2 is kept on the
+network (Network._t2_run), and paths_via_t2 hands that step its first paths
+for a node entered only from T2, such as T2', instead of running a flow
+there. All tie-breaking is by ascending edge id, out-arcs before in-arcs,
+so identical inputs always produce identical flows and paths.
 """
 
 from __future__ import annotations
@@ -100,25 +96,16 @@ def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
 def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> list[EdgePath]:
     """A maximum set of edge-disjoint src -> sink paths: max_flow, then decompose_paths.
 
-    Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks).
-    When the first and last augmenting paths of the Dinic run have the same
-    length, the whole run was one phase, and its recorded paths are returned
-    as they are: they are that decomposition (see _augment). Otherwise the
-    walk reads the flow straight from the residual bytes (edge i carries
-    flow while arc 2i+1 is residual) instead of through a FlowResult. The
-    run stops once its value reaches the degree bound of src and the sinks;
-    the search it skips would find no augmenting path, so the residual
-    bytes, and with them the paths, are those of a full run.
+    Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks):
+    the Dinic run's record goes through _recorded_paths. The run stops once
+    its value reaches the degree bound of src and the sinks; the search it
+    skips would find no augmenting path, so the record is that of a full run.
     """
     graph = net._residual_arcs
     s, is_sink, bound = _flow_ends(graph, src, sinks)
-    residual = bytearray(b"\x01\x00") * len(graph.eids)
     record: list[tuple[int, ...]] = []
-    value = _augment(graph, s, is_sink, residual, bound, record)[0]
-    if not record or len(record[0]) == len(record[-1]):  # one phase: see _augment
-        eids = graph.eids
-        return [EdgePath(tuple([eids[a >> 1] for a in path])) for path in record]
-    return _decompose(net, s, is_sink, residual[1::2], value)
+    _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), bound, record)
+    return _recorded_paths(net, s, is_sink, record)
 
 
 def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
@@ -129,13 +116,11 @@ def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
     stopped after k paths: the searches level every other node as in the
     run to T2, and those a run to T2 does not level are dead ends; a bound
     only truncates a run. So when net holds the check's run to T2
-    (Network._t2_run), no search runs. If the first and the k-th of its
-    paths have equal lengths, its first k paths lie in its first phase, and
-    each, continued by the next edge into the gate, is returned as it is
-    (see _augment); otherwise the residual that edge_disjoint_paths
-    decomposes is built by replaying them and using the first that many
-    edges into the gate. A net that holds no run runs edge_disjoint_paths
-    itself. An edge into the gate from another node raises InputError.
+    (Network._t2_run), no search runs: its first k paths, so continued, go
+    through _recorded_paths. A path of the run ends where it first reaches
+    T2, so none uses an edge into the gate. A net that holds no run runs
+    edge_disjoint_paths itself. An edge into the gate from another node
+    raises InputError.
     """
     graph = net._residual_arcs
     s, is_sink, _ = _flow_ends(graph, net.source, {gate})
@@ -146,22 +131,34 @@ def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
         raise InputError(f"an edge into {gate!r} does not leave {net.terminals[1]!r}")
     if net._t2_run is None:  # no check ran on the base network
         return edge_disjoint_paths(net, net.source, {gate})
-    run = net._t2_run[: len(into_gate)]
-    if not run or len(run[0]) == len(run[-1]):  # one phase: see _augment
-        eids = graph.eids
-        return [
-            EdgePath(tuple([eids[a >> 1] for a in path] + [eids[g >> 1]]))
-            for path, g in zip(run, into_gate)
-        ]
-    residual = bytearray(b"\x01\x00") * len(graph.eids)
-    for path in run:
+    record = [path + (g ^ 1,) for path, g in zip(net._t2_run, into_gate)]
+    return _recorded_paths(net, s, is_sink, record)
+
+
+def _recorded_paths(
+    net: Network, s: int, is_sink: bytearray, record: list[tuple[int, ...]]
+) -> list[EdgePath]:
+    """The paths _decompose takes out of the flow a Dinic run's record carries.
+
+    record is a prefix of the augmenting paths of a run from the zero flow.
+    A record whose first and last paths have equal lengths lies in the first
+    phase (see _augment) and is returned as it is: there only forward arcs
+    are admissible and each path climbs one level per arc, so no cycle forms
+    and no sink is passed, and each node's current-arc pointer hands its
+    carrying out-arcs to the paths through it in record order, by ascending
+    edge id, as the walk does. Any other record is replayed into a fresh
+    residual for _decompose: the run wrote exactly these bytes, in this
+    order, so the replay rebuilds its residual byte for byte.
+    """
+    eids = net._residual_arcs.eids
+    if not record or len(record[0]) == len(record[-1]):
+        return [EdgePath(tuple([eids[a >> 1] for a in path])) for path in record]
+    residual = bytearray(b"\x01\x00") * len(eids)
+    for path in record:
         for a in path:
             residual[a] = 0
             residual[a ^ 1] = 1
-    for a in into_gate[: len(run)]:  # the reverse arc of a used edge is residual
-        residual[a] = 1
-        residual[a ^ 1] = 0
-    return _decompose(net, s, is_sink, residual[1::2], len(run))
+    return _decompose(net, s, is_sink, residual[1::2], len(record))
 
 
 def _flow_ends(
@@ -248,12 +245,8 @@ def _augment(
     Every path of a phase has the phase's sink level as its length, and each
     phase's is strictly larger than the last's (Even-Tarjan 1975), so a
     record, or a prefix of one, whose first and last paths have equal
-    lengths lies in the first phase. When that phase starts from the zero
-    flow, those paths are what _decompose takes out of the flow they carry,
-    in the same order: only forward arcs are admissible, every path climbs
-    one level per arc, so no cycle forms and no sink is passed, and each
-    node's current-arc pointer hands its carrying out-arcs to the paths
-    through it in record order, by ascending edge id, as the walk does.
+    lengths lies in the first phase; _recorded_paths turns a record into
+    paths.
 
     limit is checked before each phase and at the augmentation that reaches
     it, so a limit of 0 runs no search. A limit that bounds every flow from

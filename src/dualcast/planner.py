@@ -13,8 +13,7 @@ demand those flows refuse. Those are a feasible synthesis's only two
 flows, and after a check the one to T2' reuses the check's run to T2
 instead of searching, so the flow to Y1 is its one Dinic run: the second
 pass starts from the first pass's coloring on the same augmented graph.
-Pass 1's paths are those runs' augmenting paths as recorded whenever the
-paths used lie in one Dinic phase; only a longer run is decomposed again.
+Pass 1's paths come from those runs' records (flow._recorded_paths).
 check_plan is the one semantic check of a plan, run by synthesis,
 verification and the DOT export. It walks each route once and hands a
 route to check_path, which names its first fault, only when the walk finds
@@ -63,14 +62,15 @@ class FeasibilityReport:
     violated: tuple[CutViolation, ...]
 
     def describe(self) -> str:
+        """The verdict's detail, in parentheses: the cuts, or the violated inequalities."""
         cuts = ",".join(map(str, self.cuts))
         req = ",".join(map(str, self.required))
         if self.feasible:
-            return f"feasible (cuts {cuts} >= {req})"
+            return f"(cuts {cuts} >= {req})"
         parts = ", ".join(
             f"{v.name} needs {v.required}, has {v.actual}" for v in self.violated
         )
-        return f"infeasible ({parts})"
+        return f"({parts})"
 
 
 def check_feasibility(net: Network, d: Demand) -> FeasibilityReport:
@@ -123,8 +123,9 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     pass holds besides its routes. The second pass starts from the first
     pass's final coloring, so the first pass's two max-flows are the only
     ones a feasible synthesis needs, and after a check of net only the one
-    to Y1 searches: the one to T2' replays the check's run to T2. seed is
-    only recorded in the plan: no coded value depends on it, and identical
+    to Y1 searches: the one to T2' reuses the check's run to T2, and
+    flow._recorded_paths turns each run's record into paths. seed is only
+    recorded in the plan: no coded value depends on it, and identical
     inputs give identical plans.
 
     Feasibility is certified by the first recoloring pass, not checked

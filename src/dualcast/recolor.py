@@ -276,14 +276,11 @@ def single_pass(net: Network, d: Demand) -> PassResult:
 
     net is the base network extended by build_augmented. The green paths to
     Y1 come from edge_disjoint_paths, on the adjacency net inherits from the
-    base network: they are its Dinic run's augmenting paths when the run is
-    one phase, and a decomposition of its residual otherwise. The red paths
-    to T2' are the same function's paths, but T2' is entered only from T2,
-    so paths_via_t2 takes them, with no search, from the run to T2 that a
-    check of the base network recorded (Network._t2_run) and net inherits:
-    its first h0+h2 paths as recorded when they are one phase, else
-    decomposed from their replay. Without a check it runs the flow to T2'
-    itself.
+    base network. The red paths to T2' are the same function's paths, but
+    T2' is entered only from T2, so paths_via_t2 takes them, with no search,
+    from the run to T2 that a check of the base network recorded
+    (Network._t2_run) and net inherits; without a check it runs the flow to
+    T2' itself. Both turn a run's record into paths by flow._recorded_paths.
     Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dualcast
 from dualcast.cli import (
     dump_plan,
     export_dot,
@@ -456,7 +463,10 @@ class TestCmdSynthesize:
 
     def test_infeasible_demand_exits_two(self, capsys):
         assert main(["synthesize", FIG2, "--h0", "3", "--h1", "1", "--h2", "1"]) == 2
-        assert "infeasible" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: demand is infeasible "
+            "(ineq1 needs 4, has 3, ineq2 needs 4, has 3, ineq3 needs 5, has 4)\n"
+        )
 
     def test_multicast_only_demand_has_empty_routes(self, tmp_path):
         out = tmp_path / "mc.json"
@@ -755,6 +765,11 @@ class TestCmdExportDot:
         out = capsys.readouterr().out
         assert out.count('"1" ->') == 4
         assert out.startswith("digraph")
+        # A text-only stdout, with no byte buffer to write UTF-8 to, gets the same text.
+        text_only = io.StringIO()
+        with contextlib.redirect_stdout(text_only):
+            assert main(["export-dot", FIG2]) == 0
+        assert text_only.getvalue() == out
 
     def test_augmented_view_adds_dashed_virtual_bundles(self, capsys):
         assert main(["export-dot", FIG2, "--augmented",
@@ -792,6 +807,31 @@ class TestCmdExportDot:
         assert main(["export-dot", FIG2, str(plan)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_a_non_ascii_label_is_written_as_utf8_in_an_ascii_locale(self, tmp_path, to_file):
+        # Under the POSIX locale with UTF-8 mode off, Python encodes stdout
+        # and opened files as ASCII; the DOT text is UTF-8 all the same.
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({
+            "nodes": ["s", "节点", "t1", "t2"],
+            "edges": [{"from": "s", "to": "节点"}, {"from": "节点", "to": "t1"},
+                      {"from": "s", "to": "t2"}],
+            "source": "s",
+            "terminals": ["t1", "t2"],
+        }), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        src = str(Path(dualcast.__file__).parents[1])
+        env.update(LC_ALL="POSIX", PYTHONUTF8="0", PYTHONPATH=src)
+        dot = tmp_path / "net.dot"
+        argv = [sys.executable, "-m", "dualcast.cli", "export-dot", str(net)]
+        proc = subprocess.run(
+            argv + (["-o", str(dot)] if to_file else []), env=env, capture_output=True
+        )
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        out = dot.read_bytes() if to_file else proc.stdout
+        assert out.decode("utf-8") == export_dot(load_network_file(net))
+        assert '"s" -> "节点"' in out.decode("utf-8")
 
     def test_plan_that_does_not_fit_the_network_exits_one(self, plan_file, tmp_path, capsys):
         doc = json.loads(plan_file.read_text())

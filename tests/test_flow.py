@@ -218,8 +218,27 @@ def test_augment_stopped_at_a_bound_leaves_the_residual_of_a_full_run(net, which
         assert residual == full
 
 
+# In both networks a run's first search sends a -> c -> t and leaves b blocked
+# at c; the path that follows is s b c a e f t, through the reverse of a -> c.
+# Here t is T1, so the flow to Y1 for (1, 1, 0) needs two phases, and the one
+# path to T2' needs one.
+Y1_TWO_PHASES = (
+    [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "t1"), ("a", "e"), ("e", "f")]
+    + [("f", "t1"), ("s", "g"), ("g", "t2")],
+    Demand(1, 1, 0),
+)
+# Here t is T2, so the first h0+h2 = 2 paths of the run to T2, and the flow to
+# T2', span two phases; the flow to Y1 for (2, 0, 0) enters T1 from x and y in one.
+T2_TWO_PHASES = (
+    [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "t2"), ("a", "e"), ("e", "f")]
+    + [("f", "t2"), ("s", "x"), ("x", "t1"), ("s", "y"), ("y", "t1")],
+    Demand(2, 0, 0),
+)
+
+
 def _phases_of_a_run(graph, s, is_sink, limit):
-    """A fresh _augment run's record, and the record's length as each phase began.
+    """A fresh _augment run's record, the record's length as each phase began,
+    and the residual the run left.
 
     The phases are counted from outside the run: a trace function notes
     each time _augment reaches the line that starts a phase's search.
@@ -229,6 +248,7 @@ def _phases_of_a_run(graph, s, is_sink, limit):
     code = flow._augment.__code__
     record: list = []
     starts: list[int] = []
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
 
     def in_augment(frame, event, arg):
         if event == "line" and frame.f_lineno == start:
@@ -238,38 +258,48 @@ def _phases_of_a_run(graph, s, is_sink, limit):
     before = sys.gettrace()
     sys.settrace(lambda frame, event, arg: in_augment if frame.f_code is code else None)
     try:
-        _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), limit, record)
+        _augment(graph, s, is_sink, residual, limit, record)
     finally:
         sys.settrace(before)
-    return record, starts
+    return record, starts, residual
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.one_of(digraphs(), digraphs(max_nodes=12, max_edges=30)),
+    st.one_of(
+        digraphs(),
+        digraphs(max_nodes=12, max_edges=30),
+        st.sampled_from([Y1_TWO_PHASES[0], T2_TWO_PHASES[0]]).map(
+            lambda pairs: mknet(pairs, "s", ("t1", "t2"))
+        ),
+    ),
     st.sampled_from([(0,), (1,), (0, 1)]),
     st.booleans(),
 )
 def test_a_one_phase_prefix_of_a_run_is_its_own_decomposition(net, which, bounded):
     """Equal first and k-th path lengths mark a prefix of the first phase, and
-    such a prefix's recorded paths are what _decompose takes out of its flow."""
+    such a prefix's recorded paths are what _decompose takes out of its flow.
+    _recorded_paths gives that decomposition for every prefix, and replaying
+    the whole record rebuilds the residual the run left."""
     graph = net._residual_arcs
     s, is_sink, bound = _flow_ends(graph, net.source, [net.terminals[i] for i in which])
-    record, starts = _phases_of_a_run(graph, s, is_sink, bound if bounded else len(graph.eids) + 1)
+    limit = bound if bounded else len(graph.eids) + 1
+    record, starts, left = _phases_of_a_run(graph, s, is_sink, limit)
     first_phase = starts[1] if len(starts) > 1 else len(record)
-    for k in range(1, len(record) + 1):
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
+    for k, path in enumerate(record, 1):
+        for a in path:
+            residual[a] = 0
+            residual[a ^ 1] = 1
+        want = flow._decompose(net, s, is_sink, residual[1::2], k)
+        assert flow._recorded_paths(net, s, is_sink, record[:k]) == want
         one_phase = len(record[0]) == len(record[k - 1])
         assert one_phase == (k <= first_phase)
         if one_phase:
-            residual = bytearray(b"\x01\x00") * len(graph.eids)
-            for path in record[:k]:
-                for a in path:
-                    residual[a] = 0
-                    residual[a ^ 1] = 1
-            got = flow._decompose(net, s, is_sink, residual[1::2], k)
-            assert [p.edges for p in got] == [
+            assert [p.edges for p in want] == [
                 tuple(graph.eids[a >> 1] for a in path) for path in record[:k]
             ]
+    assert residual == left
 
 
 @settings(max_examples=150, deadline=None)
@@ -673,24 +703,6 @@ class TestPathsViaT2:
         ext = add_virtual(fig2, ["g"], [("T2", "g"), ("6", "g")])
         with pytest.raises(InputError, match="does not leave 'T2'"):
             paths_via_t2(ext, "g")
-
-
-# In both networks a run's first search sends a -> c -> t and leaves b blocked
-# at c; the path that follows is s b c a e f t, through the reverse of a -> c.
-# Here t is T1, so the flow to Y1 for (1, 1, 0) needs two phases, and the one
-# path to T2' needs one.
-Y1_TWO_PHASES = (
-    [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "t1"), ("a", "e"), ("e", "f")]
-    + [("f", "t1"), ("s", "g"), ("g", "t2")],
-    Demand(1, 1, 0),
-)
-# Here t is T2, so the first h0+h2 = 2 paths of the run to T2, and the flow to
-# T2', span two phases; the flow to Y1 for (2, 0, 0) enters T1 from x and y in one.
-T2_TWO_PHASES = (
-    [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "t2"), ("a", "e"), ("e", "f")]
-    + [("f", "t2"), ("s", "x"), ("x", "t1"), ("s", "y"), ("y", "t1")],
-    Demand(2, 0, 0),
-)
 
 
 class TestPathsFromTheRecord:
