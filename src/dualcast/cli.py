@@ -260,10 +260,10 @@ def plan_from_dict(doc: Any, origin: str = "<plan>") -> TransferPlan:
     """
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
-    if doc.get("version") != PLAN_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != PLAN_VERSION:  # 3.0 equals 3 but is refused
         raise InputError(
-            f"{origin}: unsupported plan version {doc.get('version')!r} "
-            f"(expected {PLAN_VERSION})"
+            f"{origin}: unsupported plan version {version!r} (expected {PLAN_VERSION})"
         )
     try:
         _known_keys(doc, PLAN_KEYS, "plan")

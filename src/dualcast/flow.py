@@ -5,19 +5,17 @@ maximum flow decomposes into value-many edge-disjoint source-to-sink paths
 (constructive Menger). Maximum flows come from Dinic's blocking-flow
 algorithm, in which any sink of a sink set ends a search branch, over a
 residual adjacency that each Network builds once (Network._residual_arcs).
-The same loop can continue from a flow it already found: terminal_cuts gets
-a network's three terminal min-cuts from two Dinic runs, the pair cut
-continuing the flow to T1, and each Network caches them
-(Network._terminal_cuts). A run also stops as soon as its value reaches a
-bound it is given: no flow exceeds the source's out-degree or the sinks'
-in-degree, counted from those nodes' own arc lists, so terminal_cuts and
-edge_disjoint_paths skip the final search that would only confirm it.
-edge_disjoint_paths turns its run's record of augmenting paths into paths
-in one step, _recorded_paths; a network extended by add_virtual runs on the
-adjacency it inherits from its base. The check's run to T2 is kept on the
-network (Network._t2_run), and paths_via_t2 hands that step its first paths
-for a node entered only from T2, such as T2', instead of running a flow
-there. All tie-breaking is by ascending edge id, out-arcs before in-arcs,
+The same loop can continue from a flow it already found: terminal_cuts
+continues its run to T1 into the pair cut, and reads the cut to T2 off the
+network's Dinic run to T2 (Network._t2_run); each Network caches its cuts
+(Network._terminal_cuts). A run stops as soon as its value reaches
+a bound it is given, the source's out-degree or the sinks' in-degree, so it
+skips the final search that would only confirm it. edge_disjoint_paths and
+the run to T2 record their augmenting paths by one step, _run_record, and
+_recorded_paths turns a record into paths; paths_via_t2 hands it the first
+paths of the run to T2 for a node entered only from T2, such as T2'. A
+network extended by add_virtual runs on the adjacency it inherits from its
+base. All tie-breaking is by ascending edge id, out-arcs before in-arcs,
 so identical inputs always produce identical flows and paths.
 """
 
@@ -25,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, InvariantError, UnknownEdgeError, UnknownNodeError
-from .netgraph import EdgeId, Network, NodeId, ResidualArcs
+
+if TYPE_CHECKING:  # netgraph imports this module, for the flows a Network caches
+    from .netgraph import EdgeId, Network, NodeId, ResidualArcs
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,7 @@ def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> l
     """
     graph = net._residual_arcs
     s, is_sink, bound = _flow_ends(graph, src, sinks)
-    record: list[tuple[int, ...]] = []
-    _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), bound, record)
-    return _recorded_paths(net, s, is_sink, record)
+    return _recorded_paths(net, s, is_sink, _run_record(graph, s, is_sink, bound))
 
 
 def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
@@ -115,12 +113,11 @@ def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
     run to {T2} with each path continued by the next T2 -> gate edge, and
     stopped after k paths: the searches level every other node as in the
     run to T2, and those a run to T2 does not level are dead ends; a bound
-    only truncates a run. So when net holds the check's run to T2
-    (Network._t2_run), no search runs: its first k paths, so continued, go
-    through _recorded_paths. A path of the run ends where it first reaches
-    T2, so none uses an edge into the gate. A net that holds no run runs
-    edge_disjoint_paths itself. An edge into the gate from another node
-    raises InputError.
+    only truncates a run. So no search runs here: the first k paths of the
+    network's run to T2 (Network._t2_run), so continued, go through
+    _recorded_paths. A path of the run ends where it first reaches T2, so
+    none uses an edge into the gate. An edge into the gate from another
+    node raises InputError.
     """
     graph = net._residual_arcs
     s, is_sink, _ = _flow_ends(graph, net.source, {gate})
@@ -129,10 +126,17 @@ def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
     into_gate = [a for a in graph.arcs[graph.index[gate]] if a & 1]  # ascending edge id
     if any(arc_head[a] != t2 for a in into_gate):
         raise InputError(f"an edge into {gate!r} does not leave {net.terminals[1]!r}")
-    if net._t2_run is None:  # no check ran on the base network
-        return edge_disjoint_paths(net, net.source, {gate})
     record = [path + (g ^ 1,) for path, g in zip(net._t2_run, into_gate)]
     return _recorded_paths(net, s, is_sink, record)
+
+
+def _run_record(
+    graph: ResidualArcs, s: int, is_sink: bytearray, limit: int
+) -> list[tuple[int, ...]]:
+    """The augmenting paths, as arcs from s, of a Dinic run from the zero flow to limit."""
+    record: list[tuple[int, ...]] = []
+    _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), limit, record)
+    return record
 
 
 def _recorded_paths(
@@ -187,20 +191,17 @@ def _flow_ends(
     return s, is_sink, min(graph.degrees(s)[0], in_degree)
 
 
-def terminal_cuts(
-    net: Network, record: list[tuple[int, ...]] | None = None
-) -> tuple[int, int, int]:
-    """Min-cut values from the source to T1, to T2 and to the pair, by two Dinic runs.
+def terminal_cuts(net: Network) -> tuple[int, int, int]:
+    """Min-cut values from the source to T1, to T2 and to the pair.
 
     The flow to {T1} is continued with T2 added to the sink set: a flow into
     T1 is also a flow into the pair, and augmenting any feasible flow until no
     sink is reachable reaches the maximum (Ford-Fulkerson 1956), so the pair
-    cut is the T1 cut plus the added augmentations. The flow to {T2} runs
-    fresh; record, when given, gets its augmenting paths, which
-    paths_via_t2 replays. Each run stops at a bound no flow can pass: the
-    source's out-degree, the sinks' in-degree, and for T2 the pair cut, since
-    a flow into T2 is also a flow into the pair. Network caches the result,
-    and the run to T2 (Network._terminal_cuts).
+    cut is the T1 cut plus the added augmentations. Each of the two runs
+    stops at the source's out-degree or the sinks' in-degree, which no flow
+    passes. The cut to T2 is the length of the network's run to T2
+    (Network._t2_run), which has one path per unit of it. Network caches
+    the result (Network._terminal_cuts).
     """
     index, eids, _, _ = graph = net._residual_arcs
     s = index[net.source]
@@ -214,10 +215,7 @@ def terminal_cuts(
     is_sink[t2] = 1
     limit = min(out_s, in1 + in2) - cut_t1
     cut_pair = cut_t1 + _augment(graph, s, is_sink, residual, limit)[0]
-    is_sink[t1] = 0
-    residual = bytearray(b"\x01\x00") * len(eids)
-    cut_t2 = _augment(graph, s, is_sink, residual, min(out_s, in2, cut_pair), record)[0]
-    return cut_t1, cut_t2, cut_pair
+    return cut_t1, len(net._t2_run), cut_pair
 
 
 def _augment(

@@ -11,8 +11,9 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
-from typing import ClassVar, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
+from . import flow
 from .errors import InputError, UnknownEdgeError, UnknownNodeError
 
 NodeId = str
@@ -79,12 +80,12 @@ class Network:
 
     A Network is frozen, so whatever is derived from its fields alone stays
     true for its lifetime and is computed once, on first use: the edge index,
-    the residual adjacency every flow runs on, the three terminal min-cuts
-    with the augmenting paths of their run to T2, and the first label with
-    the reserved prefix. dataclasses.replace builds a new Network that
-    derives its own; a network extended by add_virtual inherits its base's
-    edge index and residual adjacency, and the run to T2 when the base
-    holds it, and derives the rest itself. Construction refuses
+    the residual adjacency every flow runs on, the Dinic run to T2, the three
+    terminal min-cuts, and the first label with the reserved prefix.
+    dataclasses.replace builds a new Network that derives its own; a network
+    extended by add_virtual inherits its base's edge index and residual
+    adjacency, and the run to T2 when it is also its own, and derives the
+    rest itself. Construction refuses
     fields that are not tuples, so a caller cannot change a network under
     its cached values, and labels that are not strings or edges that are not
     Edges with int ids, so no later call meets one (_check_edges).
@@ -94,10 +95,6 @@ class Network:
     edges: tuple[Edge, ...]
     source: NodeId
     terminals: tuple[NodeId, NodeId]
-    # The augmenting arc sequences of the Dinic run to {T2} that computing
-    # _terminal_cuts makes, in order; None until then. flow.paths_via_t2
-    # replays them.
-    _t2_run: ClassVar[list[tuple[int, ...]] | None] = None
 
     def __post_init__(self) -> None:
         for name in ("nodes", "edges", "terminals"):
@@ -150,17 +147,22 @@ class Network:
         )
 
     @cached_property
-    def _terminal_cuts(self) -> tuple[int, int, int]:
-        """Min-cut values from the source to T1, to T2 and to the pair.
+    def _t2_run(self) -> list[tuple[int, ...]]:
+        """The augmenting paths, as arcs from the source, of a Dinic run to {T2}.
 
-        The augmenting paths of their run to T2 are kept as _t2_run.
+        It stops at a degree bound, so it has one path per unit of the cut to
+        T2: terminal_cuts reads the cut off it, flow.paths_via_t2 replays it.
         """
-        from .flow import terminal_cuts  # flow imports this module
+        graph = self._residual_arcs
+        s, t2 = graph.index[self.source], graph.index[self.terminals[1]]
+        is_sink = bytearray(len(graph.arcs))
+        is_sink[t2] = 1
+        return flow._run_record(graph, s, is_sink, min(graph.degrees(s)[0], graph.degrees(t2)[1]))
 
-        run: list[tuple[int, ...]] = []
-        cuts = terminal_cuts(self, run)
-        vars(self)["_t2_run"] = run
-        return cuts
+    @cached_property
+    def _terminal_cuts(self) -> tuple[int, int, int]:
+        """Min-cut values from the source to T1, to T2 and to the pair."""
+        return flow.terminal_cuts(self)
 
     def edge(self, eid: EdgeId) -> Edge:
         try:
@@ -287,10 +289,10 @@ def add_virtual(
     in-arcs, new in-arcs). That is exactly the adjacency a fresh build
     gives, since each group stays in ascending edge id.
 
-    When net holds its run to T2 and no new edge enters a base node, that is
-    also the extended network's run: the new nodes cannot lead back to T2,
-    so they are dead ends of every search, and the arc numbers it names are
-    kept.
+    When no new edge enters a base node, net's run to T2, computed and kept
+    on net first if need be, is also the extended network's: the new nodes
+    cannot lead back to T2, so they are dead ends of every search, and the
+    run's arc numbers are kept. Any other extended network runs its own.
     """
     index, eids, arc_head, arcs = net._residual_arcs
     added = tuple(
@@ -326,6 +328,6 @@ def add_virtual(
         _edge_index=edge_index,
         _residual_arcs=ResidualArcs(index, eids + [e.eid for e in added], arc_head, arcs),
     )
-    if net._t2_run is not None and all(v >= len(net.nodes) for v in new_in):
+    if all(v >= len(net.nodes) for v in new_in):
         vars(extended)["_t2_run"] = net._t2_run
     return extended

@@ -3,17 +3,15 @@
 A feasible demand (h0, h1, h2) is served by h1 plain routes to T1, h2 plain
 routes to T2, and a rate-h0 linear multicast code on h0 paths to each
 terminal that the second recoloring pass leaves off the routes.
-check_feasibility compares the three min-cuts with the demand. They come
-from two Dinic runs, the pair cut continuing the flow to T1, and are cached
-on the Network, so one network answers any number of demands after its
-first check; so are the augmenting paths of the check's run to T2.
-Synthesis does not run the check up front: the first recoloring pass's
-two flows decide feasibility, and the cuts are read only to report a
-demand those flows refuse. Those are a feasible synthesis's only two
-flows, and after a check the one to T2' reuses the check's run to T2
-instead of searching, so the flow to Y1 is its one Dinic run: the second
-pass starts from the first pass's coloring on the same augmented graph.
-Pass 1's paths come from those runs' records (flow._recorded_paths).
+check_feasibility compares the three min-cuts with the demand; a Network
+computes them once, from its cached Dinic run to T2 and one run to T1
+continued to the pair. Synthesis does not run the check up front: the first
+recoloring pass's two flows decide feasibility, and the cuts are read only
+to report a demand those flows refuse. The flow to T2' replays the
+network's run to T2, so the flow to Y1 is a synthesis's one search of its
+own: the second pass starts from the first pass's coloring on the same
+augmented graph. Pass 1's paths come from those runs' records
+(flow._recorded_paths).
 check_plan is the one semantic check of a plan, run by synthesis,
 verification and the DOT export. It walks each route once and hands a
 route to check_path, which names its first fault, only when the walk finds
@@ -122,8 +120,8 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     on symbols of field_bits bits, on the h0 paths to each terminal the second
     pass holds besides its routes. The second pass starts from the first
     pass's final coloring, so the first pass's two max-flows are the only
-    ones a feasible synthesis needs, and after a check of net only the one
-    to Y1 searches: the one to T2' reuses the check's run to T2, and
+    ones a feasible synthesis needs, and only the one to Y1 searches: the
+    one to T2' replays net's run to T2, which net computes once, and
     flow._recorded_paths turns each run's record into paths. seed is only
     recorded in the plan: no coded value depends on it, and identical
     inputs give identical plans.

@@ -278,9 +278,8 @@ def single_pass(net: Network, d: Demand) -> PassResult:
     Y1 come from edge_disjoint_paths, on the adjacency net inherits from the
     base network. The red paths to T2' are the same function's paths, but
     T2' is entered only from T2, so paths_via_t2 takes them, with no search,
-    from the run to T2 that a check of the base network recorded
-    (Network._t2_run) and net inherits; without a check it runs the flow to
-    T2' itself. Both turn a run's record into paths by flow._recorded_paths.
+    from the base network's run to T2 (Network._t2_run), which net inherits.
+    Both turn a run's record into paths by flow._recorded_paths.
     Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """

@@ -174,7 +174,8 @@ class TestPlanFormat:
         assert doc["decode"] == {"t1": {"inputs": [6, 11], "rows": [[0], [0, 1]]},
                                  "t2": {"inputs": [12, 7], "rows": [[0, 1], [1]]}}
 
-    @pytest.mark.parametrize("version", [1, 2])
+    # 3.0 equals 3 and JSON reads it back as a float; only the int 3 is taken.
+    @pytest.mark.parametrize("version", [1, 2, 3.0])
     def test_earlier_versions_exit_one_with_an_error_line(self, plan_file, capsys, version):
         doc = json.loads(plan_file.read_text())
         doc["version"] = version

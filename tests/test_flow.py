@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dualcast import flow
 from dualcast.augment import T2P, Y1, build_augmented
 from dualcast.errors import (
+    CyclicSupportError,
     InfeasibleDemandError,
     InputError,
     InvariantError,
@@ -36,6 +37,7 @@ from dualcast.planner import (
     synthesize_with_diagnostics,
     verify_plan,
 )
+from dualcast.recolor import symmetric_pass
 
 from conftest import mknet, parallel_net, random_network, small_cyclic_network
 from oracles import (
@@ -160,14 +162,15 @@ class TestTerminalCutBounds:
         net = mknet([("s", "t1"), ("s", "a"), ("a", "t1"), ("a", "t2")], "s", ("t1", "t2"))
         assert runs_of(net) == ((2, 1, 2), [(2, 2), (0, 0), (1, 1)])
 
-    def test_t2_cut_stops_at_the_pair_cut_below_its_in_degree(self, runs_of):
+    def test_t2_cut_below_both_degree_bounds_ends_its_run_on_a_search(self, runs_of):
         # Two edges a->b bound every flow; the source has out-degree 3 and T2
-        # in-degree 4, so only the pair cut stops the T2 run at 2.
+        # in-degree 4, so the T2 run, bounded by 3, adds 2 paths and ends on
+        # a search that reaches no sink.
         pairs = [("s", "a")] * 3 + [("a", "b")] * 2 + [("b", "t2")] * 3
         pairs += [("b", "t1"), ("t1", "t2")]
         net = mknet(pairs, "s", ("t1", "t2"))
         cuts, runs = runs_of(net)
-        assert cuts == (1, 2, 2) and runs[-1] == (2, 2)
+        assert cuts == (1, 2, 2) and runs[-1] == (3, 2)
 
     def test_parallel_edges_between_the_terminals(self, runs_of):
         pairs = [("s", "t1"), ("s", "t2"), ("s", "a"), ("a", "t1")]
@@ -186,18 +189,16 @@ class TestTerminalCutBounds:
         assert runs_of(mknet(pairs, "s", ("t1", "t2"))) == (cuts, runs)
 
     def test_the_network_keeps_the_checks_run_to_t2(self, runs_of):
-        # Recording the run to T2 changes none of its bounds, and the
-        # network's cached cuts keep its paths, one per unit of the cut.
+        # The third run is the network's run to T2, one path per unit of the
+        # cut; the network keeps it, so the next check runs only the first two.
         net = fig2_network()
         assert runs_of(net) == ((3, 3, 4), [(3, 3), (1, 1), (3, 3)])
-        assert net._t2_run is None
-        record: list = []
-        assert terminal_cuts(net, record) == net._terminal_cuts == (3, 3, 4)
-        assert net._t2_run == record and len(record) == 3
-        index, _, arc_head, _ = net._residual_arcs
-        for path in record:
-            assert path[0] in net._residual_arcs.arcs[index["1"]]
+        assert net._terminal_cuts == (3, 3, 4) and len(net._t2_run) == 3
+        index, _, arc_head, arcs = net._residual_arcs
+        for path in net._t2_run:
+            assert path[0] in arcs[index["1"]]
             assert arc_head[path[-1]] == index["T2"]
+        assert runs_of(net)[1][3:] == [(3, 3), (1, 1)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -588,13 +589,6 @@ def _fresh(net):
     return Network(net.nodes, net.edges, net.source, net.terminals)
 
 
-def _checked_run(net):
-    """The run to T2 that a check of a fresh copy of net records."""
-    net = _fresh(net)
-    net._terminal_cuts
-    return net._t2_run
-
-
 class TestPathsViaT2:
     """Pass 1's paths to T2' are replayed from a run to T2."""
 
@@ -608,39 +602,40 @@ class TestPathsViaT2:
     def test_replay_equals_the_flow_to_t2p(self, instance, other):
         net, feasible = instance
         for d in (feasible, other):
-            ext = build_augmented(_fresh(net), d)
-            assert ext._t2_run is None  # no check: the flow to T2' runs
-            want = paths_via_t2(ext, T2P)
-            assert want == edge_disjoint_paths(ext, ext.source, {T2P})
+            want = edge_disjoint_paths(build_augmented(_fresh(net), d), net.source, {T2P})
+            assert paths_via_t2(build_augmented(_fresh(net), d), T2P) == want  # unchecked
             checked = _fresh(net)
-            checked._terminal_cuts  # records the run to T2, which ext inherits
+            checked._terminal_cuts  # makes the run to T2, which ext inherits
             ext = build_augmented(checked, d)
-            assert ext._t2_run == _checked_run(ext)
+            assert ext._t2_run is checked._t2_run
             assert paths_via_t2(ext, T2P) == want
         assert len(want) == min(other.h0 + other.h2, net._terminal_cuts[1])
 
     @settings(max_examples=150, deadline=None)
     @given(digraphs(), st.data())
     def test_add_virtual_keeps_the_run_only_where_it_is_exact(self, net, data):
-        # The run to T2 is kept only when no new edge enters a base node,
-        # and then it is the extended network's own.
+        # The base's run to T2 is handed over, computed on the base if need
+        # be, only when no new edge enters a base node; either way the
+        # extended network's run is the one a fresh copy of it makes.
         new = ["x", "y"]
         labels = st.sampled_from(net.nodes + tuple(new))
         pairs = data.draw(st.lists(st.tuples(labels, labels), max_size=6))
         pairs = [(t, h) for t, h in pairs if t != h]
-        net._terminal_cuts
-        ext = add_virtual(net, new, pairs)
         kept = all(h in new for _, h in pairs)
-        assert ext._t2_run == (_checked_run(ext) if kept else None)
-        assert add_virtual(_fresh(net), new, pairs)._t2_run is None
+        for checked in (False, True):
+            base = _fresh(net)
+            if checked:
+                base._terminal_cuts
+            ext = add_virtual(base, new, pairs)
+            assert ("_t2_run" in vars(base)) == (kept or checked)
+            assert vars(ext).get("_t2_run") is (base._t2_run if kept else None)
+            assert ext._t2_run == _fresh(ext)._t2_run
 
-    @pytest.mark.parametrize(
-        "d, limit", [(Demand(2, 1, 1), 3), (Demand(1, 2, 1), 2), (Demand(0, 1, 0), 0)]
-    )
-    def test_without_a_check_the_flow_to_t2p_stops_at_h0_plus_h2(self, monkeypatch, d, limit):
-        # fig2's cut to T2 is 3; with no check's run to replay, synthesis
-        # runs the flow to T2' itself, which stops at h0+h2, the in-degree
-        # of T2', and adds no path when h0+h2 = 0.
+    @pytest.mark.parametrize("d", [Demand(2, 1, 1), Demand(1, 2, 1), Demand(0, 1, 0)])
+    def test_without_a_check_the_run_to_t2_goes_to_the_cut_first(self, monkeypatch, d):
+        # fig2's cut to T2 is 3, as is T2's in-degree. Augmenting a network
+        # that holds no run to T2 makes it, whatever h0+h2, before the flow
+        # to Y1; the paths to T2' replay it with no search of their own.
         calls = []
         augment = flow._augment
 
@@ -651,7 +646,7 @@ class TestPathsViaT2:
 
         monkeypatch.setattr(flow, "_augment", recording)
         synthesize(fig2_network(), d, seed=0)
-        assert calls == [(d.total, d.total), (limit, limit)]
+        assert calls == [(3, 3), (d.total, d.total)]
 
     @pytest.mark.parametrize(
         "pairs, d",
@@ -703,6 +698,56 @@ class TestPathsViaT2:
         ext = add_virtual(fig2, ["g"], [("T2", "g"), ("6", "g")])
         with pytest.raises(InputError, match="does not leave 'T2'"):
             paths_via_t2(ext, "g")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(feasible_instances(cyclic=True), crossing_instances()),
+        demands(),
+        st.lists(st.sampled_from(["check", "feasible", "other"]), min_size=1, max_size=5),
+    )
+    def test_one_network_makes_one_run_to_t2(self, instance, other, steps):
+        # Checks and syntheses on one network, in any order, share one Dinic
+        # run to T2; a flow to T2', which is entered only from T2, would be
+        # another run to T2.
+        net, feasible = instance
+        net = _fresh(net)
+        sink_sets = []
+        augment = flow._augment
+
+        def recording(graph, s, is_sink, *rest):
+            sink_sets.append({v for v, i in graph.index.items() if is_sink[i]})
+            return augment(graph, s, is_sink, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_augment", recording)
+            for step in steps:
+                if step == "check":
+                    check_feasibility(net, other)
+                    continue
+                try:
+                    synthesize(net, feasible if step == "feasible" else other, seed=0)
+                except (InfeasibleDemandError, CyclicSupportError):
+                    pass
+        to_t2 = [sinks for sinks in sink_sets if sinks in ({net.terminals[1]}, {T2P})]
+        assert to_t2 == [{net.terminals[1]}]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(feasible_instances(cyclic=True), crossing_instances()))
+    def test_checked_and_unchecked_syntheses_take_the_same_paths_to_t2p(self, instance):
+        net, d = instance
+        want = edge_disjoint_paths(build_augmented(_fresh(net), d), net.source, {T2P})
+        plans = []
+        for checked in (False, True):
+            base = _fresh(net)
+            if checked:
+                assert check_feasibility(base, d).feasible
+            try:
+                plan, passes = synthesize_with_diagnostics(base, d, seed=0)
+            except CyclicSupportError:
+                plan, passes = None, symmetric_pass(build_augmented(base, d), d)
+            assert passes.pass1.initial.red_paths == tuple(want)
+            plans.append(plan)
+        assert plans[0] == plans[1]
 
 
 class TestPathsFromTheRecord:

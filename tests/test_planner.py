@@ -189,9 +189,9 @@ class TestFeasibilityFromPassOne:
         return calls
 
     def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(self, monkeypatch):
-        # Pass 1's flow to Y1, decomposed straight from its residual
-        # (edge_disjoint_paths), and the run to T2 that its paths to T2' are
-        # replayed from (paths_via_t2), so none goes through max_flow; pass 2
+        # The network's run to T2, made when it is augmented, that pass 1's
+        # paths to T2' are replayed from (paths_via_t2), and pass 1's flow to
+        # Y1 (edge_disjoint_paths), so none goes through max_flow; pass 2
         # starts from pass 1's coloring on the same augmented graph, and the
         # code reuses pass 2's paths.
         net = fig2_network()  # a fresh object: its cuts are not cached yet
@@ -203,22 +203,23 @@ class TestFeasibilityFromPassOne:
         synthesize(net, Demand(2, 1, 1), seed=7)
         assert (len(flows), len(runs), len(checks)) == (0, 2, 0)
         assert (len(augmented), len(removed)) == (1, 0)
-        # An infeasible demand within the degree bounds: one pass-1 flow falls
-        # short, then the report's cuts take two Dinic runs outside max_flow,
-        # the pair run continuing the T1 run (three _augment calls).
+        # An infeasible demand within the degree bounds: the flow to Y1 falls
+        # short, then the report's cuts take the run to T1 and the pair run
+        # that continues it, outside max_flow, and read the cut to T2 off the
+        # network's run to T2, which it already holds.
         flows.clear()
         runs.clear()
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
             synthesize(net, Demand(1, 2, 2), seed=7)
-        assert (len(flows), len(runs), len(checks)) == (0, 4, 1)
+        assert (len(flows), len(runs), len(checks)) == (0, 3, 1)
         # The cuts are cached on the network: the next refusal only compares.
         flows.clear()
         runs.clear()
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
             synthesize(net, Demand(0, 2, 3), seed=7)
         assert (len(flows), len(runs), len(checks)) == (0, 1, 2)
-        # The check kept its run to T2, so pass 1's paths to T2' replay it: a
-        # feasible synthesis on the checked network runs only the flow to Y1.
+        # The network kept its run to T2, so pass 1's paths to T2' replay it:
+        # a feasible synthesis on it now runs only the flow to Y1.
         runs.clear()
         synthesize(net, Demand(2, 1, 1), seed=7)
         assert (len(flows), len(runs)) == (0, 1)
