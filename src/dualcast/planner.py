@@ -8,10 +8,10 @@ computes them once, from its cached Dinic run to T2 and one run to T1
 continued to the pair. Synthesis does not run the check up front: the first
 recoloring pass's two flows decide feasibility, and the cuts are read only
 to report a demand those flows refuse. The flow to T2' replays the
-network's run to T2, so the flow to Y1 is a synthesis's one search of its
-own: the second pass starts from the first pass's coloring on the same
-augmented graph. Pass 1's paths come from those runs' records
-(flow._recorded_paths).
+network's run to T2, made once per network, so the flow to Y1 is the one
+search of each synthesis: the second pass starts from the first pass's
+coloring on the same augmented graph. Pass 1's paths come from those runs'
+records (flow._recorded_paths).
 check_plan is the one semantic check of a plan, run by synthesis,
 verification and the DOT export. It walks each route once and hands a
 route to check_path, which names its first fault, only when the walk finds
