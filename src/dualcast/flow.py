@@ -15,8 +15,11 @@ the run to T2 record their augmenting paths by one step, _run_record, and
 _recorded_paths turns a record into paths; paths_via_t2 hands it the first
 paths of the run to T2 for a node entered only from T2, such as T2'. A
 network extended by add_virtual runs on the adjacency it inherits from its
-base. All tie-breaking is by ascending edge id, out-arcs before in-arcs,
-so identical inputs always produce identical flows and paths.
+base. The adjacency also keeps each node's out-arcs as a list of their
+own, and a run's first phase from the zero flow scans only those, with the
+same result (see _augment). All tie-breaking is by ascending edge id,
+out-arcs before in-arcs, so identical inputs always produce identical
+flows and paths.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class FlowResult:
     source_side: frozenset[NodeId]
 
 
-def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
+def max_flow(net: Network, src: NodeId, sinks: NodeId | Iterable[NodeId]) -> FlowResult:
     """Maximum integral flow from src to the sink set, by Dinic's algorithm.
 
     A thin wrapper over _augment, run from the zero flow. Every sink absorbs
@@ -93,7 +96,9 @@ def max_flow(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> FlowResult:
     return FlowResult(value=value, edge_flow=edge_flow, source_side=source_side)
 
 
-def edge_disjoint_paths(net: Network, src: NodeId, sinks: Iterable[NodeId]) -> list[EdgePath]:
+def edge_disjoint_paths(
+    net: Network, src: NodeId, sinks: NodeId | Iterable[NodeId]
+) -> list[EdgePath]:
     """A maximum set of edge-disjoint src -> sink paths: max_flow, then decompose_paths.
 
     Equal to decompose_paths(net, max_flow(net, src, sinks), src, sinks):
@@ -166,14 +171,15 @@ def _recorded_paths(
 
 
 def _flow_ends(
-    graph: ResidualArcs, src: NodeId, sinks: Iterable[NodeId]
+    graph: ResidualArcs, src: NodeId, sinks: NodeId | Iterable[NodeId]
 ) -> tuple[int, bytearray, int]:
     """src's node number, a flag per node marking the sinks, and a bound on the flow.
 
-    The bound is the smaller of src's out-degree and the sinks' total
-    in-degree: no flow from src into the sinks is larger.
+    sinks is a sink set, or one sink label. The bound is the smaller of
+    src's out-degree and the sinks' total in-degree: no flow from src into
+    the sinks is larger.
     """
-    sink_set = set(sinks)
+    sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
     if not sink_set:
         raise InputError("sink set must be nonempty")
     if src in sink_set:
@@ -203,14 +209,15 @@ def terminal_cuts(net: Network) -> tuple[int, int, int]:
     (Network._t2_run), which has one path per unit of it. Network caches
     the result (Network._terminal_cuts).
     """
-    index, eids, _, _ = graph = net._residual_arcs
+    graph = net._residual_arcs
+    index = graph.index
     s = index[net.source]
     t1, t2 = (index[t] for t in net.terminals)
     out_s = graph.degrees(s)[0]
     in1, in2 = graph.degrees(t1)[1], graph.degrees(t2)[1]
     is_sink = bytearray(len(index))
     is_sink[t1] = 1
-    residual = bytearray(b"\x01\x00") * len(eids)
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
     cut_t1 = _augment(graph, s, is_sink, residual, min(out_s, in1))[0]
     is_sink[t2] = 1
     limit = min(out_s, in1 + in2) - cut_t1
@@ -251,9 +258,18 @@ def _augment(
     the current one (a degree bound, say) leaves the residual exactly as a
     run without it: once the value reaches it no augmenting path exists, so
     the skipped searches would change no byte.
+
+    A phase that starts from the zero flow (no in-arc residual) scans only
+    the out lists (graph.out), with the same result as the full lists: its
+    search levels no node through an in-arc, and an in-arc an augmentation
+    of the phase makes residual leads one level down, so it is never
+    admissible; in-arcs follow out-arcs in each list, so every pointer and
+    dead end falls as on the full list. Records, residual bytes and levels
+    are the same. Every later phase scans the full lists.
     """
-    _, _, arc_head, arcs = graph
+    _, _, arc_head, arcs, out = graph
     n = len(arcs)
+    adj = arcs if 1 in residual[1::2] else out
     value = 0
     level: list[int] = []
     while value < limit:
@@ -265,7 +281,7 @@ def _augment(
             if level[u] == sink_level:
                 break  # deeper nodes cannot lie on a shortest augmenting path
             next_level = level[u] + 1
-            for a in arcs[u]:
+            for a in adj[u]:
                 v = arc_head[a]
                 if residual[a] and level[v] < 0:
                     level[v] = next_level
@@ -291,7 +307,7 @@ def _augment(
                 path.clear()
                 u = s
                 continue
-            node_arcs = arcs[u]
+            node_arcs = adj[u]
             end = len(node_arcs)
             i = ptr[u]
             next_level = level[u] + 1
@@ -310,6 +326,7 @@ def _augment(
                 level[u] = -1  # dead end for the rest of this phase
                 u = arc_head[path.pop() ^ 1]
                 ptr[u] += 1
+        adj = arcs
     return value, level
 
 
@@ -327,11 +344,12 @@ def decompose_paths(
     not match its value or strands the walk raises InvariantError.
     """
     sink_set = {sinks} if isinstance(sinks, str) else set(sinks)
-    index, eids, _, _ = net._residual_arcs
+    graph = net._residual_arcs
+    index = graph.index
     for v in [src, *sink_set]:
         if v not in index:
             raise UnknownNodeError(f"node {v!r} not in network")
-    carries = [f == 1 for f in map(flow.edge_flow.get, eids)]
+    carries = [f == 1 for f in map(flow.edge_flow.get, graph.eids)]
     if carries.count(True) != list(flow.edge_flow.values()).count(1):
         raise UnknownEdgeError("flow carries an edge that is not in the network")
     is_sink = bytearray(len(index))
@@ -350,7 +368,8 @@ def _decompose(
     sorted. Conservation and sink quotas are counted per node number, and the
     walk follows arc heads.
     """
-    _, eids, arc_head, _ = net._residual_arcs
+    graph = net._residual_arcs
+    eids, arc_head = graph.eids, graph.arc_head
     nodes = net.nodes
     balance = [0] * len(nodes)  # out-flow minus in-flow
     out: list[list[int]] = [[] for _ in nodes]  # carrying edges by tail, ascending id

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, count, groupby, repeat
 from typing import Iterable, NamedTuple
 
 from . import flow
@@ -53,25 +53,24 @@ class ResidualArcs(NamedTuple):
     Nodes are numbered in `nodes` order and edges in ascending id order. Edge
     i gives arc 2i (tail -> head, residual while unused) and arc 2i+1
     (head -> tail, residual while used). Each node's arcs list its out-arcs
-    and then its in-arcs, each group in ascending edge id. A Network caches
-    one of these and hands the same lists to every caller, and a network
-    extended by add_virtual shares the untouched nodes' lists with its base,
-    so callers must not modify them.
+    and then its in-arcs, each group in ascending edge id; out holds each
+    node's out-arcs alone, the head of its arcs list. Under the zero flow no
+    in-arc is residual, so a search from it needs only the out lists
+    (flow._augment). A Network caches one of these and hands the same lists
+    to every caller, and a network extended by add_virtual shares the
+    untouched nodes' lists with its base, so callers must not modify them.
     """
 
     index: dict[NodeId, int]
     eids: list[EdgeId]
     arc_head: list[int]
     arcs: list[list[int]]
+    out: list[list[int]]
 
     def degrees(self, v: int) -> tuple[int, int]:
-        """Out- and in-degree of node number v, counted from its own arc list.
-
-        A node's in-arcs are its odd arc numbers.
-        """
-        node_arcs = self.arcs[v]
-        n_in = sum(a & 1 for a in node_arcs)
-        return len(node_arcs) - n_in, n_in
+        """Out- and in-degree of node number v: the lengths of its out list and of the rest."""
+        n_out = len(self.out[v])
+        return n_out, len(self.arcs[v]) - n_out
 
 
 @dataclass(frozen=True)
@@ -130,20 +129,24 @@ class Network:
     def _residual_arcs(self) -> ResidualArcs:
         """Integer adjacency for max-flow, shared by every flow on this network."""
         index = {v: i for i, v in enumerate(self.nodes)}
-        edges = sorted(self.edges, key=lambda e: e.eid)
-        arc_head: list[int] = []
-        out_arcs: list[list[int]] = [[] for _ in self.nodes]
-        in_arcs: list[list[int]] = [[] for _ in self.nodes]
-        for i, e in enumerate(edges):
-            tail, head = index[e.tail], index[e.head]
-            arc_head += (head, tail)
-            out_arcs[tail].append(2 * i)
-            in_arcs[head].append(2 * i + 1)
+        edges = sorted(self.edges, key=operator.itemgetter(0))
+        eids, tail_labels, head_labels = zip(*edges) if edges else ((), (), ())
+        tails = list(map(index.__getitem__, tail_labels))
+        heads = list(map(index.__getitem__, head_labels))
+        arc_head = [0] * (2 * len(edges))
+        arc_head[0::2] = heads
+        arc_head[1::2] = tails
+        out: list[list[int]] = [[] for _ in self.nodes]
+        inc: list[list[int]] = [[] for _ in self.nodes]
+        for a, tail, head in zip(range(0, len(arc_head), 2), tails, heads):
+            out[tail].append(a)
+            inc[head].append(a + 1)
         return ResidualArcs(
             index=index,
-            eids=[e.eid for e in edges],
+            eids=list(eids),
             arc_head=arc_head,
-            arcs=[out + inc for out, inc in zip(out_arcs, in_arcs)],
+            arcs=[o + i for o, i in zip(out, inc)],
+            out=out,
         )
 
     @cached_property
@@ -285,8 +288,10 @@ def add_virtual(
     net was built. The extended network inherits net's edge index and
     residual adjacency instead of rebuilding them: base edges keep their arc
     numbers, the new edges' arcs come after them, and only the nodes a new
-    edge touches get a new arc list (base out-arcs, new out-arcs, base
-    in-arcs, new in-arcs). That is exactly the adjacency a fresh build
+    edge touches get a new out list (base out-arcs, new out-arcs) and arc
+    list (that out list, base in-arcs, new in-arcs). Each run of new edges
+    with one tail and head, such as a bundle of build_augmented, is added
+    as one range of arcs. That is exactly the adjacency a fresh build
     gives, since each group stays in ascending edge id.
 
     When no new edge enters a base node, net's run to T2, computed and kept
@@ -294,7 +299,7 @@ def add_virtual(
     cannot lead back to T2, so they are dead ends of every search, and the
     run's arc numbers are kept. Any other extended network runs its own.
     """
-    index, eids, arc_head, arcs = net._residual_arcs
+    index, eids, arc_head, arcs, out = net._residual_arcs
     added = tuple(
         Edge(eid, tail, head) for eid, (tail, head) in enumerate(new_edges, net.next_edge_id())
     )
@@ -306,16 +311,21 @@ def add_virtual(
     arc_head = arc_head.copy()
     new_out: dict[int, list[int]] = {}
     new_in: dict[int, list[int]] = {}
-    for i, e in enumerate(added, len(eids)):
-        tail, head = index[e.tail], index[e.head]
-        arc_head += (head, tail)
-        new_out.setdefault(tail, []).append(2 * i)
-        new_in.setdefault(head, []).append(2 * i + 1)
-    arcs = arcs + [[] for _ in range(len(index) - len(arcs))]
+    a = 2 * len(eids)  # the first new edge's arc
+    for (tail, head), run in groupby(added, operator.itemgetter(1, 2)):
+        k = len(list(run))
+        tail, head = index[tail], index[head]
+        arc_head += (head, tail) * k
+        new_out.setdefault(tail, []).extend(range(a, a + 2 * k, 2))
+        new_in.setdefault(head, []).extend(range(a + 1, a + 2 * k, 2))
+        a += 2 * k
+    n_new = len(index) - len(arcs)
+    arcs = arcs + [[] for _ in range(n_new)]
+    out = out + [[] for _ in range(n_new)]
     for v in new_out.keys() | new_in.keys():
-        base = arcs[v]
-        n_out = sum(1 for a in base if not a & 1)  # out-arcs are even and come first
-        arcs[v] = base[:n_out] + new_out.get(v, []) + base[n_out:] + new_in.get(v, [])
+        n_out = len(out[v])
+        out[v] = out[v] + new_out.get(v, [])
+        arcs[v] = out[v] + arcs[v][n_out:] + new_in.get(v, [])
     edge_index = dict(net._edge_index)
     edge_index.update((e.eid, e) for e in added)
     # A frozen dataclass keeps its fields and cached properties in __dict__.
@@ -326,7 +336,7 @@ def add_virtual(
         source=net.source,
         terminals=net.terminals,
         _edge_index=edge_index,
-        _residual_arcs=ResidualArcs(index, eids + [e.eid for e in added], arc_head, arcs),
+        _residual_arcs=ResidualArcs(index, eids + [e.eid for e in added], arc_head, arcs, out),
     )
     if all(v >= len(net.nodes) for v in new_in):
         vars(extended)["_t2_run"] = net._t2_run

@@ -5,14 +5,15 @@ per augmenting path for flows, DFS enumeration for paths, schoolbook
 polynomial arithmetic for fields, one full simulation per trial for plan
 verification, check_path on every route and one edge at a time for the
 plan check, a color map and a checked snapshot per step for recoloring,
-label lookups for path decomposition, separate passes and a parity search
-on every edge for the code builder, and five separate min-cuts for the
-augmentation identities. Keep these free of any imports from the modules
-they are used to check (graph containers excepted; the simulation reference
-evaluates the code itself and builds on the reference plan check, which
-builds on check_path, which it does not test, the recoloring reference on
-recolor's state and trace containers, and the identity check on max-flow
-and the feasibility report). The small helpers
+label lookups for path decomposition, the earlier full-list Dinic kernel
+for the one that scans out-arcs alone from the zero flow, separate passes
+and a parity search on every edge for the code builder, and five separate
+min-cuts for the augmentation identities. Keep these free of any imports
+from the modules they are used to check (graph containers excepted; the
+simulation reference evaluates the code itself and builds on the reference
+plan check, which builds on check_path, which it does not test, the
+recoloring reference on recolor's state and trace containers, and the
+identity check on max-flow and the feasibility report). The small helpers
 that only the oracles and tests need (decoding, a single min-cut value, a
 flow's used edges, a plan's or a pass's route edges, a network's JSON
 document) live here too, not in the package, and so does the reference
@@ -42,7 +43,7 @@ from dualcast.errors import (
 )
 from dualcast.flow import EdgePath, FlowResult, check_path, max_flow
 from dualcast.nccode import MulticastCode
-from dualcast.netgraph import Demand, EdgeId, Network, NodeId, add_virtual
+from dualcast.netgraph import Demand, EdgeId, Network, NodeId, ResidualArcs, add_virtual
 from dualcast.planner import TransferPlan, check_feasibility
 from dualcast.recolor import ColoringState, PassResult, ReroutingTrace, TraceStep
 
@@ -221,6 +222,82 @@ def edge_disjoint(paths) -> bool:
                 return False
             seen.add(eid)
     return True
+
+
+def augment_reference(
+    graph: ResidualArcs,
+    s: int,
+    is_sink: bytearray,
+    residual: bytearray,
+    limit: int,
+    record: list[tuple[int, ...]] | None = None,
+) -> tuple[int, list[int]]:
+    """flow._augment as it was before it scanned only out-arcs from the zero flow.
+
+    Every phase levels and searches on each node's full arc list, out-arcs
+    and then in-arcs. The body is the earlier kernel's, word for word, but
+    for reading the two lists by name: the same arguments, the same residual
+    updates, the same record and the same returned value and levels.
+    """
+    arc_head, arcs = graph.arc_head, graph.arcs
+    n = len(arcs)
+    value = 0
+    level: list[int] = []
+    while value < limit:
+        level = [-1] * n
+        level[s] = 0
+        sink_level = n  # no sink reached yet
+        queue = [s]
+        for u in queue:
+            if level[u] == sink_level:
+                break  # deeper nodes cannot lie on a shortest augmenting path
+            next_level = level[u] + 1
+            for a in arcs[u]:
+                v = arc_head[a]
+                if residual[a] and level[v] < 0:
+                    level[v] = next_level
+                    if is_sink[v]:
+                        sink_level = next_level
+                    queue.append(v)
+        if sink_level == n:
+            break
+
+        ptr = [0] * n
+        path: list[int] = []  # arcs from s to u
+        u = s
+        while True:
+            if is_sink[u]:
+                for a in path:
+                    residual[a] = 0
+                    residual[a ^ 1] = 1
+                if record is not None:
+                    record.append(tuple(path))
+                value += 1
+                if value == limit:
+                    return value, level
+                path.clear()
+                u = s
+                continue
+            node_arcs = arcs[u]
+            end = len(node_arcs)
+            i = ptr[u]
+            next_level = level[u] + 1
+            while i < end:
+                a = node_arcs[i]
+                if residual[a] and level[arc_head[a]] == next_level:
+                    break
+                i += 1
+            ptr[u] = i
+            if i < end:
+                path.append(a)
+                u = arc_head[a]
+            elif u == s:
+                break
+            else:
+                level[u] = -1  # dead end for the rest of this phase
+                u = arc_head[path.pop() ^ 1]
+                ptr[u] += 1
+    return value, level
 
 
 def decompose_paths_reference(

@@ -41,6 +41,7 @@ from dualcast.recolor import symmetric_pass
 
 from conftest import mknet, parallel_net, random_network, small_cyclic_network
 from oracles import (
+    augment_reference,
     decompose_paths_reference,
     edge_disjoint,
     max_flow_edmonds_karp,
@@ -194,10 +195,10 @@ class TestTerminalCutBounds:
         net = fig2_network()
         assert runs_of(net) == ((3, 3, 4), [(3, 3), (1, 1), (3, 3)])
         assert net._terminal_cuts == (3, 3, 4) and len(net._t2_run) == 3
-        index, _, arc_head, arcs = net._residual_arcs
+        graph = net._residual_arcs
         for path in net._t2_run:
-            assert path[0] in arcs[index["1"]]
-            assert arc_head[path[-1]] == index["T2"]
+            assert path[0] in graph.arcs[graph.index["1"]]
+            assert graph.arc_head[path[-1]] == graph.index["T2"]
         assert runs_of(net)[1][3:] == [(3, 3), (1, 1)]
 
 
@@ -301,6 +302,77 @@ def test_a_one_phase_prefix_of_a_run_is_its_own_decomposition(net, which, bounde
                 tuple(graph.eids[a >> 1] for a in path) for path in record[:k]
             ]
     assert residual == left
+
+
+def _assert_kernels_agree(net, sinks, limit, more_limit):
+    """_augment and the full-list reference make the same run from the zero
+    flow to sinks, and then the same continuation, to limit and more_limit,
+    with both terminals added to the sinks, as terminal_cuts continues its run
+    to T1 into the pair cut. Records, residual bytes, values and levels must
+    all match. The continuation starts from the zero flow only when the first
+    run found none."""
+    graph = net._residual_arcs
+    s, is_sink, _ = _flow_ends(graph, net.source, sinks)
+    more_sinks = bytearray(is_sink)
+    for t in net.terminals:
+        more_sinks[graph.index[t]] = 1
+    runs = []
+    for kernel in (_augment, augment_reference):
+        residual = bytearray(b"\x01\x00") * len(graph.eids)
+        record: list = []
+        first = kernel(graph, s, is_sink, residual, limit, record)
+        then = kernel(graph, s, more_sinks, residual, more_limit, record)
+        runs.append((first, then, record, residual))
+    assert runs[0] == runs[1]
+
+
+def _networks_with_a_sink_set():
+    """Digraphs, and the networks of feasible and crossing instances and of the
+    two-phase hand cases, as they are and as build_augmented extends them,
+    each with a sink set: a terminal, the pair, or Y1 where it exists."""
+    instances = st.one_of(
+        feasible_instances(cyclic=True),
+        crossing_instances(),
+        st.sampled_from([Y1_TWO_PHASES, T2_TWO_PHASES]).map(
+            lambda case: (mknet(case[0], "s", ("t1", "t2")), case[1])
+        ),
+    )
+    networks = st.one_of(
+        digraphs(),
+        instances.map(lambda instance: instance[0]),
+        instances.map(lambda instance: build_augmented(*instance)),
+    )
+
+    def with_sinks(net):
+        t1, t2 = net.terminals
+        sink_sets = [{t1}, {t2}, {t1, t2}] + ([{Y1}] if Y1 in net.nodes else [])
+        return st.tuples(st.just(net), st.sampled_from(sink_sets))
+
+    return networks.flatmap(with_sinks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_networks_with_a_sink_set(), st.data())
+def test_scanning_out_lists_from_the_zero_flow_changes_no_run(net_and_sinks, data):
+    net, sinks = net_and_sinks
+    graph = net._residual_arcs
+    bound = _flow_ends(graph, net.source, sinks)[2]
+    limits = st.sampled_from([bound, len(graph.eids) + 1]) | st.integers(0, 3)
+    _assert_kernels_agree(net, sinks, data.draw(limits), data.draw(limits))
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("case", [Y1_TWO_PHASES, T2_TWO_PHASES], ids=["Y1", "T2"])
+def test_two_phase_runs_match_the_full_list_kernel(case, augmented):
+    # Each network's run to its t takes a second phase through a reverse arc.
+    net = mknet(case[0], "s", ("t1", "t2"))
+    if augmented:
+        net = build_augmented(net, case[1])
+    sink_sets = [{"t1"}, {"t2"}, {"t1", "t2"}] + ([{Y1}] if augmented else [])
+    for sinks in sink_sets:
+        bound = _flow_ends(net._residual_arcs, net.source, sinks)[2]
+        for limit in (bound, 1, len(net.edges) + 1):
+            _assert_kernels_agree(net, sinks, limit, len(net.edges) + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -582,6 +654,17 @@ def test_edge_disjoint_paths_refuse_what_max_flow_refuses(fig2):
         for fn in (max_flow, edge_disjoint_paths):
             with pytest.raises(error):
                 fn(fig2, "1", sinks)
+
+
+def test_a_single_sink_label_is_one_sink_not_its_characters(fig2):
+    # "T1" names one node; as a set of characters it would be {"T", "1"}.
+    for sink in ("T1", "T2"):
+        assert max_flow(fig2, "1", sink) == max_flow(fig2, "1", {sink})
+        assert edge_disjoint_paths(fig2, "1", sink) == edge_disjoint_paths(fig2, "1", {sink})
+    with pytest.raises(UnknownNodeError, match="'nowhere'"):
+        max_flow(fig2, "1", "nowhere")
+    with pytest.raises(InputError, match="source cannot be a sink"):
+        edge_disjoint_paths(fig2, "1", "1")
 
 
 def _fresh(net):

@@ -271,12 +271,40 @@ def _fresh(net: Network) -> Network:
     return Network(nodes=net.nodes, edges=net.edges, source=net.source, terminals=net.terminals)
 
 
+def _assert_out_lists_head_the_arc_lists(net: Network) -> None:
+    """Each node's out list is the even-numbered head of its arc list, and
+    its degrees are the parity counts of that list."""
+    graph = net._residual_arcs
+    assert len(graph.out) == len(graph.arcs) == len(net.nodes)
+    for v, (node_arcs, out) in enumerate(zip(graph.arcs, graph.out)):
+        n_in = sum(a & 1 for a in node_arcs)
+        assert out == node_arcs[: len(out)] == [a for a in node_arcs if not a & 1]
+        assert graph.degrees(v) == (len(node_arcs) - n_in, n_in)
+
+
 def _assert_caches_match_a_fresh_build(net: Network) -> None:
     fresh = _fresh(net)  # runs the checks add_virtual does not repeat
     assert net == fresh
-    assert net._residual_arcs == fresh._residual_arcs
+    assert net._residual_arcs == fresh._residual_arcs  # the out lists too
+    _assert_out_lists_head_the_arc_lists(net)
+    _assert_out_lists_head_the_arc_lists(fresh)
     assert list(net._edge_index.items()) == list(fresh._edge_index.items())
     assert net.next_edge_id() == fresh.next_edge_id()
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.booleans())
+def test_out_lists_of_a_fresh_network(net, reverse):
+    if reverse:
+        net = Network(nodes=net.nodes, edges=net.edges[::-1], source=net.source,
+                      terminals=net.terminals)
+    _assert_out_lists_head_the_arc_lists(net)
+    graph = net._residual_arcs
+    for v, label in enumerate(net.nodes):
+        assert graph.degrees(v) == (
+            sum(e.tail == label for e in net.edges),
+            sum(e.head == label for e in net.edges),
+        )
 
 
 class TestAddVirtualInheritsCaches:
