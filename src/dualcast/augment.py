@@ -15,7 +15,7 @@ the first pass's paths to T2' and runs no flow into it.
 from __future__ import annotations
 
 from .errors import InputError
-from .netgraph import RESERVED_PREFIX, Demand, Network, add_virtual
+from .netgraph import Demand, Network, add_virtual
 
 T1P = "__T1P"
 T2P = "__T2P"

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Any, Collection, Iterable, NoReturn
 
-from .augment import RESERVED_PREFIX, build_augmented
+from .augment import build_augmented
 from .errors import (
     DualcastError,
     InfeasibleDemandError,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .flow import EdgePath
 from .nccode import MAX_FIELD_BITS, MulticastCode, coding_vectors
-from .netgraph import Demand, Network, expand_capacities
+from .netgraph import RESERVED_PREFIX, Demand, Network, expand_capacities
 from .planner import TransferPlan, check_demand_size, check_feasibility, check_plan
 from .planner import synthesize_with_diagnostics, verify_plan
 from .recolor import ReroutingTrace
@@ -508,9 +508,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_export_dot(args: argparse.Namespace) -> int:
     net = load_network_file(args.network)
     plan = load_plan_file(args.plan) if args.plan else None
-    augment_demand = None
-    if args.augmented:
-        augment_demand = _demand_from_args(args)
+    given = [f"--{name}" for name in ("h0", "h1", "h2") if getattr(args, name) is not None]
+    if args.augmented and len(given) < 3:
+        raise InputError("export-dot --augmented needs --h0, --h1 and --h2")
+    if given and not args.augmented:
+        raise InputError(f"export-dot takes {', '.join(given)} only with --augmented")
+    augment_demand = _demand_from_args(args) if args.augmented else None
     _write_text(args.output, export_dot(net, plan=plan, augment_demand=augment_demand))
     return EXIT_OK
 
@@ -539,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_demand_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
-        p.add_argument("--h0", type=int, required=required, default=0,
+        p.add_argument("--h0", type=int, required=required,
                        help="shared rate wanted by both terminals")
-        p.add_argument("--h1", type=int, required=required, default=0,
+        p.add_argument("--h1", type=int, required=required,
                        help="private rate wanted by T1")
-        p.add_argument("--h2", type=int, required=required, default=0,
+        p.add_argument("--h2", type=int, required=required,
                        help="private rate wanted by T2")
 
     p_check = sub.add_parser("check", help="feasibility verdict for a demand")

@@ -12,8 +12,8 @@ network's Dinic run to T2 (Network._t2_run); each Network caches its cuts
 a bound it is given, the source's out-degree or the sinks' in-degree, so it
 skips the final search that would only confirm it. edge_disjoint_paths and
 the run to T2 record their augmenting paths by one step, _run_record, and
-_recorded_paths turns a record into paths; paths_via_t2 hands it the first
-paths of the run to T2 for a node entered only from T2, such as T2'. A
+_recorded_paths turns a record into paths; paths_to_t2 hands it the first
+paths of the network's run to T2, which pass 1 continues into T2'. A
 network extended by add_virtual runs on the adjacency it inherits from its
 base. The adjacency also keeps each node's out-arcs as a list of their
 own, and a run's first phase from the zero flow scans only those, with the
@@ -111,28 +111,16 @@ def edge_disjoint_paths(
     return _recorded_paths(net, s, is_sink, _run_record(graph, s, is_sink, bound))
 
 
-def paths_via_t2(net: Network, gate: NodeId) -> list[EdgePath]:
-    """edge_disjoint_paths(net, net.source, {gate}) for a gate entered only from T2, by replay.
+def paths_to_t2(net: Network, k: int) -> list[EdgePath]:
+    """The first k paths, at most, of the network's run to T2 (Network._t2_run).
 
-    Each of the gate's k in-edges leaves T2, so a Dinic run to {gate} is a
-    run to {T2} with each path continued by the next T2 -> gate edge, and
-    stopped after k paths: the searches level every other node as in the
-    run to T2, and those a run to T2 does not level are dead ends; a bound
-    only truncates a run. So no search runs here: the first k paths of the
-    network's run to T2 (Network._t2_run), so continued, go through
-    _recorded_paths. A path of the run ends where it first reaches T2, so
-    none uses an edge into the gate. An edge into the gate from another
-    node raises InputError.
+    The run stops at its degree bound, so with k at or past the cut to T2
+    these are edge_disjoint_paths(net, net.source, {T2}). No search runs
+    here: the record goes through _recorded_paths, with T2 as the sink.
     """
     graph = net._residual_arcs
-    s, is_sink, _ = _flow_ends(graph, net.source, {gate})
-    t2 = graph.index[net.terminals[1]]
-    arc_head = graph.arc_head
-    into_gate = [a for a in graph.arcs[graph.index[gate]] if a & 1]  # ascending edge id
-    if any(arc_head[a] != t2 for a in into_gate):
-        raise InputError(f"an edge into {gate!r} does not leave {net.terminals[1]!r}")
-    record = [path + (g ^ 1,) for path, g in zip(net._t2_run, into_gate)]
-    return _recorded_paths(net, s, is_sink, record)
+    s, is_sink, _ = _flow_ends(graph, net.source, net.terminals[1])
+    return _recorded_paths(net, s, is_sink, net._t2_run[:k])
 
 
 def _run_record(

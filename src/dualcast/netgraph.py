@@ -83,11 +83,10 @@ class Network:
     terminal min-cuts, and the first label with the reserved prefix.
     dataclasses.replace builds a new Network that derives its own; a network
     extended by add_virtual inherits its base's edge index and residual
-    adjacency, and the run to T2 when it is also its own, and derives the
-    rest itself. Construction refuses
-    fields that are not tuples, so a caller cannot change a network under
-    its cached values, and labels that are not strings or edges that are not
-    Edges with int ids, so no later call meets one (_check_edges).
+    adjacency and derives the rest itself. Construction refuses fields that
+    are not tuples, so a caller cannot change a network under its cached
+    values, and labels that are not strings or edges that are not Edges with
+    int ids, so no later call meets one (_check_edges).
     """
 
     nodes: tuple[NodeId, ...]
@@ -154,13 +153,10 @@ class Network:
         """The augmenting paths, as arcs from the source, of a Dinic run to {T2}.
 
         It stops at a degree bound, so it has one path per unit of the cut to
-        T2: terminal_cuts reads the cut off it, flow.paths_via_t2 replays it.
+        T2: terminal_cuts reads the cut off it, flow.paths_to_t2 its paths.
         """
         graph = self._residual_arcs
-        s, t2 = graph.index[self.source], graph.index[self.terminals[1]]
-        is_sink = bytearray(len(graph.arcs))
-        is_sink[t2] = 1
-        return flow._run_record(graph, s, is_sink, min(graph.degrees(s)[0], graph.degrees(t2)[1]))
+        return flow._run_record(graph, *flow._flow_ends(graph, self.source, self.terminals[1]))
 
     @cached_property
     def _terminal_cuts(self) -> tuple[int, int, int]:
@@ -292,12 +288,7 @@ def add_virtual(
     list (that out list, base in-arcs, new in-arcs). Each run of new edges
     with one tail and head, such as a bundle of build_augmented, is added
     as one range of arcs. That is exactly the adjacency a fresh build
-    gives, since each group stays in ascending edge id.
-
-    When no new edge enters a base node, net's run to T2, computed and kept
-    on net first if need be, is also the extended network's: the new nodes
-    cannot lead back to T2, so they are dead ends of every search, and the
-    run's arc numbers are kept. Any other extended network runs its own.
+    gives, since each group stays in ascending edge id. No flow runs here.
     """
     index, eids, arc_head, arcs, out = net._residual_arcs
     added = tuple(
@@ -338,6 +329,4 @@ def add_virtual(
         _edge_index=edge_index,
         _residual_arcs=ResidualArcs(index, eids + [e.eid for e in added], arc_head, arcs, out),
     )
-    if all(v >= len(net.nodes) for v in new_in):
-        vars(extended)["_t2_run"] = net._t2_run
     return extended

@@ -7,11 +7,12 @@ check_feasibility compares the three min-cuts with the demand; a Network
 computes them once, from its cached Dinic run to T2 and one run to T1
 continued to the pair. Synthesis does not run the check up front: the first
 recoloring pass's two flows decide feasibility, and the cuts are read only
-to report a demand those flows refuse. The flow to T2' replays the
-network's run to T2, made once per network, so the flow to Y1 is the one
-search of each synthesis: the second pass starts from the first pass's
-coloring on the same augmented graph. Pass 1's paths come from those runs'
-records (flow._recorded_paths).
+to report a demand those flows refuse. T2' is entered only from T2, so the
+flow to T2' is the network's run to T2, made once per network, with each
+path continued into T2'; the flow to Y1 is the one search of each
+synthesis: the second pass starts from the first pass's coloring on the
+same augmented graph. Pass 1's paths come from those runs' records
+(flow._recorded_paths).
 check_plan is the one semantic check of a plan, run by synthesis,
 verification and the DOT export. It walks each route once and hands a
 route to check_path, which names its first fault, only when the walk finds
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_, xor
 
-from .augment import build_augmented
 from .errors import (
     InfeasibleDemandError,
     InputError,
@@ -38,7 +38,8 @@ from .errors import (
 from .flow import EdgePath, check_path
 from .nccode import MulticastCode, apply_code, build_multicast_code, check_field_bits
 from .netgraph import Demand, EdgeId, Network, NodeId
-# Unused here; perfbench/tracer.py wraps planner.remove_edges.
+# Unused here; perfbench/tracer.py wraps planner.build_augmented and planner.remove_edges.
+from .augment import build_augmented  # noqa: F401
 from .netgraph import remove_edges  # noqa: F401
 from .recolor import SymmetricPassResult, symmetric_pass
 
@@ -121,10 +122,10 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     pass holds besides its routes. The second pass starts from the first
     pass's final coloring, so the first pass's two max-flows are the only
     ones a feasible synthesis needs, and only the one to Y1 searches: the
-    one to T2' replays net's run to T2, which net computes once, and
-    flow._recorded_paths turns each run's record into paths. seed is only
-    recorded in the plan: no coded value depends on it, and identical
-    inputs give identical plans.
+    one to T2' is net's run to T2, which net computes once, continued into
+    T2', and flow._recorded_paths turns each run's record into paths. seed
+    is only recorded in the plan: no coded value depends on it, and
+    identical inputs give identical plans.
 
     Feasibility is certified by the first recoloring pass, not checked
     beforehand. On the augmented graph Y1's only in-edges are the h0+h1 edges
@@ -160,7 +161,7 @@ def synthesize_with_diagnostics(
     check_field_bits(field_bits)
     check_demand_size(net, d)
     try:
-        passes = symmetric_pass(build_augmented(net, d), d)
+        passes = symmetric_pass(net, d)
     except TheoremViolationError:
         # On an infeasible demand a pass-1 flow falls short before anything else.
         report = check_feasibility(net, d)

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .augment import T1P, T2P, Y1
+from .augment import T1P, T2P, Y1, build_augmented
 from .errors import InvariantError, NonterminationError, TheoremViolationError
-from .flow import EdgePath, edge_disjoint_paths, paths_via_t2
+from .flow import EdgePath, edge_disjoint_paths, paths_to_t2
 from .netgraph import Demand, EdgeId, Network, NodeId
-# Unused here; perfbench/tracer.py wraps recolor.build_augmented, recolor.remove_edges,
-# recolor.max_flow and recolor.decompose_paths.
-from .augment import build_augmented  # noqa: F401
+# Unused here; perfbench/tracer.py wraps recolor.remove_edges, recolor.max_flow
+# and recolor.decompose_paths.
 from .flow import decompose_paths, max_flow  # noqa: F401
 from .netgraph import remove_edges  # noqa: F401
 
@@ -274,27 +273,30 @@ def _arrival(net: Network, path: EdgePath, node: NodeId) -> int:
 def single_pass(net: Network, d: Demand) -> PassResult:
     """Pass 1: paths to Y1 and to T2', recolored to fixpoint, routes cut at T1'.
 
-    net is the base network extended by build_augmented. The green paths to
-    Y1 come from edge_disjoint_paths, on the adjacency net inherits from the
-    base network. The red paths to T2' are the same function's paths, but
-    T2' is entered only from T2, so paths_via_t2 takes them, with no search,
-    from the base network's run to T2 (Network._t2_run), which net inherits.
-    Both turn a run's record into paths by flow._recorded_paths.
+    net is the base network; the pass runs on its extension by
+    build_augmented. The green paths to Y1 come from edge_disjoint_paths on
+    the extension. T2' is entered only from T2, so the red paths to T2' are
+    the base network's first h0+h2 paths to T2 (flow.paths_to_t2, read off
+    its run to T2, Network._t2_run), each continued by one T2 -> T2' edge in
+    ascending id: the paths a flow to T2' would give, with no search.
     Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """
-    s = net.source
-    greens = edge_disjoint_paths(net, s, {Y1})
+    ext = build_augmented(net, d)
+    greens = edge_disjoint_paths(ext, net.source, {Y1})
     if len(greens) != d.total:
         raise TheoremViolationError(
             f"expected {d.total} edge-disjoint paths to {Y1!r}, found {len(greens)}"
         )
-    reds = paths_via_t2(net, T2P)
+    into_t2p = [e.eid for e in ext.edges[len(net.edges) :] if e.head == T2P]
+    reds = [
+        EdgePath(p.edges + (eid,)) for p, eid in zip(paths_to_t2(net, d.h0 + d.h2), into_t2p)
+    ]
     if len(reds) != d.h0 + d.h2:
         raise TheoremViolationError(
             f"expected {d.h0 + d.h2} edge-disjoint paths to {T2P!r}, found {len(reds)}"
         )
-    initial = ColoringState(net=net, green_paths=tuple(greens), red_paths=tuple(reds))
+    initial = ColoringState(net=ext, green_paths=tuple(greens), red_paths=tuple(reds))
     state, trace = run_to_fixpoint(initial)
     routes = tuple(extract_exclusive_green(state, gate=T1P, count=d.h1))
     return PassResult(initial=initial, state=state, trace=trace, routes=routes)
@@ -329,15 +331,16 @@ def second_pass(pass1: PassResult, d: Demand) -> PassResult:
 
 
 def symmetric_pass(net: Network, d: Demand) -> SymmetricPassResult:
-    """Both recoloring passes on one extended network, with pass 1's two flows.
+    """Both recoloring passes on one extension of the base network net.
 
-    Pass 1 extracts the h1 routes toward T1 from fresh flows to Y1 and T2'.
+    Pass 1 extracts the h1 routes toward T1 from a flow to Y1 and the
+    network's paths to T2, continued into T2'.
     Pass 2 mirrors the roles, starting from pass 1's final coloring
     (second_pass): its green paths are pass 1's red paths to T2', and its red
     paths to T1' avoid the x1 routes. The fixpoint leaves at most h0 green paths
     starting on a red edge, one per red path's source out-edge, so at least
     h2 are exclusively green; recoloring never changes a green path, so each
-    passes the gate T2'. Both passes share one augmentation and two flows.
+    passes the gate T2'. Both passes share one augmentation and pass 1's paths.
     """
     pass1 = single_pass(net, d)
     return SymmetricPassResult(pass1=pass1, pass2=second_pass(pass1, d))

@@ -782,6 +782,32 @@ class TestCmdExportDot:
         # 3 node declarations and 2 + 2 + 2 + 1 virtual edges for demand (1, 1, 1).
         assert out.count("style=dashed") == 10
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--augmented"], "--augmented needs --h0, --h1 and --h2"),
+            (["--augmented", "--h0", "1", "--h2", "1"], "--augmented needs --h0, --h1 and --h2"),
+            (
+                ["--h0", "0", "--h1", "0", "--h2", "0"],
+                "takes --h0, --h1, --h2 only with --augmented",
+            ),
+            (["--h1", "0"], "takes --h1 only with --augmented"),
+        ],
+        ids=["augmented-no-rates", "augmented-no-h1", "rates-alone", "h1-alone"],
+    )
+    def test_rates_go_with_the_augmented_view_only(self, capsys, flags, named):
+        # The gadget is drawn for a demand, and a demand draws nothing else.
+        assert main(["export-dot", FIG2, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: export-dot {named}\n"
+
+    def test_augmented_view_of_the_zero_demand_is_three_isolated_nodes(self, capsys):
+        zero = ["--h0", "0", "--h1", "0", "--h2", "0"]
+        assert main(["export-dot", FIG2, "--augmented", *zero]) == 0
+        out = capsys.readouterr().out
+        assert out.count("style=dashed") == 3 and "__" not in out.split("->", 1)[1]
+
     def test_augmented_view_refuses_a_demand_past_a_terminal_in_degree(self, capsys):
         demand = ["--h0", "1000000000", "--h1", "0", "--h2", "0"]
         assert main(["export-dot", FIG2, "--augmented", *demand]) == 2

@@ -15,6 +15,7 @@ from dualcast.errors import (
     InfeasibleDemandError,
     InputError,
     InvariantError,
+    TheoremViolationError,
     UnknownEdgeError,
     UnknownNodeError,
 )
@@ -27,7 +28,7 @@ from dualcast.flow import (
     decompose_paths,
     edge_disjoint_paths,
     max_flow,
-    paths_via_t2,
+    paths_to_t2,
     terminal_cuts,
 )
 from dualcast.netgraph import Demand, Edge, Network, add_virtual, remove_edges
@@ -37,7 +38,7 @@ from dualcast.planner import (
     synthesize_with_diagnostics,
     verify_plan,
 )
-from dualcast.recolor import symmetric_pass
+from dualcast.recolor import single_pass, symmetric_pass
 
 from conftest import mknet, parallel_net, random_network, small_cyclic_network
 from oracles import (
@@ -236,6 +237,10 @@ T2_TWO_PHASES = (
     + [("f", "t2"), ("s", "x"), ("x", "t1"), ("s", "y"), ("y", "t1")],
     Demand(2, 0, 0),
 )
+# A path into t2 longer than both of T2_TWO_PHASES's, which a run to t2 takes
+# in a third phase.
+T2_THIRD_PATH = [("s", "p"), ("p", "q"), ("q", "r"), ("r", "u"), ("u", "v"), ("v", "w")]
+T2_THIRD_PATH += [("w", "t2")]
 
 
 def _phases_of_a_run(graph, s, is_sink, limit):
@@ -673,7 +678,17 @@ def _fresh(net):
 
 
 class TestPathsViaT2:
-    """Pass 1's paths to T2' are replayed from a run to T2."""
+    """Pass 1's paths to T2' are the base network's paths to T2, continued into T2'."""
+
+    @staticmethod
+    def _pass1_or_refusal(net, d, want):
+        """Pass 1 on net starts from the red paths want, or refuses an infeasible d."""
+        try:
+            pass1 = single_pass(net, d)
+        except TheoremViolationError:
+            assert not check_feasibility(net, d).feasible
+        else:
+            assert pass1.initial.red_paths == tuple(want)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -686,39 +701,28 @@ class TestPathsViaT2:
         net, feasible = instance
         for d in (feasible, other):
             want = edge_disjoint_paths(build_augmented(_fresh(net), d), net.source, {T2P})
-            assert paths_via_t2(build_augmented(_fresh(net), d), T2P) == want  # unchecked
-            checked = _fresh(net)
-            checked._terminal_cuts  # makes the run to T2, which ext inherits
-            ext = build_augmented(checked, d)
-            assert ext._t2_run is checked._t2_run
-            assert paths_via_t2(ext, T2P) == want
+            for checked in (False, True):
+                base = _fresh(net)
+                if checked:
+                    base._terminal_cuts  # makes the run to T2
+                prefix = paths_to_t2(base, d.h0 + d.h2)
+                assert [p.edges for p in prefix] == [p.edges[:-1] for p in want]
+                self._pass1_or_refusal(base, d, want)
         assert len(want) == min(other.h0 + other.h2, net._terminal_cuts[1])
 
     @settings(max_examples=150, deadline=None)
-    @given(digraphs(), st.data())
-    def test_add_virtual_keeps_the_run_only_where_it_is_exact(self, net, data):
-        # The base's run to T2 is handed over, computed on the base if need
-        # be, only when no new edge enters a base node; either way the
-        # extended network's run is the one a fresh copy of it makes.
-        new = ["x", "y"]
-        labels = st.sampled_from(net.nodes + tuple(new))
-        pairs = data.draw(st.lists(st.tuples(labels, labels), max_size=6))
-        pairs = [(t, h) for t, h in pairs if t != h]
-        kept = all(h in new for _, h in pairs)
-        for checked in (False, True):
-            base = _fresh(net)
-            if checked:
-                base._terminal_cuts
-            ext = add_virtual(base, new, pairs)
-            assert ("_t2_run" in vars(base)) == (kept or checked)
-            assert vars(ext).get("_t2_run") is (base._t2_run if kept else None)
-            assert ext._t2_run == _fresh(ext)._t2_run
+    @given(st.one_of(digraphs(), feasible_instances().map(lambda pair: pair[0])), demands())
+    def test_augmenting_runs_no_flow_on_the_base(self, net, d):
+        # Neither network holds a run to T2 until a check or pass 1 asks for one.
+        base = _fresh(net)
+        ext = build_augmented(base, d)
+        assert "_t2_run" not in vars(base) and "_t2_run" not in vars(ext)
 
     @pytest.mark.parametrize("d", [Demand(2, 1, 1), Demand(1, 2, 1), Demand(0, 1, 0)])
     def test_without_a_check_the_run_to_t2_goes_to_the_cut_first(self, monkeypatch, d):
-        # fig2's cut to T2 is 3, as is T2's in-degree. Augmenting a network
-        # that holds no run to T2 makes it, whatever h0+h2, before the flow
-        # to Y1; the paths to T2' replay it with no search of their own.
+        # fig2's cut to T2 is 3, as is T2's in-degree. Pass 1 on a network
+        # that holds no run to T2 makes it, whatever h0+h2, after the flow to
+        # Y1; the paths to T2' read it with no search of their own.
         calls = []
         augment = flow._augment
 
@@ -729,7 +733,7 @@ class TestPathsViaT2:
 
         monkeypatch.setattr(flow, "_augment", recording)
         synthesize(fig2_network(), d, seed=0)
-        assert calls == [(3, 3), (d.total, d.total)]
+        assert calls == [(d.total, d.total), (3, 3)]
 
     @pytest.mark.parametrize(
         "pairs, d",
@@ -748,6 +752,9 @@ class TestPathsViaT2:
             ),
             # h0 + h2 = 0: no path to T2'.
             ([("s", "t1"), ("s", "t2")], Demand(0, 1, 0)),
+            # T2_TWO_PHASES with a third, longer path into T2: the cut to T2 is
+            # 3, and the first h0+h2 = 2 paths of the run span two phases.
+            (T2_TWO_PHASES[0] + T2_THIRD_PATH, T2_TWO_PHASES[1]),
         ],
     )
     @pytest.mark.parametrize("checked", [False, True])
@@ -755,32 +762,33 @@ class TestPathsViaT2:
         net = mknet(pairs, "s", ("t1", "t2"))
         if checked:
             assert check_feasibility(net, d).feasible
-        ext = build_augmented(net, d)
-        want = edge_disjoint_paths(ext, "s", {T2P})
+        want = edge_disjoint_paths(build_augmented(net, d), "s", {T2P})
         assert len(want) == d.h0 + d.h2
-        assert paths_via_t2(ext, T2P) == want
+        assert single_pass(net, d).initial.red_paths == tuple(want)
         plan, passes = synthesize_with_diagnostics(net, d, seed=0)
         assert passes.pass1.initial.red_paths == tuple(want)
+
+    def test_the_last_hand_case_takes_a_two_phase_prefix(self):
+        # Its run to T2 has three phases, one path each, and h0+h2 = 2.
+        net = mknet(T2_TWO_PHASES[0] + T2_THIRD_PATH, "s", ("t1", "t2"))
+        assert [len(path) for path in net._t2_run] == [3, 6, 7]
 
     @pytest.mark.parametrize("checked", [False, True])
     def test_unreachable_t2_is_refused_as_before(self, checked):
         # T2 has an in-edge, so the demand passes the size check, but the
         # source cannot reach it: the flow to Y1 goes through T1 and the
-        # replay gives no path to T2'.
+        # network has no path to T2, so none to T2'.
         net = mknet([("s", "t1"), ("x", "t2")], "s", ("t1", "t2"))
         d = Demand(1, 0, 0)
         if checked:
             assert not check_feasibility(net, d).feasible
         ext = build_augmented(net, d)
-        assert paths_via_t2(ext, T2P) == edge_disjoint_paths(ext, "s", {T2P}) == []
+        assert paths_to_t2(net, 1) == edge_disjoint_paths(ext, "s", {T2P}) == []
+        with pytest.raises(TheoremViolationError, match="paths to '__T2P', found 0"):
+            single_pass(net, d)
         with pytest.raises(InfeasibleDemandError, match="ineq2") as exc:
             synthesize(net, d, seed=0)
         assert exc.value.report == check_feasibility(net, d)
-
-    def test_a_gate_entered_from_another_node_is_refused(self, fig2):
-        ext = add_virtual(fig2, ["g"], [("T2", "g"), ("6", "g")])
-        with pytest.raises(InputError, match="does not leave 'T2'"):
-            paths_via_t2(ext, "g")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -827,7 +835,7 @@ class TestPathsViaT2:
             try:
                 plan, passes = synthesize_with_diagnostics(base, d, seed=0)
             except CyclicSupportError:
-                plan, passes = None, symmetric_pass(build_augmented(base, d), d)
+                plan, passes = None, symmetric_pass(base, d)
             assert passes.pass1.initial.red_paths == tuple(want)
             plans.append(plan)
         assert plans[0] == plans[1]

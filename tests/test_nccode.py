@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcast.augment import build_augmented
 from dualcast.errors import CyclicSupportError, InputError
 from dualcast.flow import EdgePath
 from dualcast.nccode import (
@@ -318,7 +317,7 @@ class TestBuilderMatchesReference:
     @settings(max_examples=120, deadline=None)
     def test_same_code_on_pass_two_coded_paths(self, instances, data):
         net, d = data.draw(instances)
-        paths = symmetric_pass(build_augmented(net, d), d).coded_paths
+        paths = symmetric_pass(net, d).coded_paths
         assert outcome(build_multicast_code, *paths) == outcome(
             build_multicast_code_reference, *paths
         )

@@ -189,11 +189,10 @@ class TestFeasibilityFromPassOne:
         return calls
 
     def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(self, monkeypatch):
-        # The network's run to T2, made when it is augmented, that pass 1's
-        # paths to T2' are replayed from (paths_via_t2), and pass 1's flow to
-        # Y1 (edge_disjoint_paths), so none goes through max_flow; pass 2
-        # starts from pass 1's coloring on the same augmented graph, and the
-        # code reuses pass 2's paths.
+        # Pass 1's flow to Y1 (edge_disjoint_paths), then the network's run
+        # to T2, which pass 1's paths to T2' are read from (paths_to_t2), so
+        # none goes through max_flow; pass 2 starts from pass 1's coloring on
+        # the same augmented graph, and the code reuses pass 2's paths.
         net = fig2_network()  # a fresh object: its cuts are not cached yet
         flows = self._count(monkeypatch, "max_flow", flow, recolor, nccode)
         runs = self._count(monkeypatch, "_augment", flow)
@@ -227,7 +226,7 @@ class TestFeasibilityFromPassOne:
     def test_demand_beyond_a_terminal_in_degree_is_refused_before_augmenting(
         self, fig2, monkeypatch
     ):
-        augmented = self._count(monkeypatch, "build_augmented", planner)
+        augmented = self._count(monkeypatch, "build_augmented", augment, planner, recolor)
         d = Demand(10**9, 0, 0)
         with pytest.raises(InfeasibleDemandError) as exc:
             synthesize(fig2, d, seed=0)
@@ -249,7 +248,7 @@ class TestFeasibilityFromPassOne:
         self, fig2, monkeypatch, kwargs, named
     ):
         # The plan file records both as JSON ints, and its loader reads no other.
-        augmented = self._count(monkeypatch, "build_augmented", planner)
+        augmented = self._count(monkeypatch, "build_augmented", augment, planner, recolor)
         with pytest.raises(InputError, match=re.escape(named)):
             synthesize(fig2, Demand(2, 1, 1), **kwargs)
         assert augmented == []

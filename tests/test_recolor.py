@@ -177,8 +177,9 @@ class TestRunToFixpoint:
 
     def test_fig2_pass_one_reaches_the_forced_route(self, fig2):
         d = Demand(2, 1, 1)
-        ext = build_augmented(fig2, d)
-        result = single_pass(ext, d)
+        result = single_pass(fig2, d)
+        ext = result.state.net
+        assert ext == build_augmented(fig2, d)
         exclusive = exclusively_green(result.state)
         assert len(exclusive) == 1
         assert visits(ext, exclusive[0], T1P)
@@ -190,7 +191,7 @@ class TestRunToFixpoint:
 
     def test_replay_reproduces_fixpoint_exactly(self, fig2):
         d = Demand(2, 1, 1)
-        result = single_pass(build_augmented(fig2, d), d)
+        result = single_pass(fig2, d)
         replayed = replay_trace(result.initial, result.trace)
         assert replayed == result.state
 
@@ -337,7 +338,7 @@ def _layered_instances(rng, count, width=16, layers=6):
 
 def _passes(instances):
     for net, d in instances:
-        passes = symmetric_pass(build_augmented(net, d), d)
+        passes = symmetric_pass(net, d)
         yield passes.pass1
         yield passes.pass2
 
@@ -420,7 +421,7 @@ class TestExtract:
             pairs.append((f"m{i}", t))
         net = mknet(pairs, source="s", terminals=("t1", "t2"))
         d = Demand(1, 1, 1)
-        result = single_pass(build_augmented(net, d), d)
+        result = single_pass(net, d)
         assert len(exclusively_green(result.state)) == 2
         assert len(result.routes) == 1
 
@@ -429,20 +430,20 @@ class TestSymmetricPass:
     def test_parallel_bundles_route_everything(self):
         d = Demand(0, 2, 3)
         net = parallel_net(d.h1, d.h2)
-        result = symmetric_pass(build_augmented(net, d), d)
+        result = symmetric_pass(net, d)
         assert len(result.pass1.routes) == 2
         assert len(result.pass2.routes) == 3
         assert not real_route_edges(result.pass1) & real_route_edges(result.pass2)
 
     def test_zero_private_rates_give_empty_routes(self, butterfly):
         d = Demand(2, 0, 0)
-        result = symmetric_pass(build_augmented(butterfly, d), d)
+        result = symmetric_pass(butterfly, d)
         assert result.pass1.routes == ()
         assert result.pass2.routes == ()
 
     def test_fig2_routes_forced_onto_outer_branches(self, fig2):
         d = Demand(2, 1, 1)
-        result = symmetric_pass(build_augmented(fig2, d), d)
+        result = symmetric_pass(fig2, d)
         assert [p.edges for p in result.pass1.routes] == [(0, 4)]
         assert [p.edges for p in result.pass2.routes] == [(3, 5)]
         assert real_route_edges(result.pass1) == {0, 4}
@@ -452,7 +453,7 @@ class TestSymmetricPass:
     @settings(max_examples=100, deadline=None)
     def test_routes_are_disjoint_and_leave_shared_capacity(self, instance):
         net, d = instance
-        result = symmetric_pass(build_augmented(net, d), d)
+        result = symmetric_pass(net, d)
         assert len(result.pass1.routes) == d.h1
         assert len(result.pass2.routes) == d.h2
         for result_pass, terminal in zip((result.pass1, result.pass2), net.terminals):
@@ -468,7 +469,7 @@ class TestSymmetricPass:
 
 
 def _assert_coded_paths_avoid_the_routes(net, d):
-    result = symmetric_pass(build_augmented(net, d), d)
+    result = symmetric_pass(net, d)
     routed = real_route_edges(result.pass1) | real_route_edges(result.pass2)
     for family, terminal in zip(result.coded_paths, net.terminals):
         assert len(family) == d.h0
@@ -483,7 +484,7 @@ def _assert_coded_paths_avoid_the_routes(net, d):
 class TestCodedPaths:
     def test_fig2_paths_stay_in_the_butterfly_core(self, fig2):
         d = Demand(2, 1, 1)
-        result = symmetric_pass(build_augmented(fig2, d), d)
+        result = symmetric_pass(fig2, d)
         core = {1, 2, 6, 7, 8, 9, 10, 11, 12}
         for family in result.coded_paths:
             assert {eid for p in family for eid in p.edges} <= core
@@ -518,7 +519,7 @@ class TestHandOff:
 
     @pytest.mark.parametrize("net, d, pass1_steps", _hand_off_instances())
     def test_pass_two_starts_from_pass_one_final_coloring(self, net, d, pass1_steps):
-        result = symmetric_pass(build_augmented(net, d), d)
+        result = symmetric_pass(net, d)
         p1, p2 = result.pass1, result.pass2
         ext = p1.state.net
         assert p2.state.net is ext
@@ -540,7 +541,7 @@ class TestHandOff:
     @pytest.mark.parametrize("broken", ["routes", "red_paths"])
     def test_a_wrong_count_from_pass_one_is_a_theorem_violation(self, fig2, broken):
         d = Demand(2, 1, 1)
-        pass1 = symmetric_pass(build_augmented(fig2, d), d).pass1
+        pass1 = symmetric_pass(fig2, d).pass1
         if broken == "routes":
             # No path counts as a route: three non-route paths through T1', not h0 = 2.
             pass1 = dataclasses.replace(pass1, routes=())
