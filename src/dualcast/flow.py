@@ -5,9 +5,10 @@ maximum flow decomposes into value-many edge-disjoint source-to-sink paths
 (constructive Menger). Maximum flows come from Dinic's blocking-flow
 algorithm, in which any sink of a sink set ends a search branch, over a
 residual adjacency that each Network builds once (Network._residual_arcs).
-The same loop can continue from a flow it already found: terminal_cuts
-continues its run to T1 into the pair cut, and reads the cut to T2 off the
-network's Dinic run to T2 (Network._t2_run); each Network caches its cuts
+Every run starts from the zero flow. terminal_cuts levels the graph once,
+by one breadth-first search from the source, and runs the flows to T1, to
+T2 and to the pair from those levels; the run to T2 is the network's
+(Network._t2_run), and each Network caches its cuts
 (Network._terminal_cuts). A run stops as soon as its value reaches
 a bound it is given, the source's out-degree or the sinks' in-degree, so it
 skips the final search that would only confirm it. edge_disjoint_paths and
@@ -16,12 +17,10 @@ _recorded_paths turns a record into paths; paths_to_t2 hands it the first
 paths of the network's run to T2, which pass 1 continues into T2'. A
 network extended by add_virtual runs on the adjacency it inherits from its
 base. The adjacency also keeps each node's out-arcs as a list of their
-own, and a run's first phase from the zero flow scans only those, with the
-same result (see _augment). All tie-breaking is by ascending edge id,
-out-arcs before in-arcs, so identical inputs always produce identical
-flows and paths.
+own, and a run's first phase scans only those, with the same result (see
+_augment). All tie-breaking is by ascending edge id, out-arcs before
+in-arcs, so identical inputs always produce identical flows and paths.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -118,17 +117,18 @@ def paths_to_t2(net: Network, k: int) -> list[EdgePath]:
     these are edge_disjoint_paths(net, net.source, {T2}). No search runs
     here: the record goes through _recorded_paths, with T2 as the sink.
     """
-    graph = net._residual_arcs
-    s, is_sink, _ = _flow_ends(graph, net.source, net.terminals[1])
+    s, is_sink, _ = _t2_ends(net)
     return _recorded_paths(net, s, is_sink, net._t2_run[:k])
 
 
 def _run_record(
-    graph: ResidualArcs, s: int, is_sink: bytearray, limit: int
+    graph: ResidualArcs, s: int, is_sink: bytearray, limit: int, dist: list[int] | None = None
 ) -> list[tuple[int, ...]]:
-    """The augmenting paths, as arcs from s, of a Dinic run from the zero flow to limit."""
+    """The augmenting paths, as arcs from s, of a Dinic run from the zero flow to limit.
+
+    dist, when given, levels the first phase (see _augment)."""
     record: list[tuple[int, ...]] = []
-    _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), limit, record)
+    _augment(graph, s, is_sink, bytearray(b"\x01\x00") * len(graph.eids), limit, record, dist)
     return record
 
 
@@ -185,32 +185,68 @@ def _flow_ends(
     return s, is_sink, min(graph.degrees(s)[0], in_degree)
 
 
+def _t2_ends(net: Network) -> tuple[int, bytearray, int]:
+    """The source's node number, a flag per node marking T2, and min(out(s), in(T2)).
+
+    Unlike _flow_ends it checks no label: the network checked them when built."""
+    graph = net._residual_arcs
+    s, t2 = graph.index[net.source], graph.index[net.terminals[1]]
+    is_sink = bytearray(len(graph.arcs))
+    is_sink[t2] = 1
+    return s, is_sink, min(len(graph.out[s]), graph.degrees(t2)[1])
+
+
 def terminal_cuts(net: Network) -> tuple[int, int, int]:
     """Min-cut values from the source to T1, to T2 and to the pair.
 
-    The flow to {T1} is continued with T2 added to the sink set: a flow into
-    T1 is also a flow into the pair, and augmenting any feasible flow until no
-    sink is reachable reaches the maximum (Ford-Fulkerson 1956), so the pair
-    cut is the T1 cut plus the added augmentations. Each of the two runs
-    stops at the source's out-degree or the sinks' in-degree, which no flow
-    passes. The cut to T2 is the length of the network's run to T2
-    (Network._t2_run), which has one path per unit of it. Network caches
-    the result (Network._terminal_cuts).
+    Dinic runs from the zero flow, whose first phases take their levels from
+    one shared search (_distances). The runs to T1 and to T2 stop at the
+    source's out-degree or the terminal's in-degree; the one to T2 is the
+    network's (Network._t2_run), stored here if the network has none yet.
+    A T1 min-cut and a T2 min-cut together cut off both terminals, so the
+    pair cut lies between max(c1, c2) and min(out(s), c1 + c2): it takes a
+    run, stopped at the upper bound, only when the two differ. Network
+    caches the result (Network._terminal_cuts).
     """
     graph = net._residual_arcs
-    index = graph.index
-    s = index[net.source]
-    t1, t2 = (index[t] for t in net.terminals)
-    out_s = graph.degrees(s)[0]
-    in1, in2 = graph.degrees(t1)[1], graph.degrees(t2)[1]
-    is_sink = bytearray(len(index))
-    is_sink[t1] = 1
-    residual = bytearray(b"\x01\x00") * len(graph.eids)
-    cut_t1 = _augment(graph, s, is_sink, residual, min(out_s, in1))[0]
-    is_sink[t2] = 1
-    limit = min(out_s, in1 + in2) - cut_t1
-    cut_pair = cut_t1 + _augment(graph, s, is_sink, residual, limit)[0]
-    return cut_t1, len(net._t2_run), cut_pair
+    s, to_t2, bound_t2 = _t2_ends(net)
+    t1 = graph.index[net.terminals[0]]
+    to_t1 = bytearray(len(to_t2))
+    to_t1[t1] = 1
+    out_s = len(graph.out[s])
+    dist = _distances(graph, s)
+    zero = bytearray(b"\x01\x00") * len(graph.eids)
+    cut_t1 = _augment(graph, s, to_t1, zero[:], min(out_s, graph.degrees(t1)[1]), None, dist)[0]
+    run = vars(net).get("_t2_run")
+    if run is None:
+        run = vars(net)["_t2_run"] = _run_record(graph, s, to_t2, bound_t2, dist)
+    cut_t2 = len(run)
+    bound = min(out_s, cut_t1 + cut_t2)
+    if max(cut_t1, cut_t2) == bound:
+        return cut_t1, cut_t2, bound
+    to_pair = bytearray(to_t2)
+    to_pair[t1] = 1
+    return cut_t1, cut_t2, _augment(graph, s, to_pair, zero, bound, None, dist)[0]
+
+
+def _distances(graph: ResidualArcs, s: int) -> list[int]:
+    """Each node's distance from s along edges, and -1 for the nodes s does not reach.
+
+    These are the levels of the zero flow's residual graph, in which only
+    out-arcs are residual: one breadth-first search over the out lists.
+    """
+    arc_head, out = graph.arc_head, graph.out
+    dist = [-1] * len(out)
+    dist[s] = 0
+    queue = [s]
+    for u in queue:
+        d = dist[u] + 1
+        for a in out[u]:
+            v = arc_head[a]
+            if dist[v] < 0:
+                dist[v] = d
+                queue.append(v)
+    return dist
 
 
 def _augment(
@@ -220,13 +256,14 @@ def _augment(
     residual: bytearray,
     limit: int,
     record: list[tuple[int, ...]] | None = None,
+    dist: list[int] | None = None,
 ) -> tuple[int, list[int]]:
-    """Augment the flow held in residual until no sink is reachable or limit is added.
+    """Augment from the zero flow held in residual until no sink is reachable or limit is reached.
 
-    residual holds one byte per arc of graph (1 while the arc is residual)
-    and is updated in place; the flow it starts from may be any feasible flow
-    into the sinks. Returns the value added and the last phase's levels; they
-    are >= 0 exactly on the residual source side only when the run ended on a
+    residual holds one byte per arc of graph (1 while the arc is residual),
+    starts as the zero flow (even arcs 1, odd arcs 0) and is updated in
+    place. Returns the flow's value and the last phase's levels; they are
+    >= 0 exactly on the residual source side only when the run ended on a
     phase that reached no sink, not when it stopped at limit. Each phase
     levels the residual graph by breadth-first search from s and then adds a
     blocking flow along level-increasing arcs, by an iterative depth-first
@@ -242,40 +279,49 @@ def _augment(
     paths.
 
     limit is checked before each phase and at the augmentation that reaches
-    it, so a limit of 0 runs no search. A limit that bounds every flow from
-    the current one (a degree bound, say) leaves the residual exactly as a
-    run without it: once the value reaches it no augmenting path exists, so
-    the skipped searches would change no byte.
+    it, so a limit of 0 runs no search. A limit that bounds every flow (a
+    degree bound, say) leaves the residual exactly as a run without it:
+    once the value reaches it no augmenting path exists, so the skipped
+    searches would change no byte.
 
-    A phase that starts from the zero flow (no in-arc residual) scans only
-    the out lists (graph.out), with the same result as the full lists: its
-    search levels no node through an in-arc, and an in-arc an augmentation
-    of the phase makes residual leads one level down, so it is never
+    The first phase scans only the out lists (graph.out), with the same
+    result as the full lists: under the zero flow no in-arc is residual, so
+    its search levels no node through one, and an in-arc an augmentation of
+    the phase makes residual leads one level down, so it is never
     admissible; in-arcs follow out-arcs in each list, so every pointer and
-    dead end falls as on the full list. Records, residual bytes and levels
-    are the same. Every later phase scans the full lists.
+    dead end falls as on the full list. Every later phase scans the full
+    lists. dist, when given, is _distances(graph, s), and the first phase
+    takes as its levels the distances up to the nearest sink's, -1 beyond,
+    without a search: its own search stops where they are cut, at the first
+    node it dequeues at the sink level, so the run is the same.
     """
     _, _, arc_head, arcs, out = graph
     n = len(arcs)
-    adj = arcs if 1 in residual[1::2] else out
+    adj = out
     value = 0
     level: list[int] = []
     while value < limit:
-        level = [-1] * n
-        level[s] = 0
-        sink_level = n  # no sink reached yet
-        queue = [s]
-        for u in queue:
-            if level[u] == sink_level:
-                break  # deeper nodes cannot lie on a shortest augmenting path
-            next_level = level[u] + 1
-            for a in adj[u]:
-                v = arc_head[a]
-                if residual[a] and level[v] < 0:
-                    level[v] = next_level
-                    if is_sink[v]:
-                        sink_level = next_level
-                    queue.append(v)
+        if dist is not None:
+            sink_level = min([d for d in compress(dist, is_sink) if d >= 0], default=n)
+            top = min(sink_level, n - 1)  # no sink reached: keep every distance
+            level = list(map([*range(top + 1), *[-1] * (n - top)].__getitem__, dist))
+            dist = None
+        else:
+            level = [-1] * n
+            level[s] = 0
+            sink_level = n  # no sink reached yet
+            queue = [s]
+            for u in queue:
+                if level[u] == sink_level:
+                    break  # deeper nodes cannot lie on a shortest augmenting path
+                next_level = level[u] + 1
+                for a in adj[u]:
+                    v = arc_head[a]
+                    if residual[a] and level[v] < 0:
+                        level[v] = next_level
+                        if is_sink[v]:
+                            sink_level = next_level
+                        queue.append(v)
         if sink_level == n:
             break
 

@@ -80,7 +80,8 @@ class Network:
     A Network is frozen, so whatever is derived from its fields alone stays
     true for its lifetime and is computed once, on first use: the edge index,
     the residual adjacency every flow runs on, the Dinic run to T2, the three
-    terminal min-cuts, and the first label with the reserved prefix.
+    terminal min-cuts, and the first label with the reserved prefix. The
+    first check makes the run to T2 along with the cuts and stores it too.
     dataclasses.replace builds a new Network that derives its own; a network
     extended by add_virtual inherits its base's edge index and residual
     adjacency and derives the rest itself. Construction refuses fields that
@@ -154,9 +155,11 @@ class Network:
 
         It stops at a degree bound, so it has one path per unit of the cut to
         T2: terminal_cuts reads the cut off it, flow.paths_to_t2 its paths.
+        The first check makes it from the levels it shares with its other
+        runs and stores it here; a network synthesized before any check makes
+        it on first use, with its own search. The record is the same.
         """
-        graph = self._residual_arcs
-        return flow._run_record(graph, *flow._flow_ends(graph, self.source, self.terminals[1]))
+        return flow._run_record(self._residual_arcs, *flow._t2_ends(self))
 
     @cached_property
     def _terminal_cuts(self) -> tuple[int, int, int]:
@@ -280,36 +283,43 @@ def add_virtual(
 ) -> Network:
     """Extend a network with extra nodes and unit edges, listed and numbered after net's.
 
-    Only the labels and the new edges are checked: net's edges passed when
-    net was built. The extended network inherits net's edge index and
-    residual adjacency instead of rebuilding them: base edges keep their arc
+    Only the new labels and the new edges are checked: net's passed when
+    net was built, so a new label need only be a string that net's index
+    lacks. The extended network inherits net's edge index and residual
+    adjacency instead of rebuilding them: base edges keep their arc
     numbers, the new edges' arcs come after them, and only the nodes a new
     edge touches get a new out list (base out-arcs, new out-arcs) and arc
     list (that out list, base in-arcs, new in-arcs). Each run of new edges
-    with one tail and head, such as a bundle of build_augmented, is added
-    as one range of arcs. That is exactly the adjacency a fresh build
-    gives, since each group stays in ascending edge id. No flow runs here.
+    with one tail and head, such as a bundle of build_augmented, is checked
+    once and added in one step: its Edges, ids and range of arcs. That is
+    exactly the adjacency a fresh build gives, since each group stays in
+    ascending edge id. No flow runs here.
     """
     index, eids, arc_head, arcs, out = net._residual_arcs
-    added = tuple(
-        Edge(eid, tail, head) for eid, (tail, head) in enumerate(new_edges, net.next_edge_id())
-    )
-    nodes = net.nodes + tuple(new_nodes)
-    _check_edges(added, _label_set(nodes))
+    extra = tuple(new_nodes)
+    if not index.keys().isdisjoint(_label_set(extra)):
+        raise InputError("duplicate node labels")
     index = dict(index)
-    for v in nodes[len(net.nodes) :]:
-        index[v] = len(index)
+    index.update(zip(extra, count(len(index))))
+    first = eid = net.next_edge_id()
+    added: list[Edge] = []
     arc_head = arc_head.copy()
     new_out: dict[int, list[int]] = {}
     new_in: dict[int, list[int]] = {}
-    a = 2 * len(eids)  # the first new edge's arc
-    for (tail, head), run in groupby(added, operator.itemgetter(1, 2)):
+    for (tail_label, head_label), run in groupby(new_edges):
         k = len(list(run))
-        tail, head = index[tail], index[head]
+        if tail_label == head_label:
+            raise InputError(f"self-loop at {tail_label!r}")
+        if tail_label not in index or head_label not in index:
+            raise UnknownNodeError(f"edge {eid} references unknown node")
+        ends = zip(range(eid, eid + k), repeat(tail_label, k), repeat(head_label, k))
+        added += map(tuple.__new__, repeat(Edge, k), ends)  # Edge._make without a call per edge
+        tail, head = index[tail_label], index[head_label]
+        a = len(arc_head)  # the run's first arc
         arc_head += (head, tail) * k
         new_out.setdefault(tail, []).extend(range(a, a + 2 * k, 2))
         new_in.setdefault(head, []).extend(range(a + 1, a + 2 * k, 2))
-        a += 2 * k
+        eid += k
     n_new = len(index) - len(arcs)
     arcs = arcs + [[] for _ in range(n_new)]
     out = out + [[] for _ in range(n_new)]
@@ -318,15 +328,15 @@ def add_virtual(
         out[v] = out[v] + new_out.get(v, [])
         arcs[v] = out[v] + arcs[v][n_out:] + new_in.get(v, [])
     edge_index = dict(net._edge_index)
-    edge_index.update((e.eid, e) for e in added)
+    edge_index.update(zip(range(first, eid), added))
     # A frozen dataclass keeps its fields and cached properties in __dict__.
     extended = object.__new__(Network)
     vars(extended).update(
-        nodes=nodes,
-        edges=net.edges + added,
+        nodes=net.nodes + extra,
+        edges=net.edges + tuple(added),
         source=net.source,
         terminals=net.terminals,
         _edge_index=edge_index,
-        _residual_arcs=ResidualArcs(index, eids + [e.eid for e in added], arc_head, arcs, out),
+        _residual_arcs=ResidualArcs(index, eids + list(range(first, eid)), arc_head, arcs, out),
     )
     return extended

@@ -4,8 +4,9 @@ A feasible demand (h0, h1, h2) is served by h1 plain routes to T1, h2 plain
 routes to T2, and a rate-h0 linear multicast code on h0 paths to each
 terminal that the second recoloring pass leaves off the routes.
 check_feasibility compares the three min-cuts with the demand; a Network
-computes them once, from its cached Dinic run to T2 and one run to T1
-continued to the pair. Synthesis does not run the check up front: the first
+computes them once, by runs to T1, to T2 (its cached Dinic run to T2) and,
+unless the first two settle it, to the pair, all from one breadth-first
+search. Synthesis does not run the check up front: the first
 recoloring pass's two flows decide feasibility, and the cuts are read only
 to report a demand those flows refuse. T2' is entered only from T2, so the
 flow to T2' is the network's run to T2, made once per network, with each

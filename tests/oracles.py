@@ -236,8 +236,8 @@ def augment_reference(
 
     Every phase levels and searches on each node's full arc list, out-arcs
     and then in-arcs. The body is the earlier kernel's, word for word, but
-    for reading the two lists by name: the same arguments, the same residual
-    updates, the same record and the same returned value and levels.
+    for reading the two lists by name: the same arguments but dist, the same
+    residual updates, the same record and the same returned value and levels.
     """
     arc_head, arcs = graph.arc_head, graph.arcs
     n = len(arcs)

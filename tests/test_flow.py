@@ -96,7 +96,7 @@ def independent_cuts(net: Network) -> tuple[int, int, int]:
 
 
 class TestTerminalCuts:
-    """terminal_cuts: two Dinic runs, the pair cut continuing the flow to T1."""
+    """terminal_cuts: runs to T1, to T2 and, unless its bounds meet, to the pair."""
 
     def test_fig2(self, fig2):
         assert terminal_cuts(fig2) == independent_cuts(fig2) == (3, 3, 4)
@@ -115,8 +115,9 @@ class TestTerminalCuts:
             ([("s", "a"), ("a", "t2"), ("s", "t2"), ("t2", "t1")], (1, 2, 2)),
             # The mirror case: T2 is fed only through T1.
             ([("s", "a"), ("a", "t1"), ("s", "t1"), ("t1", "t2")], (2, 1, 2)),
-            # The pair run must reroute the T1 flow: its one path reaches T2 only
-            # by undoing the T1 flow's use of a->x.
+            # The pair run takes two phases: the first, levelled up to t2 at
+            # distance 2, finds s a t2 and leaves x a dead end, and the second
+            # finds s b x t1.
             (
                 [("s", "a"), ("s", "b"), ("a", "x"), ("b", "x"), ("x", "t1"), ("a", "t2")],
                 (1, 1, 2),
@@ -138,7 +139,8 @@ def _enumerated_cuts(net: Network) -> tuple[int, int, int]:
 
 
 class TestTerminalCutBounds:
-    """Each Dinic run of terminal_cuts stops at a degree or cut bound."""
+    """Each Dinic run of terminal_cuts stops at a degree or cut bound, and the
+    pair cut needs no run when its bounds meet."""
 
     @pytest.fixture
     def runs_of(self, monkeypatch):
@@ -160,9 +162,22 @@ class TestTerminalCutBounds:
 
         return runs_of
 
-    def test_t1_cut_at_the_source_out_degree_leaves_the_pair_run_limit_zero(self, runs_of):
+    def test_t1_cut_at_the_source_out_degree_settles_the_pair_cut(self, runs_of):
         net = mknet([("s", "t1"), ("s", "a"), ("a", "t1"), ("a", "t2")], "s", ("t1", "t2"))
-        assert runs_of(net) == ((2, 1, 2), [(2, 2), (0, 0), (1, 1)])
+        assert runs_of(net) == ((2, 1, 2), [(2, 2), (1, 1)])
+
+    def test_t2_cut_at_the_source_out_degree_settles_the_pair_cut(self, runs_of):
+        # max(c1, c2) = c2 = out(s) = 2 meets the upper bound: no pair search.
+        net = mknet([("s", "a"), ("s", "b"), ("a", "t2"), ("b", "t2"), ("a", "t1")], "s",
+                    ("t1", "t2"))
+        assert runs_of(net) == ((1, 2, 2), [(1, 1), (2, 2)])
+
+    def test_the_sum_of_the_terminal_cuts_bounds_the_pair_run(self, runs_of):
+        # out(s) = 3 and the terminals' in-degrees are 2 each, but c1 + c2 = 2:
+        # the pair run stops at 2 instead of ending on a third search.
+        pairs = [("s", "a"), ("s", "b"), ("s", "c"), ("a", "t1"), ("b", "t2")]
+        pairs += [("x", "t1"), ("y", "t2")]
+        assert runs_of(mknet(pairs, "s", ("t1", "t2"))) == ((1, 1, 2), [(2, 1), (2, 1), (2, 2)])
 
     def test_t2_cut_below_both_degree_bounds_ends_its_run_on_a_search(self, runs_of):
         # Two edges a->b bound every flow; the source has out-degree 3 and T2
@@ -172,35 +187,36 @@ class TestTerminalCutBounds:
         pairs += [("b", "t1"), ("t1", "t2")]
         net = mknet(pairs, "s", ("t1", "t2"))
         cuts, runs = runs_of(net)
-        assert cuts == (1, 2, 2) and runs[-1] == (3, 2)
+        assert cuts == (1, 2, 2) and runs[1] == (3, 2)
 
     def test_parallel_edges_between_the_terminals(self, runs_of):
         pairs = [("s", "t1"), ("s", "t2"), ("s", "a"), ("a", "t1")]
         pairs += [("t1", "t2"), ("t1", "t2"), ("t2", "t1")]
         net = mknet(pairs, "s", ("t1", "t2"))
-        assert runs_of(net) == ((3, 3, 3), [(3, 3), (0, 0), (3, 3)])
+        assert runs_of(net) == ((3, 3, 3), [(3, 3), (3, 3)])
 
     @pytest.mark.parametrize(
         "pairs, cuts, runs",
         [
-            ([("s", "a"), ("a", "t2"), ("t1", "t2")], (0, 1, 1), [(0, 0), (1, 1), (1, 1)]),
-            ([("s", "a"), ("a", "t1"), ("t2", "t1")], (1, 0, 1), [(1, 1), (0, 0), (0, 0)]),
+            ([("s", "a"), ("a", "t2"), ("t1", "t2")], (0, 1, 1), [(0, 0), (1, 1)]),
+            ([("s", "a"), ("a", "t1"), ("t2", "t1")], (1, 0, 1), [(1, 1), (0, 0)]),
         ],
     )
     def test_a_terminal_with_no_in_edge(self, runs_of, pairs, cuts, runs):
         assert runs_of(mknet(pairs, "s", ("t1", "t2"))) == (cuts, runs)
 
     def test_the_network_keeps_the_checks_run_to_t2(self, runs_of):
-        # The third run is the network's run to T2, one path per unit of the
-        # cut; the network keeps it, so the next check runs only the first two.
+        # The second run is the network's run to T2, one path per unit of the
+        # cut; the network keeps it, so the next check runs only the other two.
+        # The pair run starts from the zero flow, bounded by out(s) = 4.
         net = fig2_network()
-        assert runs_of(net) == ((3, 3, 4), [(3, 3), (1, 1), (3, 3)])
+        assert runs_of(net) == ((3, 3, 4), [(3, 3), (3, 3), (4, 4)])
         assert net._terminal_cuts == (3, 3, 4) and len(net._t2_run) == 3
         graph = net._residual_arcs
         for path in net._t2_run:
             assert path[0] in graph.arcs[graph.index["1"]]
             assert graph.arc_head[path[-1]] == graph.index["T2"]
-        assert runs_of(net)[1][3:] == [(3, 3), (1, 1)]
+        assert runs_of(net)[1][3:] == [(3, 3), (4, 4)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,26 +325,17 @@ def test_a_one_phase_prefix_of_a_run_is_its_own_decomposition(net, which, bounde
     assert residual == left
 
 
-def _assert_kernels_agree(net, sinks, limit, more_limit):
-    """_augment and the full-list reference make the same run from the zero
-    flow to sinks, and then the same continuation, to limit and more_limit,
-    with both terminals added to the sinks, as terminal_cuts continues its run
-    to T1 into the pair cut. Records, residual bytes, values and levels must
-    all match. The continuation starts from the zero flow only when the first
-    run found none."""
+def _zero_flow_run(kernel, net, sinks, limit, shared_levels=False):
+    """A kernel's run from the zero flow to sinks and limit: its value and
+    levels, its record and the residual it leaves. With shared_levels, the
+    first phase takes its levels from the one search terminal_cuts shares."""
     graph = net._residual_arcs
     s, is_sink, _ = _flow_ends(graph, net.source, sinks)
-    more_sinks = bytearray(is_sink)
-    for t in net.terminals:
-        more_sinks[graph.index[t]] = 1
-    runs = []
-    for kernel in (_augment, augment_reference):
-        residual = bytearray(b"\x01\x00") * len(graph.eids)
-        record: list = []
-        first = kernel(graph, s, is_sink, residual, limit, record)
-        then = kernel(graph, s, more_sinks, residual, more_limit, record)
-        runs.append((first, then, record, residual))
-    assert runs[0] == runs[1]
+    residual = bytearray(b"\x01\x00") * len(graph.eids)
+    record: list = []
+    dist = [flow._distances(graph, s)] if shared_levels else []
+    result = kernel(graph, s, is_sink, residual, limit, record, *dist)
+    return result, record, residual
 
 
 def _networks_with_a_sink_set():
@@ -360,16 +367,36 @@ def _networks_with_a_sink_set():
 @given(_networks_with_a_sink_set(), st.data())
 def test_scanning_out_lists_from_the_zero_flow_changes_no_run(net_and_sinks, data):
     net, sinks = net_and_sinks
-    graph = net._residual_arcs
-    bound = _flow_ends(graph, net.source, sinks)[2]
-    limits = st.sampled_from([bound, len(graph.eids) + 1]) | st.integers(0, 3)
-    _assert_kernels_agree(net, sinks, data.draw(limits), data.draw(limits))
+    limit = data.draw(_limits(net, sinks))
+    want = _zero_flow_run(augment_reference, net, sinks, limit)
+    assert _zero_flow_run(_augment, net, sinks, limit) == want
+
+
+def _limits(net, sinks):
+    """A run's degree bound, no limit, or a limit of 0 to 3."""
+    bound = _flow_ends(net._residual_arcs, net.source, sinks)[2]
+    return st.sampled_from([bound, len(net.edges) + 1]) | st.integers(0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_networks_with_a_sink_set(), st.data())
+def test_a_run_from_the_shared_levels_is_the_run_that_levels_itself(net_and_sinks, data):
+    # Same value, levels, record and residual bytes; and a network's first
+    # check makes the run to T2 its own first synthesis would make.
+    net, sinks = net_and_sinks
+    limit = data.draw(_limits(net, sinks))
+    want = _zero_flow_run(_augment, net, sinks, limit)
+    assert _zero_flow_run(_augment, net, sinks, limit, shared_levels=True) == want
+    checked = _fresh(net)
+    terminal_cuts(checked)
+    assert checked._t2_run == _fresh(net)._t2_run
 
 
 @pytest.mark.parametrize("augmented", [False, True])
 @pytest.mark.parametrize("case", [Y1_TWO_PHASES, T2_TWO_PHASES], ids=["Y1", "T2"])
 def test_two_phase_runs_match_the_full_list_kernel(case, augmented):
-    # Each network's run to its t takes a second phase through a reverse arc.
+    # Each network's run to its t takes a second phase through a reverse arc;
+    # a run from the shared levels makes it too.
     net = mknet(case[0], "s", ("t1", "t2"))
     if augmented:
         net = build_augmented(net, case[1])
@@ -377,7 +404,9 @@ def test_two_phase_runs_match_the_full_list_kernel(case, augmented):
     for sinks in sink_sets:
         bound = _flow_ends(net._residual_arcs, net.source, sinks)[2]
         for limit in (bound, 1, len(net.edges) + 1):
-            _assert_kernels_agree(net, sinks, limit, len(net.edges) + 1)
+            want = _zero_flow_run(augment_reference, net, sinks, limit)
+            assert _zero_flow_run(_augment, net, sinks, limit) == want
+            assert _zero_flow_run(_augment, net, sinks, limit, shared_levels=True) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -78,7 +78,7 @@ class TestCheckFeasibility:
 
         monkeypatch.setattr(flow, "_augment", counting)
         first = check_feasibility(net, Demand(2, 1, 1))
-        assert len(runs) == 3  # two Dinic runs, the pair run continuing the T1 run
+        assert len(runs) == 3  # runs to T1, to T2 and to the pair, from one search
         runs.clear()
         second = check_feasibility(net, Demand(3, 1, 1))
         assert runs == []
@@ -203,9 +203,9 @@ class TestFeasibilityFromPassOne:
         assert (len(flows), len(runs), len(checks)) == (0, 2, 0)
         assert (len(augmented), len(removed)) == (1, 0)
         # An infeasible demand within the degree bounds: the flow to Y1 falls
-        # short, then the report's cuts take the run to T1 and the pair run
-        # that continues it, outside max_flow, and read the cut to T2 off the
-        # network's run to T2, which it already holds.
+        # short, then the report's cuts take the runs to T1 and to the pair,
+        # outside max_flow, and read the cut to T2 off the network's run to
+        # T2, which it already holds.
         flows.clear()
         runs.clear()
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
