@@ -5,21 +5,22 @@ maximum flow decomposes into value-many edge-disjoint source-to-sink paths
 (constructive Menger). Maximum flows come from Dinic's blocking-flow
 algorithm, in which any sink of a sink set ends a search branch, over a
 residual adjacency that each Network builds once (Network._residual_arcs).
-Every run starts from the zero flow. terminal_cuts levels the graph once,
-by one breadth-first search from the source, and runs the flows to T1, to
-T2 and to the pair from those levels; the run to T2 is the network's
-(Network._t2_run), and each Network caches its cuts
-(Network._terminal_cuts). A run stops as soon as its value reaches
-a bound it is given, the source's out-degree or the sinks' in-degree, so it
-skips the final search that would only confirm it. edge_disjoint_paths and
-the run to T2 record their augmenting paths by one step, _run_record, and
-_recorded_paths turns a record into paths; paths_to_t2 hands it the first
-paths of the network's run to T2, which pass 1 continues into T2'. A
-network extended by add_virtual runs on the adjacency it inherits from its
-base. The adjacency also keeps each node's out-arcs as a list of their
-own, and a run's first phase scans only those, with the same result (see
-_augment). All tie-breaking is by ascending edge id, out-arcs before
-in-arcs, so identical inputs always produce identical flows and paths.
+Every run starts from the zero flow. Each Network levels its graph once,
+by one breadth-first search from the source (Network._source_levels), and
+terminal_cuts runs the flows to T1, to T2 and to the pair from those
+levels; the run to T2 is the network's (Network._t2_run), and each
+Network caches its cuts (Network._terminal_cuts). A run stops as soon as
+its value reaches a bound it is given, the source's out-degree or the
+sinks' in-degree, so it skips the final search that would only confirm it.
+edge_disjoint_paths and the run to T2 record their augmenting paths by one
+step, _run_record, and _recorded_paths turns a record into paths;
+paths_to_t2 hands it the first paths of the network's run to T2, which
+pass 1 continues into T2'. A network extended by add_virtual runs on the
+adjacency it inherits from its base. The adjacency also keeps each node's
+out-arcs as a list of their own, and a run's first phase scans only those,
+with the same result (see _augment). All tie-breaking is by ascending edge
+id, out-arcs before in-arcs, so identical inputs always produce identical
+flows and paths.
 """
 from __future__ import annotations
 
@@ -200,32 +201,27 @@ def terminal_cuts(net: Network) -> tuple[int, int, int]:
     """Min-cut values from the source to T1, to T2 and to the pair.
 
     Dinic runs from the zero flow, whose first phases take their levels from
-    one shared search (_distances). The runs to T1 and to T2 stop at the
-    source's out-degree or the terminal's in-degree; the one to T2 is the
-    network's (Network._t2_run), stored here if the network has none yet.
+    the network's one search (Network._source_levels). The runs to T1 and to
+    T2 stop at the source's out-degree or the terminal's in-degree; the one
+    to T2 is the network's (Network._t2_run).
     A T1 min-cut and a T2 min-cut together cut off both terminals, so the
     pair cut lies between max(c1, c2) and min(out(s), c1 + c2): it takes a
     run, stopped at the upper bound, only when the two differ. Network
     caches the result (Network._terminal_cuts).
     """
-    graph = net._residual_arcs
-    s, to_t2, bound_t2 = _t2_ends(net)
-    t1 = graph.index[net.terminals[0]]
-    to_t1 = bytearray(len(to_t2))
+    graph, dist = net._residual_arcs, net._source_levels
+    s, t1, t2 = map(graph.index.__getitem__, (net.source, *net.terminals))
+    to_t1 = bytearray(len(dist))
     to_t1[t1] = 1
     out_s = len(graph.out[s])
-    dist = _distances(graph, s)
     zero = bytearray(b"\x01\x00") * len(graph.eids)
     cut_t1 = _augment(graph, s, to_t1, zero[:], min(out_s, graph.degrees(t1)[1]), None, dist)[0]
-    run = vars(net).get("_t2_run")
-    if run is None:
-        run = vars(net)["_t2_run"] = _run_record(graph, s, to_t2, bound_t2, dist)
-    cut_t2 = len(run)
+    cut_t2 = len(net._t2_run)
     bound = min(out_s, cut_t1 + cut_t2)
     if max(cut_t1, cut_t2) == bound:
         return cut_t1, cut_t2, bound
-    to_pair = bytearray(to_t2)
-    to_pair[t1] = 1
+    to_pair = bytearray(to_t1)
+    to_pair[t2] = 1
     return cut_t1, cut_t2, _augment(graph, s, to_pair, zero, bound, None, dist)[0]
 
 

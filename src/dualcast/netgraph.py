@@ -79,9 +79,9 @@ class Network:
 
     A Network is frozen, so whatever is derived from its fields alone stays
     true for its lifetime and is computed once, on first use: the edge index,
-    the residual adjacency every flow runs on, the Dinic run to T2, the three
-    terminal min-cuts, and the first label with the reserved prefix. The
-    first check makes the run to T2 along with the cuts and stores it too.
+    the residual adjacency every flow runs on, each node's distance from the
+    source, the Dinic run to T2, the three terminal min-cuts, and the first
+    label with the reserved prefix.
     dataclasses.replace builds a new Network that derives its own; a network
     extended by add_virtual inherits its base's edge index and residual
     adjacency and derives the rest itself. Construction refuses fields that
@@ -150,16 +150,24 @@ class Network:
         )
 
     @cached_property
+    def _source_levels(self) -> list[int]:
+        """Each node's distance from the source, -1 where it does not reach.
+
+        These are the zero flow's levels (flow._distances), from which the
+        first phase of the run to T2 and of terminal_cuts' other runs start.
+        """
+        graph = self._residual_arcs
+        return flow._distances(graph, graph.index[self.source])
+
+    @cached_property
     def _t2_run(self) -> list[tuple[int, ...]]:
         """The augmenting paths, as arcs from the source, of a Dinic run to {T2}.
 
         It stops at a degree bound, so it has one path per unit of the cut to
         T2: terminal_cuts reads the cut off it, flow.paths_to_t2 its paths.
-        The first check makes it from the levels it shares with its other
-        runs and stores it here; a network synthesized before any check makes
-        it on first use, with its own search. The record is the same.
+        Its first phase takes its levels from _source_levels.
         """
-        return flow._run_record(self._residual_arcs, *flow._t2_ends(self))
+        return flow._run_record(self._residual_arcs, *flow._t2_ends(self), self._source_levels)
 
     @cached_property
     def _terminal_cuts(self) -> tuple[int, int, int]:

@@ -381,15 +381,11 @@ def _limits(net, sinks):
 @settings(max_examples=300, deadline=None)
 @given(_networks_with_a_sink_set(), st.data())
 def test_a_run_from_the_shared_levels_is_the_run_that_levels_itself(net_and_sinks, data):
-    # Same value, levels, record and residual bytes; and a network's first
-    # check makes the run to T2 its own first synthesis would make.
+    # Same value, levels, record and residual bytes.
     net, sinks = net_and_sinks
     limit = data.draw(_limits(net, sinks))
     want = _zero_flow_run(_augment, net, sinks, limit)
     assert _zero_flow_run(_augment, net, sinks, limit, shared_levels=True) == want
-    checked = _fresh(net)
-    terminal_cuts(checked)
-    assert checked._t2_run == _fresh(net)._t2_run
 
 
 @pytest.mark.parametrize("augmented", [False, True])
@@ -827,19 +823,25 @@ class TestPathsViaT2:
     )
     def test_one_network_makes_one_run_to_t2(self, instance, other, steps):
         # Checks and syntheses on one network, in any order, share one Dinic
-        # run to T2; a flow to T2', which is entered only from T2, would be
-        # another run to T2.
+        # run to T2, and one search that levels the network; a flow to T2',
+        # which is entered only from T2, would be another run to T2.
         net, feasible = instance
         net = _fresh(net)
         sink_sets = []
-        augment = flow._augment
+        levellings = []
+        augment, distances = flow._augment, flow._distances
 
         def recording(graph, s, is_sink, *rest):
             sink_sets.append({v for v, i in graph.index.items() if is_sink[i]})
             return augment(graph, s, is_sink, *rest)
 
+        def levelling(graph, s):
+            levellings.append(len(graph.eids))
+            return distances(graph, s)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "_augment", recording)
+            mp.setattr(flow, "_distances", levelling)
             for step in steps:
                 if step == "check":
                     check_feasibility(net, other)
@@ -850,6 +852,7 @@ class TestPathsViaT2:
                     pass
         to_t2 = [sinks for sinks in sink_sets if sinks in ({net.terminals[1]}, {T2P})]
         assert to_t2 == [{net.terminals[1]}]
+        assert levellings == [len(net.edges)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(feasible_instances(cyclic=True), crossing_instances()))
