@@ -291,22 +291,23 @@ def add_virtual(
 ) -> Network:
     """Extend a network with extra nodes and unit edges, listed and numbered after net's.
 
-    Only the new labels and the new edges are checked: net's passed when
-    net was built, so a new label need only be a string that net's index
-    lacks. The extended network inherits net's edge index and residual
-    adjacency instead of rebuilding them: base edges keep their arc
+    Nothing is checked: the new labels must be distinct strings that net
+    lacks, and each new edge must join two distinct nodes of the extended
+    network. Its one caller, build_augmented, adds three reserved labels
+    after refusing any base label with their '__' prefix, and none of its
+    bundles is a loop; tests/test_netgraph.py compares its extensions with
+    a fresh build. The extended network inherits net's edge index and
+    residual adjacency instead of rebuilding them: base edges keep their arc
     numbers, the new edges' arcs come after them, and only the nodes a new
     edge touches get a new out list (base out-arcs, new out-arcs) and arc
     list (that out list, base in-arcs, new in-arcs). Each run of new edges
-    with one tail and head, such as a bundle of build_augmented, is checked
-    once and added in one step: its Edges, ids and range of arcs. That is
-    exactly the adjacency a fresh build gives, since each group stays in
-    ascending edge id. No flow runs here.
+    with one tail and head, such as a bundle of build_augmented, is added
+    in one step: its Edges, ids and range of arcs. That is exactly the
+    adjacency a fresh build gives, since each group stays in ascending edge
+    id. No flow runs here.
     """
     index, eids, arc_head, arcs, out = net._residual_arcs
     extra = tuple(new_nodes)
-    if not index.keys().isdisjoint(_label_set(extra)):
-        raise InputError("duplicate node labels")
     index = dict(index)
     index.update(zip(extra, count(len(index))))
     first = eid = net.next_edge_id()
@@ -316,10 +317,6 @@ def add_virtual(
     new_in: dict[int, list[int]] = {}
     for (tail_label, head_label), run in groupby(new_edges):
         k = len(list(run))
-        if tail_label == head_label:
-            raise InputError(f"self-loop at {tail_label!r}")
-        if tail_label not in index or head_label not in index:
-            raise UnknownNodeError(f"edge {eid} references unknown node")
         ends = zip(range(eid, eid + k), repeat(tail_label, k), repeat(head_label, k))
         added += map(tuple.__new__, repeat(Edge, k), ends)  # Edge._make without a call per edge
         tail, head = index[tail_label], index[head_label]

@@ -14,12 +14,13 @@ path continued into T2'; the flow to Y1 is the one search of each
 synthesis: the second pass starts from the first pass's coloring on the
 same augmented graph. Pass 1's paths come from those runs' records
 (flow._recorded_paths).
-check_plan is the one semantic check of a plan, run by synthesis,
-verification and the DOT export. It walks each route once and hands a
-route to check_path, which names its first fault, only when the walk finds
-one. verify_plan then proves the checked plan delivers over GF(2), which
-proves it in every GF(2^m): it evaluates the code once, on the unit
-messages 1 << j, and XORs the decode rows.
+check_plan is the one semantic check of a plan, run by verification and
+the DOT export. It walks each route once and hands a route to check_path,
+which names its first fault, only when the walk finds one. verify_plan then
+proves the checked plan delivers over GF(2), which proves it in every
+GF(2^m): it evaluates the code once, on the unit messages 1 << j, and XORs
+the decode rows. Synthesis runs that proof, verify_plan with no trials, on
+every plan before returning it.
 """
 
 from __future__ import annotations
@@ -128,6 +129,10 @@ def synthesize(net: Network, d: Demand, seed: int, *, field_bits: int = 8) -> Tr
     is only recorded in the plan: no coded value depends on it, and
     identical inputs give identical plans.
 
+    The plan is proven before it is returned, by the proof `verify --trials 0`
+    runs (verify_plan with no trials); a plan that fails it is a bug, raised
+    as InvariantError.
+
     Feasibility is certified by the first recoloring pass, not checked
     beforehand. On the augmented graph Y1's only in-edges are the h0+h1 edges
     from T1' (which only T1 feeds) and the h2 edges from T2', so a flow of
@@ -173,7 +178,7 @@ def synthesize_with_diagnostics(
     x1, x2 = passes.pass1.routes, passes.pass2.routes
     plan = TransferPlan(demand=d, seed=seed, x1_routes=x1, x2_routes=x2, multicast=code)
     try:
-        check_plan(net, plan)
+        verify_plan(net, plan, trials=0)
     except PlanMismatchError as exc:
         raise InvariantError(f"synthesized plan is malformed: {exc}") from exc
     return plan, passes

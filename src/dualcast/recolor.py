@@ -33,8 +33,9 @@ from .netgraph import remove_edges  # noqa: F401
 class ColoringState:
     """Both path families on a network; colors derive from the paths.
 
-    A plain record: every path starts at net.source. run_to_fixpoint checks
-    the state it receives, once, and builds its final state unchecked.
+    A plain record. The package builds it in single_pass, second_pass and
+    run_to_fixpoint, always valid as run_to_fixpoint's docstring states;
+    tests/oracles.check_coloring checks that validity.
     """
 
     net: Network
@@ -82,56 +83,27 @@ def run_to_fixpoint(
     whichever violates first. That is the first violating path in index
     order, the one a rescan from index 0 after every step would pick.
 
-    The state is checked once, on entry, in one walk per path on the edge
-    index: every path is non-empty, starts at the source and is contiguous,
-    only its first edge leaves the source, and paths of one color share no
-    edge, which one set-size comparison per path tests (edge_disjoint_paths
-    gives node-simple, edge-disjoint paths). Only a path the walk refuses is
-    walked again edge by edge, to raise the UnknownEdgeError or
-    InvariantError of its first fault. Each step then keeps the red
-    paths valid by construction. The green prefix before e1 carries no red,
-    so it touches no other red path; the old tail after e1 is a suffix of r,
-    so the new path is contiguous and edge-disjoint from the others. Its only
-    source out-edge is the prefix's first: the prefix does not return to the
-    source, and r's one source out-edge is r's first edge, at or before e1.
-    So the final state is built from the red path lists without a second
-    check, and only when a step was taken. The acceptance tests replay every
-    trace step by step through tests/oracles.py, which rechecks all of this.
+    The state must be valid, and is not checked here: every path is
+    non-empty, starts at the source and is contiguous, only its first edge
+    leaves the source, and paths of one color share no edge. Both callers
+    guarantee it. Pass 1's paths come from Dinic records, which are
+    edge-disjoint and node-simple; pass 2's are pass 1's final paths or
+    their prefixes, and each step keeps the red paths valid. The green
+    prefix before e1 carries no red, so it touches no other red path; the
+    old tail after e1 is a suffix of r, so the new path is contiguous and
+    edge-disjoint from the others. Its only source out-edge is the prefix's
+    first: the prefix does not return to the source, and r's one source
+    out-edge is r's first edge, at or before e1. So the final state is built
+    from the red path lists, and only when a step was taken. The acceptance sweeps check the first
+    and final state of both passes with tests/oracles.check_coloring, and
+    the DAG sweep replays every trace step by step.
 
     budget caps the number of steps, by default edges x green paths x red
     paths; exceeding it raises NonterminationError, which signals a bug
     rather than a legitimate outcome.
     """
-    net, s = state.net, state.net.source
-    edge_at = net._edge_index
+    net = state.net
     greens = state.green_paths
-    for family in (greens, state.red_paths):
-        seen: set[EdgeId] = set()
-        for n, p in enumerate(family):
-            size = len(seen)
-            seen.update(p.edges)
-            at = s
-            for eid in p.edges:
-                e = edge_at.get(eid)  # (eid, tail, head)
-                if e is None or e[1] != at:
-                    break
-                at = e[2] if e[2] != s else None  # no edge continues a path back at s
-            else:
-                if p.edges and len(seen) == size + len(p.edges):
-                    continue
-            # The walk refused p: walk it again edge by edge to name its first fault.
-            seen = {eid for q in family[:n] for eid in q.edges}
-            if not p.edges:
-                raise InvariantError("empty path in coloring state")
-            at = s
-            for i, eid in enumerate(p.edges):
-                e = net.edge(eid)
-                if e.tail != at or (i and at == s):
-                    raise InvariantError(f"edge {eid} does not continue a path from the source")
-                if eid in seen:
-                    raise InvariantError(f"paths of one color share edge {eid}")
-                seen.add(eid)
-                at = e.head
     reds = [p.edges for p in state.red_paths]
     if budget is None:
         budget = max(1, len(net.edges)) * max(1, len(greens)) * max(1, len(reds))
@@ -256,18 +228,15 @@ class SymmetricPassResult:
 def _arrival(net: Network, path: EdgePath, node: NodeId) -> int:
     """The position on path of the edge by which it first enters node.
 
-    Heads are read off the edge index; only if that fails is the path walked
-    edge by edge, to raise UnknownEdgeError or name the missed node.
+    Heads are read off the edge index. Both callers pass paths of a
+    coloring state on net itself, so every edge is known; any miss, an
+    unknown edge or a node the path never reaches, raises InvariantError.
     """
     edge_at = net._edge_index
     try:
         return [edge_at[eid][2] for eid in path.edges].index(node)
     except (KeyError, ValueError):
-        pass
-    for i, eid in enumerate(path.edges):
-        if net.edge(eid).head == node:
-            return i
-    raise InvariantError(f"path never reaches {node!r}")
+        raise InvariantError(f"path never reaches {node!r}") from None
 
 
 def single_pass(net: Network, d: Demand) -> PassResult:

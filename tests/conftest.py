@@ -1,12 +1,38 @@
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 
 from dualcast.fixtures import fig2_network
 from dualcast.netgraph import Demand, Edge, Network
 from dualcast.planner import check_feasibility
+
+# A test item (setup, call and teardown together) still running after this
+# many seconds is taken to hang: every thread's traceback is dumped and the
+# run exits with status 1, so a hang fails instead of stalling the suite.
+# The slowest item, the acceptance sweep's setup, takes a few seconds.
+HANG_SECONDS = 120
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy of stderr taken while output is not captured, so the dump is seen.
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=item.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def mknet(pairs, source, terminals, extra_nodes=()) -> Network:

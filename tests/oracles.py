@@ -729,7 +729,8 @@ def edge_colors(state: ColoringState) -> dict[int, frozenset[str]]:
 
 def check_coloring(state: ColoringState) -> None:
     """Raise InvariantError unless every path is a contiguous walk from the source
-    and no two paths of one color share an edge."""
+    that leaves it only by its first edge, and no two paths of one color share
+    an edge: the validity recolor.run_to_fixpoint requires and keeps."""
     net = state.net
     for family in (state.green_paths, state.red_paths):
         seen: set[int] = set()
@@ -741,6 +742,8 @@ def check_coloring(state: ColoringState) -> None:
             for a, b in zip(p.edges, p.edges[1:]):
                 if net.edge(a).head != net.edge(b).tail:
                     raise InvariantError("path is not contiguous")
+                if net.edge(b).tail == net.source:
+                    raise InvariantError("path leaves the source again")
             for eid in p.edges:
                 if eid in seen:
                     raise InvariantError("paths within one color share an edge")

@@ -18,13 +18,19 @@ import pytest
 
 from dualcast.augment import T1P, T2P, build_augmented
 from dualcast.cli import dump_plan
-from dualcast.errors import CyclicSupportError, InfeasibleDemandError
+from dualcast.errors import (
+    CyclicSupportError,
+    InfeasibleDemandError,
+    InvariantError,
+    UnknownEdgeError,
+)
 from dualcast.nccode import coding_vectors
 from dualcast.netgraph import Demand, Network, remove_edges
 from dualcast.planner import check_feasibility, synthesize, synthesize_with_diagnostics, verify_plan
 
 from conftest import all_demands, random_network, small_cyclic_network, wide_network
 from oracles import (
+    check_coloring,
     check_lemma,
     exclusively_green,
     gf2_rank,
@@ -69,6 +75,7 @@ class SweepData:
     lemma_failures: list = field(default_factory=list)
     red_count_violations: list = field(default_factory=list)
     route_extraction_faults: list = field(default_factory=list)
+    coloring_faults: list = field(default_factory=list)  # states check_coloring refuses
     budget_trips: list = field(default_factory=list)
     x1_crossings: list = field(default_factory=list)
     residual_shortfalls: list = field(default_factory=list)
@@ -87,8 +94,23 @@ def _pass_two_touches_x1(passes, plan) -> bool:
     return any(not x1.isdisjoint(p.edges) for p in paths)
 
 
+def _coloring_faults(result) -> list[str]:
+    """check_coloring's refusals of a pass's first and final coloring.
+
+    run_to_fixpoint does not check the state it is given, so this is the
+    check of the validity it requires and keeps.
+    """
+    faults = []
+    for which in ("initial", "state"):
+        try:
+            check_coloring(getattr(result, which))
+        except (InvariantError, UnknownEdgeError) as exc:
+            faults.append(f"{which}: {exc}")
+    return faults
+
+
 def _audit_recoloring(data: SweepData, tag, net: Network, passes, d: Demand) -> None:
-    """Criterion 5 evidence: per-step conservation, fixpoint counts, budgets.
+    """Criterion 5 evidence: valid colorings, per-step conservation, fixpoint counts, budgets.
 
     Each route must be a prefix, over net's edges, of an exclusively green
     path whose next edge enters the gate.
@@ -100,6 +122,7 @@ def _audit_recoloring(data: SweepData, tag, net: Network, passes, d: Demand) -> 
     )
     for result, expected_red, n_routes, gate in jobs:
         ext = result.state.net
+        data.coloring_faults += [(tag, gate, fault) for fault in _coloring_faults(result)]
         if red_source_degree(result.initial) != expected_red:
             data.red_count_violations.append((tag, "initial"))
         # Replay step by step so the invariant is observed after every rewrite.
@@ -249,6 +272,7 @@ def test_criterion_5_recoloring_invariants(sweep):
     with criterion(5, "recoloring conservation, extraction, budgets"):
         assert sweep.red_count_violations == []
         assert sweep.route_extraction_faults == []
+        assert sweep.coloring_faults == []
         assert sweep.budget_trips == []
         assert sweep.x1_crossings == []
 
@@ -293,6 +317,7 @@ class CyclicSweepData:
     refusals: list = field(default_factory=list)
     wrong_width: list = field(default_factory=list)
     x1_crossings: list = field(default_factory=list)
+    coloring_faults: list = field(default_factory=list)  # states check_coloring refuses
     plan_hash: object = field(default_factory=hashlib.sha256)  # over each plan's dump_plan
     writer_mismatches: list = field(default_factory=list)  # dump_plan != the reference writer
 
@@ -331,6 +356,8 @@ def cyclic_sweep() -> CyclicSweepData:
                 data.wrong_width.append(tag)
             if _pass_two_touches_x1(passes, plan):
                 data.x1_crossings.append(tag)
+            for result in (passes.pass1, passes.pass2):
+                data.coloring_faults += [(tag, fault) for fault in _coloring_faults(result)]
     return data
 
 
@@ -341,6 +368,7 @@ def test_criterion_8_cyclic_networks(cyclic_sweep):
         assert cyclic_sweep.verify_failures == []
         assert cyclic_sweep.wrong_width == []
         assert cyclic_sweep.x1_crossings == []
+        assert cyclic_sweep.coloring_faults == []
         assert len(cyclic_sweep.refusals) == CYCLIC_REFUSALS, cyclic_sweep.refusals
 
 

@@ -69,6 +69,19 @@ class TestBuildAugmented:
         with pytest.raises(InputError):
             build_augmented(net, Demand(0, 1, 1))
 
+    @pytest.mark.parametrize("label", [T1P, T2P, Y1])
+    def test_a_base_never_holds_a_label_the_extension_adds(self, label):
+        # add_virtual does not check its new labels against the base's; this
+        # refusal is what keeps the three it is given new.
+        net = Network(
+            nodes=("s", label, "t1", "t2"),
+            edges=(Edge(0, "s", "t1"), Edge(1, "s", "t2"), Edge(2, "s", label)),
+            source="s",
+            terminals=("t1", "t2"),
+        )
+        with pytest.raises(InputError, match=f"^node label '{label}' uses the reserved"):
+            build_augmented(net, Demand(1, 0, 0))
+
     def test_reserved_label_error_names_the_first_one_on_every_call(self):
         net = Network(
             nodes=("s", "__a", "t1", "__b", "t2"),

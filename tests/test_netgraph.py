@@ -350,13 +350,3 @@ class TestAddVirtualInheritsCaches:
         _assert_caches_match_a_fresh_build(again)
         # The base's shared arc lists are left as they were.
         assert net._residual_arcs == base_arcs
-
-    def test_invalid_new_edge_is_refused_as_in_a_fresh_build(self, fig2):
-        with pytest.raises(UnknownNodeError, match="references unknown node"):
-            add_virtual(fig2, ["x"], [("x", "nowhere")])
-        with pytest.raises(InputError, match="self-loop"):
-            add_virtual(fig2, ["x"], [("x", "x")])
-        with pytest.raises(InputError, match="duplicate node labels"):
-            add_virtual(fig2, ["T1"], [])
-        with pytest.raises(InputError, match="node labels must be strings, got 7"):
-            add_virtual(fig2, [7], [])

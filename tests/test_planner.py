@@ -143,6 +143,28 @@ class TestSynthesize:
                 "--seed", "7", "-o", str(tmp_path / "plan.json")]
         assert main(args) == 3
 
+    @pytest.mark.parametrize("field, label", [("decode_t1", "T1"), ("decode_t2", "T2")])
+    def test_a_plan_that_does_not_deliver_is_refused(self, fig2, monkeypatch, field, label):
+        d = Demand(2, 1, 1)
+        plan = synthesize(fig2, d, seed=7)
+        rows = getattr(plan.multicast, field)
+        assert rows[0] != rows[1]
+        swapped = dataclasses.replace(plan.multicast, **{field: (rows[1], rows[0], *rows[2:])})
+        # Swapping two decode rows leaves the plan well formed; it only stops delivering.
+        check_plan(fig2, dataclasses.replace(plan, multicast=swapped))
+        real = planner.build_multicast_code
+
+        def rows_swapped(paths_t1, paths_t2, **kwargs):
+            assert real(paths_t1, paths_t2, **kwargs) == plan.multicast
+            return swapped
+
+        monkeypatch.setattr(planner, "build_multicast_code", rows_swapped)
+        with pytest.raises(
+            InvariantError,
+            match=f"^synthesized plan is malformed: decode matrix of {label} does not invert",
+        ):
+            synthesize(fig2, d, seed=7)
+
     def test_route_edges_leave_the_residual_to_the_code(self, fig2):
         d = Demand(2, 1, 1)
         plan = synthesize(fig2, d, seed=7)
@@ -199,9 +221,14 @@ class TestFeasibilityFromPassOne:
         checks = self._count(monkeypatch, "check_feasibility", planner)
         augmented = self._count(monkeypatch, "build_augmented", augment, planner, recolor)
         removed = self._count(monkeypatch, "remove_edges", netgraph, planner, recolor)
+        # Through the names perfbench/tracer.py wraps: both recoloring passes,
+        # and one evaluation of the code, the proof of the plan.
+        fixpoints = self._count(monkeypatch, "run_to_fixpoint", recolor)
+        evaluations = self._count(monkeypatch, "apply_code", planner)
         synthesize(net, Demand(2, 1, 1), seed=7)
         assert (len(flows), len(runs), len(checks)) == (0, 2, 0)
         assert (len(augmented), len(removed)) == (1, 0)
+        assert (len(fixpoints), len(evaluations)) == (2, 1)
         # An infeasible demand within the degree bounds: the flow to Y1 falls
         # short, then the report's cuts take the runs to T1 and to the pair,
         # outside max_flow, and read the cut to T2 off the network's run to
@@ -217,11 +244,13 @@ class TestFeasibilityFromPassOne:
         with pytest.raises(InfeasibleDemandError, match="ineq3"):
             synthesize(net, Demand(0, 2, 3), seed=7)
         assert (len(flows), len(runs), len(checks)) == (0, 1, 2)
+        assert (len(fixpoints), len(evaluations)) == (2, 1)  # refusals neither recolor nor prove
         # The network kept its run to T2, so pass 1's paths to T2' replay it:
         # a feasible synthesis on it now runs only the flow to Y1.
         runs.clear()
         synthesize(net, Demand(2, 1, 1), seed=7)
         assert (len(flows), len(runs)) == (0, 1)
+        assert (len(fixpoints), len(evaluations)) == (4, 2)
 
     def test_demand_beyond_a_terminal_in_degree_is_refused_before_augmenting(
         self, fig2, monkeypatch

@@ -223,42 +223,21 @@ class TestRunToFixpoint:
         assert final.green_paths == state.green_paths  # greens never change shape
 
     @pytest.mark.parametrize(
-        "greens, reds",
-        [
-            ([[0, 1, 2]], [[3]]),  # the green path comes back through a -> s
-            ([[2]], [[0, 1, 3]]),  # the red path does, and owns two source out-edges
-            ([[]], [[3]]),  # an empty path
-            ([[2]], [[1, 3]]),  # the first edge does not leave the source
-            ([[0, 2]], [[3]]),  # a gap: s -> a is followed by s -> y
-            ([[2]], [[3], [3]]),  # two red paths share an edge
-        ],
-    )
-    def test_paths_returning_to_the_source_are_rejected_on_entry(self, greens, reds):
-        net = mknet(
-            [("s", "a"), ("a", "s"), ("s", "y"), ("s", "t")],
-            source="s",
-            terminals=("y", "t"),
-        )
-        with pytest.raises(InvariantError):
-            run_to_fixpoint(make_state(net, greens=greens, reds=reds))
-
-    @pytest.mark.parametrize(
         "greens, reds, error",
         [
-            ([[0, 1, 2]], [[3]], "edge 2 does not continue a path from the source"),
-            ([[2]], [[0, 1, 3]], "edge 3 does not continue a path from the source"),
+            ([[0, 1, 2]], [[3]], "path leaves the source again"),  # back through a -> s
+            ([[2]], [[0, 1, 3]], "path leaves the source again"),  # two source out-edges
             ([[]], [[3]], "empty path in coloring state"),
-            ([[2]], [[1, 3]], "edge 1 does not continue a path from the source"),
-            ([[0, 2]], [[3]], "edge 2 does not continue a path from the source"),
-            ([[2]], [[3], [3]], "paths of one color share edge 3"),
-            # The first fault of the path is named: the shared edge before the unknown one.
-            ([[2]], [[3], [3, 9]], "paths of one color share edge 3"),
+            ([[2]], [[1, 3]], "path does not start at the source"),
+            ([[0, 2]], [[3]], "path is not contiguous"),  # s -> a, then s -> y
+            ([[2]], [[3], [3]], "paths within one color share an edge"),
             ([[2], [9]], [[3]], "no edge with id 9"),
-            # A path may end back at the source; only an edge after that is refused.
-            ([[0, 1]], [[3]], None),
+            ([[0, 1]], [[3]], None),  # a path may end back at the source
         ],
     )
-    def test_entry_check_names_the_first_fault(self, greens, reds, error):
+    def test_the_oracle_refuses_the_states_run_to_fixpoint_trusts(self, greens, reds, error):
+        # run_to_fixpoint does not check its state; the acceptance sweeps run
+        # this oracle on every pass's first and final state instead.
         net = mknet(
             [("s", "a"), ("a", "s"), ("s", "y"), ("s", "t")],
             source="s",
@@ -266,31 +245,18 @@ class TestRunToFixpoint:
         )
         state = make_state(net, greens=greens, reds=reds)
         if error is None:
-            assert run_to_fixpoint(state)[0] is state
+            check_coloring(state)
             return
-        with pytest.raises((InvariantError, UnknownEdgeError)) as exc:
-            run_to_fixpoint(state)
-        assert str(exc.value) == error
-        assert isinstance(exc.value, UnknownEdgeError) == error.startswith("no edge")
+        with pytest.raises((InvariantError, UnknownEdgeError), match=f"^{error}$"):
+            check_coloring(state)
 
-    def test_arrival_reads_heads_and_walks_only_on_a_failure(self):
+    def test_arrival_reads_heads_and_refuses_any_miss(self):
         net = mknet([("s", "a"), ("a", "t"), ("t", "y")], source="s", terminals=("y", "t"))
         assert _arrival(net, EdgePath((0, 1, 2)), "t") == 1
-        # An unknown edge after the arrival is never looked at, as in an edge-by-edge walk.
-        assert _arrival(net, EdgePath((0, 1, 9)), "t") == 1
-        with pytest.raises(UnknownEdgeError, match="no edge with id 9"):
-            _arrival(net, EdgePath((0, 9, 1)), "t")
-        with pytest.raises(InvariantError, match="path never reaches 'y'"):
-            _arrival(net, EdgePath((0, 1)), "y")
-
-    def test_an_invalid_state_is_refused_only_by_run_to_fixpoint(self):
-        net = mknet([("s", "a"), ("b", "y"), ("s", "t")], source="s", terminals=("y", "t"))
-        state = make_state(net, greens=[[0, 1]], reds=[[2]])  # edges 0 and 1 do not meet
-        assert state.red_edges == {2}
-        with pytest.raises(InvariantError):
-            check_coloring(state)
-        with pytest.raises(InvariantError, match="edge 1 does not continue a path"):
-            run_to_fixpoint(state)
+        assert _arrival(net, EdgePath((0, 1, 2)), "y") == 2
+        for edges, node in (((0, 9, 1), "t"), ((0, 1, 9), "t"), ((0, 1), "y")):
+            with pytest.raises(InvariantError, match=f"^path never reaches {node!r}$"):
+                _arrival(net, EdgePath(edges), node)
 
     def test_only_the_final_state_is_built(self, monkeypatch):
         result = next(
@@ -537,6 +503,26 @@ class TestHandOff:
             EdgePath(edges) for edges in through_t1p if edges[:-1] not in routes
         )
         assert len(p2.initial.red_paths) == d.h0
+
+    @pytest.mark.parametrize(
+        "net, d",
+        [
+            *(pytest.param(*p.values[:2], id=p.id) for p in _hand_off_instances()),
+            pytest.param(fig2_network(), Demand(1, 0, 2), id="fig2-102"),
+            # Both passes reroute on this one.
+            pytest.param(*_layered_instances(random.Random(1), count=7)[75], id="layered"),
+        ],
+    )
+    def test_every_state_of_both_passes_is_a_valid_coloring(self, net, d):
+        # run_to_fixpoint does not check the coloring it is given: pass 1's comes
+        # from Dinic's paths, pass 2's from pass 1's final coloring, and each
+        # step must keep it valid. The oracle checks it after every step.
+        result = symmetric_pass(net, d)
+        for p in (result.pass1, result.pass2):
+            for n_steps in range(len(p.trace.steps) + 1):
+                steps = type(p.trace)(steps=p.trace.steps[:n_steps])
+                check_coloring(replay_trace(p.initial, steps))
+            check_coloring(p.state)
 
     @pytest.mark.parametrize("broken", ["routes", "red_paths"])
     def test_a_wrong_count_from_pass_one_is_a_theorem_violation(self, fig2, broken):
