@@ -12,8 +12,8 @@ levels; the run to T2 is the network's (Network._t2_run), and each
 Network caches its cuts (Network._terminal_cuts). A run stops as soon as
 its value reaches a bound it is given, the source's out-degree or the
 sinks' in-degree, so it skips the final search that would only confirm it.
-edge_disjoint_paths and the run to T2 record their augmenting paths by one
-step, _run_record, and _recorded_paths turns a record into paths;
+edge_disjoint_paths, pass 1's flow to Y1 and the run to T2 record their
+augmenting paths by _run_record, and _recorded_paths turns them into paths;
 paths_to_t2 hands it the first paths of the network's run to T2, which
 pass 1 continues into T2'. A network extended by add_virtual runs on the
 adjacency it inherits from its base. The adjacency also keeps each node's
@@ -118,7 +118,7 @@ def paths_to_t2(net: Network, k: int) -> list[EdgePath]:
     these are edge_disjoint_paths(net, net.source, {T2}). No search runs
     here: the record goes through _recorded_paths, with T2 as the sink.
     """
-    s, is_sink, _ = _t2_ends(net)
+    s, is_sink, _ = _ends(net, net.terminals[1])
     return _recorded_paths(net, s, is_sink, net._t2_run[:k])
 
 
@@ -186,15 +186,16 @@ def _flow_ends(
     return s, is_sink, min(graph.degrees(s)[0], in_degree)
 
 
-def _t2_ends(net: Network) -> tuple[int, bytearray, int]:
-    """The source's node number, a flag per node marking T2, and min(out(s), in(T2)).
+def _ends(net: Network, sink: NodeId) -> tuple[int, bytearray, int]:
+    """The source's node number, a flag per node marking sink, and min(out(s), in(sink)).
 
-    Unlike _flow_ends it checks no label: the network checked them when built."""
+    Unlike _flow_ends it checks no label: sink is T2, which the network
+    checked when built, or Y1, which build_augmented adds."""
     graph = net._residual_arcs
-    s, t2 = graph.index[net.source], graph.index[net.terminals[1]]
+    s, t = graph.index[net.source], graph.index[sink]
     is_sink = bytearray(len(graph.arcs))
-    is_sink[t2] = 1
-    return s, is_sink, min(len(graph.out[s]), graph.degrees(t2)[1])
+    is_sink[t] = 1
+    return s, is_sink, min(len(graph.out[s]), graph.degrees(t)[1])
 
 
 def terminal_cuts(net: Network) -> tuple[int, int, int]:

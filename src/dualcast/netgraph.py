@@ -8,6 +8,7 @@ formats becomes c unit-capacity edges with distinct ids.
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, groupby, repeat
@@ -50,15 +51,16 @@ class Demand:
 class ResidualArcs(NamedTuple):
     """A network as integer arrays for the residual graph of a 0/1 flow.
 
-    Nodes are numbered in `nodes` order and edges in ascending id order. Edge
-    i gives arc 2i (tail -> head, residual while unused) and arc 2i+1
-    (head -> tail, residual while used). Each node's arcs list its out-arcs
-    and then its in-arcs, each group in ascending edge id; out holds each
-    node's out-arcs alone, the head of its arcs list. Under the zero flow no
-    in-arc is residual, so a search from it needs only the out lists
-    (flow._augment). A Network caches one of these and hands the same lists
-    to every caller, and a network extended by add_virtual shares the
-    untouched nodes' lists with its base, so callers must not modify them.
+    Nodes are numbered in `nodes` order and edges in ascending id order; a
+    Network takes both from its validation (_check_edges). Edge i gives arc
+    2i (tail -> head, residual while unused) and arc 2i+1 (head -> tail,
+    residual while used). Each node's arcs list its out-arcs and then its
+    in-arcs, each group in ascending edge id; out holds each node's out-arcs
+    alone, the head of its arcs list. Under the zero flow no in-arc is
+    residual, so a search from it needs only the out lists (flow._augment).
+    A Network caches one of these and hands the same lists to every caller,
+    and a network extended by add_virtual shares the untouched nodes' lists
+    with its base, so callers must not modify them.
     """
 
     index: dict[NodeId, int]
@@ -87,7 +89,9 @@ class Network:
     adjacency and derives the rest itself. Construction refuses fields that
     are not tuples, so a caller cannot change a network under its cached
     values, and labels that are not strings or edges that are not Edges with
-    int ids, so no later call meets one (_check_edges).
+    int ids, so no later call meets one (_check_edges). That check numbers
+    the edges' ends in `nodes` order; the numbers, with the ids ascending,
+    are kept until the first flow builds the residual adjacency from them.
     """
 
     nodes: tuple[NodeId, ...]
@@ -102,7 +106,7 @@ class Network:
                 raise InputError(f"{name} must be a tuple, got {type(value).__name__}")
         if len(self.terminals) != 2:
             raise InputError(f"terminals must be a pair, got {len(self.terminals)} labels")
-        node_set = _label_set(self.nodes)
+        index = _label_index(self.nodes)
         t1, t2 = self.terminals
         for label in (self.source, t1, t2):
             if type(label) is not str:
@@ -112,9 +116,9 @@ class Network:
         if t1 == t2:
             raise InputError("terminals must be distinct")
         for label in (self.source, t1, t2):
-            if label not in node_set:
+            if label not in index:
                 raise UnknownNodeError(f"node {label!r} not in network")
-        _check_edges(self.edges, node_set)
+        vars(self)["_numbered"] = (index, *_check_edges(self.edges, index))  # not a field
 
     @cached_property
     def _edge_index(self) -> dict[EdgeId, Edge]:
@@ -127,13 +131,9 @@ class Network:
 
     @cached_property
     def _residual_arcs(self) -> ResidualArcs:
-        """Integer adjacency for max-flow, shared by every flow on this network."""
-        index = {v: i for i, v in enumerate(self.nodes)}
-        edges = sorted(self.edges, key=operator.itemgetter(0))
-        eids, tail_labels, head_labels = zip(*edges) if edges else ((), (), ())
-        tails = list(map(index.__getitem__, tail_labels))
-        heads = list(map(index.__getitem__, head_labels))
-        arc_head = [0] * (2 * len(edges))
+        """The adjacency every flow on this network shares, from the numbers validation kept."""
+        index, eids, tails, heads = vars(self).pop("_numbered")
+        arc_head = [0] * (2 * len(eids))
         arc_head[0::2] = heads
         arc_head[1::2] = tails
         out: list[list[int]] = [[] for _ in self.nodes]
@@ -141,13 +141,7 @@ class Network:
         for a, tail, head in zip(range(0, len(arc_head), 2), tails, heads):
             out[tail].append(a)
             inc[head].append(a + 1)
-        return ResidualArcs(
-            index=index,
-            eids=list(eids),
-            arc_head=arc_head,
-            arcs=[o + i for o, i in zip(out, inc)],
-            out=out,
-        )
+        return ResidualArcs(index, list(eids), arc_head, [o + i for o, i in zip(out, inc)], out)
 
     @cached_property
     def _source_levels(self) -> list[int]:
@@ -167,7 +161,8 @@ class Network:
         T2: terminal_cuts reads the cut off it, flow.paths_to_t2 its paths.
         Its first phase takes its levels from _source_levels.
         """
-        return flow._run_record(self._residual_arcs, *flow._t2_ends(self), self._source_levels)
+        ends = flow._ends(self, self.terminals[1])
+        return flow._run_record(self._residual_arcs, *ends, self._source_levels)
 
     @cached_property
     def _terminal_cuts(self) -> tuple[int, int, int]:
@@ -185,37 +180,40 @@ class Network:
         return eids[-1] + 1 if eids else 0
 
 
-def _label_set(labels: tuple[NodeId, ...]) -> set[NodeId]:
-    """The labels as a set; InputError unless they are distinct strings."""
+def _label_index(labels: tuple[NodeId, ...]) -> dict[NodeId, int]:
+    """Each label's number, in order; InputError unless they are distinct strings."""
     if not set(map(type, labels)) <= {str}:
         bad = next(v for v in labels if type(v) is not str)
         raise InputError(f"node labels must be strings, got {bad!r}")
-    label_set = set(labels)
-    if len(label_set) != len(labels):
+    index = dict(zip(labels, count()))
+    if len(index) != len(labels):
         raise InputError("duplicate node labels")
-    return label_set
+    return index
 
 
-def _check_edges(edges: tuple[Edge, ...], node_set: set[NodeId]) -> None:
-    """Raise unless the edges are Edges with distinct int ids between two distinct nodes.
+def _check_edges(edges: tuple[Edge, ...], index: dict[NodeId, int]) -> tuple[tuple, ...]:
+    """The ids, ascending, and their edges' tail and head numbers, which _residual_arcs reads.
 
-    Set and element-wise comparisons over their types and transposed fields;
-    only on a failure are they walked to name the first offending edge.
+    Raises unless the edges are Edges with distinct int ids between two
+    distinct nodes. Set and element-wise comparisons over their types and
+    transposed fields, with the ends mapped through index: a missing number
+    is an unknown node, equal numbers a self-loop, and strictly ascending
+    ids, sorted first if they do not ascend, are distinct. Only on a failure
+    are the edges walked to name the first offending one.
     """
-    if set(map(type, edges)) <= {Edge}:
-        eids, tails, heads = zip(*edges) if edges else ((), (), ())
-        if (
-            set(map(type, eids)) <= {int}
-            and not any(map(operator.eq, tails, heads))
-            and node_set.issuperset(tails)
-            and node_set.issuperset(heads)
-            and len(set(eids)) == len(eids)
-        ):
-            return
-    _raise_first_edge_error(edges, node_set)
+    with suppress(KeyError, TypeError):  # an unknown or unhashable end
+        if set(map(type, edges)) <= {Edge}:
+            eids, tails, heads = zip(*edges) if edges else ((), (), ())
+            tails, heads = [tuple(map(index.__getitem__, ends)) for ends in (tails, heads)]
+            if set(map(type, eids)) <= {int} and not any(map(operator.eq, tails, heads)):
+                if not all(map(operator.lt, eids, eids[1:])):
+                    eids, tails, heads = zip(*sorted(zip(eids, tails, heads)))
+                if all(map(operator.lt, eids, eids[1:])):
+                    return eids, tails, heads
+    _raise_first_edge_error(edges, index)
 
 
-def _raise_first_edge_error(edges: tuple[Edge, ...], node_set: set[NodeId]) -> None:
+def _raise_first_edge_error(edges: tuple[Edge, ...], index: dict[NodeId, int]) -> None:
     """Raise for the first edge that is no Edge, has no int id, loops, or has an unknown end
     or a repeated id."""
     seen_ids: set[EdgeId] = set()
@@ -226,7 +224,7 @@ def _raise_first_edge_error(edges: tuple[Edge, ...], node_set: set[NodeId]) -> N
             raise InputError(f"edge ids must be integers, got {e.eid!r}")
         if e.tail == e.head:
             raise InputError(f"self-loop at {e.tail!r}")
-        if e.tail not in node_set or e.head not in node_set:
+        if e.tail not in index or e.head not in index:
             raise UnknownNodeError(f"edge {e.eid} references unknown node")
         if e.eid in seen_ids:
             raise InputError(f"duplicate edge id {e.eid}")
@@ -239,24 +237,21 @@ MAX_UNIT_EDGES = 1 << 20  # the most unit edges a network's capacities may expan
 def expand_capacities(weighted_edges: Iterable[tuple[NodeId, NodeId, int]]) -> list[Edge]:
     """Split each weighted edge of capacity c into c parallel unit edges.
 
-    Ids are assigned consecutively from 0, in input order. The capacities are
-    checked before any edge is built, with a type, minimum and sum test over
-    all of them; only when that fails are they walked in order, and
+    Ids are assigned consecutively from 0, in input order, so a Network's
+    validation finds them ascending and keeps them unsorted. The capacities
+    are checked before any edge is built, with a type, minimum and sum test
+    over all of them; only when that fails are they walked in order, and
     InputError names the first edge whose capacity is not a positive integer
     or takes the total past MAX_UNIT_EDGES.
     """
     weighted = list(weighted_edges)
     tails, heads, caps = zip(*weighted) if weighted else ((), (), ())
-    if (
-        not set(map(type, caps)) <= {int}
-        or min(caps, default=1) <= 0
-        or sum(caps) > MAX_UNIT_EDGES
-    ):
+    if not set(map(type, caps)) <= {int} or min(caps, default=1) <= 0 or sum(caps) > MAX_UNIT_EDGES:
         _check_capacities(weighted)
     if sum(caps) != len(caps):
         tails = chain.from_iterable(map(repeat, tails, caps))
         heads = chain.from_iterable(map(repeat, heads, caps))
-    return list(map(Edge._make, zip(count(), tails, heads)))
+    return list(map(tuple.__new__, repeat(Edge), zip(count(), tails, heads)))
 
 
 def _check_capacities(weighted: list[tuple[NodeId, NodeId, int]]) -> None:

@@ -248,10 +248,11 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
         raise PlanMismatchError(str(exc)) from exc
     try:
         coded = [edge_at[eid] for eid in code.support]
-    except KeyError:
-        raise PlanMismatchError("coded edge is not in the network") from None
+    except KeyError as exc:
+        raise PlanMismatchError(f"coded edge {exc.args[0]} is not in the network") from None
     if not all_route_edges.isdisjoint(code.support):
-        raise PlanMismatchError("coded support overlaps a route")
+        shared = min(all_route_edges.intersection(code.support))
+        raise PlanMismatchError(f"coded support overlaps a route at edge {shared}")
     h0 = code.h0
     if h0 != plan.demand.h0:
         raise PlanMismatchError("code rate != demand")
@@ -285,13 +286,13 @@ def check_plan(net: Network, plan: TransferPlan) -> None:
         raise PlanMismatchError(f"support and local_inputs disagree on edge {min(extra)}")
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
         if len(inputs) != h0:
-            raise PlanMismatchError("decode input count != rate")
+            raise PlanMismatchError(f"decode input count of {term!r} != rate")
         for eid in inputs:
             if head_of.get(eid) != term:
                 raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
     for rows, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
         if len(rows) != h0:
-            raise PlanMismatchError("decode row count != rate")
+            raise PlanMismatchError(f"decode row count of {label} != rate")
         for i, row in enumerate(rows):
             last = -1
             for k in row:

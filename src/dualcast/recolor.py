@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 
 from .augment import T1P, T2P, Y1, build_augmented
 from .errors import InvariantError, NonterminationError, TheoremViolationError
-from .flow import EdgePath, edge_disjoint_paths, paths_to_t2
+from .flow import EdgePath, _ends, _recorded_paths, _run_record, paths_to_t2
 from .netgraph import Demand, EdgeId, Network, NodeId
 # Unused here; perfbench/tracer.py wraps recolor.remove_edges, recolor.max_flow
 # and recolor.decompose_paths.
@@ -243,16 +243,18 @@ def single_pass(net: Network, d: Demand) -> PassResult:
     """Pass 1: paths to Y1 and to T2', recolored to fixpoint, routes cut at T1'.
 
     net is the base network; the pass runs on its extension by
-    build_augmented. The green paths to Y1 come from edge_disjoint_paths on
-    the extension. T2' is entered only from T2, so the red paths to T2' are
-    the base network's first h0+h2 paths to T2 (flow.paths_to_t2, read off
-    its run to T2, Network._t2_run), each continued by one T2 -> T2' edge in
-    ascending id: the paths a flow to T2' would give, with no search.
+    build_augmented. The green paths to Y1 are edge_disjoint_paths' on the
+    extension, run from node numbers with no label check (flow._ends). T2'
+    is entered only from T2, so the red paths to T2' are the base network's
+    first h0+h2 paths to T2 (flow.paths_to_t2, read off its run to T2,
+    Network._t2_run), each continued by one T2 -> T2' edge in ascending id:
+    the paths a flow to T2' would give, with no search.
     Fewer than h0+h1+h2 paths to Y1 or h0+h2 to T2' raises
     TheoremViolationError; synthesis reports it as an infeasible demand.
     """
     ext = build_augmented(net, d)
-    greens = edge_disjoint_paths(ext, net.source, {Y1})
+    s, to_y1, bound = _ends(ext, Y1)  # bound: min(out(s), h0+h1+h2), the in-degree of Y1
+    greens = _recorded_paths(ext, s, to_y1, _run_record(ext._residual_arcs, s, to_y1, bound))
     if len(greens) != d.total:
         raise TheoremViolationError(
             f"expected {d.total} edge-disjoint paths to {Y1!r}, found {len(greens)}"

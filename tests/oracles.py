@@ -5,19 +5,20 @@ per augmenting path for flows, DFS enumeration for paths, schoolbook
 polynomial arithmetic for fields, one full simulation per trial for plan
 verification, check_path on every route and one edge at a time for the
 plan check, a color map and a checked snapshot per step for recoloring,
-label lookups for path decomposition, the earlier full-list Dinic kernel
-for the one that scans out-arcs alone from the zero flow, separate passes
-and a parity search on every edge for the code builder, and five separate
-min-cuts for the augmentation identities. Keep these free of any imports
-from the modules they are used to check (graph containers excepted; the
-simulation reference evaluates the code itself and builds on the reference
-plan check, which builds on check_path, which it does not test, the
-recoloring reference on recolor's state and trace containers, and the
-identity check on max-flow and the feasibility report). The small helpers
-that only the oracles and tests need (decoding, a single min-cut value, a
-flow's used edges, a plan's or a pass's route edges, a network's JSON
-document) live here too, not in the package, and so does the reference
-plan writer: the plan's document through the stdlib's indenting encoder.
+label lookups for path decomposition and the residual adjacency, the
+earlier full-list Dinic kernel for the one that scans out-arcs alone from
+the zero flow, separate passes and a parity search on every edge for the
+code builder, and five separate min-cuts for the augmentation identities.
+Keep these free of any imports from the modules they are used to check
+(graph containers excepted; the simulation reference evaluates the code
+itself and builds on the reference plan check, which builds on check_path,
+which it does not test, the recoloring reference on recolor's state and
+trace containers, and the identity check on max-flow and the feasibility
+report). The small helpers that only the oracles and tests need (decoding,
+a single min-cut value, a flow's used edges, a plan's or a pass's route
+edges, a network's JSON document) live here too, not in the package, and so
+does the reference plan writer: the plan's document through the stdlib's
+indenting encoder.
 """
 
 from __future__ import annotations
@@ -369,6 +370,25 @@ def decompose_paths_reference(
     return paths
 
 
+def residual_arcs_reference(net: Network) -> ResidualArcs:
+    """The adjacency the ResidualArcs docstring describes, built from labels edge by edge.
+
+    Nodes are numbered in `nodes` order and edges in ascending id. Edge i
+    gives arc 2i (tail -> head) and arc 2i+1 (head -> tail). Each node lists
+    its out-arcs and then its in-arcs, each group ascending; out holds the
+    out-arcs alone.
+    """
+    number = {v: i for i, v in enumerate(net.nodes)}
+    edges = sorted(net.edges, key=lambda e: e.eid)
+    arc_head = []
+    for e in edges:
+        arc_head += [number[e.head], number[e.tail]]
+    out = [[2 * i for i, e in enumerate(edges) if e.tail == v] for v in net.nodes]
+    into = [[2 * i + 1 for i, e in enumerate(edges) if e.head == v] for v in net.nodes]
+    arcs = [o + i for o, i in zip(out, into)]
+    return ResidualArcs(number, [e.eid for e in edges], arc_head, arcs, out)
+
+
 def in_edges(net: Network, v: NodeId) -> list[int]:
     """Edge ids entering v, by scanning every edge."""
     return [e.eid for e in net.edges if e.head == v]
@@ -470,12 +490,15 @@ def check_plan_reference(net: Network, plan: TransferPlan) -> None:
                     all_route_edges.add(eid)
     except InvariantError as exc:
         raise PlanMismatchError(str(exc)) from exc
-    try:
-        coded = [net.edge(eid) for eid in code.support]
-    except UnknownEdgeError:
-        raise PlanMismatchError("coded edge is not in the network") from None
-    if all_route_edges.intersection(code.support):
-        raise PlanMismatchError("coded support overlaps a route")
+    coded = []
+    for eid in code.support:
+        try:
+            coded.append(net.edge(eid))
+        except UnknownEdgeError:
+            raise PlanMismatchError(f"coded edge {eid} is not in the network") from None
+    for eid in sorted(code.support):
+        if eid in all_route_edges:
+            raise PlanMismatchError(f"coded support overlaps a route at edge {eid}")
     if code.h0 != plan.demand.h0:
         raise PlanMismatchError("code rate != demand")
     head_of: dict[EdgeId, NodeId] = {}  # the coded edges checked so far
@@ -504,13 +527,13 @@ def check_plan_reference(net: Network, plan: TransferPlan) -> None:
         raise PlanMismatchError(f"support and local_inputs disagree on edge {min(extra)}")
     for inputs, term in ((code.inputs_t1, t1), (code.inputs_t2, t2)):
         if len(inputs) != code.h0:
-            raise PlanMismatchError("decode input count != rate")
+            raise PlanMismatchError(f"decode input count of {term!r} != rate")
         for eid in inputs:
             if head_of.get(eid) != term:
                 raise PlanMismatchError(f"decode input {eid} does not enter {term!r}")
     for rows, label in ((code.decode_t1, "T1"), (code.decode_t2, "T2")):
         if len(rows) != code.h0:
-            raise PlanMismatchError("decode row count != rate")
+            raise PlanMismatchError(f"decode row count of {label} != rate")
         for i, row in enumerate(rows):
             for n, k in enumerate(row):
                 if not 0 <= k < code.h0:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcast.augment import build_augmented
+from dualcast.cli import export_dot, network_from_dict
 from dualcast.errors import InputError, UnknownEdgeError, UnknownNodeError
 from dualcast.flow import max_flow
 from dualcast.netgraph import (
@@ -18,10 +19,16 @@ from dualcast.netgraph import (
     expand_capacities,
     remove_edges,
 )
-from dualcast.planner import check_feasibility
+from dualcast.planner import check_feasibility, synthesize, verify_plan
 
 from conftest import mknet
-from oracles import in_edges, mincut_enumerate, out_edges
+from oracles import (
+    in_edges,
+    mincut_enumerate,
+    network_to_dict,
+    out_edges,
+    residual_arcs_reference,
+)
 from strategies import demands, digraphs
 
 labels = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -172,6 +179,10 @@ class TestNetworkValidation:
              "duplicate edge id 0"),
             ((Edge(0, "s", "t1"), Edge(1, "t2", "t2"), Edge(0, "s", "t2")), InputError,
              "self-loop at 't2'"),
+            # An unhashable end raises the walk's TypeError only when it is the first fault.
+            ((Edge(0, "s", "s"), Edge(1, ["s"], "t1")), InputError, "self-loop at 's'"),
+            ((Edge(0, "s", "zzz"), Edge(1, ["s"], "t1")), UnknownNodeError, "edge 0 references"),
+            ((Edge(0, "s", "t1"), Edge(1, ["s"], "t1")), TypeError, "unhashable type"),
         ],
     )
     def test_first_offending_edge_names_the_error(self, edges, error, message):
@@ -350,3 +361,61 @@ class TestAddVirtualInheritsCaches:
         _assert_caches_match_a_fresh_build(again)
         # The base's shared arc lists are left as they were.
         assert net._residual_arcs == base_arcs
+
+
+class TestResidualArcsMatchTheReference:
+    """Every way of building a Network gives the adjacency the ResidualArcs
+    docstring describes, rebuilt from labels by the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), st.sampled_from(["as drawn", "reversed", "shuffled"]), st.data())
+    def test_edges_in_any_order_with_gaps_in_the_ids(self, net, order, data):
+        dropped = data.draw(st.sets(st.sampled_from([e.eid for e in net.edges] or [0])))
+        net = remove_edges(net, dropped & {e.eid for e in net.edges})
+        assert net._residual_arcs == residual_arcs_reference(net)
+        edges = {
+            "as drawn": net.edges,
+            "reversed": net.edges[::-1],
+            "shuffled": tuple(data.draw(st.permutations(net.edges))),
+        }[order]
+        again = Network(nodes=net.nodes, edges=edges, source=net.source, terminals=net.terminals)
+        assert again._residual_arcs == residual_arcs_reference(again)
+
+    def test_parallel_edges_out_of_order(self):
+        net = mknet([("s", "t1"), ("s", "t2"), ("s", "t1"), ("t2", "t1")], "s", ("t1", "t2"))
+        net = Network(nodes=net.nodes, edges=net.edges[::-1], source="s", terminals=("t1", "t2"))
+        assert net._residual_arcs == residual_arcs_reference(net)
+        assert net._residual_arcs.out[0] == [0, 2, 4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(), st.data())
+    def test_loaded_documents_with_capacities(self, net, data):
+        doc = network_to_dict(net)
+        for entry in doc["edges"]:
+            entry["cap"] += data.draw(st.integers(0, 3))
+        loaded = network_from_dict(doc)
+        assert loaded._residual_arcs == residual_arcs_reference(loaded)
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(), demands(), st.booleans(), st.data())
+    def test_extensions(self, net, d, warm, data):
+        if warm:
+            net._residual_arcs
+        ext = build_augmented(net, d)
+        assert ext._residual_arcs == residual_arcs_reference(ext)
+        labels = st.sampled_from(ext.nodes + ("x",))
+        pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
+        more = add_virtual(ext, ["x"], data.draw(st.lists(pairs, max_size=6)))
+        assert more._residual_arcs == residual_arcs_reference(more)
+
+    def test_built_at_the_first_flow_only(self, fig2):
+        d = Demand(2, 1, 1)
+        plan = synthesize(fig2, d, seed=7)
+        net = network_from_dict(network_to_dict(fig2))
+        assert verify_plan(net, plan, trials=10).passed
+        export_dot(net)
+        export_dot(net, plan)
+        assert "_residual_arcs" not in vars(net) and "_numbered" in vars(net)
+        assert check_feasibility(net, d).feasible
+        assert "_residual_arcs" in vars(net) and "_numbered" not in vars(net)
+        assert net._residual_arcs == residual_arcs_reference(net)

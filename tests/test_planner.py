@@ -211,7 +211,7 @@ class TestFeasibilityFromPassOne:
         return calls
 
     def test_feasible_synthesis_runs_two_flows_and_no_feasibility_check(self, monkeypatch):
-        # Pass 1's flow to Y1 (edge_disjoint_paths), then the network's run
+        # Pass 1's flow to Y1 (a Dinic run from node numbers), then the network's run
         # to T2, which pass 1's paths to T2' are read from (paths_to_t2), so
         # none goes through max_flow; pass 2 starts from pass 1's coloring on
         # the same augmented graph, and the code reuses pass 2's paths.
@@ -464,8 +464,8 @@ PLAN_FAULTS = {
     "non-contiguous route": (PlanMismatchError, r"edges \d+ and \d+ are not contiguous"),
     "unknown route edge": (UnknownEdgeError, rf"no edge with id {NO_EDGE}"),
     "shared route edge": (PlanMismatchError, r"routes share an edge"),
-    "unknown coded edge": (PlanMismatchError, r"coded edge is not in the network"),
-    "support on a route": (PlanMismatchError, r"coded support overlaps a route"),
+    "unknown coded edge": (PlanMismatchError, rf"coded edge {NO_EDGE} is not in the network"),
+    "support on a route": (PlanMismatchError, r"coded support overlaps a route at edge \d+"),
     "code rate": (PlanMismatchError, r"code rate != demand"),
     "support edge twice": (PlanMismatchError, r"coded edge \d+ is listed twice in the support"),
     "no local inputs": (PlanMismatchError, r"coded edge \d+ has no local inputs"),
@@ -479,9 +479,9 @@ PLAN_FAULTS = {
         PlanMismatchError,
         rf"support and local_inputs disagree on edge {NO_EDGE}",
     ),
-    "decode input count": (PlanMismatchError, r"decode input count != rate"),
+    "decode input count": (PlanMismatchError, r"decode input count of '.*' != rate"),
     "decode input elsewhere": (PlanMismatchError, r"decode input \d+ does not enter '.*'"),
-    "decode row count": (PlanMismatchError, r"decode row count != rate"),
+    "decode row count": (PlanMismatchError, r"decode row count of T[12] != rate"),
     "decode row out of order": (PlanMismatchError, rf"decode row \d+ of T[12] is {UNORDERED}"),
     "decode position repeated": (PlanMismatchError, rf"decode row \d+ of T[12] is {UNORDERED}"),
     "decode position out of range": (
